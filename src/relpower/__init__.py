@@ -9,12 +9,9 @@ with the Eshelby stress e I - F^t P at the center of the bookkeeping.
 
 __version__ = "0.1.0"
 
-from .exceptions import (ConfigInvalid, EvaluationOutOfDomain, NonAffineDefect,
-                         NonPositiveJacobian, NotAntisymmetric,
-                         PreconditionViolated, RelpowerError, SingularTensor)
-from .fields import (Motion, ObserverChange, VirtualField, VirtualFieldPair,
-                     apply_ambient_change, apply_material_change,
-                     observer_shifted_pair)
+from .exceptions import (ConfigInvalid, NonAffineDefect, NonPositiveJacobian,
+                         NotAntisymmetric, PreconditionViolated, RelpowerError)
+from .fields import Motion, ObserverChange, VirtualField, VirtualFieldPair
 from .functionals import (BalanceResiduals, InvarianceDecomposition,
                           PowerBreakdown, inner_relative_power,
                           integral_balance_residuals, invariance_decomposition,
@@ -22,12 +19,10 @@ from .functionals import (BalanceResiduals, InvarianceDecomposition,
                           relative_power, standard_external_power,
                           surface_independence_check)
 from .geometry import (BodyPart, SurfaceQuadrature, ball_part, box_part,
-                       shell_part, sphere_surface, surface_integral,
-                       volume_integral)
+                       shell_part, sphere_surface, weighted_fsum)
 from .materials import (MaterialModel, Modulus, affine_modulus,
                         constant_modulus, make_material, sinusoidal_modulus)
 from .scenarios import Scenario, bundled_scenario_names, load_bundled_config
-from .tensors import (axial_vector, cross_matrix, double_contraction, inverse,
-                      skew_part, sym_part)
+from .tensors import axial_vector, cross_matrix, skew_part
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -20,13 +21,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from . import configurational as conf
 from . import functionals as fn
 from .exceptions import (ConfigInvalid, NonAffineDefect, PreconditionViolated,
                          RelpowerError)
 from .fields import VirtualFieldPair, constant_field
 from .geometry import sphere_surface
-from .scenarios import (Scenario, bundled_scenario_names, config_digest,
-                        load_bundled_config, load_config_file, validate_config)
+from .scenarios import (Scenario, build_motion, bundled_scenario_names,
+                        config_digest, load_bundled_config, load_config_file,
+                        validate_config)
 
 DEFAULT_OUTPUT_ENV = "RELPOWER_OUT"
 DEFAULT_OUTPUT_DIR = "relpower_out"
@@ -299,7 +302,7 @@ class ScenarioRun:
             "tool_version": __version__,
             "config_sha256": config_digest(self.config),
             "seed": scenario.seed,
-            "derivative_mode": "analytic" if scenario.use_analytic else "fd",
+            "derivative_mode": scenario.derivative_mode,
             "steps": {
                 "motion": scenario.motion_step,
                 "divergence": scenario.divergence_step,
@@ -341,20 +344,16 @@ def _pointwise_divergence_error(scenario: Scenario, samples: int = 16) -> float:
     """Max gap between finite-difference and analytic Div P at interior points.
 
     Isolates discretization error of the derivative steps from quadrature
-    error; only available when the motion carries analytic second
-    derivatives, otherwise reported as nan.
+    error.  Both motions are built from the config, so the comparison holds
+    whatever the scenario's derivative mode.
     """
-    from . import configurational as conf
-
-    if scenario.motion.second_gradient is None:
-        return float("nan")
+    exact_motion = build_motion(scenario.config["motion"], step=scenario.motion_step)
+    fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
     rng = np.random.default_rng(scenario.seed + 2)
     worst = 0.0
     for x in scenario.part.sample_interior(rng, samples):
-        exact = conf.div_first_pk(scenario.model, scenario.motion, x,
-                                  use_analytic=True)
-        approx = conf.div_first_pk(scenario.model, scenario.motion, x,
-                                   use_analytic=False,
+        exact = conf.div_first_pk(scenario.model, exact_motion, x)
+        approx = conf.div_first_pk(scenario.model, fd_motion, x,
                                    step=scenario.divergence_step)
         worst = max(worst, float(np.linalg.norm(approx - exact)))
     return worst
@@ -473,7 +472,6 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out_dir(args.out)
     runs = []
     for config in configs:
-        validate_config(config)
         run = ScenarioRun(config)
         run.run()
         runs.append(run)
@@ -493,8 +491,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config_file(args.config)
     validate_config(config)
-    values = [float(v) for v in args.values] if args.values else None
-    header, rows = sweep_scenario(config, args.axis, values)
+    header, rows = sweep_scenario(config, args.axis, args.values)
     out_dir = _resolve_out_dir(args.out)
     directory = os.path.join(out_dir, config["name"])
     os.makedirs(directory, exist_ok=True)
@@ -543,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep a discretization axis")
     sweep.add_argument("config", help="path to a scenario JSON file")
     sweep.add_argument("--axis", choices=("quad", "fd"), required=True)
-    sweep.add_argument("--values", nargs="+", help="override sweep values")
+    sweep.add_argument("--values", nargs="+", type=float, help="override sweep values")
     sweep.add_argument("--out", help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,11 @@
-"""Eshelby stress, pointwise balance residuals and conservation-law data.
+"""Eshelby stress, closure sources and conservation-law data.
 
 Conventions.  The divergence of a second-order tensor field T is the
 vector with components (Div T)_i = sum_j d T_ij / d x_j (divergence on
 the second, reference index).  The adjoint F* is the plain transpose:
 all spaces carry the Euclidean metric in orthonormal coordinates.
 
-The four pointwise balances evaluated here are
+The four pointwise balances are
 
     Div P + b = 0                          (forces)
     Skw(P F^t) = 0                         (torques)
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Motion, VirtualFieldPair
+from .fields import Motion, VirtualFieldPair, central_difference
 from .materials import BodyForcePotential, MaterialModel
 from .tensors import IDENTITY, as_vector, axial_vector, skew_part
 
@@ -34,30 +34,11 @@ DEFAULT_DIVERGENCE_STEP = 1e-4
 def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
                          step: float) -> np.ndarray:
     """Central-difference divergence (on the second index) of a tensor field."""
-    x = as_vector(x)
+    grad = central_difference(field, x, step)
     div = np.zeros(3)
     for j in range(3):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        div += (np.asarray(field(xp), float)[:, j]
-                - np.asarray(field(xm), float)[:, j]) / (2.0 * step)
+        div += grad[:, j, j]
     return div
-
-
-def fd_vector_divergence(field: Callable[[np.ndarray], np.ndarray], x,
-                         step: float) -> float:
-    """Central-difference divergence of a vector field."""
-    x = as_vector(x)
-    total = 0.0
-    for j in range(3):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += step
-        xm[j] -= step
-        total += (float(field(xp)[j]) - float(field(xm)[j])) / (2.0 * step)
-    return total
 
 
 def eshelby_stress(model: MaterialModel, x, f) -> np.ndarray:
@@ -65,112 +46,75 @@ def eshelby_stress(model: MaterialModel, x, f) -> np.ndarray:
     return model.energy(x, f) * IDENTITY - f.T @ model.stress(x, f)
 
 
-def eshelby_field(model: MaterialModel, motion: Motion,
-                  use_analytic: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+def eshelby_field(model: MaterialModel, motion: Motion) -> Callable[[np.ndarray], np.ndarray]:
     def field(x):
-        f = motion.deformation_gradient(x, use_analytic=use_analytic)
-        return eshelby_stress(model, x, f)
+        return eshelby_stress(model, x, motion.deformation_gradient(x))
     return field
 
 
-def first_pk_field(model: MaterialModel, motion: Motion,
-                   use_analytic: bool = True) -> Callable[[np.ndarray], np.ndarray]:
+def first_pk_field(model: MaterialModel, motion: Motion) -> Callable[[np.ndarray], np.ndarray]:
     def field(x):
-        return model.stress(x, motion.deformation_gradient(x, use_analytic=use_analytic))
+        return model.stress(x, motion.deformation_gradient(x))
     return field
 
 
-def div_first_pk(model: MaterialModel, motion: Motion, x, use_analytic: bool = True,
+def div_first_pk(model: MaterialModel, motion: Motion, x,
                  step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
-    """Div P along the motion, analytic when the pair supports it."""
+    """Div P along the motion, analytic when the motion supports it."""
     x = as_vector(x)
-    if use_analytic and motion.second_gradient is not None:
+    if motion.second_gradient is not None:
         f = motion.deformation_gradient(x)
         dp_dx = model.stress_material_gradient(x, f)
         dp_df = model.stress_tangent(x, f)
         df_dx = motion.deformation_second_gradient(x)
         return (np.einsum("ijj->i", dp_dx)
                 + np.einsum("ijkl,klj->i", dp_df, df_dx))
-    return fd_tensor_divergence(first_pk_field(model, motion, use_analytic), x, step)
+    return fd_tensor_divergence(first_pk_field(model, motion), x, step)
 
 
-def div_eshelby(model: MaterialModel, motion: Motion, x, use_analytic: bool = True,
+def div_eshelby(model: MaterialModel, motion: Motion, x,
                 step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
     """Div PP along the motion, by direct product-rule differentiation."""
     x = as_vector(x)
-    if use_analytic and motion.second_gradient is not None:
+    if motion.second_gradient is not None:
         f = motion.deformation_gradient(x)
         p = model.stress(x, f)
         df_dx = motion.deformation_second_gradient(x)
         grad_e = (model.material_gradient(x, f)
                   + np.einsum("kl,klj->j", p, df_dx))
-        div_p = div_first_pk(model, motion, x, use_analytic=True)
+        div_p = div_first_pk(model, motion, x)
         return grad_e - np.einsum("kaj,kj->a", df_dx, p) - f.T @ div_p
-    return fd_tensor_divergence(eshelby_field(model, motion, use_analytic), x, step)
-
-
-# ---------------------------------------------------------------------------
-# Pointwise balance residuals
-# ---------------------------------------------------------------------------
-
-def standard_force_residual(model, motion, b_at, x, use_analytic: bool = True,
-                            step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
-    """Div P + b at x."""
-    return div_first_pk(model, motion, x, use_analytic, step) + as_vector(b_at(x))
-
-
-def configurational_force_residual(model, motion, b_at, f_at, x,
-                                   use_analytic: bool = True,
-                                   step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
-    """Div PP - F^t b + de/dx|expl - f at x."""
-    x = as_vector(x)
-    f_grad = motion.deformation_gradient(x, use_analytic=use_analytic)
-    return (div_eshelby(model, motion, x, use_analytic, step)
-            - f_grad.T @ as_vector(b_at(x))
-            + model.material_gradient(x, f_grad)
-            - as_vector(f_at(x)))
-
-
-def torque_residuals(model, motion, mu_at, x, use_analytic: bool = True):
-    """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x."""
-    x = as_vector(x)
-    f = motion.deformation_gradient(x, use_analytic=use_analytic)
-    p = model.stress(x, f)
-    first = axial_vector(2.0 * skew_part(p @ f.T))
-    second = axial_vector(2.0 * skew_part(eshelby_stress(model, x, f))) - as_vector(mu_at(x))
-    return first, second
+    return fd_tensor_divergence(eshelby_field(model, motion), x, step)
 
 
 # ---------------------------------------------------------------------------
 # Manufactured (closure) source fields
 # ---------------------------------------------------------------------------
 
-def closure_body_force(model, motion, use_analytic: bool = True,
-                       step: float = DEFAULT_DIVERGENCE_STEP):
+def closure_body_force(model, motion, step: float = DEFAULT_DIVERGENCE_STEP):
     """b := -Div P, which closes the force balance exactly."""
     def b_at(x):
-        return -div_first_pk(model, motion, x, use_analytic, step)
+        return -div_first_pk(model, motion, x, step)
     return b_at
 
 
-def closure_driving_force(model, motion, use_analytic: bool = True,
-                          step: float = DEFAULT_DIVERGENCE_STEP):
+def closure_driving_force(model, motion, step: float = DEFAULT_DIVERGENCE_STEP):
     """f := Div PP - F^t b + de/dx|expl evaluated with the closure b."""
     def f_at(x):
         x = as_vector(x)
-        f_grad = motion.deformation_gradient(x, use_analytic=use_analytic)
-        div_p = div_first_pk(model, motion, x, use_analytic, step)
-        return (div_eshelby(model, motion, x, use_analytic, step)
+        f_grad = motion.deformation_gradient(x)
+        div_p = div_first_pk(model, motion, x, step)
+        return (div_eshelby(model, motion, x, step)
                 + f_grad.T @ div_p
                 + model.material_gradient(x, f_grad))
     return f_at
 
 
-def closure_couple(model, motion, use_analytic: bool = True):
+def closure_couple(model, motion):
     """mu := axial(2 Skw PP), which closes the configurational torque balance."""
     def mu_at(x):
         x = as_vector(x)
-        f = motion.deformation_gradient(x, use_analytic=use_analytic)
+        f = motion.deformation_gradient(x)
         return axial_vector(2.0 * skew_part(eshelby_stress(model, x, f)))
     return mu_at
 
@@ -181,10 +125,10 @@ def closure_couple(model, motion, use_analytic: bool = True):
 
 def noether_flux(model: MaterialModel, motion: Motion,
                  potential: Optional[BodyForcePotential],
-                 pair: VirtualFieldPair, x, use_analytic: bool = True) -> np.ndarray:
+                 pair: VirtualFieldPair, x) -> np.ndarray:
     """Flux density (e + u) w + P^t (v - F w)."""
     x = as_vector(x)
-    f = motion.deformation_gradient(x, use_analytic=use_analytic)
+    f = motion.deformation_gradient(x)
     p = model.stress(x, f)
     e = model.energy(x, f)
     u = potential(motion.y(x)) if potential is not None else 0.0
@@ -195,18 +139,17 @@ def noether_flux(model: MaterialModel, motion: Motion,
 
 def noether_condition_residuals(model: MaterialModel, motion: Motion,
                                 potential: Optional[BodyForcePotential],
-                                pair: VirtualFieldPair, x,
-                                use_analytic: bool = True):
+                                pair: VirtualFieldPair, x):
     """Left-hand sides of the two equivariance conditions.
 
     First: du/dy . v + P . grad v.  Second: de/dx|expl . w - P . (F grad w).
     Both gradients are reference-space gradients of the fields x -> v, w.
     """
     x = as_vector(x)
-    f = motion.deformation_gradient(x, use_analytic=use_analytic)
+    f = motion.deformation_gradient(x)
     p = model.stress(x, f)
-    grad_v = pair.v.grad(x, use_analytic=use_analytic)
-    grad_w = pair.w.grad(x, use_analytic=use_analytic)
+    grad_v = pair.v.grad(x)
+    grad_w = pair.w.grad(x)
     du = potential.grad(motion.y(x)) if potential is not None else np.zeros(3)
     first = float(du @ pair.v(x)) + float(np.sum(p * grad_v))
     second = (float(model.material_gradient(x, f) @ pair.w(x))
@@ -214,9 +157,13 @@ def noether_condition_residuals(model: MaterialModel, motion: Motion,
     return first, second
 
 
-def div_noether_flux(model, motion, potential, pair, x, use_analytic: bool = True,
+def div_noether_flux(model, motion, potential, pair, x,
                      step: float = DEFAULT_DIVERGENCE_STEP) -> float:
     """Divergence of the flux density, by central differences."""
     def flux(xx):
-        return noether_flux(model, motion, potential, pair, xx, use_analytic)
-    return fd_vector_divergence(flux, x, step)
+        return noether_flux(model, motion, potential, pair, xx)
+    grad = central_difference(flux, x, step)
+    total = 0.0
+    for j in range(3):
+        total += float(grad[j, j])
+    return total

@@ -9,16 +9,8 @@ class NonPositiveJacobian(RelpowerError):
     """A deformation gradient with det F <= 0 was encountered."""
 
 
-class SingularTensor(RelpowerError):
-    """Inversion requested for a tensor that is singular to working precision."""
-
-
 class NotAntisymmetric(RelpowerError):
     """An axial vector was requested for a tensor that is not antisymmetric."""
-
-
-class EvaluationOutOfDomain(RelpowerError):
-    """A field evaluation was requested outside the part it is defined on."""
 
 
 class PreconditionViolated(RelpowerError):

@@ -4,13 +4,17 @@ A :class:`Motion` maps reference points to ambient points.  Virtual
 velocity fields come in pairs: ``v`` acts over the ambient space and
 ``w`` over the material (reference) space; both are functions of the
 reference point.  Observer changes superpose rigid rates on either
-field independently:
+field independently (on sampled pairs, :meth:`PairSamples.shifted` in
+:mod:`relpower.functionals` applies them):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
 
-All derivatives are available analytically for the shipped presets and
-by central finite differences otherwise.
+Every preset carries analytic derivatives.  An object whose
+``gradient`` (or ``second_gradient``) is ``None`` takes that derivative
+by central finite differences instead; a scenario in ``fd`` derivative
+mode builds its motion and virtual fields with these callables removed,
+so the mode is chosen once, where the objects are built.
 """
 
 from __future__ import annotations
@@ -26,30 +30,24 @@ from .tensors import IDENTITY, as_tensor, as_vector, axial_vector, cross_matrix
 DEFAULT_GRADIENT_STEP = 1e-5
 
 
-def fd_gradient_vector(fn: Callable[[np.ndarray], np.ndarray], x, h: float) -> np.ndarray:
-    """Central-difference gradient of a vector field; [i, j] = d fn_i / d x_j."""
+def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.ndarray:
+    """Central differences of ``fn`` at ``x`` with the derivative index last.
+
+    For ``fn`` returning shape S the result has shape S + (3,) with
+    [..., j] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
+    """
     x = as_vector(x)
-    grad = np.empty((3, 3))
+    out = None
     for j in range(3):
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        grad[:, j] = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * h)
-    return grad
-
-
-def fd_gradient_scalar(fn: Callable[[np.ndarray], float], x, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar field."""
-    x = as_vector(x)
-    grad = np.empty(3)
-    for j in range(3):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        grad[j] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return grad
+        diff = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * h)
+        if out is None:
+            out = np.empty(diff.shape + (3,))
+        out[..., j] = diff
+    return out
 
 
 def curl_from_gradient(grad_w) -> np.ndarray:
@@ -65,7 +63,7 @@ class Motion:
     ``gradient`` returns F(x); ``second_gradient`` returns dF/dx as a
     (3, 3, 3) array with entries [k, l, j] = d^2 y_k / (d x_l d x_j).
     ``step`` is the finite-difference step used when analytic data is
-    absent or bypassed.
+    absent.
     """
 
     name: str
@@ -83,29 +81,19 @@ class Motion:
         if use_analytic and self.gradient is not None:
             f = as_tensor(self.gradient(x))
         else:
-            f = fd_gradient_vector(self.placement, x, self.step)
+            f = central_difference(self.placement, x, self.step)
         det = np.linalg.det(f)
         if det <= 0.0:
             raise NonPositiveJacobian(f"det F = {det:g} <= 0 at x = {x}")
         return f
 
-    def deformation_second_gradient(self, x, use_analytic: bool = True,
-                                    step: Optional[float] = None) -> np.ndarray:
-        """dF/dx at x, nested central differences when no analytic form exists."""
+    def deformation_second_gradient(self, x, step: Optional[float] = None) -> np.ndarray:
+        """dF/dx at x, central differences of F when no analytic form exists."""
         x = as_vector(x)
-        if use_analytic and self.second_gradient is not None:
+        if self.second_gradient is not None:
             return np.asarray(self.second_gradient(x), float)
         h = self.step * 10.0 if step is None else step
-        d2 = np.empty((3, 3, 3))
-        for j in range(3):
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fp = self.deformation_gradient(xp, use_analytic=use_analytic)
-            fm = self.deformation_gradient(xm, use_analytic=use_analytic)
-            d2[:, :, j] = (fp - fm) / (2.0 * h)
-        return d2
+        return central_difference(self.deformation_gradient, x, h)
 
 
 @dataclass(frozen=True)
@@ -120,16 +108,16 @@ class VirtualField:
     def __call__(self, x) -> np.ndarray:
         return as_vector(self.value(as_vector(x)))
 
-    def grad(self, x, use_analytic: bool = True) -> np.ndarray:
-        if use_analytic and self.gradient is not None:
+    def grad(self, x) -> np.ndarray:
+        if self.gradient is not None:
             return as_tensor(self.gradient(as_vector(x)))
-        return fd_gradient_vector(self.value, as_vector(x), self.step)
+        return central_difference(self.value, as_vector(x), self.step)
 
-    def curl(self, x, use_analytic: bool = True) -> np.ndarray:
-        return curl_from_gradient(self.grad(x, use_analytic=use_analytic))
+    def curl(self, x) -> np.ndarray:
+        return curl_from_gradient(self.grad(x))
 
-    def divergence(self, x, use_analytic: bool = True) -> float:
-        return float(np.trace(self.grad(x, use_analytic=use_analytic)))
+    def divergence(self, x) -> float:
+        return float(np.trace(self.grad(x)))
 
 
 @dataclass(frozen=True)
@@ -157,60 +145,6 @@ class ObserverChange:
             "material_translation", "material_rotation", "material_pivot",
         ):
             object.__setattr__(self, name, as_vector(getattr(self, name)))
-
-
-def apply_ambient_change(pair: VirtualFieldPair, motion: Motion,
-                         change: ObserverChange, x) -> np.ndarray:
-    """v*(x) = c_hat + q_hat x (y(x) - y0) + v(x)."""
-    x = as_vector(x)
-    y = motion.y(x)
-    return (
-        change.ambient_translation
-        + np.cross(change.ambient_rotation, y - change.ambient_pivot)
-        + pair.v(x)
-    )
-
-
-def apply_material_change(pair: VirtualFieldPair, change: ObserverChange, x) -> np.ndarray:
-    """w*(x) = c + q x (x - x0) + w(x)."""
-    x = as_vector(x)
-    return (
-        change.material_translation
-        + np.cross(change.material_rotation, x - change.material_pivot)
-        + pair.w(x)
-    )
-
-
-def observer_shifted_pair(pair: VirtualFieldPair, motion: Motion,
-                          change: ObserverChange) -> VirtualFieldPair:
-    """The pair (v*, w*) seen through ``change``, with chain-rule gradients.
-
-    grad v* = grad v + (q_hat x) F  and  grad w* = grad w + (q x); the
-    analytic route is kept only when both ingredients are analytic.
-    """
-    q_hat_cross = cross_matrix(change.ambient_rotation)
-    q_cross = cross_matrix(change.material_rotation)
-
-    def v_star(x):
-        return apply_ambient_change(pair, motion, change, x)
-
-    def w_star(x):
-        return apply_material_change(pair, change, x)
-
-    grad_v_star = None
-    if pair.v.gradient is not None and motion.gradient is not None:
-        def grad_v_star(x):  # noqa: F811
-            return pair.v.grad(x) + q_hat_cross @ motion.deformation_gradient(x)
-
-    grad_w_star = None
-    if pair.w.gradient is not None:
-        def grad_w_star(x):  # noqa: F811
-            return pair.w.grad(x) + q_cross
-
-    return VirtualFieldPair(
-        v=VirtualField(f"{pair.v.name}*", v_star, grad_v_star, step=pair.v.step),
-        w=VirtualField(f"{pair.w.name}*", w_star, grad_w_star, step=pair.w.step),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +177,8 @@ def homogeneous_motion(f0, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
 def rotation_motion(axis, angle: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     """Rigid rotation y = R x about ``axis`` by ``angle`` (Rodrigues form)."""
     axis = as_vector(axis)
+    if not np.any(axis):
+        raise ValueError("rotation axis must be nonzero")
     n = axis / np.linalg.norm(axis)
     k = cross_matrix(n)
     r = IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)

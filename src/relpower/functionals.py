@@ -43,20 +43,10 @@ import numpy as np
 
 from . import configurational as conf
 from .exceptions import NonAffineDefect, PreconditionViolated
-from .fields import ObserverChange, VirtualFieldPair
-from .geometry import BodyPart, SurfaceQuadrature, surface_integral
+from .fields import ObserverChange, VirtualFieldPair, curl_from_gradient
+from .geometry import BodyPart, SurfaceQuadrature, weighted_fsum
 from .scenarios import Scenario
 from .tensors import as_vector, skew_part
-
-
-def _fsum_rows(rows, weights) -> float:
-    return math.fsum(r * w for r, w in zip(rows, weights))
-
-
-def _fsum_vectors(rows, weights) -> np.ndarray:
-    return np.array(
-        [math.fsum(r[k] * w for r, w in zip(rows, weights)) for k in range(3)]
-    )
 
 
 @dataclass(frozen=True)
@@ -122,12 +112,10 @@ def sample_pair(scenario: Scenario, pair: VirtualFieldPair,
     part = scenario.part if part is None else part
     vol = scenario.volume_data(part)
     surf = scenario.surface_data(part)
-    analytic = scenario.use_analytic
     return PairSamples(
         v_volume=np.array([pair.v(x) for x in vol.points]),
         w_volume=np.array([pair.w(x) for x in vol.points]),
-        curl_w_volume=np.array(
-            [pair.w.curl(x, use_analytic=analytic) for x in vol.points]),
+        curl_w_volume=np.array([pair.w.curl(x) for x in vol.points]),
         v_surface=np.array([pair.v(x) for x in surf.points]),
         w_surface=np.array([pair.w(x) for x in surf.points]),
     )
@@ -155,11 +143,11 @@ def _power_from_samples(scenario: Scenario, part: BodyPart,
     flux_rows = np.einsum("ni,ni->n", surf.normals, samples.w_surface) * surf.energy
 
     return PowerBreakdown(
-        actions_volume=_fsum_rows(act_rows, vol.weights),
-        actions_surface=_fsum_rows(act_s_rows, surf.weights),
-        energy_flux=_fsum_rows(flux_rows, surf.weights),
-        inhomogeneity=_fsum_rows(inh_rows, vol.weights),
-        couple=_fsum_rows(cpl_rows, vol.weights),
+        actions_volume=weighted_fsum(act_rows, vol.weights),
+        actions_surface=weighted_fsum(act_s_rows, surf.weights),
+        energy_flux=weighted_fsum(flux_rows, surf.weights),
+        inhomogeneity=weighted_fsum(inh_rows, vol.weights),
+        couple=weighted_fsum(cpl_rows, vol.weights),
     )
 
 
@@ -178,17 +166,12 @@ def inner_relative_power(scenario: Scenario, pair: Optional[VirtualFieldPair] = 
     part = scenario.part if part is None else part
     vol = scenario.volume_data(part)
     x0 = scenario.x0
-    analytic = scenario.use_analytic
 
     rows = []
     for i, x in enumerate(vol.points):
-        grad_v = pair.v.grad(x, use_analytic=analytic)
-        grad_w = pair.w.grad(x, use_analytic=analytic)
-        curl_w = np.array([
-            grad_w[2, 1] - grad_w[1, 2],
-            grad_w[0, 2] - grad_w[2, 0],
-            grad_w[1, 0] - grad_w[0, 1],
-        ])
+        grad_v = pair.v.grad(x)
+        grad_w = pair.w.grad(x)
+        curl_w = curl_from_gradient(grad_w)
         moment = np.outer(x - x0, vol.material_gradient[i] - vol.driving_force[i])
         rows.append(
             float(np.sum(vol.stress[i] * grad_v))
@@ -196,7 +179,7 @@ def inner_relative_power(scenario: Scenario, pair: Optional[VirtualFieldPair] = 
             - float(np.sum(moment * skew_part(grad_w)))
             + float(vol.couple[i] @ curl_w)
         )
-    return _fsum_rows(rows, vol.weights)
+    return weighted_fsum(rows, vol.weights)
 
 
 def standard_external_power(scenario: Scenario, pair: Optional[VirtualFieldPair] = None,
@@ -211,7 +194,7 @@ def standard_external_power(scenario: Scenario, pair: Optional[VirtualFieldPair]
         float((surf.stress[i] @ surf.normals[i]) @ pair.v(x))
         for i, x in enumerate(surf.points)
     ]
-    return _fsum_rows(vol_rows, vol.weights) + _fsum_rows(surf_rows, surf.weights)
+    return weighted_fsum(vol_rows, vol.weights) + weighted_fsum(surf_rows, surf.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +232,15 @@ def integral_balance_residuals(scenario: Scenario, part: Optional[BodyPart] = No
     tractions = [surf.stress[i] @ surf.normals[i] for i in range(len(surf.points))]
     config_tractions = [surf.eshelby[i] @ surf.normals[i] for i in range(len(surf.points))]
 
-    force = (_fsum_vectors(vol.body_force, vol.weights)
-             + _fsum_vectors(tractions, surf.weights))
+    force = (weighted_fsum(vol.body_force, vol.weights)
+             + weighted_fsum(tractions, surf.weights))
 
     torque = (
-        _fsum_vectors(
+        weighted_fsum(
             [np.cross(vol.y[i] - y0, vol.body_force[i]) for i in range(len(vol.points))],
             vol.weights,
         )
-        + _fsum_vectors(
+        + weighted_fsum(
             [np.cross(surf.y[i] - y0, tractions[i]) for i in range(len(surf.points))],
             surf.weights,
         )
@@ -265,22 +248,22 @@ def integral_balance_residuals(scenario: Scenario, part: Optional[BodyPart] = No
 
     pulled_back = [vol.f_grad[i].T @ vol.body_force[i] for i in range(len(vol.points))]
     config_force = (
-        _fsum_vectors(config_tractions, surf.weights)
-        - _fsum_vectors(pulled_back, vol.weights)
-        + _fsum_vectors(vol.material_gradient - vol.driving_force, vol.weights)
+        weighted_fsum(config_tractions, surf.weights)
+        - weighted_fsum(pulled_back, vol.weights)
+        + weighted_fsum(vol.material_gradient - vol.driving_force, vol.weights)
     )
 
     config_torque = (
-        _fsum_vectors(
+        weighted_fsum(
             [np.cross(surf.points[i] - x0, config_tractions[i])
              for i in range(len(surf.points))],
             surf.weights,
         )
-        - _fsum_vectors(
+        - weighted_fsum(
             [np.cross(vol.points[i] - x0, pulled_back[i]) for i in range(len(vol.points))],
             vol.weights,
         )
-        + _fsum_vectors(vol.couple, vol.weights)
+        + weighted_fsum(vol.couple, vol.weights)
     )
 
     return BalanceResiduals(force, torque, config_force, config_torque, y0, x0)
@@ -301,7 +284,7 @@ def material_torque_mismatch(scenario: Scenario, part: Optional[BodyPart] = None
         + vol.couple[i]
         for i in range(len(vol.points))
     ]
-    return _fsum_vectors(rows, vol.weights)
+    return weighted_fsum(rows, vol.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +431,8 @@ class SurfaceIndependenceResult:
 def configurational_traction_flux(scenario: Scenario,
                                   surface: SurfaceQuadrature) -> np.ndarray:
     """int_S PP n dA over one closed surface."""
-    return surface_integral(surface, lambda x, n: scenario.eshelby_at(x) @ n)
+    rows = [scenario.eshelby_at(x) @ n for x, n in zip(surface.points, surface.normals)]
+    return weighted_fsum(rows, surface.weights)
 
 
 def surface_independence_check(scenario: Scenario, inner: SurfaceQuadrature,
@@ -484,7 +468,7 @@ def material_gradient_integral(scenario: Scenario,
     surface-independence hypotheses."""
     part = scenario.part if part is None else part
     vol = scenario.volume_data(part)
-    return _fsum_vectors(vol.material_gradient, vol.weights)
+    return weighted_fsum(vol.material_gradient, vol.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +498,7 @@ def noether_point_checks(scenario: Scenario, n_points: int = 100,
     rng = scenario.rng()
     points = scenario.part.sample_interior(rng, n_points)
     for x in points[: min(8, n_points)]:
-        div_w = scenario.pair.w.divergence(x, use_analytic=scenario.use_analytic)
+        div_w = scenario.pair.w.divergence(x)
         if abs(div_w) > isochoric_tolerance:
             raise PreconditionViolated(
                 f"material field w is not isochoric: div w = {div_w:g}"
@@ -523,12 +507,11 @@ def noether_point_checks(scenario: Scenario, n_points: int = 100,
     worst_first = worst_second = worst_div = worst_mismatch = 0.0
     for x in points:
         first, second = conf.noether_condition_residuals(
-            scenario.model, scenario.motion, scenario.potential, scenario.pair, x,
-            scenario.use_analytic)
+            scenario.model, scenario.motion, scenario.potential, scenario.pair, x)
         div_flux = conf.div_noether_flux(
             scenario.model, scenario.motion, scenario.potential, scenario.pair, x,
-            scenario.use_analytic, scenario.divergence_step)
-        f_grad = scenario.deformation_gradient(x)
+            scenario.divergence_step)
+        f_grad = scenario.motion.deformation_gradient(x)
         reference = float(
             scenario.model.material_gradient(x, f_grad) @ scenario.pair.w(x)
         )

@@ -5,15 +5,15 @@ Boxes use tensor-product Gauss-Legendre rules; balls and shells use a
 product of a radial Gauss rule (with the r^2 Jacobian folded into the
 weights) and an octahedrally symmetric spherical rule.
 
-Accumulation everywhere uses ``math.fsum`` in a fixed node order, so
-integrals are deterministic and compensated.
+Accumulation everywhere goes through :func:`weighted_fsum`, which uses
+``math.fsum``, so integrals are correctly rounded and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -83,10 +83,6 @@ class SurfaceQuadrature:
     normals: np.ndarray
     weights: np.ndarray
 
-    @property
-    def area(self) -> float:
-        return math.fsum(self.weights)
-
 
 @dataclass(frozen=True)
 class BodyPart:
@@ -99,37 +95,18 @@ class BodyPart:
     volume_points: np.ndarray
     volume_weights: np.ndarray
     surface: SurfaceQuadrature
-    contains: Callable[[np.ndarray], bool]
     sample_interior: Callable[[np.random.Generator, int], np.ndarray]
 
-    @property
-    def quadrature_volume(self) -> float:
-        return math.fsum(self.volume_weights)
 
+def weighted_fsum(values, weights: np.ndarray):
+    """Correctly rounded sum of values[i] * weights[i] over the rows.
 
-def _accumulate(values: Sequence[np.ndarray], weights: np.ndarray):
-    """fsum-accumulate weighted scalar or vector samples, componentwise."""
-    first = np.asarray(values[0], float)
-    if first.ndim == 0:
-        return math.fsum(w * float(v) for v, w in zip(values, weights))
-    flat = [np.asarray(v, float).ravel() for v in values]
-    out = np.array(
-        [math.fsum(w * v[k] for v, w in zip(flat, weights)) for k in range(first.size)]
-    )
-    return out.reshape(first.shape)
-
-
-def volume_integral(part: BodyPart, integrand: Callable[[np.ndarray], object]):
-    """Integral of a scalar- or vector-valued integrand over the part."""
-    values = [integrand(x) for x in part.volume_points]
-    return _accumulate(values, part.volume_weights)
-
-
-def surface_integral(surface, integrand: Callable[[np.ndarray, np.ndarray], object]):
-    """Boundary integral; the integrand receives (point, outward normal)."""
-    quad = surface.surface if isinstance(surface, BodyPart) else surface
-    values = [integrand(x, n) for x, n in zip(quad.points, quad.normals)]
-    return _accumulate(values, quad.weights)
+    Scalar rows give a float; vector rows give the per-component sums.
+    """
+    values = np.asarray(values, float)
+    if values.ndim == 1:
+        return math.fsum(values * weights)
+    return np.array([math.fsum(column) for column in (values * weights[:, None]).T])
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +149,6 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
 
     lo, hi = center - half, center + half
 
-    def contains(x):
-        x = np.asarray(x, float)
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
     def sample_interior(rng, n, margin: float = 1e-3):
         m = margin * np.max(half)
         return rng.uniform(lo + m, hi - m, size=(n, 3))
@@ -188,7 +161,6 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
         volume_points=np.asarray(pts),
         volume_weights=np.asarray(wts),
         surface=SurfaceQuadrature(np.asarray(s_pts), np.asarray(s_nrm), np.asarray(s_wts)),
-        contains=contains,
         sample_interior=sample_interior,
     )
 
@@ -227,9 +199,6 @@ def ball_part(center, radius: float, radial_order: int = 6,
         raise ValueError("ball radius must be positive")
     pts, wts = _radial_shell(center, 0.0, radius, radial_order, angular_points)
 
-    def contains(x):
-        return bool(np.linalg.norm(np.asarray(x, float) - center) <= radius)
-
     def sample_interior(rng, n, margin: float = 1e-3):
         out = np.empty((n, 3))
         r_max = radius * (1.0 - margin)
@@ -247,7 +216,6 @@ def ball_part(center, radius: float, radial_order: int = 6,
         volume_points=pts,
         volume_weights=wts,
         surface=sphere_surface(center, radius, angular_points),
-        contains=contains,
         sample_interior=sample_interior,
     )
 
@@ -268,10 +236,6 @@ def shell_part(center, inner_radius: float, outer_radius: float,
         weights=np.concatenate([outer.weights, inner.weights]),
     )
 
-    def contains(x):
-        r = np.linalg.norm(np.asarray(x, float) - center)
-        return bool(inner_radius <= r <= outer_radius)
-
     def sample_interior(rng, n, margin: float = 1e-3):
         out = np.empty((n, 3))
         pad = margin * outer_radius
@@ -290,6 +254,5 @@ def shell_part(center, inner_radius: float, outer_radius: float,
         volume_points=pts,
         volume_weights=wts,
         surface=surface,
-        contains=contains,
         sample_interior=sample_interior,
     )

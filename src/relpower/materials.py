@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .fields import fd_gradient_scalar
+from .fields import central_difference
 from .tensors import IDENTITY, as_tensor, as_vector
 
 
@@ -163,11 +163,6 @@ class MaterialModel:
         return (np.einsum("ij,m->ijm", pa, self.lam.gradient(x))
                 + np.einsum("ij,m->ijm", pb, self.mu.gradient(x)))
 
-    def cauchy_stress(self, x, f) -> np.ndarray:
-        """sigma = J^-1 P F^t (Piola transform of P)."""
-        f = self._check(f)
-        return self.stress(x, f) @ f.T / np.linalg.det(f)
-
 
 class SaintVenantKirchhoff(MaterialModel):
     """e = lam/2 (tr E)^2 + mu tr(E^2) with E the Green-Lagrange strain."""
@@ -277,10 +272,7 @@ class BodyForcePotential:
     def grad(self, y) -> np.ndarray:
         if self.gradient is not None:
             return as_vector(self.gradient(as_vector(y)))
-        return fd_gradient_scalar(self.value, as_vector(y), self.step)
-
-    def body_force(self, y) -> np.ndarray:
-        return -self.grad(y)
+        return central_difference(self.value, as_vector(y), self.step)
 
 
 def zero_potential() -> BodyForcePotential:

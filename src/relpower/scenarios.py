@@ -9,6 +9,7 @@ anything is computed; unknown keys are rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from importlib import resources
@@ -19,11 +20,10 @@ import numpy as np
 
 from . import configurational as conf
 from . import fields, geometry, materials
-from .exceptions import ConfigInvalid, EvaluationOutOfDomain, NonPositiveJacobian
+from .exceptions import ConfigInvalid, NonPositiveJacobian
 from .tensors import as_vector
 
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
-DEFAULT_DIVERGENCE_STEP = 1e-4
 
 
 def _schema() -> dict:
@@ -42,12 +42,19 @@ def scenario_schema() -> dict:
 
 
 def validate_config(config: dict) -> None:
-    """Schema validation; raises :class:`ConfigInvalid` with the cause."""
+    """Schema validation; raises :class:`ConfigInvalid` with the cause.
+
+    The schema's ``number`` admits NaN and Infinity, so they are rejected here.
+    """
     try:
         jsonschema.validate(config, scenario_schema())
     except jsonschema.ValidationError as err:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {path}: {err.message}") from err
+    try:
+        json.dumps(config, allow_nan=False)
+    except ValueError as err:
+        raise ConfigInvalid(f"config invalid: non-finite number ({err})") from err
 
 
 def config_digest(config: dict) -> str:
@@ -155,57 +162,50 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # Node caches
 # ---------------------------------------------------------------------------
 
-class VolumeNodeData:
-    """Scenario fields evaluated once at every volume quadrature node."""
+class _NodeData:
+    """y, F, P, PP and e evaluated once at every given quadrature node."""
 
-    def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        pts = part.volume_points
-        n = len(pts)
-        self.points = pts
-        self.weights = part.volume_weights
+    def __init__(self, scenario: "Scenario", points: np.ndarray, weights: np.ndarray):
+        n = len(points)
+        self.points = points
+        self.weights = weights
         self.y = np.empty((n, 3))
         self.f_grad = np.empty((n, 3, 3))
         self.stress = np.empty((n, 3, 3))
         self.eshelby = np.empty((n, 3, 3))
         self.energy = np.empty(n)
-        self.material_gradient = np.empty((n, 3))
-        self.body_force = np.empty((n, 3))
-        self.driving_force = np.empty((n, 3))
-        self.couple = np.empty((n, 3))
-        for i, x in enumerate(pts):
-            f = scenario.deformation_gradient(x)
+        for i, x in enumerate(points):
+            f = scenario.motion.deformation_gradient(x)
             self.y[i] = scenario.motion.y(x)
             self.f_grad[i] = f
             self.stress[i] = scenario.model.stress(x, f)
             self.eshelby[i] = conf.eshelby_stress(scenario.model, x, f)
             self.energy[i] = scenario.model.energy(x, f)
-            self.material_gradient[i] = scenario.model.material_gradient(x, f)
+
+
+class VolumeNodeData(_NodeData):
+    """Scenario fields evaluated once at every volume quadrature node."""
+
+    def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
+        super().__init__(scenario, part.volume_points, part.volume_weights)
+        n = len(self.points)
+        self.material_gradient = np.empty((n, 3))
+        self.body_force = np.empty((n, 3))
+        self.driving_force = np.empty((n, 3))
+        self.couple = np.empty((n, 3))
+        for i, x in enumerate(self.points):
+            self.material_gradient[i] = scenario.model.material_gradient(x, self.f_grad[i])
             self.body_force[i] = scenario.b_at(x)
             self.driving_force[i] = scenario.f_at(x)
             self.couple[i] = scenario.mu_at(x)
 
 
-class SurfaceNodeData:
+class SurfaceNodeData(_NodeData):
     """Scenario fields evaluated once at every boundary quadrature node."""
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        quad = part.surface
-        n = len(quad.points)
-        self.points = quad.points
-        self.normals = quad.normals
-        self.weights = quad.weights
-        self.y = np.empty((n, 3))
-        self.f_grad = np.empty((n, 3, 3))
-        self.stress = np.empty((n, 3, 3))
-        self.eshelby = np.empty((n, 3, 3))
-        self.energy = np.empty(n)
-        for i, x in enumerate(quad.points):
-            f = scenario.deformation_gradient(x)
-            self.y[i] = scenario.motion.y(x)
-            self.f_grad[i] = f
-            self.stress[i] = scenario.model.stress(x, f)
-            self.eshelby[i] = conf.eshelby_stress(scenario.model, x, f)
-            self.energy[i] = scenario.model.energy(x, f)
+        super().__init__(scenario, part.surface.points, part.surface.weights)
+        self.normals = part.surface.normals
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +213,44 @@ class SurfaceNodeData:
 # ---------------------------------------------------------------------------
 
 class Scenario:
-    """One fully specified verification scenario."""
+    """One fully specified verification scenario.
+
+    The derivative mode is resolved here, once: ``fd`` mode builds the motion
+    and both virtual fields without their analytic derivatives.
+    """
 
     def __init__(self, config: dict):
         validate_config(config)
         self.config = config
         self.name = config["name"]
+        try:
+            self._build(config)
+        except ValueError as err:
+            raise ConfigInvalid(f"config invalid: {err}") from err
 
+    # -- construction helpers ----------------------------------------------
+
+    def _build(self, config: dict) -> None:
         quad = config.get("quadrature", {})
         self.part = build_geometry(config["geometry"], quad)
 
         deriv = config.get("derivatives", {})
-        self.use_analytic = deriv.get("mode", "analytic") == "analytic"
+        self.derivative_mode = deriv.get("mode", "analytic")
         self.motion_step = deriv.get("motion_step", DEFAULT_MOTION_STEP) * self.part.scale
         self.divergence_step = (
-            deriv.get("divergence_step", DEFAULT_DIVERGENCE_STEP) * self.part.scale
+            deriv.get("divergence_step", conf.DEFAULT_DIVERGENCE_STEP) * self.part.scale
         )
 
-        self.motion = build_motion(config["motion"], step=self.motion_step)
+        motion = build_motion(config["motion"], step=self.motion_step)
+        v = build_field(config["virtual_fields"]["v"], "v", step=self.motion_step)
+        w = build_field(config["virtual_fields"]["w"], "w", step=self.motion_step)
+        if self.derivative_mode == "fd":
+            motion = dataclasses.replace(motion, gradient=None, second_gradient=None)
+            v = dataclasses.replace(v, gradient=None)
+            w = dataclasses.replace(w, gradient=None)
+        self.motion = motion
         self.model = build_material(config["material"])
-        self.pair = fields.VirtualFieldPair(
-            v=build_field(config["virtual_fields"]["v"], "v", step=self.motion_step),
-            w=build_field(config["virtual_fields"]["w"], "w", step=self.motion_step),
-        )
+        self.pair = fields.VirtualFieldPair(v=v, w=w)
         self.potential = build_potential(config.get("potential"))
 
         pivots = config.get("pivots", {})
@@ -256,15 +271,11 @@ class Scenario:
 
         self._probe_kinematics()
 
-    # -- construction helpers ----------------------------------------------
-
     def _build_sources(self, spec: dict):
         if spec["mode"] == "closure":
-            b_at = conf.closure_body_force(self.model, self.motion,
-                                           self.use_analytic, self.divergence_step)
-            f_at = conf.closure_driving_force(self.model, self.motion,
-                                              self.use_analytic, self.divergence_step)
-            mu_at = conf.closure_couple(self.model, self.motion, self.use_analytic)
+            b_at = conf.closure_body_force(self.model, self.motion, self.divergence_step)
+            f_at = conf.closure_driving_force(self.model, self.motion, self.divergence_step)
+            mu_at = conf.closure_couple(self.model, self.motion)
             return b_at, f_at, mu_at
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
@@ -285,41 +296,16 @@ class Scenario:
         """Fail configuration early when det F <= 0 anywhere on the part."""
         try:
             for x in self.part.volume_points:
-                self.deformation_gradient(x)
+                self.motion.deformation_gradient(x)
             for x in self.part.surface.points:
-                self.deformation_gradient(x)
+                self.motion.deformation_gradient(x)
         except NonPositiveJacobian as err:
             raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def deformation_gradient(self, x) -> np.ndarray:
-        return self.motion.deformation_gradient(x, use_analytic=self.use_analytic)
-
-    def require_inside(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if not self.part.contains(x):
-            raise EvaluationOutOfDomain(f"point {x} lies outside the part")
-        return x
-
     def eshelby_at(self, x) -> np.ndarray:
-        return conf.eshelby_stress(self.model, x, self.deformation_gradient(x))
-
-    def standard_force_residual(self, x) -> np.ndarray:
-        x = self.require_inside(x)
-        return conf.standard_force_residual(self.model, self.motion, self.b_at, x,
-                                            self.use_analytic, self.divergence_step)
-
-    def configurational_force_residual(self, x) -> np.ndarray:
-        x = self.require_inside(x)
-        return conf.configurational_force_residual(
-            self.model, self.motion, self.b_at, self.f_at, x,
-            self.use_analytic, self.divergence_step)
-
-    def torque_residuals(self, x):
-        x = self.require_inside(x)
-        return conf.torque_residuals(self.model, self.motion, self.mu_at, x,
-                                     self.use_analytic)
+        return conf.eshelby_stress(self.model, x, self.motion.deformation_gradient(x))
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

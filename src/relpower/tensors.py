@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotAntisymmetric, SingularTensor
+from .exceptions import NotAntisymmetric
 
 IDENTITY = np.eye(3)
-
-# |det A| below this multiple of ||A||^3 is treated as singular.
-SINGULARITY_THRESHOLD = 1e-12
 
 
 def as_vector(value) -> np.ndarray:
@@ -35,12 +32,6 @@ def as_tensor(value) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor has non-finite components")
     return t
-
-
-def sym_part(t) -> np.ndarray:
-    """Symmetric part (T + T^t)/2."""
-    t = as_tensor(t)
-    return 0.5 * (t + t.T)
 
 
 def skew_part(t) -> np.ndarray:
@@ -72,31 +63,3 @@ def axial_vector(w, rel_tol: float = 1e-12) -> np.ndarray:
     if scale > 0.0 and np.linalg.norm(w + w.T) > rel_tol * scale:
         raise NotAntisymmetric("tensor is not antisymmetric to tolerance")
     return np.array([w[2, 1], w[0, 2], w[1, 0]])
-
-
-def double_contraction(a, b) -> float:
-    """Full contraction sum_ij A_ij B_ij."""
-    return float(np.sum(as_tensor(a) * as_tensor(b)))
-
-
-def outer(a, b) -> np.ndarray:
-    """Dyadic product a (x) b."""
-    return np.outer(as_vector(a), as_vector(b))
-
-
-def determinant(t) -> float:
-    return float(np.linalg.det(as_tensor(t)))
-
-
-def inverse(t, rel_tol: float = SINGULARITY_THRESHOLD) -> np.ndarray:
-    """Inverse with an explicit singularity guard.
-
-    Raises :class:`SingularTensor` when |det T| < rel_tol * ||T||^3 so that
-    near-singular states fail loudly instead of returning garbage.
-    """
-    t = as_tensor(t)
-    det = np.linalg.det(t)
-    scale = np.linalg.norm(t) ** 3
-    if abs(det) < rel_tol * max(scale, 1e-300):
-        raise SingularTensor(f"tensor is singular to tolerance (det={det:g})")
-    return np.linalg.inv(t)

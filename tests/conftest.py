@@ -1,12 +1,18 @@
-"""Shared helpers: random kinematic states and finite-difference oracles."""
+"""Shared helpers: random kinematic states, finite-difference copies and
+the pointwise balance residuals used as oracles."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from relpower import configurational as conf
+from relpower.fields import Motion
 from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
                                 make_material, sinusoidal_modulus)
+from relpower.tensors import as_vector, axial_vector, skew_part
 
 
 def random_state(rng, det_lo: float = 0.5, det_hi: float = 2.0):
@@ -42,6 +48,42 @@ def fd_material_gradient(model: MaterialModel, x, f, h: float = 1e-6) -> np.ndar
         xm[m] -= h
         g[m] = (model.energy(xp, f) - model.energy(xm, f)) / (2.0 * h)
     return g
+
+
+def fd_copy(obj):
+    """A motion or virtual field without analytic derivatives, so every
+    derivative of it is taken by central differences."""
+    if isinstance(obj, Motion):
+        return dataclasses.replace(obj, gradient=None, second_gradient=None)
+    return dataclasses.replace(obj, gradient=None)
+
+
+def standard_force_residual(model, motion, b_at, x,
+                            step: float = conf.DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
+    """Div P + b at x."""
+    return conf.div_first_pk(model, motion, x, step) + as_vector(b_at(x))
+
+
+def configurational_force_residual(model, motion, b_at, f_at, x,
+                                   step: float = conf.DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
+    """Div PP - F^t b + de/dx|expl - f at x."""
+    x = as_vector(x)
+    f_grad = motion.deformation_gradient(x)
+    return (conf.div_eshelby(model, motion, x, step)
+            - f_grad.T @ as_vector(b_at(x))
+            + model.material_gradient(x, f_grad)
+            - as_vector(f_at(x)))
+
+
+def torque_residuals(model, motion, mu_at, x):
+    """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x."""
+    x = as_vector(x)
+    f = motion.deformation_gradient(x)
+    p = model.stress(x, f)
+    first = axial_vector(2.0 * skew_part(p @ f.T))
+    second = (axial_vector(2.0 * skew_part(conf.eshelby_stress(model, x, f)))
+              - as_vector(mu_at(x)))
+    return first, second
 
 
 def homogeneous_models():

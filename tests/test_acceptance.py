@@ -2,7 +2,8 @@
 
 Every tolerance is pinned here; nothing is deferred to calibration.  The
 bundled scenario set mirrors these checks, so ``relpower run --all`` is
-the same gate in CLI form (criterion 10 runs it as a subprocess).
+the same gate in CLI form (criterion 10 runs it as a subprocess and
+in-process, and compares the two output trees).
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import relpower.functionals as fn
 from conftest import (fd_material_gradient, fd_stress, graded_models,
                       homogeneous_models, random_state)
+from relpower import cli
 from relpower.cli import sweep_scenario
 from relpower.geometry import sphere_surface
 from relpower.scenarios import Scenario, load_bundled_config
@@ -197,23 +199,34 @@ def test_criterion_09_standard_power_degeneracy():
     report(9, "standard_power_degeneracy", ok, f"relative difference {err:.2e}")
 
 
-def test_criterion_10_cli_contract(tmp_path):
+def _tree(root: str) -> dict:
+    """Relative path -> bytes of every file under ``root``."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, root)] = handle.read()
+    return files
+
+
+def test_criterion_10_cli_contract(tmp_path, capsys):
+    # one run in a subprocess for the exit code, one in-process at the same
+    # time; the two interpreters have different hash seeds, so
+    # nondeterminism still shows in the byte comparison
     run = [sys.executable, "-m", "relpower"]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    first = subprocess.run(run + ["run", "--all", "--out", out1],
-                           capture_output=True, text=True)
-    second = subprocess.run(run + ["run", "--all", "--out", out2],
-                            capture_output=True, text=True)
-    ok = first.returncode == 0 and second.returncode == 0
+    proc = subprocess.Popen(run + ["run", "--all", "--out", out1],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        second = cli.main(["run", "--all", "--out", out2])
+    finally:
+        first = proc.wait(timeout=600)
+    capsys.readouterr()
+    ok = first == 0 and second == 0
 
-    identical = True
-    for root, _, files in os.walk(out1):
-        rel = os.path.relpath(root, out1)
-        for name in files:
-            a = os.path.join(root, name)
-            b = os.path.join(out2, rel, name)
-            if not os.path.exists(b) or open(a, "rb").read() != open(b, "rb").read():
-                identical = False
+    tree1, tree2 = _tree(out1), _tree(out2)
+    identical = bool(tree1) and tree1 == tree2
     ok = ok and identical
 
     bad = load_bundled_config("stvk_uniaxial")
@@ -225,5 +238,5 @@ def test_criterion_10_cli_contract(tmp_path):
                              capture_output=True, text=True)
     ok = ok and invalid.returncode == 2 and not out3.exists()
     report(10, "cli_contract", ok,
-           f"exit codes ({first.returncode}, {second.returncode}, "
+           f"exit codes ({first}, {second}, "
            f"{invalid.returncode}), byte-identical {identical}")

@@ -76,6 +76,24 @@ class TestRun:
         assert "NonPositiveJacobian" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,value", [
+        ("geometry", {"kind": "box", "center": [float("nan"), 0.0, 0.0],
+                      "halfwidths": [0.5, 0.5, 0.5]}),
+        ("geometry", {"kind": "box", "center": [0.0, 0.0, 0.0],
+                      "halfwidths": [0.0, 0.0, 0.0]}),
+        ("motion", {"preset": "rotation", "axis": [0.0, 0.0, 0.0], "angle": 0.5}),
+    ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis"])
+    def test_degenerate_config_rejected_without_traceback(self, tmp_path, section,
+                                                          value):
+        config = load_bundled_config("stvk_uniaxial")
+        config[section] = value
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = run_cli(["run", path, "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "absent.json")])
         assert result.returncode == 3
@@ -151,6 +169,13 @@ class TestSweep:
         rows = read_csv(out / config["name"] / "convergence.csv")
         for row in rows:
             assert float(row["power_identity_error"]) <= 1e-14
+
+    def test_non_numeric_values_are_usage_error(self, tmp_path, uniaxial):
+        result = run_cli(["sweep", uniaxial, "--axis", "quad", "--values", "abc",
+                          "--out", str(tmp_path / "out")])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_fd_step_v_curve(self, tmp_path):
         config = load_bundled_config("closure_sinusoidal_graded_stvk")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import (configurational_force_residual, fd_copy,
+                      standard_force_residual, torque_residuals)
 from relpower import configurational as conf
 from relpower.fields import (Motion, VirtualFieldPair, constant_field,
                              harmonic_motion, homogeneous_motion,
@@ -80,7 +82,7 @@ class TestDivergences:
             x = rng.uniform(-0.4, 0.4, size=3)
             np.testing.assert_allclose(
                 conf.div_first_pk(model, motion, x), np.zeros(3), atol=1e-14)
-            fd = conf.div_first_pk(model, motion, x, use_analytic=False, step=1e-4)
+            fd = conf.div_first_pk(model, fd_copy(motion), x, step=1e-4)
             np.testing.assert_allclose(fd, np.zeros(3), atol=1e-6)
 
     def test_analytic_div_matches_fd(self, rng):
@@ -88,12 +90,10 @@ class TestDivergences:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             exact = conf.div_first_pk(model, SINUSOIDAL, x)
-            fd = conf.div_first_pk(model, SINUSOIDAL, x, use_analytic=False,
-                                   step=1e-4)
+            fd = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
             exact_pp = conf.div_eshelby(model, SINUSOIDAL, x)
-            fd_pp = conf.div_eshelby(model, SINUSOIDAL, x, use_analytic=False,
-                                     step=1e-4)
+            fd_pp = conf.div_eshelby(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd_pp, exact_pp, atol=1e-6, rtol=1e-6)
 
     def test_pullback_identity(self, rng):
@@ -103,10 +103,8 @@ class TestDivergences:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             f = SINUSOIDAL.deformation_gradient(x)
-            div_p = conf.div_first_pk(model, SINUSOIDAL, x, use_analytic=False,
-                                      step=1e-4)
-            div_pp = conf.div_eshelby(model, SINUSOIDAL, x, use_analytic=False,
-                                      step=1e-4)
+            div_p = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
+            div_pp = conf.div_eshelby(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             residual = div_pp + f.T @ div_p - model.material_gradient(x, f)
             np.testing.assert_allclose(residual, np.zeros(3), atol=1e-6)
 
@@ -117,7 +115,7 @@ class TestResidualsAndClosure:
         zero = lambda x: np.zeros(3)
         x = rng.uniform(-0.4, 0.4, size=3)
         np.testing.assert_allclose(
-            conf.standard_force_residual(stvk_unit(), motion, zero, x),
+            standard_force_residual(stvk_unit(), motion, zero, x),
             np.zeros(3), atol=1e-15)
 
     def test_closure_zeroes_all_pointwise_balances(self, rng):
@@ -129,24 +127,22 @@ class TestResidualsAndClosure:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             np.testing.assert_allclose(
-                conf.standard_force_residual(model, motion, b_at, x),
+                standard_force_residual(model, motion, b_at, x),
                 np.zeros(3), atol=1e-12)
             np.testing.assert_allclose(
-                conf.configurational_force_residual(model, motion, b_at, f_at, x),
+                configurational_force_residual(model, motion, b_at, f_at, x),
                 np.zeros(3), atol=1e-12)
-            first, second = conf.torque_residuals(model, motion, mu_at, x)
+            first, second = torque_residuals(model, motion, mu_at, x)
             np.testing.assert_allclose(first, np.zeros(3), atol=1e-12)
             np.testing.assert_allclose(second, np.zeros(3), atol=1e-12)
 
     def test_closure_in_fd_mode(self, rng):
         model = graded_stvk()
-        motion = SINUSOIDAL
-        b_at = conf.closure_body_force(model, motion, use_analytic=False, step=1e-4)
-        f_at = conf.closure_driving_force(model, motion, use_analytic=False,
-                                          step=1e-4)
+        motion = fd_copy(SINUSOIDAL)
+        b_at = conf.closure_body_force(model, motion, step=1e-4)
+        f_at = conf.closure_driving_force(model, motion, step=1e-4)
         x = rng.uniform(-0.4, 0.4, size=3)
-        res = conf.configurational_force_residual(model, motion, b_at, f_at, x,
-                                                  use_analytic=False, step=1e-4)
+        res = configurational_force_residual(model, motion, b_at, f_at, x, step=1e-4)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-5)
 
     def test_graded_identity_motion_closure_is_zero(self, rng):
@@ -166,7 +162,7 @@ class TestResidualsAndClosure:
         model = neo_hookean()
         zero = lambda x: np.zeros(3)
         x = rng.uniform(-0.4, 0.4, size=3)
-        first, _ = conf.torque_residuals(model, SINUSOIDAL, zero, x)
+        first, _ = torque_residuals(model, SINUSOIDAL, zero, x)
         f = SINUSOIDAL.deformation_gradient(x)
         pft = model.stress(x, f) @ f.T
         assert np.linalg.norm(first) <= 1e-10 * max(1.0, np.linalg.norm(pft))
@@ -178,7 +174,7 @@ class TestResidualsAndClosure:
         model = quadratic()
         motion = shear_motion(gamma)
         zero = lambda x: np.zeros(3)
-        first, _ = conf.torque_residuals(model, motion, zero, np.zeros(3))
+        first, _ = torque_residuals(model, motion, zero, np.zeros(3))
         np.testing.assert_allclose(first, [0.0, 0.0, -gamma], atol=1e-14)
 
 

@@ -1,15 +1,41 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from conftest import fd_copy
 from relpower.exceptions import NonPositiveJacobian
-from relpower.fields import (ObserverChange, VirtualFieldPair,
-                             apply_ambient_change, apply_material_change,
-                             constant_field, fd_gradient_vector, harmonic_motion,
+from relpower.fields import (ObserverChange, VirtualFieldPair, central_difference,
+                             constant_field, curl_from_gradient, harmonic_motion,
                              homogeneous_motion, identity_motion, linear_field,
-                             observer_shifted_pair, rigid_field,
-                             rotation_motion, shear_motion, sinusoidal_field,
-                             sinusoidal_motion)
+                             rigid_field, rotation_motion, shear_motion,
+                             sinusoidal_field, sinusoidal_motion)
+from relpower.functionals import PairSamples
 from relpower.tensors import cross_matrix
+
+
+def shifted_at(pair, motion, change, x) -> PairSamples:
+    """The pair sampled at the single node x and seen through ``change``."""
+    x = np.asarray(x, float)
+    nodes = SimpleNamespace(points=x[None], y=motion.y(x)[None])
+    samples = PairSamples(v_volume=pair.v(x)[None], w_volume=pair.w(x)[None],
+                          curl_w_volume=pair.w.curl(x)[None],
+                          v_surface=pair.v(x)[None], w_surface=pair.w(x)[None])
+    return samples.shifted(change, nodes, nodes)
+
+
+def ambient_change(pair, motion, change, x) -> np.ndarray:
+    """v*(x), checked to agree between the volume and surface samples."""
+    out = shifted_at(pair, motion, change, x)
+    np.testing.assert_array_equal(out.v_surface, out.v_volume)
+    return out.v_volume[0]
+
+
+def material_change(pair, change, x) -> np.ndarray:
+    """w*(x), checked to agree between the volume and surface samples."""
+    out = shifted_at(pair, identity_motion(), change, x)
+    np.testing.assert_array_equal(out.w_surface, out.w_volume)
+    return out.w_volume[0]
 
 
 def all_motion_presets():
@@ -46,7 +72,7 @@ class TestDeformationGradient:
             for _ in range(15):
                 x = rng.uniform(-0.5, 0.5, size=3)
                 analytic = motion.deformation_gradient(x)
-                fd = motion.deformation_gradient(x, use_analytic=False)
+                fd = fd_copy(motion).deformation_gradient(x)
                 np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-8)
 
     def test_second_gradient_matches_fd(self, rng):
@@ -55,14 +81,27 @@ class TestDeformationGradient:
             for _ in range(5):
                 x = rng.uniform(-0.5, 0.5, size=3)
                 analytic = motion.deformation_second_gradient(x)
-                fd = motion.deformation_second_gradient(x, use_analytic=False,
-                                                        step=1e-5)
+                fd = fd_copy(motion).deformation_second_gradient(x, step=1e-5)
                 np.testing.assert_allclose(fd, analytic, rtol=1e-5, atol=1e-6)
 
     def test_non_positive_jacobian_raises(self):
         m = homogeneous_motion(np.diag([-1.0, 1.0, 1.0]))
         with pytest.raises(NonPositiveJacobian):
             m.deformation_gradient(np.zeros(3))
+
+
+def test_central_difference_matches_loop_reference(rng):
+    # same arithmetic as a per-component loop, so the results are identical
+    motion = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
+    x, h = rng.uniform(-0.5, 0.5, size=3), 1e-5
+    for fn in (motion.placement, motion.gradient):
+        reference = np.empty(np.shape(fn(x)) + (3,))
+        for j in range(3):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            reference[..., j] = (fn(xp) - fn(xm)) / (2.0 * h)
+        np.testing.assert_array_equal(central_difference(fn, x, h), reference)
 
 
 class TestVirtualFieldPresets:
@@ -83,7 +122,7 @@ class TestVirtualFieldPresets:
             for _ in range(20):
                 x = rng.uniform(-0.5, 0.5, size=3)
                 analytic = field.grad(x)
-                fd = field.grad(x, use_analytic=False)
+                fd = fd_copy(field).grad(x)
                 np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-9)
 
 
@@ -94,14 +133,14 @@ class TestObserverChanges:
     def test_identity_ambient_change(self):
         pair = self._pair([0.4, -0.1, 0.2], [0.0, 0.0, 0.0])
         change = ObserverChange()
-        out = apply_ambient_change(pair, identity_motion(), change, [0.1, 0.2, 0.3])
+        out = ambient_change(pair, identity_motion(), change, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(out, [0.4, -0.1, 0.2])
 
     def test_ambient_rotation_cross_product(self):
         # v = 0, q_hat = e3, y - y0 = e1 -> e2
         pair = self._pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         change = ObserverChange(ambient_rotation=[0.0, 0.0, 1.0])
-        out = apply_ambient_change(pair, identity_motion(), change, [1.0, 0.0, 0.0])
+        out = ambient_change(pair, identity_motion(), change, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_ambient_hand_value(self):
@@ -109,18 +148,18 @@ class TestObserverChanges:
         pair = self._pair([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
         change = ObserverChange(ambient_translation=[1.0, 2.0, 3.0],
                                 ambient_rotation=[1.0, 0.0, 0.0])
-        out = apply_ambient_change(pair, identity_motion(), change, [0.0, 1.0, 0.0])
+        out = ambient_change(pair, identity_motion(), change, [0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [1.0, 2.0, 5.0], atol=1e-15)
 
     def test_identity_material_change(self):
         pair = self._pair([0.0, 0.0, 0.0], [0.7, 0.1, -0.2])
-        out = apply_material_change(pair, ObserverChange(), [0.3, 0.1, 0.0])
+        out = material_change(pair, ObserverChange(), [0.3, 0.1, 0.0])
         np.testing.assert_allclose(out, [0.7, 0.1, -0.2])
 
     def test_material_rotation_cross_product(self):
         pair = self._pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         change = ObserverChange(material_rotation=[1.0, 0.0, 0.0])
-        out = apply_material_change(pair, change, [0.0, 1.0, 0.0])
+        out = material_change(pair, change, [0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_material_hand_value(self):
@@ -128,7 +167,7 @@ class TestObserverChanges:
         pair = self._pair([0.0, 0.0, 0.0], [0.0, -1.0, 0.0])
         change = ObserverChange(material_translation=[1.0, 0.0, 0.0],
                                 material_rotation=[0.0, 0.0, 1.0])
-        out = apply_material_change(pair, change, [1.0, 0.0, 0.0])
+        out = material_change(pair, change, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_affine_in_generators(self, rng):
@@ -137,12 +176,12 @@ class TestObserverChanges:
         x = np.array([0.2, -0.1, 0.3])
         g1 = rng.normal(size=3)
         g2 = rng.normal(size=3)
-        base = apply_ambient_change(pair, motion, ObserverChange(), x)
-        d1 = apply_ambient_change(
+        base = ambient_change(pair, motion, ObserverChange(), x)
+        d1 = ambient_change(
             pair, motion, ObserverChange(ambient_rotation=g1), x) - base
-        d2 = apply_ambient_change(
+        d2 = ambient_change(
             pair, motion, ObserverChange(ambient_rotation=g2), x) - base
-        both = apply_ambient_change(
+        both = ambient_change(
             pair, motion, ObserverChange(ambient_rotation=g1 + g2), x) - base
         np.testing.assert_allclose(both, d1 + d2, atol=1e-14)
 
@@ -158,7 +197,7 @@ class TestCurl:
         x = rng.uniform(-0.5, 0.5, size=3)
         np.testing.assert_allclose(f.curl(x), 2.0 * q, atol=1e-14)
         # finite-difference oracle for the same identity
-        np.testing.assert_allclose(f.curl(x, use_analytic=False), 2.0 * q,
+        np.testing.assert_allclose(fd_copy(f).curl(x), 2.0 * q,
                                    rtol=1e-8, atol=1e-9)
 
     def test_linear_field_hand_value(self):
@@ -178,20 +217,23 @@ class TestShiftedPair:
                                 w=constant_field([0.0, 0.0, 0.0]))
         q_hat = np.array([0.3, -0.2, 0.6])
         change = ObserverChange(ambient_rotation=q_hat, ambient_pivot=[0.1, 0.0, 0.2])
-        shifted = observer_shifted_pair(pair, motion, change)
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             expected = cross_matrix(q_hat) @ motion.deformation_gradient(x)
-            np.testing.assert_allclose(shifted.v.grad(x), expected, atol=1e-14)
-            fd = fd_gradient_vector(shifted.v.value, x, 1e-6)
+            fd = central_difference(
+                lambda xx: ambient_change(pair, motion, change, xx), x, 1e-6)
             np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-8)
 
     def test_material_curl_shift(self, rng):
+        # the shifted curl samples are curl w + 2 q, and match the FD curl of w*
         w = sinusoidal_field(0.5, [1.0, 0.6, -0.8], [-0.4, 0.8, 0.3])
         pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]), w=w)
         q = np.array([0.2, 0.5, -0.3])
         change = ObserverChange(material_rotation=q)
-        shifted = observer_shifted_pair(pair, identity_motion(), change)
         x = rng.uniform(-0.4, 0.4, size=3)
-        np.testing.assert_allclose(shifted.w.curl(x), w.curl(x) + 2.0 * q,
-                                   atol=1e-14)
+        curl = shifted_at(pair, identity_motion(), change, x).curl_w_volume[0]
+        np.testing.assert_allclose(curl, w.curl(x) + 2.0 * q, atol=1e-14)
+        fd_grad = central_difference(lambda xx: material_change(pair, change, xx),
+                                     x, 1e-6)
+        np.testing.assert_allclose(curl_from_gradient(fd_grad), curl,
+                                   rtol=1e-8, atol=1e-9)

@@ -7,7 +7,7 @@ import pytest
 import relpower.functionals as fn
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
-from relpower.geometry import box_part, sphere_surface
+from relpower.geometry import box_part, sphere_surface, weighted_fsum
 from relpower.scenarios import Scenario, load_bundled_config
 
 
@@ -38,7 +38,7 @@ class TestRelativePower:
     def test_vanishes_when_v_is_pushforward_of_w(self):
         scenario = Scenario(make_config())
         w = scenario.pair.w
-        v = VirtualField("Fw", lambda x: scenario.deformation_gradient(x) @ w(x))
+        v = VirtualField("Fw", lambda x: scenario.motion.deformation_gradient(x) @ w(x))
         power = fn.relative_power(scenario, VirtualFieldPair(v=v, w=w))
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 
@@ -182,8 +182,7 @@ class TestIntegralBalances:
         }))
         base = fn.integral_balance_residuals(scenario)
         vol = scenario.volume_data()
-        inhom = fn._fsum_vectors(
-            vol.material_gradient - vol.driving_force, vol.weights)
+        inhom = weighted_fsum(vol.material_gradient - vol.driving_force, vol.weights)
         shift = np.array([0.2, -0.3, 0.1])
         shifted = fn.integral_balance_residuals(scenario, x0=scenario.x0 + shift)
         expected = (base.configurational_torque

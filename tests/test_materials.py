@@ -168,37 +168,17 @@ class TestFrameIndifference:
                         <= 1e-10 * max(1e-12, np.linalg.norm(ftp)))
 
 
-class TestCauchyStress:
-    def test_zero_at_natural_state(self):
-        np.testing.assert_allclose(stvk().cauchy_stress(np.zeros(3), np.eye(3)),
-                                   np.zeros((3, 3)))
-
-    def test_uniaxial_hand_value(self):
-        # sigma = J^-1 P F^t = diag(0.792, 0.22/1.2, 0.22/1.2)
-        sigma = stvk().cauchy_stress(np.zeros(3), STRETCH)
-        np.testing.assert_allclose(
-            sigma, np.diag([0.792, 0.22 / 1.2, 0.22 / 1.2]), atol=1e-15)
-
-    def test_symmetric_for_frame_indifferent_models(self, rng):
-        for model in homogeneous_models():
-            if not model.frame_indifferent:
-                continue
-            x, f = random_state(rng)
-            sigma = model.cauchy_stress(x, f)
-            assert np.linalg.norm(sigma - sigma.T) <= 1e-10 * np.linalg.norm(sigma)
-
-
 class TestBodyForcePotential:
     def test_zero_potential(self):
         pot = zero_potential()
         assert pot([0.3, 0.1, -0.2]) == 0.0
-        np.testing.assert_allclose(pot.body_force([0.3, 0.1, -0.2]), np.zeros(3))
+        np.testing.assert_allclose(-pot.grad([0.3, 0.1, -0.2]), np.zeros(3))
 
     def test_linear_potential_constant_force(self, rng):
         g = np.array([0.1, -0.4, 0.25])
         pot = linear_potential(g)
         y = rng.normal(size=3)
-        np.testing.assert_allclose(pot.body_force(y), g, atol=1e-15)
+        np.testing.assert_allclose(-pot.grad(y), g, atol=1e-15)
         # analytic gradient agrees with finite differences of the value
         fd = np.empty(3)
         for j in range(3):

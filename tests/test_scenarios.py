@@ -1,9 +1,12 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from relpower.exceptions import ConfigInvalid, EvaluationOutOfDomain
+from conftest import (configurational_force_residual, standard_force_residual,
+                      torque_residuals)
+from relpower.exceptions import ConfigInvalid
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_digest,
                                 load_bundled_config, load_config_file,
                                 validate_config)
@@ -103,20 +106,36 @@ class TestScenarioBehavior:
         np.testing.assert_allclose(scenario.y0, [0.0, 0.2, 0.0])
 
     def test_pointwise_residuals_vanish_under_closure(self):
-        scenario = Scenario(minimal_config())
+        s = Scenario(minimal_config())
         x = np.array([0.1, -0.2, 0.3])
-        np.testing.assert_allclose(scenario.standard_force_residual(x),
-                                   np.zeros(3), atol=1e-12)
-        np.testing.assert_allclose(scenario.configurational_force_residual(x),
-                                   np.zeros(3), atol=1e-12)
-        first, second = scenario.torque_residuals(x)
+        np.testing.assert_allclose(
+            standard_force_residual(s.model, s.motion, s.b_at, x, s.divergence_step),
+            np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(
+            configurational_force_residual(s.model, s.motion, s.b_at, s.f_at, x,
+                                           s.divergence_step),
+            np.zeros(3), atol=1e-12)
+        first, second = torque_residuals(s.model, s.motion, s.mu_at, x)
         np.testing.assert_allclose(first, np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(second, np.zeros(3), atol=1e-12)
 
-    def test_out_of_domain_evaluation_rejected(self):
-        scenario = Scenario(minimal_config())
-        with pytest.raises(EvaluationOutOfDomain):
-            scenario.standard_force_residual([2.0, 0.0, 0.0])
+    def test_fd_mode_drops_analytic_derivatives(self):
+        config = load_bundled_config("closure_sinusoidal_graded_stvk")
+        config["quadrature"] = {"volume_order": 3, "surface_order": 3}
+        fd_config = copy.deepcopy(config)
+        fd_config["derivatives"] = {"mode": "fd"}
+        analytic, fd = Scenario(config), Scenario(fd_config)
+        assert analytic.motion.gradient is not None
+        assert analytic.motion.second_gradient is not None
+        assert analytic.pair.v.gradient is not None
+        assert analytic.pair.w.gradient is not None
+        assert fd.motion.gradient is None and fd.motion.second_gradient is None
+        assert fd.pair.v.gradient is None and fd.pair.w.gradient is None
+        a, b = analytic.volume_data(), fd.volume_data()
+        for name in ("f_grad", "stress", "eshelby"):
+            np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-9)
+        for name in ("body_force", "driving_force", "couple"):
+            np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-6)
 
     def test_seed_defaults_to_config_digest(self):
         config = minimal_config()
