@@ -350,13 +350,11 @@ def _pointwise_divergence_error(scenario: Scenario, samples: int = 16) -> float:
     exact_motion = build_motion(scenario.config["motion"], step=scenario.motion_step)
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
     rng = np.random.default_rng(scenario.seed + 2)
-    worst = 0.0
-    for x in scenario.part.sample_interior(rng, samples):
-        exact = conf.div_first_pk(scenario.model, exact_motion, x)
-        approx = conf.div_first_pk(scenario.model, fd_motion, x,
-                                   step=scenario.divergence_step)
-        worst = max(worst, float(np.linalg.norm(approx - exact)))
-    return worst
+    points = scenario.part.sample_interior(rng, samples)
+    exact = conf.div_first_pk(scenario.model, exact_motion, points)
+    approx = conf.div_first_pk(scenario.model, fd_motion, points,
+                               step=scenario.divergence_step)
+    return float(np.max(np.linalg.norm(approx - exact, axis=-1), initial=0.0))
 
 
 def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = None):
@@ -369,6 +367,10 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
     rows = []
     if axis == "quad":
         values = list(values or QUAD_SWEEP_VALUES)
+        for value in values:
+            if value != int(value):
+                raise ConfigInvalid(
+                    f"quadrature order must be an integer, got {value:g}")
     elif axis == "fd":
         values = list(values or FD_SWEEP_VALUES)
     else:

@@ -3,18 +3,20 @@
 A :class:`Motion` maps reference points to ambient points.  Virtual
 velocity fields come in pairs: ``v`` acts over the ambient space and
 ``w`` over the material (reference) space; both are functions of the
-reference point.  Observer changes superpose rigid rates on either
-field independently (on sampled pairs, :meth:`PairSamples.shifted` in
+reference point.  Every map takes points of shape (..., 3), a single
+point or a stack of them, and returns values with the same leading
+axes.  Observer changes superpose rigid rates on either field
+independently (on sampled pairs, :meth:`PairSamples.shifted` in
 :mod:`relpower.functionals` applies them):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
 
 Every preset carries analytic derivatives.  An object whose
-``gradient`` (or ``second_gradient``) is ``None`` takes that derivative
-by central finite differences instead; a scenario in ``fd`` derivative
-mode builds its motion and virtual fields with these callables removed,
-so the mode is chosen once, where the objects are built.
+``gradient`` is ``None`` takes that derivative by central finite
+differences instead; a scenario in ``fd`` derivative mode builds its
+motion and virtual fields with these callables removed, so the mode is
+chosen once, where the objects are built.
 """
 
 from __future__ import annotations
@@ -25,24 +27,25 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import IDENTITY, as_tensor, as_vector, axial_vector, cross_matrix
+from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross_matrix,
+                      dot, matvec, transpose)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
 
 def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.ndarray:
-    """Central differences of ``fn`` at ``x`` with the derivative index last.
+    """Central differences of ``fn`` at points ``x`` (..., 3), derivative index last.
 
-    For ``fn`` returning shape S the result has shape S + (3,) with
-    [..., j] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
+    For ``fn`` returning shape (...,) + S the result has shape (...,) + S + (3,)
+    with [..., j] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
     """
     x = as_vector(x)
     out = None
     for j in range(3):
         xp = x.copy()
         xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
+        xp[..., j] += h
+        xm[..., j] -= h
         diff = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * h)
         if out is None:
             out = np.empty(diff.shape + (3,))
@@ -53,7 +56,12 @@ def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.nd
 def curl_from_gradient(grad_w) -> np.ndarray:
     """curl w as the axial vector of grad w - (grad w)^t."""
     g = as_tensor(grad_w)
-    return axial_vector(g - g.T)
+    return axial_vector(g - transpose(g))
+
+
+def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``value`` at every point of ``x``, as a read-only view."""
+    return np.broadcast_to(value, x.shape[:-1] + value.shape)
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,8 @@ class Motion:
     """Placement map x -> y(x) with optional analytic derivatives.
 
     ``gradient`` returns F(x); ``second_gradient`` returns dF/dx as a
-    (3, 3, 3) array with entries [k, l, j] = d^2 y_k / (d x_l d x_j).
-    ``step`` is the finite-difference step used when analytic data is
-    absent.
+    (..., 3, 3, 3) array with entries [..., k, l, j] = d^2 y_k / (d x_l d x_j).
+    ``step`` is the finite-difference step used when ``gradient`` is absent.
     """
 
     name: str
@@ -76,24 +83,20 @@ class Motion:
         return as_vector(self.placement(as_vector(x)))
 
     def deformation_gradient(self, x, use_analytic: bool = True) -> np.ndarray:
-        """F(x) = Dy(x); raises :class:`NonPositiveJacobian` unless det F > 0."""
+        """F(x) = Dy(x); raises :class:`NonPositiveJacobian` unless det F > 0
+        at every point."""
         x = as_vector(x)
         if use_analytic and self.gradient is not None:
             f = as_tensor(self.gradient(x))
         else:
             f = central_difference(self.placement, x, self.step)
-        det = np.linalg.det(f)
-        if det <= 0.0:
-            raise NonPositiveJacobian(f"det F = {det:g} <= 0 at x = {x}")
+        det = np.ravel(np.linalg.det(f))
+        bad = np.flatnonzero(det <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise NonPositiveJacobian(
+                f"det F = {det[i]:g} <= 0 at x = {x.reshape(-1, 3)[i]}")
         return f
-
-    def deformation_second_gradient(self, x, step: Optional[float] = None) -> np.ndarray:
-        """dF/dx at x, central differences of F when no analytic form exists."""
-        x = as_vector(x)
-        if self.second_gradient is not None:
-            return np.asarray(self.second_gradient(x), float)
-        h = self.step * 10.0 if step is None else step
-        return central_difference(self.deformation_gradient, x, h)
 
 
 @dataclass(frozen=True)
@@ -116,8 +119,8 @@ class VirtualField:
     def curl(self, x) -> np.ndarray:
         return curl_from_gradient(self.grad(x))
 
-    def divergence(self, x) -> float:
-        return float(np.trace(self.grad(x)))
+    def divergence(self, x) -> np.ndarray:
+        return np.trace(self.grad(x), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,16 @@ class ObserverChange:
 # Motion presets
 # ---------------------------------------------------------------------------
 
+_NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
+
+
 def identity_motion(step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     """y = x."""
     return Motion(
         "identity",
         placement=lambda x: x.copy(),
-        gradient=lambda x: IDENTITY.copy(),
-        second_gradient=lambda x: np.zeros((3, 3, 3)),
+        gradient=lambda x: _constant(IDENTITY, x),
+        second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
         step=step,
     )
 
@@ -167,9 +173,9 @@ def homogeneous_motion(f0, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     f0 = as_tensor(f0)
     return Motion(
         "homogeneous",
-        placement=lambda x: f0 @ x,
-        gradient=lambda x: f0.copy(),
-        second_gradient=lambda x: np.zeros((3, 3, 3)),
+        placement=lambda x: matvec(f0, x),
+        gradient=lambda x: _constant(f0, x),
+        second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
         step=step,
     )
 
@@ -204,26 +210,20 @@ def harmonic_motion(alpha: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion
     """
 
     def placement(x):
-        return x + alpha * np.array([x[0] ** 2 - x[1] ** 2, -2.0 * x[0] * x[1], 0.0])
+        x1, x2 = x[..., 0], x[..., 1]
+        return x + alpha * np.stack([x1 ** 2 - x2 ** 2, -2.0 * x1 * x2,
+                                     np.zeros(x1.shape)], axis=-1)
 
-    def gradient(x):
-        h = np.array(
-            [
-                [2.0 * x[0], -2.0 * x[1], 0.0],
-                [-2.0 * x[1], -2.0 * x[0], 0.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        return IDENTITY + alpha * h
-
+    # the displacement gradient is linear in x: H_kl = second_klj x_j
     second = np.zeros((3, 3, 3))
     second[0, 0, 0] = 2.0
     second[0, 1, 1] = -2.0
     second[1, 0, 1] = -2.0
     second[1, 1, 0] = -2.0
-
-    return Motion("harmonic", placement, gradient,
-                  second_gradient=lambda x: alpha * second, step=step)
+    second *= alpha
+    return Motion("harmonic", placement,
+                  gradient=lambda x: IDENTITY + np.einsum("klj,...j->...kl", second, x),
+                  second_gradient=lambda x: _constant(second, x), step=step)
 
 
 def sinusoidal_motion(amplitude: float, wavevector, direction,
@@ -233,17 +233,17 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
     d = as_vector(direction)
 
     def placement(x):
-        return x + amplitude * np.sin(k @ x) * d
+        return x + (amplitude * np.sin(dot(k, x)))[..., None] * d
 
     dk = np.outer(d, k)
 
     def gradient(x):
-        return IDENTITY + amplitude * np.cos(k @ x) * dk
+        return IDENTITY + (amplitude * np.cos(dot(k, x)))[..., None, None] * dk
 
     dkk = np.einsum("i,j,k->ijk", d, k, k)
 
     def second_gradient(x):
-        return -amplitude * np.sin(k @ x) * dkk
+        return (-amplitude * np.sin(dot(k, x)))[..., None, None, None] * dkk
 
     return Motion("sinusoidal", placement, gradient, second_gradient, step=step)
 
@@ -252,11 +252,14 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
 # Virtual-field presets
 # ---------------------------------------------------------------------------
 
+_ZERO_GRADIENT = np.zeros((3, 3))
+
+
 def constant_field(value, name: str = "constant",
                    step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     value = as_vector(value)
-    return VirtualField(name, lambda x: value.copy(),
-                        gradient=lambda x: np.zeros((3, 3)), step=step)
+    return VirtualField(name, lambda x: _constant(value, x),
+                        gradient=lambda x: _constant(_ZERO_GRADIENT, x), step=step)
 
 
 def rigid_field(translation, rotation, pivot, name: str = "rigid",
@@ -267,13 +270,14 @@ def rigid_field(translation, rotation, pivot, name: str = "rigid",
     x0 = as_vector(pivot)
     q_cross = cross_matrix(q)
     return VirtualField(name, lambda x: c + np.cross(q, x - x0),
-                        gradient=lambda x: q_cross.copy(), step=step)
+                        gradient=lambda x: _constant(q_cross, x), step=step)
 
 
 def linear_field(matrix, name: str = "linear",
                  step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     a = as_tensor(matrix)
-    return VirtualField(name, lambda x: a @ x, gradient=lambda x: a.copy(), step=step)
+    return VirtualField(name, lambda x: matvec(a, x),
+                        gradient=lambda x: _constant(a, x), step=step)
 
 
 def affine_field(value, matrix, pivot=None, name: str = "affine",
@@ -282,8 +286,8 @@ def affine_field(value, matrix, pivot=None, name: str = "affine",
     c = as_vector(value)
     a = as_tensor(matrix)
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
-    return VirtualField(name, lambda x: c + a @ (x - x0),
-                        gradient=lambda x: a.copy(), step=step)
+    return VirtualField(name, lambda x: c + matvec(a, x - x0),
+                        gradient=lambda x: _constant(a, x), step=step)
 
 
 def sinusoidal_field(amplitude: float, wavevector, direction, name: str = "sinusoidal",
@@ -294,7 +298,7 @@ def sinusoidal_field(amplitude: float, wavevector, direction, name: str = "sinus
     dk = np.outer(d, k)
     return VirtualField(
         name,
-        lambda x: amplitude * np.sin(k @ x) * d,
-        gradient=lambda x: amplitude * np.cos(k @ x) * dk,
+        lambda x: (amplitude * np.sin(dot(k, x)))[..., None] * d,
+        gradient=lambda x: (amplitude * np.cos(dot(k, x)))[..., None, None] * dk,
         step=step,
     )

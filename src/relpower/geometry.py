@@ -121,31 +121,26 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
         raise ValueError("box halfwidths must be positive")
     surface_order = order if surface_order is None else surface_order
 
-    axes = [gauss_legendre(order, center[i] - half[i], center[i] + half[i]) for i in range(3)]
-    pts, wts = [], []
-    for x0, w0 in zip(*axes[0]):
-        for x1, w1 in zip(*axes[1]):
-            for x2, w2 in zip(*axes[2]):
-                pts.append((x0, x1, x2))
-                wts.append(w0 * w1 * w2)
+    (n0, w0), (n1, w1), (n2, w2) = [
+        gauss_legendre(order, center[i] - half[i], center[i] + half[i]) for i in range(3)]
+    pts = np.stack(np.meshgrid(n0, n1, n2, indexing="ij"), axis=-1).reshape(-1, 3)
+    wts = (w0[:, None, None] * w1[None, :, None] * w2[None, None, :]).ravel()
 
     s_pts, s_nrm, s_wts = [], [], []
     for axis in range(3):
         others = [i for i in range(3) if i != axis]
-        rules = [gauss_legendre(surface_order, center[i] - half[i], center[i] + half[i])
-                 for i in others]
+        (a, wa), (b, wb) = [gauss_legendre(surface_order, center[i] - half[i],
+                                           center[i] + half[i]) for i in others]
+        face = np.empty((len(a), len(b), 3))
+        face[..., others[0]] = a[:, None]
+        face[..., others[1]] = b[None, :]
         for sign in (-1.0, 1.0):
+            face[..., axis] = center[axis] + sign * half[axis]
             normal = np.zeros(3)
             normal[axis] = sign
-            for a, wa in zip(*rules[0]):
-                for b, wb in zip(*rules[1]):
-                    p = np.empty(3)
-                    p[axis] = center[axis] + sign * half[axis]
-                    p[others[0]] = a
-                    p[others[1]] = b
-                    s_pts.append(p)
-                    s_nrm.append(normal.copy())
-                    s_wts.append(wa * wb)
+            s_pts.append(face.reshape(-1, 3).copy())
+            s_nrm.append(np.tile(normal, (face.shape[0] * face.shape[1], 1)))
+            s_wts.append((wa[:, None] * wb[None, :]).ravel())
 
     lo, hi = center - half, center + half
 
@@ -158,9 +153,9 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
         center=center,
         scale=float(np.max(half)),
         volume=float(np.prod(2.0 * half)),
-        volume_points=np.asarray(pts),
-        volume_weights=np.asarray(wts),
-        surface=SurfaceQuadrature(np.asarray(s_pts), np.asarray(s_nrm), np.asarray(s_wts)),
+        volume_points=pts,
+        volume_weights=wts,
+        surface=SurfaceQuadrature(np.vstack(s_pts), np.vstack(s_nrm), np.concatenate(s_wts)),
         sample_interior=sample_interior,
     )
 
@@ -183,12 +178,9 @@ def _radial_shell(center, r_inner: float, r_outer: float, radial_order: int,
     center = as_vector(center)
     dirs, ang_wts = spherical_rule(angular_points)
     radii, rad_wts = gauss_legendre(radial_order, r_inner, r_outer)
-    pts, wts = [], []
-    for r, wr in zip(radii, rad_wts):
-        for d, wa in zip(dirs, ang_wts):
-            pts.append(center + r * d)
-            wts.append(wr * r ** 2 * 4.0 * math.pi * wa)
-    return np.asarray(pts), np.asarray(wts)
+    pts = center + radii[:, None, None] * dirs[None, :, :]
+    wts = (rad_wts * radii ** 2 * 4.0 * math.pi)[:, None] * ang_wts[None, :]
+    return pts.reshape(-1, 3), wts.ravel()
 
 
 def ball_part(center, radius: float, radial_order: int = 6,

@@ -26,8 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .fields import central_difference
-from .tensors import IDENTITY, as_tensor, as_vector
+from .tensors import IDENTITY, as_tensor, as_vector, dot, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +35,7 @@ from .tensors import IDENTITY, as_tensor, as_vector
 
 @dataclass(frozen=True)
 class Modulus:
-    """A scalar modulus field with an exact gradient.
+    """A scalar modulus field with an exact gradient, over points (..., 3).
 
     kinds: ``constant``; ``affine`` value + slope . x; ``sinusoidal``
     value + amplitude * sin(wavevector . x).
@@ -48,24 +47,25 @@ class Modulus:
     amplitude: float = 0.0
     wavevector: Optional[np.ndarray] = None
 
-    def value(self, x) -> float:
-        if self.kind == "constant":
-            return self.base
+    def value(self, x) -> np.ndarray:
         x = as_vector(x)
+        if self.kind == "constant":
+            return np.full(x.shape[:-1], self.base)
         if self.kind == "affine":
-            return self.base + float(self.slope @ x)
+            return self.base + dot(x, self.slope)
         if self.kind == "sinusoidal":
-            return self.base + self.amplitude * np.sin(self.wavevector @ x)
+            return self.base + self.amplitude * np.sin(dot(x, self.wavevector))
         raise ValueError(f"unknown modulus kind {self.kind!r}")
 
     def gradient(self, x) -> np.ndarray:
-        if self.kind == "constant":
-            return np.zeros(3)
         x = as_vector(x)
+        if self.kind == "constant":
+            return np.zeros(x.shape)
         if self.kind == "affine":
-            return self.slope.copy()
+            return np.broadcast_to(self.slope, x.shape)
         if self.kind == "sinusoidal":
-            return self.amplitude * np.cos(self.wavevector @ x) * self.wavevector
+            slope = self.amplitude * np.cos(dot(x, self.wavevector))
+            return slope[..., None] * self.wavevector
         raise ValueError(f"unknown modulus kind {self.kind!r}")
 
     @property
@@ -90,12 +90,20 @@ def sinusoidal_modulus(value: float, amplitude: float, wavevector) -> Modulus:
 # Material models
 # ---------------------------------------------------------------------------
 
+def _tensor_factor(scalar) -> np.ndarray:
+    """A per-point scalar shaped to scale a stack of tensors."""
+    return np.asarray(scalar)[..., None, None]
+
+
 class MaterialModel:
     """Free energy e(x, F) with analytic first Piola-Kirchhoff stress.
 
-    Subclasses provide the modulus-independent parts; this base class
-    assembles energies, stresses, the fourth-order stress tangent
-    dP/dF, and the explicit x-derivatives from them.
+    Points x are (..., 3); gradients F are (..., 3, 3), checked for
+    finiteness once per call.  det F > 0 is checked where F is made and
+    by the models that take ln det F.  Subclasses provide the
+    modulus-independent parts; this base class assembles energies,
+    stresses, the directional stress derivative dP/dF[H] and the
+    explicit x-derivatives from them.
     """
 
     name = "base"
@@ -108,7 +116,7 @@ class MaterialModel:
 
     # -- hooks ------------------------------------------------------------
 
-    def energy_parts(self, f: np.ndarray) -> Tuple[float, float]:
+    def energy_parts(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(A, B) with e = lam A + mu B."""
         raise NotImplementedError
 
@@ -116,8 +124,10 @@ class MaterialModel:
         """(dA/dF, dB/dF)."""
         raise NotImplementedError
 
-    def tangent_parts(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(d^2A/dF dF, d^2B/dF dF) as (3,3,3,3) arrays [i,j,m,n]."""
+    def stress_derivative_parts(self, f: np.ndarray,
+                                h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(d^2A/dF dF [H], d^2B/dF dF [H]): the stress parts differentiated
+        along the direction H."""
         raise NotImplementedError
 
     # -- assembled quantities ----------------------------------------------
@@ -126,42 +136,38 @@ class MaterialModel:
     def homogeneous(self) -> bool:
         return self.lam.is_constant and self.mu.is_constant
 
-    def _check(self, f) -> np.ndarray:
+    def energy(self, x, f) -> np.ndarray:
         f = as_tensor(f)
-        det = np.linalg.det(f)
-        if det <= 0.0:
-            raise NonPositiveJacobian(f"det F = {det:g} <= 0")
-        return f
-
-    def energy(self, x, f) -> float:
-        f = self._check(f)
         a, b = self.energy_parts(f)
         return self.lam.value(x) * a + self.mu.value(x) * b
 
     def stress(self, x, f) -> np.ndarray:
         """First Piola-Kirchhoff stress P = dE/dF."""
-        f = self._check(f)
+        f = as_tensor(f)
         pa, pb = self.stress_parts(f)
-        return self.lam.value(x) * pa + self.mu.value(x) * pb
+        return (_tensor_factor(self.lam.value(x)) * pa
+                + _tensor_factor(self.mu.value(x)) * pb)
 
     def material_gradient(self, x, f) -> np.ndarray:
         """Explicit derivative of e in x, holding F fixed."""
-        f = self._check(f)
+        f = as_tensor(f)
         a, b = self.energy_parts(f)
-        return a * self.lam.gradient(x) + b * self.mu.gradient(x)
+        return (np.asarray(a)[..., None] * self.lam.gradient(x)
+                + np.asarray(b)[..., None] * self.mu.gradient(x))
 
-    def stress_tangent(self, x, f) -> np.ndarray:
-        """dP/dF as a (3,3,3,3) array, [i,j,m,n] = dP_ij/dF_mn."""
-        f = self._check(f)
-        ta, tb = self.tangent_parts(f)
-        return self.lam.value(x) * ta + self.mu.value(x) * tb
+    def stress_derivative(self, x, f, h) -> np.ndarray:
+        """dP/dF[H] = d/dt P(x, F + t H) at t = 0."""
+        f = as_tensor(f)
+        da, db = self.stress_derivative_parts(f, as_tensor(h))
+        return (_tensor_factor(self.lam.value(x)) * da
+                + _tensor_factor(self.mu.value(x)) * db)
 
     def stress_material_gradient(self, x, f) -> np.ndarray:
-        """dP/dx at fixed F, as a (3,3,3) array with the x-component last."""
-        f = self._check(f)
+        """dP/dx at fixed F, as a (..., 3, 3, 3) array with the x-component last."""
+        f = as_tensor(f)
         pa, pb = self.stress_parts(f)
-        return (np.einsum("ij,m->ijm", pa, self.lam.gradient(x))
-                + np.einsum("ij,m->ijm", pb, self.mu.gradient(x)))
+        return (np.einsum("...ij,...m->...ijm", pa, self.lam.gradient(x))
+                + np.einsum("...ij,...m->...ijm", pb, self.mu.gradient(x)))
 
 
 class SaintVenantKirchhoff(MaterialModel):
@@ -171,23 +177,24 @@ class SaintVenantKirchhoff(MaterialModel):
     frame_indifferent = True
     isotropic = True
 
+    @staticmethod
+    def _strain(f):
+        return 0.5 * (transpose(f) @ f - IDENTITY)
+
     def energy_parts(self, f):
-        e = 0.5 * (f.T @ f - IDENTITY)
-        return 0.5 * np.trace(e) ** 2, float(np.sum(e * e))
+        e = self._strain(f)
+        return 0.5 * np.trace(e, axis1=-2, axis2=-1) ** 2, np.sum(e * e, axis=(-2, -1))
 
     def stress_parts(self, f):
-        e = 0.5 * (f.T @ f - IDENTITY)
-        return np.trace(e) * f, 2.0 * f @ e
+        e = self._strain(f)
+        return _tensor_factor(np.trace(e, axis1=-2, axis2=-1)) * f, 2.0 * f @ e
 
-    def tangent_parts(self, f):
-        e = 0.5 * (f.T @ f - IDENTITY)
-        b = f @ f.T
-        ta = (np.einsum("im,nj->ijmn", IDENTITY, np.trace(e) * IDENTITY)
-              + np.einsum("ij,mn->ijmn", f, f))
-        tb = (2.0 * np.einsum("im,nj->ijmn", IDENTITY, e)
-              + np.einsum("in,mj->ijmn", f, f)
-              + np.einsum("im,jn->ijmn", b, IDENTITY))
-        return ta, tb
+    def stress_derivative_parts(self, f, h):
+        e = self._strain(f)
+        de = 0.5 * (transpose(h) @ f + transpose(f) @ h)
+        da = (_tensor_factor(np.trace(de, axis1=-2, axis2=-1)) * f
+              + _tensor_factor(np.trace(e, axis1=-2, axis2=-1)) * h)
+        return da, 2.0 * (h @ e + f @ de)
 
 
 class NeoHookean(MaterialModel):
@@ -197,24 +204,32 @@ class NeoHookean(MaterialModel):
     frame_indifferent = True
     isotropic = True
 
+    @staticmethod
+    def _log_det(f):
+        """ln det F, raising :class:`NonPositiveJacobian` unless det F > 0."""
+        det = np.linalg.det(f)
+        if np.any(det <= 0.0):
+            raise NonPositiveJacobian(f"det F = {np.min(det):g} <= 0")
+        return np.log(det)
+
     def energy_parts(self, f):
-        log_j = np.log(np.linalg.det(f))
-        return 0.5 * log_j ** 2, 0.5 * (np.trace(f.T @ f) - 3.0) - log_j
+        log_j = self._log_det(f)
+        tr_c = np.trace(transpose(f) @ f, axis1=-2, axis2=-1)
+        return 0.5 * log_j ** 2, 0.5 * (tr_c - 3.0) - log_j
 
     def stress_parts(self, f):
-        f_inv = np.linalg.inv(f)
-        f_inv_t = f_inv.T
-        log_j = np.log(np.linalg.det(f))
-        return log_j * f_inv_t, f - f_inv_t
+        f_inv_t = transpose(np.linalg.inv(f))
+        log_j = self._log_det(f)
+        return _tensor_factor(log_j) * f_inv_t, f - f_inv_t
 
-    def tangent_parts(self, f):
-        f_inv = np.linalg.inv(f)
-        log_j = np.log(np.linalg.det(f))
-        # d(F^-t)_ij / dF_mn = -Finv_jm Finv_ni ; d(ln J)/dF_mn = Finv_nm
-        d_finv_t = -np.einsum("jm,ni->ijmn", f_inv, f_inv)
-        ta = np.einsum("nm,ji->ijmn", f_inv, f_inv) + log_j * d_finv_t
-        tb = np.einsum("im,jn->ijmn", IDENTITY, IDENTITY) - d_finv_t
-        return ta, tb
+    def stress_derivative_parts(self, f, h):
+        # d(F^-t)[H] = -F^-t H^t F^-t ; d(ln J)[H] = F^-t : H
+        f_inv_t = transpose(np.linalg.inv(f))
+        log_j = self._log_det(f)
+        d_finv_t = -(f_inv_t @ transpose(h) @ f_inv_t)
+        da = (_tensor_factor(np.sum(f_inv_t * h, axis=(-2, -1))) * f_inv_t
+              + _tensor_factor(log_j) * d_finv_t)
+        return da, h - d_finv_t
 
 
 class Quadratic(MaterialModel):
@@ -231,13 +246,13 @@ class Quadratic(MaterialModel):
 
     def energy_parts(self, f):
         d = f - IDENTITY
-        return 0.0, 0.5 * float(np.sum(d * d))
+        return np.zeros(f.shape[:-2]), 0.5 * np.sum(d * d, axis=(-2, -1))
 
     def stress_parts(self, f):
-        return np.zeros((3, 3)), f - IDENTITY
+        return np.zeros(f.shape), f - IDENTITY
 
-    def tangent_parts(self, f):
-        return np.zeros((3, 3, 3, 3)), np.einsum("im,jn->ijmn", IDENTITY, IDENTITY)
+    def stress_derivative_parts(self, f, h):
+        return np.zeros(h.shape), h
 
 
 MODEL_CLASSES = {
@@ -259,27 +274,26 @@ def make_material(name: str, lam: Modulus, mu: Modulus) -> MaterialModel:
 
 @dataclass(frozen=True)
 class BodyForcePotential:
-    """Potential u(y) over the ambient space with b = -du/dy."""
+    """Potential u(y) over the ambient space with b = -du/dy, over points (..., 3)."""
 
     name: str
-    value: Callable[[np.ndarray], float]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    step: float = 1e-5
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, y) -> float:
-        return float(self.value(as_vector(y)))
+    def __call__(self, y) -> np.ndarray:
+        return self.value(as_vector(y))
 
     def grad(self, y) -> np.ndarray:
-        if self.gradient is not None:
-            return as_vector(self.gradient(as_vector(y)))
-        return central_difference(self.value, as_vector(y), self.step)
+        return as_vector(self.gradient(as_vector(y)))
 
 
 def zero_potential() -> BodyForcePotential:
-    return BodyForcePotential("zero", lambda y: 0.0, lambda y: np.zeros(3))
+    return BodyForcePotential("zero", lambda y: np.zeros(y.shape[:-1]),
+                              lambda y: np.zeros(y.shape))
 
 
 def linear_potential(gravity) -> BodyForcePotential:
     """u(y) = -g . y, so the body force is the constant g."""
     g = as_vector(gravity)
-    return BodyForcePotential("linear", lambda y: -float(g @ y), lambda y: -g)
+    return BodyForcePotential("linear", lambda y: -dot(g, y),
+                              lambda y: np.broadcast_to(-g, y.shape))

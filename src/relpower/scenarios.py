@@ -5,6 +5,9 @@ virtual-field pair, the source fields (b, f, mu) and the evaluation
 options (derivative mode, quadrature orders, pivots, seed).  Configs
 are plain JSON documents validated against the published schema before
 anything is computed; unknown keys are rejected.
+
+Node data is built over stacked arrays, points (n, 3) and tensors (n, 3, 3),
+in blocks of ``NODE_BLOCK`` nodes; det F > 0 is checked once per array.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 from importlib import resources
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import jsonschema
 import numpy as np
@@ -26,19 +29,19 @@ from .tensors import as_vector
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
 
 
-def _schema() -> dict:
-    text = resources.files("relpower").joinpath("schema/scenario.schema.json").read_text()
-    return json.loads(text)
+_VALIDATOR = None
 
 
-_SCHEMA_CACHE: Optional[dict] = None
-
-
-def scenario_schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        _SCHEMA_CACHE = _schema()
-    return _SCHEMA_CACHE
+def _validator():
+    """The schema's validator, checked and compiled once on first use."""
+    global _VALIDATOR
+    if _VALIDATOR is None:
+        path = resources.files("relpower").joinpath("schema/scenario.schema.json")
+        schema = json.loads(path.read_text())
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATOR = cls(schema)
+    return _VALIDATOR
 
 
 def validate_config(config: dict) -> None:
@@ -46,9 +49,8 @@ def validate_config(config: dict) -> None:
 
     The schema's ``number`` admits NaN and Infinity, so they are rejected here.
     """
-    try:
-        jsonschema.validate(config, scenario_schema())
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if err is not None:
         path = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigInvalid(f"config invalid at {path}: {err.message}") from err
     try:
@@ -162,42 +164,51 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # Node caches
 # ---------------------------------------------------------------------------
 
+# Nodes evaluated per array call.  Node work is elementwise, so the block
+# size changes no result; it bounds the size of the temporaries.
+NODE_BLOCK = 256
+
+
 class _NodeData:
-    """y, F, P, PP and e evaluated once at every given quadrature node."""
+    """y, F, P, PP and e evaluated once at every given quadrature node.
+
+    Each attribute named in ``FIELDS`` is an array with one row per node,
+    filled block by block from :meth:`evaluate`.
+    """
+
+    FIELDS = ("y", "f_grad", "stress", "eshelby", "energy")
 
     def __init__(self, scenario: "Scenario", points: np.ndarray, weights: np.ndarray):
-        n = len(points)
         self.points = points
         self.weights = weights
-        self.y = np.empty((n, 3))
-        self.f_grad = np.empty((n, 3, 3))
-        self.stress = np.empty((n, 3, 3))
-        self.eshelby = np.empty((n, 3, 3))
-        self.energy = np.empty(n)
-        for i, x in enumerate(points):
-            f = scenario.motion.deformation_gradient(x)
-            self.y[i] = scenario.motion.y(x)
-            self.f_grad[i] = f
-            self.stress[i] = scenario.model.stress(x, f)
-            self.eshelby[i] = conf.eshelby_stress(scenario.model, x, f)
-            self.energy[i] = scenario.model.energy(x, f)
+        for start in range(0, len(points), NODE_BLOCK):
+            block = slice(start, start + NODE_BLOCK)
+            for name, value in zip(self.FIELDS, self.evaluate(scenario, points[block])):
+                if start == 0:
+                    setattr(self, name, np.empty((len(points),) + value.shape[1:]))
+                getattr(self, name)[block] = value
+
+    @staticmethod
+    def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
+        f = scenario.motion.deformation_gradient(x)
+        return (scenario.motion.y(x), f, scenario.model.stress(x, f),
+                conf.eshelby_stress(scenario.model, x, f), scenario.model.energy(x, f))
 
 
 class VolumeNodeData(_NodeData):
     """Scenario fields evaluated once at every volume quadrature node."""
 
+    FIELDS = _NodeData.FIELDS + ("material_gradient", "body_force", "driving_force",
+                                 "couple")
+
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         super().__init__(scenario, part.volume_points, part.volume_weights)
-        n = len(self.points)
-        self.material_gradient = np.empty((n, 3))
-        self.body_force = np.empty((n, 3))
-        self.driving_force = np.empty((n, 3))
-        self.couple = np.empty((n, 3))
-        for i, x in enumerate(self.points):
-            self.material_gradient[i] = scenario.model.material_gradient(x, self.f_grad[i])
-            self.body_force[i] = scenario.b_at(x)
-            self.driving_force[i] = scenario.f_at(x)
-            self.couple[i] = scenario.mu_at(x)
+
+    @staticmethod
+    def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
+        state = _NodeData.evaluate(scenario, x)
+        return (state + (scenario.model.material_gradient(x, state[1]),)
+                + tuple(scenario.sources(x)))
 
 
 class SurfaceNodeData(_NodeData):
@@ -261,22 +272,20 @@ class Scenario:
             self.y0 = self.motion.y(self.part.center)
 
         self.source_mode = config["sources"]["mode"]
-        self.b_at, self.f_at, self.mu_at = self._build_sources(config["sources"])
+        self.sources = self._build_sources(config["sources"])
 
         self.seed = config.get("seed", int(config_digest(config)[:8], 16))
         self.checks = config.get("checks", {})
 
-        self._volume_cache: Dict[int, VolumeNodeData] = {}
-        self._surface_cache: Dict[int, SurfaceNodeData] = {}
+        self._volume_cache: Dict[int, Tuple[geometry.BodyPart, VolumeNodeData]] = {}
+        self._surface_cache: Dict[int, Tuple[geometry.BodyPart, SurfaceNodeData]] = {}
 
         self._probe_kinematics()
 
     def _build_sources(self, spec: dict):
+        """x -> (b, f, mu) at points x (..., 3)."""
         if spec["mode"] == "closure":
-            b_at = conf.closure_body_force(self.model, self.motion, self.divergence_step)
-            f_at = conf.closure_driving_force(self.model, self.motion, self.divergence_step)
-            mu_at = conf.closure_couple(self.model, self.motion)
-            return b_at, f_at, mu_at
+            return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
         b = build_field(spec.get("b", zero), "b", step=self.motion_step)
@@ -285,20 +294,18 @@ class Scenario:
         if self.model.isotropic:
             # couples are carried by anisotropy; an isotropic material space
             # admits only mu = 0
-            for x in [self.part.center] + list(self.part.volume_points[:4]):
-                if np.linalg.norm(mu(x)) > 0.0:
-                    raise ConfigInvalid(
-                        "preset couple field mu must vanish for an isotropic "
-                        f"material (model {self.model.name!r})")
-        return (lambda x: b(x)), (lambda x: f(x)), (lambda x: mu(x))
+            probe = np.vstack([self.part.center, self.part.volume_points[:4]])
+            if np.any(np.linalg.norm(mu(probe), axis=-1) > 0.0):
+                raise ConfigInvalid(
+                    "preset couple field mu must vanish for an isotropic "
+                    f"material (model {self.model.name!r})")
+        return lambda x: (b(x), f(x), mu(x))
 
     def _probe_kinematics(self) -> None:
         """Fail configuration early when det F <= 0 anywhere on the part."""
         try:
-            for x in self.part.volume_points:
-                self.motion.deformation_gradient(x)
-            for x in self.part.surface.points:
-                self.motion.deformation_gradient(x)
+            self.motion.deformation_gradient(self.part.volume_points)
+            self.motion.deformation_gradient(self.part.surface.points)
         except NonPositiveJacobian as err:
             raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
 
@@ -315,16 +322,16 @@ class Scenario:
     def volume_data(self, part: Optional[geometry.BodyPart] = None) -> VolumeNodeData:
         part = self.part if part is None else part
         key = id(part)
-        if key not in self._volume_cache:
-            self._volume_cache[key] = VolumeNodeData(self, part)
-        return self._volume_cache[key]
+        if key not in self._volume_cache:   # holding the part keeps its id unique
+            self._volume_cache[key] = (part, VolumeNodeData(self, part))
+        return self._volume_cache[key][1]
 
     def surface_data(self, part: Optional[geometry.BodyPart] = None) -> SurfaceNodeData:
         part = self.part if part is None else part
         key = id(part)
-        if key not in self._surface_cache:
-            self._surface_cache[key] = SurfaceNodeData(self, part)
-        return self._surface_cache[key]
+        if key not in self._surface_cache:   # holding the part keeps its id unique
+            self._surface_cache[key] = (part, SurfaceNodeData(self, part))
+        return self._surface_cache[key][1]
 
 
 # ---------------------------------------------------------------------------

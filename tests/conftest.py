@@ -1,9 +1,10 @@
-"""Shared helpers: random kinematic states, finite-difference copies and
-the pointwise balance residuals used as oracles."""
+"""Shared helpers: random kinematic states, finite-difference copies, the
+pointwise balance residuals and the per-node loop used as oracles."""
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -58,32 +59,65 @@ def fd_copy(obj):
     return dataclasses.replace(obj, gradient=None)
 
 
-def standard_force_residual(model, motion, b_at, x,
+def standard_force_residual(model, motion, b, x,
                             step: float = conf.DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
     """Div P + b at x."""
-    return conf.div_first_pk(model, motion, x, step) + as_vector(b_at(x))
+    return conf.div_first_pk(model, motion, x, step) + as_vector(b)
 
 
-def configurational_force_residual(model, motion, b_at, f_at, x,
+def configurational_force_residual(model, motion, b, f, x,
                                    step: float = conf.DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
     """Div PP - F^t b + de/dx|expl - f at x."""
     x = as_vector(x)
     f_grad = motion.deformation_gradient(x)
-    return (conf.div_eshelby(model, motion, x, step)
-            - f_grad.T @ as_vector(b_at(x))
+    return (conf.stress_divergences(model, motion, x, step)[1]
+            - f_grad.T @ as_vector(b)
             + model.material_gradient(x, f_grad)
-            - as_vector(f_at(x)))
+            - as_vector(f))
 
 
-def torque_residuals(model, motion, mu_at, x):
+def torque_residuals(model, motion, mu, x):
     """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x."""
     x = as_vector(x)
     f = motion.deformation_gradient(x)
     p = model.stress(x, f)
     first = axial_vector(2.0 * skew_part(p @ f.T))
     second = (axial_vector(2.0 * skew_part(conf.eshelby_stress(model, x, f)))
-              - as_vector(mu_at(x)))
+              - as_vector(mu))
     return first, second
+
+
+def reference_node_data(scenario, points, volume: bool) -> dict:
+    """Node data by the per-node loop, one point at a time.
+
+    The oracle for the batched :class:`relpower.scenarios.VolumeNodeData`
+    and :class:`relpower.scenarios.SurfaceNodeData`.  Closure b and f take
+    Div P and Div PP separately, as their pointwise definitions read.
+    """
+    model, motion, step = scenario.model, scenario.motion, scenario.divergence_step
+    rows = defaultdict(list)
+    for x in points:
+        f = motion.deformation_gradient(x)
+        rows["y"].append(motion.y(x))
+        rows["f_grad"].append(f)
+        rows["stress"].append(model.stress(x, f))
+        rows["eshelby"].append(conf.eshelby_stress(model, x, f))
+        rows["energy"].append(model.energy(x, f))
+        if not volume:
+            continue
+        rows["material_gradient"].append(model.material_gradient(x, f))
+        if scenario.source_mode == "closure":
+            b = -conf.div_first_pk(model, motion, x, step)
+            driving = (conf.stress_divergences(model, motion, x, step)[1]
+                       + f.T @ conf.div_first_pk(model, motion, x, step)
+                       + model.material_gradient(x, f))
+            couple = axial_vector(2.0 * skew_part(conf.eshelby_stress(model, x, f)))
+        else:
+            b, driving, couple = scenario.sources(x)
+        rows["body_force"].append(b)
+        rows["driving_force"].append(driving)
+        rows["couple"].append(couple)
+    return {name: np.array(values) for name, values in rows.items()}
 
 
 def homogeneous_models():

@@ -94,6 +94,26 @@ class TestRun:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("motion", [
+        # det F = 1 - cos(k . x) is zero at node 171 of 343 only
+        {"preset": "sinusoidal", "amplitude": 1.0, "wavevector": [1.0, 0.37, 0.113],
+         "direction": [-1.0, 0.0, 0.0]},
+        {"preset": "sinusoidal", "amplitude": float("nan"),
+         "wavevector": [1.0, 0.0, 0.0], "direction": [0.0, 1.0, 0.0]},
+    ], ids=["single_node_det_zero", "nan_amplitude"])
+    def test_bad_node_or_nan_motion_rejected_without_traceback(self, tmp_path, motion):
+        config = load_bundled_config("closure_sinusoidal_graded_stvk")
+        config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
+                              "halfwidths": [0.5, 0.5, 0.5]}
+        config["quadrature"] = {"volume_order": 7, "surface_order": 7}
+        config["motion"] = motion
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = run_cli(["run", path, "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "absent.json")])
         assert result.returncode == 3
@@ -176,6 +196,14 @@ class TestSweep:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_fractional_quadrature_order_is_config_error(self, tmp_path, uniaxial):
+        out = tmp_path / "out"
+        result = run_cli(["sweep", uniaxial, "--axis", "quad", "--values", "2", "2.5",
+                          "--out", str(out)])
+        assert result.returncode == 2
+        assert "integer" in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()
 
     def test_fd_step_v_curve(self, tmp_path):
         config = load_bundled_config("closure_sinusoidal_graded_stvk")

@@ -92,8 +92,8 @@ class TestDivergences:
             exact = conf.div_first_pk(model, SINUSOIDAL, x)
             fd = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
-            exact_pp = conf.div_eshelby(model, SINUSOIDAL, x)
-            fd_pp = conf.div_eshelby(model, fd_copy(SINUSOIDAL), x, step=1e-4)
+            exact_pp = conf.stress_divergences(model, SINUSOIDAL, x)[1]
+            fd_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[1]
             np.testing.assert_allclose(fd_pp, exact_pp, atol=1e-6, rtol=1e-6)
 
     def test_pullback_identity(self, rng):
@@ -104,7 +104,7 @@ class TestDivergences:
             x = rng.uniform(-0.4, 0.4, size=3)
             f = SINUSOIDAL.deformation_gradient(x)
             div_p = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
-            div_pp = conf.div_eshelby(model, fd_copy(SINUSOIDAL), x, step=1e-4)
+            div_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[1]
             residual = div_pp + f.T @ div_p - model.material_gradient(x, f)
             np.testing.assert_allclose(residual, np.zeros(3), atol=1e-6)
 
@@ -112,7 +112,7 @@ class TestDivergences:
 class TestResidualsAndClosure:
     def test_homogeneous_equilibrium_zero_residual(self, rng):
         motion = homogeneous_motion(STRETCH)
-        zero = lambda x: np.zeros(3)
+        zero = np.zeros(3)
         x = rng.uniform(-0.4, 0.4, size=3)
         np.testing.assert_allclose(
             standard_force_residual(stvk_unit(), motion, zero, x),
@@ -121,46 +121,39 @@ class TestResidualsAndClosure:
     def test_closure_zeroes_all_pointwise_balances(self, rng):
         model = graded_stvk()
         motion = SINUSOIDAL
-        b_at = conf.closure_body_force(model, motion)
-        f_at = conf.closure_driving_force(model, motion)
-        mu_at = conf.closure_couple(model, motion)
+        sources = conf.closure_sources(model, motion)
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
+            b, f, mu = sources(x)
             np.testing.assert_allclose(
-                standard_force_residual(model, motion, b_at, x),
+                standard_force_residual(model, motion, b, x),
                 np.zeros(3), atol=1e-12)
             np.testing.assert_allclose(
-                configurational_force_residual(model, motion, b_at, f_at, x),
+                configurational_force_residual(model, motion, b, f, x),
                 np.zeros(3), atol=1e-12)
-            first, second = torque_residuals(model, motion, mu_at, x)
+            first, second = torque_residuals(model, motion, mu, x)
             np.testing.assert_allclose(first, np.zeros(3), atol=1e-12)
             np.testing.assert_allclose(second, np.zeros(3), atol=1e-12)
 
     def test_closure_in_fd_mode(self, rng):
         model = graded_stvk()
         motion = fd_copy(SINUSOIDAL)
-        b_at = conf.closure_body_force(model, motion, step=1e-4)
-        f_at = conf.closure_driving_force(model, motion, step=1e-4)
         x = rng.uniform(-0.4, 0.4, size=3)
-        res = configurational_force_residual(model, motion, b_at, f_at, x, step=1e-4)
+        b, f, _ = conf.closure_sources(model, motion, step=1e-4)(x)
+        res = configurational_force_residual(model, motion, b, f, x, step=1e-4)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-5)
 
     def test_graded_identity_motion_closure_is_zero(self, rng):
         # P = 0 and e = 0 at F = I, so every closure field vanishes
         from relpower.fields import identity_motion
         model = graded_stvk()
-        motion = identity_motion()
         x = rng.uniform(-0.4, 0.4, size=3)
-        np.testing.assert_allclose(conf.closure_body_force(model, motion)(x),
-                                   np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(conf.closure_driving_force(model, motion)(x),
-                                   np.zeros(3), atol=1e-14)
-        np.testing.assert_allclose(conf.closure_couple(model, motion)(x),
-                                   np.zeros(3), atol=1e-14)
+        for source in conf.closure_sources(model, identity_motion())(x):
+            np.testing.assert_allclose(source, np.zeros(3), atol=1e-14)
 
     def test_torque_residuals_frame_indifferent(self, rng):
         model = neo_hookean()
-        zero = lambda x: np.zeros(3)
+        zero = np.zeros(3)
         x = rng.uniform(-0.4, 0.4, size=3)
         first, _ = torque_residuals(model, SINUSOIDAL, zero, x)
         f = SINUSOIDAL.deformation_gradient(x)
@@ -173,7 +166,7 @@ class TestResidualsAndClosure:
         gamma = 0.3
         model = quadratic()
         motion = shear_motion(gamma)
-        zero = lambda x: np.zeros(3)
+        zero = np.zeros(3)
         first, _ = torque_residuals(model, motion, zero, np.zeros(3))
         np.testing.assert_allclose(first, [0.0, 0.0, -gamma], atol=1e-14)
 

@@ -9,6 +9,7 @@ from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import box_part, sphere_surface, weighted_fsum
 from relpower.scenarios import Scenario, load_bundled_config
+from relpower.tensors import matvec
 
 
 def make_config(**overrides) -> dict:
@@ -38,7 +39,8 @@ class TestRelativePower:
     def test_vanishes_when_v_is_pushforward_of_w(self):
         scenario = Scenario(make_config())
         w = scenario.pair.w
-        v = VirtualField("Fw", lambda x: scenario.motion.deformation_gradient(x) @ w(x))
+        f_grad = scenario.motion.deformation_gradient
+        v = VirtualField("Fw", lambda x: matvec(f_grad(x), w(x)))
         power = fn.relative_power(scenario, VirtualFieldPair(v=v, w=w))
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 

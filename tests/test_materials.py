@@ -99,19 +99,18 @@ class TestDerivativeConsistency:
                     atol=1e-6 * (1.0 + np.linalg.norm(g)), rtol=0.0)
 
     def test_stress_tangent_matches_fd_of_stress(self, rng):
+        # the directional derivative dP/dF[H] along each basis tensor and
+        # along a random direction
         h = 1e-6
         for model in homogeneous_models() + graded_models():
             x, f = random_state(rng)
-            tangent = model.stress_tangent(x, f)
-            for m in range(3):
-                for n in range(3):
-                    fp = f.copy()
-                    fm = f.copy()
-                    fp[m, n] += h
-                    fm[m, n] -= h
-                    fd = (model.stress(x, fp) - model.stress(x, fm)) / (2.0 * h)
-                    np.testing.assert_allclose(tangent[:, :, m, n], fd,
-                                               rtol=2e-5, atol=1e-6)
+            directions = list(np.eye(9).reshape(9, 3, 3)) + [rng.normal(size=(3, 3))]
+            for direction in directions:
+                fp = f + h * direction
+                fm = f - h * direction
+                fd = (model.stress(x, fp) - model.stress(x, fm)) / (2.0 * h)
+                np.testing.assert_allclose(model.stress_derivative(x, f, direction), fd,
+                                           rtol=2e-5, atol=1e-6)
 
     def test_stress_material_gradient_matches_fd(self, rng):
         h = 1e-6

@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import (configurational_force_residual, standard_force_residual,
                       torque_residuals)
 from relpower.exceptions import ConfigInvalid
+from relpower.geometry import box_part
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_digest,
                                 load_bundled_config, load_config_file,
                                 validate_config)
@@ -108,14 +111,15 @@ class TestScenarioBehavior:
     def test_pointwise_residuals_vanish_under_closure(self):
         s = Scenario(minimal_config())
         x = np.array([0.1, -0.2, 0.3])
+        b, f, mu = s.sources(x)
         np.testing.assert_allclose(
-            standard_force_residual(s.model, s.motion, s.b_at, x, s.divergence_step),
+            standard_force_residual(s.model, s.motion, b, x, s.divergence_step),
             np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(
-            configurational_force_residual(s.model, s.motion, s.b_at, s.f_at, x,
+            configurational_force_residual(s.model, s.motion, b, f, x,
                                            s.divergence_step),
             np.zeros(3), atol=1e-12)
-        first, second = torque_residuals(s.model, s.motion, s.mu_at, x)
+        first, second = torque_residuals(s.model, s.motion, mu, x)
         np.testing.assert_allclose(first, np.zeros(3), atol=1e-12)
         np.testing.assert_allclose(second, np.zeros(3), atol=1e-12)
 
@@ -136,6 +140,18 @@ class TestScenarioBehavior:
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-9)
         for name in ("body_force", "driving_force", "couple"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-6)
+
+    def test_node_cache_keeps_its_parts_alive(self):
+        # the cache is keyed by id(part); a collected part could hand its id,
+        # and so its cached node data, to a new part
+        scenario = Scenario(minimal_config())
+        part = box_part([0.1, 0.0, 0.0], [0.3, 0.3, 0.3], order=2)
+        ref = weakref.ref(part)
+        scenario.volume_data(part)
+        scenario.surface_data(part)
+        del part
+        gc.collect()
+        assert ref() is not None
 
     def test_seed_defaults_to_config_digest(self):
         config = minimal_config()
