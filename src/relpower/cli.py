@@ -212,7 +212,7 @@ class ScenarioRun:
 
     def _check_standard_power(self, spec: dict) -> None:
         scenario = self.scenario
-        pair = VirtualFieldPair(v=scenario.pair.v, w=constant_field(np.zeros(3), "w0"))
+        pair = VirtualFieldPair(v=scenario.pair.v, w=constant_field(np.zeros(3)))
         total = fn.relative_power(scenario, pair).total
         reference = fn.standard_external_power(scenario, pair)
         error = abs(total - reference) / max(1.0, abs(reference))
@@ -340,8 +340,8 @@ class ScenarioRun:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _pointwise_divergence_error(scenario: Scenario, samples: int = 16) -> float:
-    """Max gap between finite-difference and analytic Div P at interior points.
+def _pointwise_divergence_error(scenario: Scenario) -> float:
+    """Max gap between finite-difference and analytic Div P at 16 interior points.
 
     Isolates discretization error of the derivative steps from quadrature
     error.  Both motions are built from the config, so the comparison holds
@@ -350,7 +350,7 @@ def _pointwise_divergence_error(scenario: Scenario, samples: int = 16) -> float:
     exact_motion = build_motion(scenario.config["motion"], step=scenario.motion_step)
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
     rng = np.random.default_rng(scenario.seed + 2)
-    points = scenario.part.sample_interior(rng, samples)
+    points = scenario.part.sample_interior(rng, 16)
     exact = conf.div_first_pk(scenario.model, exact_motion, points)
     approx = conf.div_first_pk(scenario.model, fd_motion, points,
                                step=scenario.divergence_step)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import Motion, VirtualFieldPair
+from .fields import Motion, VirtualFieldPair, central_difference
 from .materials import BodyForcePotential, MaterialModel
 from .tensors import (IDENTITY, as_vector, axial_vector, contract, dot, matvec,
                       skew_part, transpose)
@@ -37,20 +37,8 @@ DEFAULT_DIVERGENCE_STEP = 1e-4
 
 def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
                          step: float) -> np.ndarray:
-    """Central-difference divergence on the last index of a vector or tensor field.
-
-    Only component j of the field at x +- step e_j enters term j, so no
-    full gradient is built.
-    """
-    x = as_vector(x)
-    div = 0.0
-    for j in range(3):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., j] += step
-        xm[..., j] -= step
-        div = div + (field(xp)[..., j] - field(xm)[..., j]) / (2.0 * step)
-    return div
+    """Central-difference divergence on the last index of a vector or tensor field."""
+    return np.trace(central_difference(field, x, step), axis1=-2, axis2=-1)
 
 
 def eshelby_stress(model: MaterialModel, x, f) -> np.ndarray:

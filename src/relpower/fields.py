@@ -73,7 +73,6 @@ class Motion:
     ``step`` is the finite-difference step used when ``gradient`` is absent.
     """
 
-    name: str
     placement: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     second_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -103,7 +102,6 @@ class Motion:
 class VirtualField:
     """A differentiable vector field over the reference place."""
 
-    name: str
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     step: float = DEFAULT_GRADIENT_STEP
@@ -160,7 +158,6 @@ _NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
 def identity_motion(step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     """y = x."""
     return Motion(
-        "identity",
         placement=lambda x: x.copy(),
         gradient=lambda x: _constant(IDENTITY, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
@@ -172,7 +169,6 @@ def homogeneous_motion(f0, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     """y = F0 x for a constant matrix F0."""
     f0 = as_tensor(f0)
     return Motion(
-        "homogeneous",
         placement=lambda x: matvec(f0, x),
         gradient=lambda x: _constant(f0, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
@@ -188,17 +184,13 @@ def rotation_motion(axis, angle: float, step: float = DEFAULT_GRADIENT_STEP) -> 
     n = axis / np.linalg.norm(axis)
     k = cross_matrix(n)
     r = IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    motion = homogeneous_motion(r, step=step)
-    return Motion("rotation", motion.placement, motion.gradient,
-                  motion.second_gradient, step=step)
+    return homogeneous_motion(r, step=step)
 
 
 def shear_motion(gamma: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     """Simple shear y = x + gamma * x_2 * e_1."""
     f0 = IDENTITY + gamma * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    motion = homogeneous_motion(f0, step=step)
-    return Motion("shear", motion.placement, motion.gradient,
-                  motion.second_gradient, step=step)
+    return homogeneous_motion(f0, step=step)
 
 
 def harmonic_motion(alpha: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
@@ -221,7 +213,7 @@ def harmonic_motion(alpha: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion
     second[1, 0, 1] = -2.0
     second[1, 1, 0] = -2.0
     second *= alpha
-    return Motion("harmonic", placement,
+    return Motion(placement,
                   gradient=lambda x: IDENTITY + np.einsum("klj,...j->...kl", second, x),
                   second_gradient=lambda x: _constant(second, x), step=step)
 
@@ -245,7 +237,7 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
     def second_gradient(x):
         return (-amplitude * np.sin(dot(k, x)))[..., None, None, None] * dkk
 
-    return Motion("sinusoidal", placement, gradient, second_gradient, step=step)
+    return Motion(placement, gradient, second_gradient, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -255,49 +247,46 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
 _ZERO_GRADIENT = np.zeros((3, 3))
 
 
-def constant_field(value, name: str = "constant",
-                   step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def constant_field(value, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     value = as_vector(value)
-    return VirtualField(name, lambda x: _constant(value, x),
+    return VirtualField(lambda x: _constant(value, x),
                         gradient=lambda x: _constant(_ZERO_GRADIENT, x), step=step)
 
 
-def rigid_field(translation, rotation, pivot, name: str = "rigid",
+def rigid_field(translation, rotation, pivot,
                 step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     """c + q x (x - x0): the Killing fields of the Euclidean metric."""
     c = as_vector(translation)
     q = as_vector(rotation)
     x0 = as_vector(pivot)
     q_cross = cross_matrix(q)
-    return VirtualField(name, lambda x: c + np.cross(q, x - x0),
+    return VirtualField(lambda x: c + np.cross(q, x - x0),
                         gradient=lambda x: _constant(q_cross, x), step=step)
 
 
-def linear_field(matrix, name: str = "linear",
-                 step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def linear_field(matrix, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     a = as_tensor(matrix)
-    return VirtualField(name, lambda x: matvec(a, x),
+    return VirtualField(lambda x: matvec(a, x),
                         gradient=lambda x: _constant(a, x), step=step)
 
 
-def affine_field(value, matrix, pivot=None, name: str = "affine",
+def affine_field(value, matrix, pivot=None,
                  step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     """value + A (x - pivot)."""
     c = as_vector(value)
     a = as_tensor(matrix)
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
-    return VirtualField(name, lambda x: c + matvec(a, x - x0),
+    return VirtualField(lambda x: c + matvec(a, x - x0),
                         gradient=lambda x: _constant(a, x), step=step)
 
 
-def sinusoidal_field(amplitude: float, wavevector, direction, name: str = "sinusoidal",
+def sinusoidal_field(amplitude: float, wavevector, direction,
                      step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
     """a sin(k . x) d; curl-free exactly when d is parallel to k."""
     k = as_vector(wavevector)
     d = as_vector(direction)
     dk = np.outer(d, k)
     return VirtualField(
-        name,
         lambda x: (amplitude * np.sin(dot(k, x)))[..., None] * d,
         gradient=lambda x: (amplitude * np.cos(dot(k, x)))[..., None, None] * dk,
         step=step,

@@ -11,6 +11,7 @@ Accumulation everywhere goes through :func:`weighted_fsum`, which uses
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,11 +67,23 @@ def spherical_rule(n_points: int):
     return np.asarray(dirs, float), np.asarray(wts, float)
 
 
+# Fraction of the part scale that sampled interior points keep from the boundary.
+SAMPLE_MARGIN = 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre rule on [-1, 1], computed once per order and shared."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre(order: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi]."""
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _leggauss(order)
     half = 0.5 * (hi - lo)
     return 0.5 * (hi + lo) + half * nodes, half * weights
 
@@ -88,10 +101,8 @@ class SurfaceQuadrature:
 class BodyPart:
     """A part of the reference body with volume and boundary quadrature."""
 
-    kind: str
     center: np.ndarray
     scale: float
-    volume: float
     volume_points: np.ndarray
     volume_weights: np.ndarray
     surface: SurfaceQuadrature
@@ -144,15 +155,13 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
 
     lo, hi = center - half, center + half
 
-    def sample_interior(rng, n, margin: float = 1e-3):
-        m = margin * np.max(half)
+    def sample_interior(rng, n):
+        m = SAMPLE_MARGIN * np.max(half)
         return rng.uniform(lo + m, hi - m, size=(n, 3))
 
     return BodyPart(
-        kind="box",
         center=center,
         scale=float(np.max(half)),
-        volume=float(np.prod(2.0 * half)),
         volume_points=pts,
         volume_weights=wts,
         surface=SurfaceQuadrature(np.vstack(s_pts), np.vstack(s_nrm), np.concatenate(s_wts)),
@@ -191,9 +200,9 @@ def ball_part(center, radius: float, radial_order: int = 6,
         raise ValueError("ball radius must be positive")
     pts, wts = _radial_shell(center, 0.0, radius, radial_order, angular_points)
 
-    def sample_interior(rng, n, margin: float = 1e-3):
+    def sample_interior(rng, n):
         out = np.empty((n, 3))
-        r_max = radius * (1.0 - margin)
+        r_max = radius * (1.0 - SAMPLE_MARGIN)
         for i in range(n):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
@@ -201,10 +210,8 @@ def ball_part(center, radius: float, radial_order: int = 6,
         return out
 
     return BodyPart(
-        kind="ball",
         center=center,
         scale=float(radius),
-        volume=4.0 / 3.0 * math.pi * radius ** 3,
         volume_points=pts,
         volume_weights=wts,
         surface=sphere_surface(center, radius, angular_points),
@@ -228,9 +235,9 @@ def shell_part(center, inner_radius: float, outer_radius: float,
         weights=np.concatenate([outer.weights, inner.weights]),
     )
 
-    def sample_interior(rng, n, margin: float = 1e-3):
+    def sample_interior(rng, n):
         out = np.empty((n, 3))
-        pad = margin * outer_radius
+        pad = SAMPLE_MARGIN * outer_radius
         lo3, hi3 = (inner_radius + pad) ** 3, (outer_radius - pad) ** 3
         for i in range(n):
             d = rng.normal(size=3)
@@ -239,10 +246,8 @@ def shell_part(center, inner_radius: float, outer_radius: float,
         return out
 
     return BodyPart(
-        kind="shell",
         center=center,
         scale=float(outer_radius),
-        volume=4.0 / 3.0 * math.pi * (outer_radius ** 3 - inner_radius ** 3),
         volume_points=pts,
         volume_weights=wts,
         surface=surface,

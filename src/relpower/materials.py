@@ -107,7 +107,6 @@ class MaterialModel:
     """
 
     name = "base"
-    frame_indifferent = True
     isotropic = True
 
     def __init__(self, lam: Modulus, mu: Modulus):
@@ -174,7 +173,6 @@ class SaintVenantKirchhoff(MaterialModel):
     """e = lam/2 (tr E)^2 + mu tr(E^2) with E the Green-Lagrange strain."""
 
     name = "stvk"
-    frame_indifferent = True
     isotropic = True
 
     @staticmethod
@@ -201,7 +199,6 @@ class NeoHookean(MaterialModel):
     """Compressible neo-Hookean: e = mu/2 (tr C - 3) - mu ln J + lam/2 (ln J)^2."""
 
     name = "neo_hookean"
-    frame_indifferent = True
     isotropic = True
 
     @staticmethod
@@ -241,7 +238,6 @@ class Quadratic(MaterialModel):
     """
 
     name = "quadratic"
-    frame_indifferent = False
     isotropic = False
 
     def energy_parts(self, f):
@@ -276,7 +272,6 @@ def make_material(name: str, lam: Modulus, mu: Modulus) -> MaterialModel:
 class BodyForcePotential:
     """Potential u(y) over the ambient space with b = -du/dy, over points (..., 3)."""
 
-    name: str
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
 
@@ -288,12 +283,12 @@ class BodyForcePotential:
 
 
 def zero_potential() -> BodyForcePotential:
-    return BodyForcePotential("zero", lambda y: np.zeros(y.shape[:-1]),
+    return BodyForcePotential(lambda y: np.zeros(y.shape[:-1]),
                               lambda y: np.zeros(y.shape))
 
 
 def linear_potential(gravity) -> BodyForcePotential:
     """u(y) = -g . y, so the body force is the constant g."""
     g = as_vector(gravity)
-    return BodyForcePotential("linear", lambda y: -dot(g, y),
+    return BodyForcePotential(lambda y: -dot(g, y),
                               lambda y: np.broadcast_to(-g, y.shape))

@@ -6,8 +6,9 @@ options (derivative mode, quadrature orders, pivots, seed).  Configs
 are plain JSON documents validated against the published schema before
 anything is computed; unknown keys are rejected.
 
-Node data is built over stacked arrays, points (n, 3) and tensors (n, 3, 3),
-in blocks of ``NODE_BLOCK`` nodes; det F > 0 is checked once per array.
+Node data is built once per scenario, for its part, over stacked arrays,
+points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes; that
+build makes F at every node, so it is also the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import dataclasses
 import hashlib
 import json
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import jsonschema
 import numpy as np
@@ -132,21 +133,21 @@ def build_material(spec: dict) -> materials.MaterialModel:
     )
 
 
-def build_field(spec: dict, name: str, step: float) -> fields.VirtualField:
+def build_field(spec: dict, step: float) -> fields.VirtualField:
     preset = spec["preset"]
     if preset == "constant":
-        return fields.constant_field(spec["value"], name=name, step=step)
+        return fields.constant_field(spec["value"], step=step)
     if preset == "rigid":
         return fields.rigid_field(spec["translation"], spec["rotation"],
-                                  spec["pivot"], name=name, step=step)
+                                  spec["pivot"], step=step)
     if preset == "linear":
-        return fields.linear_field(spec["matrix"], name=name, step=step)
+        return fields.linear_field(spec["matrix"], step=step)
     if preset == "affine":
         return fields.affine_field(spec["value"], spec["matrix"],
-                                   spec.get("pivot"), name=name, step=step)
+                                   spec.get("pivot"), step=step)
     if preset == "sinusoidal":
         return fields.sinusoidal_field(spec["amplitude"], spec["wavevector"],
-                                       spec["direction"], name=name, step=step)
+                                       spec["direction"], step=step)
     raise ConfigInvalid(f"unknown field preset {preset!r}")
 
 
@@ -161,7 +162,7 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 
 
 # ---------------------------------------------------------------------------
-# Node caches
+# Node data
 # ---------------------------------------------------------------------------
 
 # Nodes evaluated per array call.  Node work is elementwise, so the block
@@ -227,7 +228,9 @@ class Scenario:
     """One fully specified verification scenario.
 
     The derivative mode is resolved here, once: ``fd`` mode builds the motion
-    and both virtual fields without their analytic derivatives.
+    and both virtual fields without their analytic derivatives.  The node
+    data of the part, ``volume_data`` and ``surface_data``, is built here
+    too; a node with det F <= 0 makes the config invalid.
     """
 
     def __init__(self, config: dict):
@@ -253,8 +256,8 @@ class Scenario:
         )
 
         motion = build_motion(config["motion"], step=self.motion_step)
-        v = build_field(config["virtual_fields"]["v"], "v", step=self.motion_step)
-        w = build_field(config["virtual_fields"]["w"], "w", step=self.motion_step)
+        v = build_field(config["virtual_fields"]["v"], step=self.motion_step)
+        w = build_field(config["virtual_fields"]["w"], step=self.motion_step)
         if self.derivative_mode == "fd":
             motion = dataclasses.replace(motion, gradient=None, second_gradient=None)
             v = dataclasses.replace(v, gradient=None)
@@ -276,11 +279,17 @@ class Scenario:
 
         self.seed = config.get("seed", int(config_digest(config)[:8], 16))
         self.checks = config.get("checks", {})
+        shells = self.checks.get("surface_independence")
+        if shells and shells["inner_radius"] >= shells["outer_radius"]:
+            # equal surfaces carry equal fluxes, so the gate could not fail
+            raise ConfigInvalid(
+                "surface_independence requires inner_radius < outer_radius")
 
-        self._volume_cache: Dict[int, Tuple[geometry.BodyPart, VolumeNodeData]] = {}
-        self._surface_cache: Dict[int, Tuple[geometry.BodyPart, SurfaceNodeData]] = {}
-
-        self._probe_kinematics()
+        try:
+            self.volume_data = VolumeNodeData(self, self.part)
+            self.surface_data = SurfaceNodeData(self, self.part)
+        except NonPositiveJacobian as err:
+            raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
 
     def _build_sources(self, spec: dict):
         """x -> (b, f, mu) at points x (..., 3)."""
@@ -288,9 +297,9 @@ class Scenario:
             return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
-        b = build_field(spec.get("b", zero), "b", step=self.motion_step)
-        f = build_field(spec.get("f", zero), "f", step=self.motion_step)
-        mu = build_field(spec.get("mu", zero), "mu", step=self.motion_step)
+        b = build_field(spec.get("b", zero), step=self.motion_step)
+        f = build_field(spec.get("f", zero), step=self.motion_step)
+        mu = build_field(spec.get("mu", zero), step=self.motion_step)
         if self.model.isotropic:
             # couples are carried by anisotropy; an isotropic material space
             # admits only mu = 0
@@ -301,14 +310,6 @@ class Scenario:
                     f"material (model {self.model.name!r})")
         return lambda x: (b(x), f(x), mu(x))
 
-    def _probe_kinematics(self) -> None:
-        """Fail configuration early when det F <= 0 anywhere on the part."""
-        try:
-            self.motion.deformation_gradient(self.part.volume_points)
-            self.motion.deformation_gradient(self.part.surface.points)
-        except NonPositiveJacobian as err:
-            raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
-
     # -- pointwise evaluation ------------------------------------------------
 
     def eshelby_at(self, x) -> np.ndarray:
@@ -316,22 +317,6 @@ class Scenario:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
-
-    # -- cached node data ------------------------------------------------------
-
-    def volume_data(self, part: Optional[geometry.BodyPart] = None) -> VolumeNodeData:
-        part = self.part if part is None else part
-        key = id(part)
-        if key not in self._volume_cache:   # holding the part keeps its id unique
-            self._volume_cache[key] = (part, VolumeNodeData(self, part))
-        return self._volume_cache[key][1]
-
-    def surface_data(self, part: Optional[geometry.BodyPart] = None) -> SurfaceNodeData:
-        part = self.part if part is None else part
-        key = id(part)
-        if key not in self._surface_cache:   # holding the part keeps its id unique
-            self._surface_cache[key] = (part, SurfaceNodeData(self, part))
-        return self._surface_cache[key][1]
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,15 @@ def cross_matrix(a) -> np.ndarray:
     return np.cross(IDENTITY, as_vector(a)[..., None, :])
 
 
-def axial_vector(w, rel_tol: float = 1e-12) -> np.ndarray:
+def axial_vector(w) -> np.ndarray:
     """Inverse of :func:`cross_matrix` on antisymmetric tensors.
 
     Raises :class:`NotAntisymmetric` when the symmetric residue of any
-    tensor in ``w`` exceeds ``rel_tol`` times its norm.
+    tensor in ``w`` exceeds 1e-12 times its norm.
     """
     w = as_tensor(w)
     scale = np.linalg.norm(w, axis=(-2, -1))
     residue = np.linalg.norm(w + transpose(w), axis=(-2, -1))
-    if np.any((scale > 0.0) & (residue > rel_tol * scale)):
+    if np.any((scale > 0.0) & (residue > 1e-12 * scale)):
         raise NotAntisymmetric("tensor is not antisymmetric to tolerance")
     return np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)

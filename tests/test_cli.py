@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,7 +83,11 @@ class TestRun:
         ("geometry", {"kind": "box", "center": [0.0, 0.0, 0.0],
                       "halfwidths": [0.0, 0.0, 0.0]}),
         ("motion", {"preset": "rotation", "axis": [0.0, 0.0, 0.0], "angle": 0.5}),
-    ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis"])
+        # equal spheres carry equal fluxes, so the gate could not fail
+        ("checks", {"surface_independence": {"inner_radius": 0.9, "outer_radius": 0.9,
+                                             "tolerance": 1e-6}}),
+    ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis",
+            "equal_surface_independence_radii"])
     def test_degenerate_config_rejected_without_traceback(self, tmp_path, section,
                                                           value):
         config = load_bundled_config("stvk_uniaxial")
@@ -100,7 +105,11 @@ class TestRun:
          "direction": [-1.0, 0.0, 0.0]},
         {"preset": "sinusoidal", "amplitude": float("nan"),
          "wavevector": [1.0, 0.0, 0.0], "direction": [0.0, 1.0, 0.0]},
-    ], ids=["single_node_det_zero", "nan_amplitude"])
+        # det F = 1 + 2 pi a cos(2 pi x1) = -1e-6 on the faces x1 = +-0.5 only;
+        # its smallest value at a volume node is 0.0128
+        {"preset": "sinusoidal", "amplitude": 1.000001 / (2.0 * math.pi),
+         "wavevector": [2.0 * math.pi, 0.0, 0.0], "direction": [1.0, 0.0, 0.0]},
+    ], ids=["single_node_det_zero", "nan_amplitude", "surface_only_det_negative"])
     def test_bad_node_or_nan_motion_rejected_without_traceback(self, tmp_path, motion):
         config = load_bundled_config("closure_sinusoidal_graded_stvk")
         config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],

@@ -58,7 +58,7 @@ class TestEshelbyStress:
         model = neo_hookean()
         motion = SINUSOIDAL
         r = rotation_motion([0.3, -0.4, 0.9], 0.7).deformation_gradient(np.zeros(3))
-        rotated = Motion("rotated", lambda x: r @ motion.placement(x),
+        rotated = Motion(lambda x: r @ motion.placement(x),
                          gradient=lambda x: r @ motion.gradient(x))
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
@@ -181,8 +181,7 @@ class TestNoether:
         motion = harmonic_motion(0.1)
         w = sinusoidal_field(0.5, [1.0, 0.4, -0.6], [0.3, 0.8, -0.2])
         from relpower.fields import VirtualField
-        v = VirtualField("pushforward",
-                         lambda x: motion.deformation_gradient(x) @ w(x))
+        v = VirtualField(lambda x: motion.deformation_gradient(x) @ w(x))
         pair = VirtualFieldPair(v=v, w=w)
         x = rng.uniform(-0.4, 0.4, size=3)
         f = motion.deformation_gradient(x)

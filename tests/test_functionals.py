@@ -7,7 +7,7 @@ import pytest
 import relpower.functionals as fn
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
-from relpower.geometry import box_part, sphere_surface, weighted_fsum
+from relpower.geometry import sphere_surface, weighted_fsum
 from relpower.scenarios import Scenario, load_bundled_config
 from relpower.tensors import matvec
 
@@ -40,7 +40,7 @@ class TestRelativePower:
         scenario = Scenario(make_config())
         w = scenario.pair.w
         f_grad = scenario.motion.deformation_gradient
-        v = VirtualField("Fw", lambda x: matvec(f_grad(x), w(x)))
+        v = VirtualField(lambda x: matvec(f_grad(x), w(x)))
         power = fn.relative_power(scenario, VirtualFieldPair(v=v, w=w))
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 
@@ -72,10 +72,8 @@ class TestRelativePower:
             return alpha * w1(x) + beta * w2(x)
 
         combined = VirtualFieldPair(
-            v=VirtualField("cv", combo_v,
-                           lambda x: alpha * v1.grad(x) + beta * v2.grad(x)),
-            w=VirtualField("cw", combo_w,
-                           lambda x: alpha * w1.grad(x) + beta * w2.grad(x)),
+            v=VirtualField(combo_v, lambda x: alpha * v1.grad(x) + beta * v2.grad(x)),
+            w=VirtualField(combo_w, lambda x: alpha * w1.grad(x) + beta * w2.grad(x)),
         )
         p_combined = fn.relative_power(scenario, combined).total
         p1 = fn.relative_power(scenario, VirtualFieldPair(v=v1, w=w1)).total
@@ -87,8 +85,9 @@ class TestRelativePower:
         # the halves run over their own boundaries and are not compared here.
         # polynomial fields keep all quadratures exact, so the comparison
         # tests the bookkeeping rather than quadrature convergence; the
-        # anisotropic model is the one allowed to carry a preset couple
-        scenario = Scenario(make_config(
+        # anisotropic model is the one allowed to carry a preset couple.
+        # Each half is its own scenario, with the whole box's pivots.
+        config = make_config(
             material={"model": "quadratic", "mu": {"kind": "constant", "value": 1.0}},
             virtual_fields={
                 "v": {"preset": "affine", "value": [0.3, -0.1, 0.2],
@@ -103,12 +102,16 @@ class TestRelativePower:
                 "b": {"preset": "constant", "value": [0.2, -0.1, 0.3]},
                 "f": {"preset": "constant", "value": [0.1, 0.2, -0.2]},
                 "mu": {"preset": "constant", "value": [0.05, -0.1, 0.2]},
-            }))
-        order = 4
-        left = box_part([-0.25, 0.0, 0.0], [0.25, 0.5, 0.5], order=order)
-        right = box_part([0.25, 0.0, 0.0], [0.25, 0.5, 0.5], order=order)
+            })
+        scenario = Scenario(config)
         whole = fn.relative_power(scenario)
-        parts = [fn.relative_power(scenario, part=p) for p in (left, right)]
+        parts = []
+        for center in (-0.25, 0.25):
+            half = copy.deepcopy(config)
+            half["geometry"] = {"kind": "box", "center": [center, 0.0, 0.0],
+                                "halfwidths": [0.25, 0.5, 0.5]}
+            half["pivots"] = {"x0": list(scenario.x0), "y0": list(scenario.y0)}
+            parts.append(fn.relative_power(Scenario(half)))
         for field in ("actions_volume", "inhomogeneity", "couple"):
             total = getattr(whole, field)
             split = sum(getattr(p, field) for p in parts)
@@ -154,7 +157,7 @@ class TestIntegralBalances:
             "f": {"preset": "constant", "value": f0},
         }))
         residuals = fn.integral_balance_residuals(scenario)
-        expected = -scenario.part.volume * np.asarray(f0)
+        expected = -np.asarray(f0)   # the box has unit volume
         np.testing.assert_allclose(residuals.configurational_force, expected,
                                    atol=1e-13)
 
@@ -183,7 +186,7 @@ class TestIntegralBalances:
             "f": {"preset": "constant", "value": [0.1, 0.0, -0.2]},
         }))
         base = fn.integral_balance_residuals(scenario)
-        vol = scenario.volume_data()
+        vol = scenario.volume_data
         inhom = weighted_fsum(vol.material_gradient - vol.driving_force, vol.weights)
         shift = np.array([0.2, -0.3, 0.1])
         shifted = fn.integral_balance_residuals(scenario, x0=scenario.x0 + shift)

@@ -43,8 +43,7 @@ CONFIGS = _configs()
 
 
 def _node_arrays(scenario):
-    vol = scenario.volume_data()
-    surf = scenario.surface_data()
+    vol, surf = scenario.volume_data, scenario.surface_data
     return ({name: getattr(vol, name) for name in vol.FIELDS},
             {name: getattr(surf, name) for name in surf.FIELDS})
 

@@ -1,7 +1,5 @@
 import copy
-import gc
 import json
-import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ import pytest
 from conftest import (configurational_force_residual, standard_force_residual,
                       torque_residuals)
 from relpower.exceptions import ConfigInvalid
-from relpower.geometry import box_part
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_digest,
                                 load_bundled_config, load_config_file,
                                 validate_config)
@@ -135,23 +132,11 @@ class TestScenarioBehavior:
         assert analytic.pair.w.gradient is not None
         assert fd.motion.gradient is None and fd.motion.second_gradient is None
         assert fd.pair.v.gradient is None and fd.pair.w.gradient is None
-        a, b = analytic.volume_data(), fd.volume_data()
+        a, b = analytic.volume_data, fd.volume_data
         for name in ("f_grad", "stress", "eshelby"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-9)
         for name in ("body_force", "driving_force", "couple"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-6)
-
-    def test_node_cache_keeps_its_parts_alive(self):
-        # the cache is keyed by id(part); a collected part could hand its id,
-        # and so its cached node data, to a new part
-        scenario = Scenario(minimal_config())
-        part = box_part([0.1, 0.0, 0.0], [0.3, 0.3, 0.3], order=2)
-        ref = weakref.ref(part)
-        scenario.volume_data(part)
-        scenario.surface_data(part)
-        del part
-        gc.collect()
-        assert ref() is not None
 
     def test_seed_defaults_to_config_digest(self):
         config = minimal_config()
