@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -161,6 +162,7 @@ class ScenarioRun:
             self.manifest_extra["pivot_shift"] = [float(s) for s in shift]
 
         self.tables["balances"] = (header, rows)
+        self._residuals = residuals
 
         if spec and spec.get("expect", "zero") == "zero":
             worst = max(float(np.linalg.norm(v)) for v in residuals.as_dict().values())
@@ -175,7 +177,8 @@ class ScenarioRun:
 
     def _check_invariance(self, spec: dict) -> None:
         decomp = fn.invariance_decomposition(
-            self.scenario, affine_tolerance=spec.get("affine_tolerance", 1e-10))
+            self.scenario, self._power, self._residuals,
+            affine_tolerance=spec.get("affine_tolerance", 1e-10))
         header = ["scenario", "generator", "coeff_1", "coeff_2", "coeff_3",
                   "coeff_norm", "predicted_1", "predicted_2", "predicted_3",
                   "prediction_error"]
@@ -522,7 +525,10 @@ def cmd_list_presets(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="relpower",
         description="Numerical verification toolkit for configurational "

@@ -12,6 +12,10 @@ independently (on sampled pairs, :meth:`PairSamples.shifted` in
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
 
+The generators (c_hat, q_hat, c, q) of an :class:`ObserverChange` may be
+stacked, shape (k, 3), to describe k changes about the same pivots at
+once; the invariance decomposition evaluates all of its changes so.
+
 Every preset carries analytic derivatives.  An object whose
 ``gradient`` is ``None`` takes that derivative by central finite
 differences instead; a scenario in ``fd`` derivative mode builds its
@@ -131,7 +135,8 @@ class VirtualFieldPair:
 
 @dataclass(frozen=True)
 class ObserverChange:
-    """Generators of one synchronous isometric change in observers."""
+    """Generators of one synchronous isometric change in observers, or of
+    k changes with generators of shape (k, 3) and shared pivots (3,)."""
 
     ambient_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ambient_rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))

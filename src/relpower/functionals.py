@@ -30,7 +30,11 @@ term on the rotation generator (reported here as the *material torque
 mismatch*) vanishes for homogeneous couple-free scenarios and makes the
 q-coefficient exactly twice R4 on couple-free closure scenarios.  The
 decomposition below extracts the coefficients by brute force and
-reports them next to these independently integrated predictions.
+reports them next to these independently integrated predictions.  Its
+14 observer changes (12 unit generators, 2 random combinations) are one
+stack of generators, shape (14, 3) per slot, shifted and evaluated in
+chunks of changes sized to about four node blocks; the base power and the
+residuals come from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3)), built once with the
@@ -46,6 +50,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from . import configurational as conf
+from . import scenarios
 from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import ObserverChange, VirtualFieldPair, curl_from_gradient
 from .geometry import SurfaceQuadrature, weighted_fsum
@@ -53,9 +58,19 @@ from .scenarios import Scenario
 from .tensors import as_vector, contract, dot, matvec, skew_part, transpose
 
 
+# the generators of an observer change: (c_hat, q_hat, c, q)
+GENERATOR_SLOTS = (
+    "ambient_translation",
+    "ambient_rotation",
+    "material_translation",
+    "material_rotation",
+)
+
+
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """The pieces of one relative-power evaluation."""
+    """The pieces of one relative-power evaluation; for a stack of k
+    observer-changed pairs each piece is an array of shape (k,)."""
 
     actions_volume: float
     actions_surface: float
@@ -91,23 +106,20 @@ class PairSamples:
     w_surface: np.ndarray
 
     def shifted(self, change: ObserverChange, vol, surf) -> "PairSamples":
-        """Samples of (v*, w*); the rigid offsets use the cached node data."""
-        dv_vol = (change.ambient_translation
-                  + np.cross(change.ambient_rotation, vol.y - change.ambient_pivot))
-        dw_vol = (change.material_translation
-                  + np.cross(change.material_rotation,
-                             vol.points - change.material_pivot))
-        dv_surf = (change.ambient_translation
-                   + np.cross(change.ambient_rotation, surf.y - change.ambient_pivot))
-        dw_surf = (change.material_translation
-                   + np.cross(change.material_rotation,
-                              surf.points - change.material_pivot))
+        """Samples of (v*, w*); the rigid offsets use the cached node data.
+
+        Generators of shape (k, 3) give samples of shape (k, n, 3), one
+        stack entry per change.
+        """
+        c_hat, q_hat, c, q = (getattr(change, slot)[..., None, :]
+                              for slot in GENERATOR_SLOTS)
+        y0, x0 = change.ambient_pivot, change.material_pivot
         return PairSamples(
-            v_volume=self.v_volume + dv_vol,
-            w_volume=self.w_volume + dw_vol,
-            curl_w_volume=self.curl_w_volume + 2.0 * change.material_rotation,
-            v_surface=self.v_surface + dv_surf,
-            w_surface=self.w_surface + dw_surf,
+            v_volume=self.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
+            w_volume=self.w_volume + (c + np.cross(q, vol.points - x0)),
+            curl_w_volume=self.curl_w_volume + 2.0 * q,
+            v_surface=self.v_surface + (c_hat + np.cross(q_hat, surf.y - y0)),
+            w_surface=self.w_surface + (c + np.cross(q, surf.points - x0)),
         )
 
 
@@ -123,30 +135,32 @@ def sample_pair(scenario: Scenario, pair: VirtualFieldPair) -> PairSamples:
 
 
 def _power_from_samples(scenario: Scenario, samples: PairSamples) -> PowerBreakdown:
+    """The breakdown of one sampled pair, or of a (k, n, 3) stack of them."""
     vol, surf = scenario.volume_data, scenario.surface_data
     x0 = scenario.x0
 
     rel_velocity = samples.v_volume - np.einsum(
-        "nij,nj->ni", vol.f_grad, samples.w_volume)
-    act_rows = np.einsum("ni,ni->n", vol.body_force, rel_velocity)
+        "nij,...nj->...ni", vol.f_grad, samples.w_volume)
+    act_rows = np.einsum("ni,...ni->...n", vol.body_force, rel_velocity)
     relabel = samples.w_volume - np.cross(samples.curl_w_volume,
                                           vol.points - x0)
     inh_rows = np.einsum(
-        "ni,ni->n", vol.material_gradient - vol.driving_force, relabel)
-    cpl_rows = np.einsum("ni,ni->n", vol.couple, samples.curl_w_volume)
+        "ni,...ni->...n", vol.material_gradient - vol.driving_force, relabel)
+    cpl_rows = np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume)
 
     tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
     rel_surf = samples.v_surface - np.einsum(
-        "nij,nj->ni", surf.f_grad, samples.w_surface)
-    act_s_rows = np.einsum("ni,ni->n", tractions, rel_surf)
-    flux_rows = np.einsum("ni,ni->n", surf.normals, samples.w_surface) * surf.energy
+        "nij,...nj->...ni", surf.f_grad, samples.w_surface)
+    act_s_rows = np.einsum("ni,...ni->...n", tractions, rel_surf)
+    flux_rows = np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy
 
+    # rows go node axis first, so a stack sums column by column
     return PowerBreakdown(
-        actions_volume=weighted_fsum(act_rows, vol.weights),
-        actions_surface=weighted_fsum(act_s_rows, surf.weights),
-        energy_flux=weighted_fsum(flux_rows, surf.weights),
-        inhomogeneity=weighted_fsum(inh_rows, vol.weights),
-        couple=weighted_fsum(cpl_rows, vol.weights),
+        actions_volume=weighted_fsum(act_rows.T, vol.weights),
+        actions_surface=weighted_fsum(act_s_rows.T, surf.weights),
+        energy_flux=weighted_fsum(flux_rows.T, surf.weights),
+        inhomogeneity=weighted_fsum(inh_rows.T, vol.weights),
+        couple=weighted_fsum(cpl_rows.T, vol.weights),
     )
 
 
@@ -253,14 +267,6 @@ def material_torque_mismatch(scenario: Scenario) -> np.ndarray:
 # Observer-change decomposition
 # ---------------------------------------------------------------------------
 
-GENERATOR_SLOTS = (
-    "ambient_translation",
-    "ambient_rotation",
-    "material_translation",
-    "material_rotation",
-)
-
-
 @dataclass(frozen=True)
 class InvarianceDecomposition:
     """Brute-force coefficients of the observer-change defect."""
@@ -281,44 +287,45 @@ class InvarianceDecomposition:
         }
 
 
-def _unit_change(scenario: Scenario, slot: str, axis: int) -> ObserverChange:
-    return ObserverChange(ambient_pivot=scenario.y0, material_pivot=scenario.x0,
-                          **{slot: np.eye(3)[axis]})
-
-
-def invariance_decomposition(scenario: Scenario,
+def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
+                             residuals: BalanceResiduals,
                              affine_tolerance: float = 1e-10) -> InvarianceDecomposition:
     """Extract the defect coefficients for unit generators, then verify
-    that two random combined generators superpose affinely."""
-    samples = sample_pair(scenario, scenario.pair)
-    base = _power_from_samples(scenario, samples)
+    that two random combined generators superpose affinely.
 
-    def defect(change: ObserverChange) -> float:
-        shifted = samples.shifted(change, scenario.volume_data, scenario.surface_data)
-        return _power_from_samples(scenario, shifted).total - base.total
-
-    coefficients: Dict[str, np.ndarray] = {}
-    for slot in GENERATOR_SLOTS:
-        deltas = np.empty(3)
-        for axis in range(3):
-            deltas[axis] = defect(_unit_change(scenario, slot, axis))
-        coefficients[slot] = deltas
-
-    scale = max(base.scale,
-                max(float(np.max(np.abs(c))) for c in coefficients.values()))
-
+    ``base`` is the relative power of the scenario's pair and ``residuals``
+    its default-pivot balance residuals, both as the caller computed them.
+    The 12 unit changes (slot by slot, axis by axis) and the 2 random ones
+    are one stack of generators, evaluated in chunks of
+    ``max(1, 4 * NODE_BLOCK // n)`` changes for n volume nodes, so the
+    shifted samples of a chunk stay near four node blocks.
+    """
+    slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
-    worst = 0.0
-    for _ in range(2):
-        gens = {slot: rng.uniform(-1.0, 1.0, size=3) for slot in GENERATOR_SLOTS}
+    combined = rng.uniform(-1.0, 1.0, size=(2, slots, 3))
+    # unit change 3 s + a carries e_a in slot s and nothing elsewhere
+    gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
+
+    samples = sample_pair(scenario, scenario.pair)
+    vol, surf = scenario.volume_data, scenario.surface_data
+    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(vol.weights))
+    totals = []
+    for start in range(0, len(gens), chunk):
+        block = gens[start:start + chunk]
         change = ObserverChange(
-            ambient_pivot=scenario.y0, material_pivot=scenario.x0, **gens
-        )
-        combined = defect(change)
+            ambient_pivot=scenario.y0, material_pivot=scenario.x0,
+            **{slot: block[:, s] for s, slot in enumerate(GENERATOR_SLOTS)})
+        totals.append(_power_from_samples(scenario, samples.shifted(change, vol, surf)).total)
+    defects = np.concatenate(totals) - base.total
+
+    units = defects[:3 * slots]
+    coefficients = dict(zip(GENERATOR_SLOTS, units.reshape(slots, 3)))
+    scale = max(base.scale, float(np.max(np.abs(units))))
+    worst = 0.0
+    for defect, generators in zip(defects[3 * slots:], combined):
         predicted = math.fsum(
-            float(coefficients[slot] @ gens[slot]) for slot in GENERATOR_SLOTS
-        )
-        worst = max(worst, abs(combined - predicted))
+            float(coefficients[slot] @ g) for slot, g in zip(GENERATOR_SLOTS, generators))
+        worst = max(worst, abs(defect - predicted))
     affine_residual = worst / scale
     if affine_residual > affine_tolerance:
         raise NonAffineDefect(
@@ -326,7 +333,6 @@ def invariance_decomposition(scenario: Scenario,
             f"{affine_tolerance:g}; the defect evaluation is inconsistent"
         )
 
-    residuals = integral_balance_residuals(scenario)
     mismatch = material_torque_mismatch(scenario)
     predicted_coeffs = {
         "ambient_translation": residuals.force,

@@ -67,7 +67,8 @@ def spherical_rule(n_points: int):
     return np.asarray(dirs, float), np.asarray(wts, float)
 
 
-# Fraction of the part scale that sampled interior points keep from the boundary.
+# Fraction of each extent (box halfwidth, ball or shell radius) that sampled
+# interior points keep from the boundary.
 SAMPLE_MARGIN = 1e-3
 
 
@@ -116,8 +117,9 @@ def weighted_fsum(values, weights: np.ndarray):
     """
     values = np.asarray(values, float)
     if values.ndim == 1:
-        return math.fsum(values * weights)
-    return np.array([math.fsum(column) for column in (values * weights[:, None]).T])
+        return math.fsum((values * weights).tolist())
+    return np.array([math.fsum(column)
+                     for column in (values * weights[:, None]).T.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,7 @@ def box_part(center, halfwidths, order: int = 6, surface_order: int | None = Non
     lo, hi = center - half, center + half
 
     def sample_interior(rng, n):
-        m = SAMPLE_MARGIN * np.max(half)
+        m = SAMPLE_MARGIN * half
         return rng.uniform(lo + m, hi - m, size=(n, 3))
 
     return BodyPart(

@@ -1,15 +1,18 @@
 """Shared helpers: random kinematic states, finite-difference copies, the
-pointwise balance residuals and the per-node loop used as oracles."""
+pointwise balance residuals, the per-node loop and the per-change
+observer loop used as oracles."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from relpower import configurational as conf
+from relpower import functionals as fn
 from relpower.fields import Motion
 from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
                                 make_material, sinusoidal_modulus)
@@ -118,6 +121,85 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
         rows["driving_force"].append(driving)
         rows["couple"].append(couple)
     return {name: np.array(values) for name, values in rows.items()}
+
+
+def decompose(scenario, **kwargs):
+    """``invariance_decomposition`` with the base power and balance
+    residuals it takes from its caller."""
+    return fn.invariance_decomposition(scenario, fn.relative_power(scenario),
+                                       fn.integral_balance_residuals(scenario), **kwargs)
+
+
+def _loop_power(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
+    """(actions, disarrangement) of one sampled pair: the five einsum rows
+    of the literal power, each summed row by row by fsum."""
+    vol, surf = scenario.volume_data, scenario.surface_data
+    rel = v_vol - np.einsum("nij,nj->ni", vol.f_grad, w_vol)
+    act = np.einsum("ni,ni->n", vol.body_force, rel)
+    relabel = w_vol - np.cross(curl_w, vol.points - scenario.x0)
+    inh = np.einsum("ni,ni->n", vol.material_gradient - vol.driving_force, relabel)
+    cpl = np.einsum("ni,ni->n", vol.couple, curl_w)
+    tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
+    rel_s = v_surf - np.einsum("nij,nj->ni", surf.f_grad, w_surf)
+    act_s = np.einsum("ni,ni->n", tractions, rel_s)
+    flux = np.einsum("ni,ni->n", surf.normals, w_surf) * surf.energy
+
+    def total(rows, weights):
+        return math.fsum(r * w for r, w in zip(rows, weights))
+
+    return (total(act, vol.weights) + total(act_s, surf.weights),
+            total(flux, surf.weights) + total(inh, vol.weights) + total(cpl, vol.weights))
+
+
+def _loop_defect(scenario, samples, base_total, gens) -> float:
+    """P_rel(v*, w*) - P_rel(v, w) for one change, one cross product per offset."""
+    vol, surf = scenario.volume_data, scenario.surface_data
+    c_hat, q_hat, c, q = (gens[slot] for slot in fn.GENERATOR_SLOTS)
+    y0, x0 = scenario.y0, scenario.x0
+    actions, disarrangement = _loop_power(
+        scenario,
+        samples.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
+        samples.w_volume + (c + np.cross(q, vol.points - x0)),
+        samples.curl_w_volume + 2.0 * q,
+        samples.v_surface + (c_hat + np.cross(q_hat, surf.y - y0)),
+        samples.w_surface + (c + np.cross(q, surf.points - x0)))
+    return (actions + disarrangement) - base_total
+
+
+def loop_decomposition(scenario):
+    """(coefficients, affine_residual, predicted) by one literal-power
+    evaluation per observer change, the oracle for the stacked
+    :func:`relpower.functionals.invariance_decomposition`."""
+    samples = fn.sample_pair(scenario, scenario.pair)
+    actions, disarrangement = _loop_power(
+        scenario, samples.v_volume, samples.w_volume, samples.curl_w_volume,
+        samples.v_surface, samples.w_surface)
+    base_total = actions + disarrangement
+    zero = {slot: np.zeros(3) for slot in fn.GENERATOR_SLOTS}
+    coefficients = {
+        slot: np.array([_loop_defect(scenario, samples, base_total,
+                                     {**zero, slot: np.eye(3)[axis]})
+                        for axis in range(3)])
+        for slot in fn.GENERATOR_SLOTS}
+    scale = max(1.0, abs(actions), abs(disarrangement),
+                max(float(np.max(np.abs(c))) for c in coefficients.values()))
+    rng = np.random.default_rng(scenario.seed + 1)
+    worst = 0.0
+    for _ in range(2):
+        gens = {slot: rng.uniform(-1.0, 1.0, size=3) for slot in fn.GENERATOR_SLOTS}
+        combined = _loop_defect(scenario, samples, base_total, gens)
+        predicted = math.fsum(float(coefficients[slot] @ gens[slot])
+                              for slot in fn.GENERATOR_SLOTS)
+        worst = max(worst, abs(combined - predicted))
+    residuals = fn.integral_balance_residuals(scenario)
+    mismatch = fn.material_torque_mismatch(scenario)
+    predicted = {
+        "ambient_translation": residuals.force,
+        "ambient_rotation": residuals.torque,
+        "material_translation": residuals.configurational_force,
+        "material_rotation": residuals.configurational_torque + mismatch,
+    }
+    return coefficients, worst / scale, predicted
 
 
 # the shipped models whose energy changes under a superposed rotation

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 import relpower.functionals as fn
-from conftest import (NOT_FRAME_INDIFFERENT, fd_material_gradient, fd_stress,
+from conftest import (NOT_FRAME_INDIFFERENT, decompose, fd_material_gradient, fd_stress,
                       graded_models, homogeneous_models, random_state)
 from relpower import cli
 from relpower.cli import sweep_scenario
@@ -88,7 +88,7 @@ def test_criterion_04_invariance_on_closure_scenarios():
     for name in ("stvk_uniaxial", "closure_shear_neohookean",
                  "closure_sinusoidal_graded_stvk"):
         scenario = Scenario(load_bundled_config(name))
-        decomp = fn.invariance_decomposition(scenario, affine_tolerance=1e-10)
+        decomp = decompose(scenario, affine_tolerance=1e-10)
         worst = max(decomp.coefficient_norms().values())
         ok = ok and worst <= 1e-8 * decomp.power_scale
         ok = ok and decomp.affine_residual <= 1e-10
@@ -98,7 +98,7 @@ def test_criterion_04_invariance_on_closure_scenarios():
 
 def test_criterion_05_proof_grouping_match():
     scenario = Scenario(load_bundled_config("preset_nonequilibrium"))
-    decomp = fn.invariance_decomposition(scenario)
+    decomp = decompose(scenario)
     residuals = fn.integral_balance_residuals(scenario)
     ok = np.linalg.norm(residuals.force) > 0.1          # nontrivial match
     ok = ok and np.linalg.norm(residuals.torque) > 1e-3
@@ -118,7 +118,7 @@ def test_criterion_05_proof_grouping_match():
     # couple-free closure with a nonzero inhomogeneity moment carries the
     # documented constant factor 2 on the rotation grouping
     skewed = Scenario(load_bundled_config("closure_skewed_graded_stvk"))
-    decomp2 = fn.invariance_decomposition(skewed)
+    decomp2 = decompose(skewed)
     residuals2 = fn.integral_balance_residuals(skewed)
     factor2 = fn.grouping_factor(decomp2.coefficients["material_rotation"],
                                  residuals2.configurational_torque)

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from relpower.scenarios import load_bundled_config
+from relpower import cli
+from relpower.scenarios import Scenario, load_bundled_config
 
 RUN = [sys.executable, "-m", "relpower"]
 
@@ -154,6 +156,42 @@ class TestRun:
         rows = read_csv(out / "noether_harmonic" / "noether.csv")
         assert len(rows) == 1
         assert float(rows[0]["max_flux_divergence"]) <= 1e-6
+
+    def test_thin_box_samples_inside(self, tmp_path):
+        # the thinnest halfwidth is below SAMPLE_MARGIN of the largest one
+        config = load_bundled_config("noether_harmonic")
+        half = [0.5, 1e-4, 0.5]
+        config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0], "halfwidths": half}
+        path = write_config(tmp_path, config)
+        result = run_cli(["run", path, "--out", str(tmp_path / "out")])
+        assert result.returncode == 0, result.stderr
+        # the points the noether check drew: the scenario seed, a fresh generator
+        scenario = Scenario(config)
+        points = scenario.part.sample_interior(scenario.rng(),
+                                               config["checks"]["noether"]["points"])
+        assert np.all(np.abs(points) < half)
+
+    def test_in_process_calls_share_the_parser_not_their_state(self, tmp_path, uniaxial,
+                                                              capsys, monkeypatch):
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert cli.main(["run", uniaxial, "--out", str(first)]) == 0
+        assert cli.main(["list-presets", "--json"]) == 0
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["sweep", uniaxial, "--axis", "quad", "--values", "abc",
+                      "--out", str(tmp_path / "sweep")])
+        assert usage.value.code == 2
+        monkeypatch.setenv(cli.DEFAULT_OUTPUT_ENV, str(last))
+        assert cli.main(["run", uniaxial]) == 0  # --out and --all back at their defaults
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == lines[-1] == "PASS stvk_uniaxial"
+        assert json.loads("\n".join(lines[1:-1])) == cli.preset_catalog()
+        assert cli.build_parser() is cli.build_parser()
+        assert not (tmp_path / "sweep").exists()
+        names = sorted(os.listdir(first / "stvk_uniaxial"))
+        assert names == sorted(os.listdir(last / "stvk_uniaxial"))
+        for name in names:
+            assert ((first / "stvk_uniaxial" / name).read_bytes()
+                    == (last / "stvk_uniaxial" / name).read_bytes()), name
 
     def test_manifest_reports_grouping_factors(self, tmp_path):
         config = load_bundled_config("closure_skewed_graded_stvk")

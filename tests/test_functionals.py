@@ -1,14 +1,17 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import relpower.functionals as fn
+from conftest import decompose, loop_decomposition
+from relpower import scenarios
 from relpower.exceptions import PreconditionViolated
-from relpower.fields import VirtualField, VirtualFieldPair, constant_field
+from relpower.fields import ObserverChange, VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import sphere_surface, weighted_fsum
-from relpower.scenarios import Scenario, load_bundled_config
+from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
 from relpower.tensors import matvec
 
 
@@ -199,13 +202,13 @@ class TestIntegralBalances:
 class TestInvarianceDecomposition:
     def test_zero_change_zero_defect(self):
         scenario = Scenario(make_config())
-        decomp = fn.invariance_decomposition(scenario)
+        decomp = decompose(scenario)
         assert decomp.affine_residual <= 1e-12
 
     def test_closure_scenario_coefficients_vanish(self):
         scenario = Scenario(make_config(
             quadrature={"volume_order": 6, "surface_order": 6}))
-        decomp = fn.invariance_decomposition(scenario)
+        decomp = decompose(scenario)
         for norm in decomp.coefficient_norms().values():
             assert norm <= 1e-10 * decomp.power_scale
 
@@ -213,7 +216,7 @@ class TestInvarianceDecomposition:
         config = load_bundled_config("preset_nonequilibrium")
         config["quadrature"] = {"volume_order": 5, "surface_order": 5}
         scenario = Scenario(config)
-        decomp = fn.invariance_decomposition(scenario)
+        decomp = decompose(scenario)
         residuals = fn.integral_balance_residuals(scenario)
         assert np.linalg.norm(residuals.force) > 0.1  # the match is not trivial
         for err in decomp.prediction_errors().values():
@@ -224,7 +227,7 @@ class TestInvarianceDecomposition:
         # rotation coefficient equals exactly twice the configurational
         # torque residual (quadrature of the divergence theorem sets the gap)
         scenario = Scenario(load_bundled_config("closure_skewed_graded_stvk"))
-        decomp = fn.invariance_decomposition(scenario)
+        decomp = decompose(scenario)
         residuals = fn.integral_balance_residuals(scenario)
         r4 = residuals.configurational_torque
         assert np.linalg.norm(r4) > 1e-5
@@ -232,6 +235,81 @@ class TestInvarianceDecomposition:
                                    2.0 * r4, atol=1e-10)
         factor = fn.grouping_factor(decomp.coefficients["material_rotation"], r4)
         assert factor == pytest.approx(2.0, abs=1e-6)
+
+
+def _refined_skewed() -> dict:
+    # order 12: 1,728 volume nodes, more than 4 * NODE_BLOCK, so one
+    # change per chunk
+    config = load_bundled_config("closure_skewed_graded_stvk")
+    config["quadrature"] = {"volume_order": 12, "surface_order": 12}
+    return config
+
+
+def _decomposition_arrays(decomp):
+    return ([decomp.coefficients[s] for s in fn.GENERATOR_SLOTS]
+            + [decomp.predicted[s] for s in fn.GENERATOR_SLOTS]
+            + [decomp.affine_residual])
+
+
+class TestStackedObserverChanges:
+    @pytest.mark.parametrize("name", bundled_scenario_names()
+                             + ["closure_skewed_graded_stvk_order12"])
+    def test_stack_equals_per_change_loop(self, name):
+        config = (_refined_skewed() if name.endswith("_order12")
+                  else load_bundled_config(name))
+        scenario = Scenario(config)
+        decomp = decompose(scenario)
+        coefficients, affine_residual, predicted = loop_decomposition(scenario)
+        for slot in fn.GENERATOR_SLOTS:
+            assert list(decomp.coefficients[slot]) == list(coefficients[slot]), slot
+            assert list(decomp.predicted[slot]) == list(predicted[slot]), slot
+        assert decomp.affine_residual == affine_residual
+
+    @pytest.mark.parametrize("name", ["closure_sinusoidal_graded_stvk_fd",
+                                      "preset_nonequilibrium"])
+    def test_chunk_size_leaves_results_bit_identical(self, name, monkeypatch):
+        reference = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
+        for block in (1, 100_000):
+            monkeypatch.setattr(scenarios, "NODE_BLOCK", block)
+            got = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
+            for value, want in zip(got, reference):
+                np.testing.assert_array_equal(value, want)
+
+    def test_stacked_generators_equal_single_shifts(self, rng):
+        scenario = Scenario(make_config())
+        vol, surf = scenario.volume_data, scenario.surface_data
+        samples = fn.sample_pair(scenario, scenario.pair)
+        gens = {slot: rng.uniform(-1.0, 1.0, size=(5, 3)) for slot in fn.GENERATOR_SLOTS}
+        pivots = {"ambient_pivot": rng.normal(size=3), "material_pivot": rng.normal(size=3)}
+        stacked = samples.shifted(ObserverChange(**pivots, **gens), vol, surf)
+        power = fn._power_from_samples(scenario, stacked)
+        for k in range(5):
+            single = samples.shifted(ObserverChange(
+                **pivots, **{slot: g[k] for slot, g in gens.items()}), vol, surf)
+            for field in ("v_volume", "w_volume", "curl_w_volume", "v_surface",
+                          "w_surface"):
+                np.testing.assert_array_equal(getattr(stacked, field)[k],
+                                              getattr(single, field))
+            assert power.total[k] == fn._power_from_samples(scenario, single).total
+
+    def test_chunked_peak_memory_stays_near_one_evaluation(self):
+        scenario = Scenario(_refined_skewed())
+        assert len(scenario.volume_data.weights) > 4 * scenarios.NODE_BLOCK
+        base = fn.relative_power(scenario)
+        residuals = fn.integral_balance_residuals(scenario)
+
+        def peak(call):
+            call()  # lazy imports and first-use caches stay out of the peak
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: fn.relative_power(scenario))
+        whole = peak(lambda: fn.invariance_decomposition(scenario, base, residuals))
+        assert whole <= 2 * one, f"{whole} bytes vs {one} for one evaluation"
 
 
 class TestSurfaceIndependence:
