@@ -13,6 +13,7 @@ import argparse
 import copy
 import dataclasses
 import functools
+import inspect
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import configurational as conf
+from . import fields, geometry, materials
 from . import functionals as fn
 from .exceptions import (ConfigInvalid, NonAffineDefect, PreconditionViolated,
                          RelpowerError)
@@ -408,52 +410,26 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
 # Preset listing
 # ---------------------------------------------------------------------------
 
+def preset_keys(constructor) -> List[str]:
+    """The config keys of a preset: its constructor's positional parameters
+    (the scenario sets the keyword-only ones).  Slow, so only listings call it."""
+    return [p.name for p in inspect.signature(constructor).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD]
+
+
 def preset_catalog() -> dict:
-    return {
-        "motions": {
-            "identity": {"params": [], "doc": "y = x"},
-            "homogeneous": {"params": ["matrix"], "doc": "y = F0 x"},
-            "rotation": {"params": ["axis", "angle"], "doc": "rigid rotation y = R x"},
-            "shear": {"params": ["gamma"], "doc": "y = x + gamma x_2 e_1"},
-            "harmonic": {"params": ["alpha"],
-                         "doc": "y = x + alpha (x1^2 - x2^2, -2 x1 x2, 0)"},
-            "sinusoidal": {"params": ["amplitude", "wavevector", "direction"],
-                           "doc": "y = x + a sin(k.x) d"},
-        },
-        "materials": {
-            "stvk": {"params": ["lam", "mu"],
-                     "doc": "Saint Venant-Kirchhoff: lam/2 (tr E)^2 + mu tr(E^2)"},
-            "neo_hookean": {"params": ["lam", "mu"],
-                            "doc": "mu/2 (tr C - 3) - mu ln J + lam/2 (ln J)^2"},
-            "quadratic": {"params": ["mu"],
-                          "doc": "mu/2 |F - I|^2 (not frame indifferent)"},
-        },
-        "moduli": {
-            "constant": {"params": ["value"], "doc": "uniform modulus"},
-            "affine": {"params": ["value", "slope"], "doc": "value + slope . x"},
-            "sinusoidal": {"params": ["value", "amplitude", "wavevector"],
-                           "doc": "value + amplitude sin(k . x)"},
-        },
-        "virtual_fields": {
-            "constant": {"params": ["value"], "doc": "uniform field"},
-            "rigid": {"params": ["translation", "rotation", "pivot"],
-                      "doc": "c + q x (x - x0)"},
-            "linear": {"params": ["matrix"], "doc": "A x"},
-            "affine": {"params": ["value", "matrix", "pivot"],
-                       "doc": "value + A (x - pivot)"},
-            "sinusoidal": {"params": ["amplitude", "wavevector", "direction"],
-                           "doc": "a sin(k.x) d; curl-free iff d || k"},
-        },
-        "geometries": {
-            "box": {"params": ["center", "halfwidths"],
-                    "doc": "axis-aligned box, Gauss-Legendre product rule"},
-            "ball": {"params": ["center", "radius"],
-                     "doc": "ball, radial Gauss x spherical rule"},
-            "shell": {"params": ["center", "inner_radius", "outer_radius"],
-                      "doc": "spherical shell, boundary = both spheres"},
-        },
-        "bundled_scenarios": bundled_scenario_names(),
+    """Every preset family, read from the tables config building uses."""
+    tables = {"motions": fields.MOTIONS, "materials": materials.MODEL_CLASSES,
+              "moduli": materials.MODULI, "virtual_fields": fields.FIELDS,
+              "geometries": geometry.PARTS, "potentials": materials.POTENTIALS}
+    catalog = {
+        section: {name: {"params": preset_keys(constructor),
+                         "doc": constructor.__doc__.splitlines()[0]}
+                  for name, constructor in table.items()}
+        for section, table in tables.items()
     }
+    catalog["bundled_scenarios"] = bundled_scenario_names()
+    return catalog
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,9 @@ Every preset carries analytic derivatives.  An object whose
 differences instead; a scenario in ``fd`` derivative mode builds its
 motion and virtual fields with these callables removed, so the mode is
 chosen once, where the objects are built.
+
+Presets are tabled by config name in ``MOTIONS`` and ``FIELDS``; a
+constructor's positional parameters are its preset's config keys.
 """
 
 from __future__ import annotations
@@ -160,8 +163,8 @@ class ObserverChange:
 _NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
 
 
-def identity_motion(step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """y = x."""
+def identity_motion(*, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+    """y = x"""
     return Motion(
         placement=lambda x: x.copy(),
         gradient=lambda x: _constant(IDENTITY, x),
@@ -170,9 +173,9 @@ def identity_motion(step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     )
 
 
-def homogeneous_motion(f0, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """y = F0 x for a constant matrix F0."""
-    f0 = as_tensor(f0)
+def homogeneous_motion(matrix, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+    """y = F0 x"""
+    f0 = as_tensor(matrix)
     return Motion(
         placement=lambda x: matvec(f0, x),
         gradient=lambda x: _constant(f0, x),
@@ -181,25 +184,25 @@ def homogeneous_motion(f0, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
     )
 
 
-def rotation_motion(axis, angle: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """Rigid rotation y = R x about ``axis`` by ``angle`` (Rodrigues form)."""
+def rotation_motion(axis, angle: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+    """rigid rotation y = R x"""
     axis = as_vector(axis)
     if not np.any(axis):
         raise ValueError("rotation axis must be nonzero")
     n = axis / np.linalg.norm(axis)
     k = cross_matrix(n)
-    r = IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    r = IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)  # Rodrigues
     return homogeneous_motion(r, step=step)
 
 
-def shear_motion(gamma: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """Simple shear y = x + gamma * x_2 * e_1."""
+def shear_motion(gamma: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+    """y = x + gamma x_2 e_1"""
     f0 = IDENTITY + gamma * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     return homogeneous_motion(f0, step=step)
 
 
-def harmonic_motion(alpha: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """y = x + alpha * (x1^2 - x2^2, -2 x1 x2, 0).
+def harmonic_motion(alpha: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+    """y = x + alpha (x1^2 - x2^2, -2 x1 x2, 0)
 
     The displacement is the gradient of the harmonic potential
     alpha * (x1^3/3 - x1 x2^2), so its gradient is symmetric and its
@@ -223,9 +226,9 @@ def harmonic_motion(alpha: float, step: float = DEFAULT_GRADIENT_STEP) -> Motion
                   second_gradient=lambda x: _constant(second, x), step=step)
 
 
-def sinusoidal_motion(amplitude: float, wavevector, direction,
+def sinusoidal_motion(amplitude: float, wavevector, direction, *,
                       step: float = DEFAULT_GRADIENT_STEP) -> Motion:
-    """y = x + a sin(k . x) d."""
+    """y = x + a sin(k.x) d"""
     k = as_vector(wavevector)
     d = as_vector(direction)
 
@@ -245,6 +248,11 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
     return Motion(placement, gradient, second_gradient, step=step)
 
 
+MOTIONS = {"identity": identity_motion, "homogeneous": homogeneous_motion,
+           "rotation": rotation_motion, "shear": shear_motion,
+           "harmonic": harmonic_motion, "sinusoidal": sinusoidal_motion}
+
+
 # ---------------------------------------------------------------------------
 # Virtual-field presets
 # ---------------------------------------------------------------------------
@@ -252,15 +260,16 @@ def sinusoidal_motion(amplitude: float, wavevector, direction,
 _ZERO_GRADIENT = np.zeros((3, 3))
 
 
-def constant_field(value, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def constant_field(value, *, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+    """uniform field"""
     value = as_vector(value)
     return VirtualField(lambda x: _constant(value, x),
                         gradient=lambda x: _constant(_ZERO_GRADIENT, x), step=step)
 
 
-def rigid_field(translation, rotation, pivot,
+def rigid_field(translation, rotation, pivot, *,
                 step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
-    """c + q x (x - x0): the Killing fields of the Euclidean metric."""
+    """c + q x (x - x0)"""
     c = as_vector(translation)
     q = as_vector(rotation)
     x0 = as_vector(pivot)
@@ -269,15 +278,16 @@ def rigid_field(translation, rotation, pivot,
                         gradient=lambda x: _constant(q_cross, x), step=step)
 
 
-def linear_field(matrix, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def linear_field(matrix, *, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+    """A x"""
     a = as_tensor(matrix)
     return VirtualField(lambda x: matvec(a, x),
                         gradient=lambda x: _constant(a, x), step=step)
 
 
-def affine_field(value, matrix, pivot=None,
+def affine_field(value, matrix, pivot=None, *,
                  step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
-    """value + A (x - pivot)."""
+    """value + A (x - pivot)"""
     c = as_vector(value)
     a = as_tensor(matrix)
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
@@ -285,9 +295,9 @@ def affine_field(value, matrix, pivot=None,
                         gradient=lambda x: _constant(a, x), step=step)
 
 
-def sinusoidal_field(amplitude: float, wavevector, direction,
+def sinusoidal_field(amplitude: float, wavevector, direction, *,
                      step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
-    """a sin(k . x) d; curl-free exactly when d is parallel to k."""
+    """a sin(k.x) d; curl-free iff d || k"""
     k = as_vector(wavevector)
     d = as_vector(direction)
     dk = np.outer(d, k)
@@ -296,3 +306,7 @@ def sinusoidal_field(amplitude: float, wavevector, direction,
         gradient=lambda x: (amplitude * np.cos(dot(k, x)))[..., None, None] * dk,
         step=step,
     )
+
+
+FIELDS = {"constant": constant_field, "rigid": rigid_field, "linear": linear_field,
+          "affine": affine_field, "sinusoidal": sinusoidal_field}

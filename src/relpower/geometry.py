@@ -5,6 +5,9 @@ Boxes use tensor-product Gauss-Legendre rules; balls and shells use a
 product of a radial Gauss rule (with the r^2 Jacobian folded into the
 weights) and an octahedrally symmetric spherical rule.
 
+Parts are tabled by config kind in ``PARTS``; a constructor's positional
+parameters are its config keys, its keyword-only ones its quadrature keys.
+
 Accumulation everywhere goes through :func:`weighted_fsum`, which uses
 ``math.fsum``, so integrals are correctly rounded and deterministic.
 """
@@ -126,16 +129,17 @@ def weighted_fsum(values, weights: np.ndarray):
 # Constructors
 # ---------------------------------------------------------------------------
 
-def box_part(center, halfwidths, order: int = 6, surface_order: int | None = None) -> BodyPart:
-    """Axis-aligned box with tensor-product Gauss-Legendre quadrature."""
+def box_part(center, halfwidths, *, volume_order: int = 6,
+             surface_order: int | None = None) -> BodyPart:
+    """axis-aligned box, Gauss-Legendre product rule"""
     center = as_vector(center)
     half = as_vector(halfwidths)
     if np.any(half <= 0.0):
         raise ValueError("box halfwidths must be positive")
-    surface_order = order if surface_order is None else surface_order
+    surface_order = volume_order if surface_order is None else surface_order
 
-    (n0, w0), (n1, w1), (n2, w2) = [
-        gauss_legendre(order, center[i] - half[i], center[i] + half[i]) for i in range(3)]
+    (n0, w0), (n1, w1), (n2, w2) = [gauss_legendre(volume_order, c - h, c + h)
+                                    for c, h in zip(center, half)]
     pts = np.stack(np.meshgrid(n0, n1, n2, indexing="ij"), axis=-1).reshape(-1, 3)
     wts = (w0[:, None, None] * w1[None, :, None] * w2[None, None, :]).ravel()
 
@@ -194,9 +198,9 @@ def _radial_shell(center, r_inner: float, r_outer: float, radial_order: int,
     return pts.reshape(-1, 3), wts.ravel()
 
 
-def ball_part(center, radius: float, radial_order: int = 6,
+def ball_part(center, radius: float, *, radial_order: int = 6,
               angular_points: int = 26) -> BodyPart:
-    """Ball with radial Gauss x spherical product quadrature."""
+    """ball, radial Gauss x spherical rule"""
     center = as_vector(center)
     if radius <= 0.0:
         raise ValueError("ball radius must be positive")
@@ -221,9 +225,9 @@ def ball_part(center, radius: float, radial_order: int = 6,
     )
 
 
-def shell_part(center, inner_radius: float, outer_radius: float,
+def shell_part(center, inner_radius: float, outer_radius: float, *,
                radial_order: int = 6, angular_points: int = 26) -> BodyPart:
-    """Spherical shell; the boundary is the outer plus the inner sphere."""
+    """spherical shell, boundary = both spheres"""
     center = as_vector(center)
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
@@ -255,3 +259,6 @@ def shell_part(center, inner_radius: float, outer_radius: float,
         surface=surface,
         sample_interior=sample_interior,
     )
+
+
+PARTS = {"box": box_part, "ball": ball_part, "shell": shell_part}

@@ -8,20 +8,18 @@ which makes the explicit material gradient of the energy (the derivative
 in x at frozen F) exactly A * grad lam + B * grad mu.  Inhomogeneity
 therefore enters only through position-dependent moduli.
 
-Shipped models:
-
-* ``stvk``         Saint Venant-Kirchhoff,
-                   e = lam/2 (tr E)^2 + mu tr(E^2),  E = (F^t F - I)/2
-* ``neo_hookean``  compressible neo-Hookean,
-                   e = mu/2 (tr(F^t F) - 3) - mu ln J + lam/2 (ln J)^2
-* ``quadratic``    e = mu/2 |F - I|^2; not frame indifferent, kept because
-                   harmonic displacements give exact equilibria for it
+The presets are tabled by config name: models in ``MODEL_CLASSES``
+(Saint Venant-Kirchhoff ``stvk``, compressible ``neo_hookean`` and the
+not frame-indifferent ``quadratic``, kept because harmonic displacements
+give exact equilibria for it), moduli in ``MODULI`` and body-force
+potentials in ``POTENTIALS``.  A constructor's parameters are the config
+keys of its preset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -35,55 +33,37 @@ from .tensors import IDENTITY, as_tensor, as_vector, dot, transpose
 
 @dataclass(frozen=True)
 class Modulus:
-    """A scalar modulus field with an exact gradient, over points (..., 3).
+    """A scalar modulus field and its exact gradient over points (..., 3); the
+    constructors below make both check their points with :func:`as_vector`."""
 
-    kinds: ``constant``; ``affine`` value + slope . x; ``sinusoidal``
-    value + amplitude * sin(wavevector . x).
-    """
-
-    kind: str
-    base: float
-    slope: Optional[np.ndarray] = None
-    amplitude: float = 0.0
-    wavevector: Optional[np.ndarray] = None
-
-    def value(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if self.kind == "constant":
-            return np.full(x.shape[:-1], self.base)
-        if self.kind == "affine":
-            return self.base + dot(x, self.slope)
-        if self.kind == "sinusoidal":
-            return self.base + self.amplitude * np.sin(dot(x, self.wavevector))
-        raise ValueError(f"unknown modulus kind {self.kind!r}")
-
-    def gradient(self, x) -> np.ndarray:
-        x = as_vector(x)
-        if self.kind == "constant":
-            return np.zeros(x.shape)
-        if self.kind == "affine":
-            return np.broadcast_to(self.slope, x.shape)
-        if self.kind == "sinusoidal":
-            slope = self.amplitude * np.cos(dot(x, self.wavevector))
-            return slope[..., None] * self.wavevector
-        raise ValueError(f"unknown modulus kind {self.kind!r}")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
+    value: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray]
+    is_constant: bool = False
 
 
 def constant_modulus(value: float) -> Modulus:
-    return Modulus("constant", float(value))
+    """uniform modulus"""
+    value = float(value)
+    return Modulus(lambda x: np.full(as_vector(x).shape[:-1], value),
+                   lambda x: np.zeros(as_vector(x).shape), is_constant=True)
 
 
 def affine_modulus(value: float, slope) -> Modulus:
-    return Modulus("affine", float(value), slope=as_vector(slope))
+    """value + slope . x"""
+    value, slope = float(value), as_vector(slope)
+    return Modulus(lambda x: value + dot(as_vector(x), slope),
+                   lambda x: np.broadcast_to(slope, as_vector(x).shape))
 
 
 def sinusoidal_modulus(value: float, amplitude: float, wavevector) -> Modulus:
-    return Modulus("sinusoidal", float(value), amplitude=float(amplitude),
-                   wavevector=as_vector(wavevector))
+    """value + amplitude sin(k . x)"""
+    value, amplitude, k = float(value), float(amplitude), as_vector(wavevector)
+    return Modulus(lambda x: value + amplitude * np.sin(dot(as_vector(x), k)),
+                   lambda x: (amplitude * np.cos(dot(as_vector(x), k)))[..., None] * k)
+
+
+MODULI = {"constant": constant_modulus, "affine": affine_modulus,
+          "sinusoidal": sinusoidal_modulus}
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +150,7 @@ class MaterialModel:
 
 
 class SaintVenantKirchhoff(MaterialModel):
-    """e = lam/2 (tr E)^2 + mu tr(E^2) with E the Green-Lagrange strain."""
+    """Saint Venant-Kirchhoff: lam/2 (tr E)^2 + mu tr(E^2)"""
 
     name = "stvk"
     isotropic = True
@@ -196,7 +176,7 @@ class SaintVenantKirchhoff(MaterialModel):
 
 
 class NeoHookean(MaterialModel):
-    """Compressible neo-Hookean: e = mu/2 (tr C - 3) - mu ln J + lam/2 (ln J)^2."""
+    """mu/2 (tr C - 3) - mu ln J + lam/2 (ln J)^2"""
 
     name = "neo_hookean"
     isotropic = True
@@ -230,9 +210,9 @@ class NeoHookean(MaterialModel):
 
 
 class Quadratic(MaterialModel):
-    """e = mu/2 |F - I|^2.
+    """mu/2 |F - I|^2 (not frame indifferent)
 
-    Not frame indifferent and not isotropic; its equilibria are exactly
+    Not isotropic either, and lam plays no part; its equilibria are exactly
     the displacements with vanishing Laplacian, which is what the
     surface-independence and conservation-law scenarios need.
     """
@@ -283,12 +263,16 @@ class BodyForcePotential:
 
 
 def zero_potential() -> BodyForcePotential:
+    """u(y) = 0"""
     return BodyForcePotential(lambda y: np.zeros(y.shape[:-1]),
                               lambda y: np.zeros(y.shape))
 
 
 def linear_potential(gravity) -> BodyForcePotential:
-    """u(y) = -g . y, so the body force is the constant g."""
+    """u(y) = -g . y"""
     g = as_vector(gravity)
     return BodyForcePotential(lambda y: -dot(g, y),
                               lambda y: np.broadcast_to(-g, y.shape))
+
+
+POTENTIALS = {"zero": zero_potential, "linear": linear_potential}

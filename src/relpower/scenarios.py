@@ -4,7 +4,15 @@ A scenario bundles one part of the body, one motion, one material, one
 virtual-field pair, the source fields (b, f, mu) and the evaluation
 options (derivative mode, quadrature orders, pivots, seed).  Configs
 are plain JSON documents validated against the published schema before
-anything is computed; unknown keys are rejected.
+anything is computed; unknown keys are rejected, and ``integer`` fields
+take Python ints only (Draft 7 would also take 4.0).
+
+Each section is built from a preset table, config name -> constructor:
+``geometry.PARTS``, ``fields.MOTIONS``, ``fields.FIELDS``,
+``materials.MODEL_CLASSES``, ``materials.MODULI`` and
+``materials.POTENTIALS``.  A constructor's positional parameters are its
+section's config keys, which the schema's ``oneOf`` branches list too; its
+keyword-only ones (a step, a part's quadrature orders) come from elsewhere.
 
 Node data is built once per scenario, for its part, over stacked arrays,
 points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes; that
@@ -41,7 +49,10 @@ def _validator():
         schema = json.loads(path.read_text())
         cls = jsonschema.validators.validator_for(schema)
         cls.check_schema(schema)
-        _VALIDATOR = cls(schema)
+        # Draft 7 counts 4.0 as an integer; orders, counts and seeds must be ints
+        checker = cls.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+        _VALIDATOR = jsonschema.validators.extend(cls, type_checker=checker)(schema)
     return _VALIDATOR
 
 
@@ -70,95 +81,40 @@ def config_digest(config: dict) -> str:
 # Component builders
 # ---------------------------------------------------------------------------
 
+def _from_spec(table: dict, spec: dict, key: str, **extra):
+    """``table[spec[key]]`` called with the other entries of ``spec``, and
+    ``extra``, as keywords; the schema admits only table entries and keys."""
+    params = {name: value for name, value in spec.items() if name != key}
+    return table[spec[key]](**params, **extra)
+
+
 def build_geometry(spec: dict, quad: dict) -> geometry.BodyPart:
-    kind = spec["kind"]
-    if kind == "box":
-        return geometry.box_part(
-            spec["center"], spec["halfwidths"],
-            order=quad.get("volume_order", 6),
-            surface_order=quad.get("surface_order", quad.get("volume_order", 6)),
-        )
-    if kind == "ball":
-        return geometry.ball_part(
-            spec["center"], spec["radius"],
-            radial_order=quad.get("radial_order", 6),
-            angular_points=quad.get("angular_points", 26),
-        )
-    if kind == "shell":
-        if spec["inner_radius"] >= spec["outer_radius"]:
-            raise ConfigInvalid("shell requires inner_radius < outer_radius")
-        return geometry.shell_part(
-            spec["center"], spec["inner_radius"], spec["outer_radius"],
-            radial_order=quad.get("radial_order", 6),
-            angular_points=quad.get("angular_points", 26),
-        )
-    raise ConfigInvalid(f"unknown geometry kind {kind!r}")
+    # a part reads the quadrature keys that are its keyword-only parameters
+    keys = geometry.PARTS[spec["kind"]].__kwdefaults__
+    orders = {key: quad[key] for key in keys if key in quad}
+    return _from_spec(geometry.PARTS, spec, "kind", **orders)
 
 
 def build_motion(spec: dict, step: float) -> fields.Motion:
-    preset = spec["preset"]
-    if preset == "identity":
-        return fields.identity_motion(step=step)
-    if preset == "homogeneous":
-        return fields.homogeneous_motion(spec["matrix"], step=step)
-    if preset == "rotation":
-        return fields.rotation_motion(spec["axis"], spec["angle"], step=step)
-    if preset == "shear":
-        return fields.shear_motion(spec["gamma"], step=step)
-    if preset == "harmonic":
-        return fields.harmonic_motion(spec["alpha"], step=step)
-    if preset == "sinusoidal":
-        return fields.sinusoidal_motion(spec["amplitude"], spec["wavevector"],
-                                        spec["direction"], step=step)
-    raise ConfigInvalid(f"unknown motion preset {preset!r}")
+    return _from_spec(fields.MOTIONS, spec, "preset", step=step)
 
 
 def build_modulus(spec: Optional[dict]) -> materials.Modulus:
-    if spec is None:
-        return materials.constant_modulus(0.0)
-    kind = spec["kind"]
-    if kind == "constant":
-        return materials.constant_modulus(spec["value"])
-    if kind == "affine":
-        return materials.affine_modulus(spec["value"], spec["slope"])
-    if kind == "sinusoidal":
-        return materials.sinusoidal_modulus(spec["value"], spec["amplitude"],
-                                            spec["wavevector"])
-    raise ConfigInvalid(f"unknown modulus kind {kind!r}")
+    return (materials.constant_modulus(0.0) if spec is None
+            else _from_spec(materials.MODULI, spec, "kind"))
 
 
 def build_material(spec: dict) -> materials.MaterialModel:
     return materials.make_material(
-        spec["model"], build_modulus(spec.get("lam")), build_modulus(spec["mu"])
-    )
+        spec["model"], build_modulus(spec.get("lam")), build_modulus(spec["mu"]))
 
 
 def build_field(spec: dict, step: float) -> fields.VirtualField:
-    preset = spec["preset"]
-    if preset == "constant":
-        return fields.constant_field(spec["value"], step=step)
-    if preset == "rigid":
-        return fields.rigid_field(spec["translation"], spec["rotation"],
-                                  spec["pivot"], step=step)
-    if preset == "linear":
-        return fields.linear_field(spec["matrix"], step=step)
-    if preset == "affine":
-        return fields.affine_field(spec["value"], spec["matrix"],
-                                   spec.get("pivot"), step=step)
-    if preset == "sinusoidal":
-        return fields.sinusoidal_field(spec["amplitude"], spec["wavevector"],
-                                       spec["direction"], step=step)
-    raise ConfigInvalid(f"unknown field preset {preset!r}")
+    return _from_spec(fields.FIELDS, spec, "preset", step=step)
 
 
 def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotential]:
-    if spec is None:
-        return None
-    if spec["kind"] == "zero":
-        return materials.zero_potential()
-    if spec["kind"] == "linear":
-        return materials.linear_potential(spec["gravity"])
-    raise ConfigInvalid(f"unknown potential kind {spec['kind']!r}")
+    return None if spec is None else _from_spec(materials.POTENTIALS, spec, "kind")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +186,8 @@ class Scenario:
     The derivative mode is resolved here, once: ``fd`` mode builds the motion
     and both virtual fields without their analytic derivatives.  The node
     data of the part, ``volume_data`` and ``surface_data``, is built here
-    too; a node with det F <= 0 makes the config invalid.
+    too; a node with det F <= 0, or a nonzero preset couple on an isotropic
+    material, makes the config invalid.
     """
 
     def __init__(self, config: dict):
@@ -290,6 +247,13 @@ class Scenario:
             self.surface_data = SurfaceNodeData(self, self.part)
         except NonPositiveJacobian as err:
             raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
+        if (self.source_mode == "preset" and self.model.isotropic
+                and np.any(self.volume_data.couple)):
+            # couples are carried by anisotropy; an isotropic material space
+            # admits only mu = 0 (closure couples are round-off, so exempt)
+            raise ConfigInvalid(
+                "preset couple field mu must vanish at every volume node for an "
+                f"isotropic material (model {self.model.name!r})")
 
     def _build_sources(self, spec: dict):
         """x -> (b, f, mu) at points x (..., 3)."""
@@ -300,14 +264,6 @@ class Scenario:
         b = build_field(spec.get("b", zero), step=self.motion_step)
         f = build_field(spec.get("f", zero), step=self.motion_step)
         mu = build_field(spec.get("mu", zero), step=self.motion_step)
-        if self.model.isotropic:
-            # couples are carried by anisotropy; an isotropic material space
-            # admits only mu = 0
-            probe = np.vstack([self.part.center, self.part.volume_points[:4]])
-            if np.any(np.linalg.norm(mu(probe), axis=-1) > 0.0):
-                raise ConfigInvalid(
-                    "preset couple field mu must vanish for an isotropic "
-                    f"material (model {self.model.name!r})")
         return lambda x: (b(x), f(x), mu(x))
 
     # -- pointwise evaluation ------------------------------------------------

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,11 +13,19 @@ import pytest
 from relpower import cli
 from relpower.scenarios import Scenario, load_bundled_config
 
-RUN = [sys.executable, "-m", "relpower"]
 
+def run_cli(args):
+    """``relpower args`` in this process, with its exit code and captured output.
 
-def run_cli(args, **kwargs):
-    return subprocess.run(RUN + args, capture_output=True, text=True, **kwargs)
+    An exception that ``cli.main`` lets escape fails the calling test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exit_:  # argparse usage errors
+            code = exit_.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -88,8 +98,17 @@ class TestRun:
         # equal spheres carry equal fluxes, so the gate could not fail
         ("checks", {"surface_independence": {"inner_radius": 0.9, "outer_radius": 0.9,
                                              "tolerance": 1e-6}}),
+        # mu = (x1 - x2) e_1 vanishes at the centre and on the line x1 = x2 = 0
+        ("sources", {"mode": "preset", "mu": {"preset": "linear", "matrix": [
+            [1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}),
+        # Draft 7 counts integral floats as integers
+        ("quadrature", {"volume_order": 4.0}),
+        ("seed", 41007.0),
+        ("checks", {"noether": {"points": 100.0, "condition_tolerance": 1e-6}}),
+        ("checks", {"noether": {"points": 10001, "condition_tolerance": 1e-6}}),
     ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis",
-            "equal_surface_independence_radii"])
+            "equal_surface_independence_radii", "isotropic_preset_couple_off_center",
+            "float_order", "float_seed", "float_points", "too_many_points"])
     def test_degenerate_config_rejected_without_traceback(self, tmp_path, section,
                                                           value):
         config = load_bundled_config("stvk_uniaxial")
@@ -142,8 +161,10 @@ class TestRun:
         config["checks"]["eshelby_diagonal"]["expected"] = [1.0, 1.0, 1.0]
         path = write_config(tmp_path, config)
         out = tmp_path / "out"
-        result = run_cli(["run", path, "--out", str(out)])
-        assert result.returncode == 1
+        # through the module entry point, whose exit status is what main returns
+        result = subprocess.run([sys.executable, "-m", "relpower", "run", path,
+                                 "--out", str(out)], capture_output=True, text=True)
+        assert result.returncode == 1, result.stderr
         rows = read_csv(out / "stvk_uniaxial" / "checks.csv")
         failed = [r for r in rows if r["status"] == "fail"]
         assert len(failed) == 1 and failed[0]["check"] == "eshelby_diagonal"
@@ -252,6 +273,23 @@ class TestSweep:
         assert "integer" in result.stderr and "Traceback" not in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,section,value", [
+        ("quad", "quadrature", []),
+        ("fd", "derivatives", {"mode": "bogus"}),
+    ], ids=["quad_over_bad_quadrature", "fd_over_bad_derivatives"])
+    def test_sweep_validates_the_config_it_was_given(self, tmp_path, axis, section,
+                                                     value):
+        # each swept copy overwrites this section before it validates itself
+        config = load_bundled_config("stvk_uniaxial")
+        config[section] = value
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = run_cli(["sweep", path, "--axis", axis, "--values", "2",
+                          "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert f"config invalid at {section}" in result.stderr
+        assert not out.exists()
+
     def test_fd_step_v_curve(self, tmp_path):
         config = load_bundled_config("closure_sinusoidal_graded_stvk")
         config["quadrature"] = {"volume_order": 4, "surface_order": 4}
@@ -280,6 +318,7 @@ class TestListPresets:
         assert result.returncode == 0
         catalog = json.loads(result.stdout)
         assert set(catalog["materials"]) == {"stvk", "neo_hookean", "quadratic"}
+        assert set(catalog["potentials"]) == {"zero", "linear"}
         assert "stvk_uniaxial" in catalog["bundled_scenarios"]
 
     def test_unknown_subcommand_is_usage_error(self):

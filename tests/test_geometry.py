@@ -54,37 +54,37 @@ class TestGaussLegendre:
 
 class TestBoxPart:
     def test_weight_sum_is_volume(self):
-        part = box_part([0.2, -0.1, 0.4], [0.5, 0.3, 0.7], order=5)
+        part = box_part([0.2, -0.1, 0.4], [0.5, 0.3, 0.7], volume_order=5)
         assert quadrature_volume(part) == pytest.approx(1.0 * 0.6 * 1.4, rel=1e-12)
 
     def test_constant_over_unit_box(self):
-        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], order=4)
+        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4)
         assert volume_integral(part, lambda x: 1.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_x1_squared_over_unit_box(self):
         # antiderivative oracle: int_0^1 x^2 dx = 1/3
-        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], order=4)
+        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4)
         got = volume_integral(part, lambda x: x[0] ** 2)
         assert got == pytest.approx(1.0 / 3.0, rel=1e-13)
 
     def test_odd_function_over_symmetric_box(self):
-        part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], order=6)
+        part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], volume_order=6)
         got = volume_integral(part, lambda x: x[0] * x[1] ** 2 + x[2] ** 3)
         assert abs(got) <= 1e-14
 
     def test_normals_integrate_to_zero(self):
-        part = box_part([0.1, 0.2, -0.3], [0.4, 0.5, 0.6], order=4)
+        part = box_part([0.1, 0.2, -0.3], [0.4, 0.5, 0.6], volume_order=4)
         total = surface_integral(part, lambda x, n: n)
         assert np.linalg.norm(total) <= 1e-10 * area(part)
 
     def test_divergence_theorem_on_position(self):
         # int x . n dA = 3 |box|
-        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], order=4)
+        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4)
         got = surface_integral(part, lambda x, n: float(x @ n))
         assert got == pytest.approx(3.0, rel=1e-13)
 
     def test_contains_and_interior_sampling(self, rng):
-        part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], order=2)
+        part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], volume_order=2)
         for x in part.sample_interior(rng, 50):
             assert np.all(np.abs(x) < 0.5)
 

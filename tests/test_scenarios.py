@@ -1,11 +1,15 @@
 import copy
+import inspect
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from conftest import (configurational_force_residual, standard_force_residual,
                       torque_residuals)
+from relpower import fields, geometry, materials
+from relpower.cli import preset_keys
 from relpower.exceptions import ConfigInvalid
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_digest,
                                 load_bundled_config, load_config_file,
@@ -165,3 +169,39 @@ def test_bundled_scenarios_all_load_and_validate():
 def test_unknown_bundled_scenario():
     with pytest.raises(ConfigInvalid):
         load_bundled_config("does_not_exist")
+
+
+SCHEMA = json.loads(
+    resources.files("relpower").joinpath("schema/scenario.schema.json").read_text())
+
+
+@pytest.mark.parametrize("definition,key,table", [
+    ("motion", "preset", fields.MOTIONS),
+    ("field", "preset", fields.FIELDS),
+    ("modulus", "kind", materials.MODULI),
+    ("geometry", "kind", geometry.PARTS),
+    ("potential", "kind", materials.POTENTIALS),
+])
+def test_schema_branches_are_the_preset_table(definition, key, table):
+    """One oneOf branch per table entry, keyed by its constructor's config keys."""
+    branches = SCHEMA["definitions"][definition]["oneOf"]
+    names = [branch["properties"][key]["const"] for branch in branches]
+    assert sorted(names) == sorted(table)
+    for name, branch in zip(names, branches):
+        assert set(branch["properties"]) - {key} == set(preset_keys(table[name])), name
+
+
+def test_schema_materials_are_the_model_classes():
+    material = SCHEMA["definitions"]["material"]["properties"]
+    assert sorted(material["model"]["enum"]) == sorted(materials.MODEL_CLASSES)
+    for cls in materials.MODEL_CLASSES.values():
+        assert set(material) - {"model"} == set(preset_keys(cls)), cls.name
+
+
+def test_schema_quadrature_keys_are_the_part_keywords():
+    keywords = {p.name for part in geometry.PARTS.values()
+                for p in inspect.signature(part).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+    assert keywords == set(SCHEMA["properties"]["quadrature"]["properties"])
+    # the keyword-only parameters are what build_geometry reads
+    assert keywords == set().union(*(part.__kwdefaults__ for part in geometry.PARTS.values()))
