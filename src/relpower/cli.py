@@ -365,7 +365,8 @@ def _pointwise_divergence_error(scenario: Scenario) -> float:
 def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = None):
     """Re-run one scenario across a discretization axis.
 
-    ``axis='quad'`` varies the volume/surface Gauss order; ``axis='fd'``
+    ``axis='quad'`` varies the volume, surface and radial Gauss orders, of
+    which each part reads its own; ``axis='fd'``
     switches to finite-difference derivatives and varies the divergence
     step (with the motion step kept a decade smaller).
     """
@@ -384,9 +385,13 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
     for value in values:
         cfg = copy.deepcopy(config)
         if axis == "quad":
+            # only the orders the part reads: the config digest seeds a
+            # config without a seed, so an unread key would move its rows
+            keywords = geometry.PARTS[cfg["geometry"]["kind"]].__kwdefaults__
             quad = cfg.setdefault("quadrature", {})
-            quad["volume_order"] = int(value)
-            quad["surface_order"] = int(value)
+            for key in ("volume_order", "surface_order", "radial_order"):
+                if key in keywords:
+                    quad[key] = int(value)
         else:
             cfg["derivatives"] = {
                 "mode": "fd",

@@ -4,8 +4,11 @@ A scenario bundles one part of the body, one motion, one material, one
 virtual-field pair, the source fields (b, f, mu) and the evaluation
 options (derivative mode, quadrature orders, pivots, seed).  Configs
 are plain JSON documents validated against the published schema before
-anything is computed; unknown keys are rejected, and ``integer`` fields
-take Python ints only (Draft 7 would also take 4.0).
+anything is computed.  The schema is the single source of truth; a small
+interpreter here reads the keywords it uses with their Draft 7 meaning,
+and refuses to load a schema with any other.  Unknown keys are rejected,
+``integer`` fields take Python ints only (Draft 7 would also take 4.0),
+and an error names the path of the failing value.
 
 Each section is built from a preset table, config name -> constructor:
 ``geometry.PARTS``, ``fields.MOTIONS``, ``fields.FIELDS``,
@@ -22,12 +25,13 @@ build makes F at every node, so it is also the det F > 0 check.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import re
 from importlib import resources
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-import jsonschema
 import numpy as np
 
 from . import configurational as conf
@@ -38,33 +42,136 @@ from .tensors import as_vector
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
 
 
-_VALIDATOR = None
+# The keywords the schema may use, each read with its Draft 7 meaning, and
+# the annotations it may carry.  A bool is an int to Python but neither a
+# number nor an integer to the schema, and an integral float is no integer.
+_KEYWORDS = frozenset({
+    "$ref", "type", "const", "enum", "oneOf", "required", "properties",
+    "additionalProperties", "items", "minItems", "maxItems", "minimum",
+    "maximum", "exclusiveMinimum", "pattern"})
+_ANNOTATIONS = frozenset({"$schema", "title", "definitions"})
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "integer": int}
 
 
-def _validator():
-    """The schema's validator, checked and compiled once on first use."""
-    global _VALIDATOR
-    if _VALIDATOR is None:
-        path = resources.files("relpower").joinpath("schema/scenario.schema.json")
-        schema = json.loads(path.read_text())
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        # Draft 7 counts 4.0 as an integer; orders, counts and seeds must be ints
-        checker = cls.TYPE_CHECKER.redefine(
-            "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-        _VALIDATOR = jsonschema.validators.extend(cls, type_checker=checker)(schema)
-    return _VALIDATOR
+@functools.cache
+def _schema() -> dict:
+    """The published schema, read once, with every ``$ref`` resolved."""
+    path = resources.files("relpower").joinpath("schema/scenario.schema.json")
+    schema = json.loads(path.read_text())
+    definitions = schema.get("definitions", {})
+    for definition in definitions.values():    # checks those no $ref names too
+        _resolve(definition, definitions)
+    return _resolve(schema, definitions)
+
+
+def _resolve(node: dict, definitions: dict) -> dict:
+    """A copy of ``node`` with each ``$ref`` replaced by its definition (Draft 7
+    ignores a ref's siblings); raises on anything :func:`_error` cannot read."""
+    unknown = sorted(node.keys() - _KEYWORDS - _ANNOTATIONS)
+    if (unknown or node.get("additionalProperties", False) is not False
+            or "type" in node and node["type"] not in _TYPES):
+        raise ValueError(f"scenario schema: cannot interpret {unknown or node}")
+    if "$ref" in node:
+        return _resolve(definitions[node["$ref"].removeprefix("#/definitions/")],
+                        definitions)
+    node = dict(node)
+    if "items" in node:
+        node["items"] = _resolve(node["items"], definitions)
+    if "oneOf" in node:
+        node["oneOf"] = [_resolve(branch, definitions) for branch in node["oneOf"]]
+    if "properties" in node:
+        node["properties"] = {name: _resolve(sub, definitions)
+                              for name, sub in node["properties"].items()}
+    return node
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: unlike ``==``, a bool never equals a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
+    return a == b
+
+
+def _error(value, schema: dict) -> Optional[Tuple[list, str]]:
+    """The first way ``value`` breaks ``schema``, as (path, message), or None.
+
+    Returns, never raises: an exception per failed ``oneOf`` branch would
+    hold its frames, and the config in them, in reference cycles that only
+    the cycle collector frees.
+    """
+    if "oneOf" in schema:
+        errors = [_error(value, branch) for branch in schema["oneOf"]]
+        if errors.count(None) > 1:
+            return [], f"{value!r} is valid under more than one of the given schemas"
+        if None not in errors:
+            # the branch that got deepest names the failing value, unless tied
+            depth = max(len(path) for path, _ in errors)
+            deepest = [error for error in errors if len(error[0]) == depth]
+            if len(deepest) > 1:
+                return [], f"{value!r} is not valid under any of the given schemas"
+            return deepest[0]
+    if "type" in schema and (not isinstance(value, _TYPES[schema["type"]])
+                             or isinstance(value, bool)):
+        return [], f"{value!r} is not of type {schema['type']!r}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return [], f"{schema['const']!r} was expected"
+    if "enum" in schema and not any(_equal(value, option) for option in schema["enum"]):
+        return [], f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for name in schema.get("required", ()):
+            if name not in value:
+                return [], f"{name!r} is a required property"
+        if "additionalProperties" in schema:
+            for name in value:
+                if name not in properties:
+                    return [], f"Additional properties are not allowed ({name!r} was unexpected)"
+        for name, item in value.items():
+            error = _error(item, properties[name]) if name in properties else None
+            if error is not None:
+                error[0].insert(0, name)
+                return error
+    elif isinstance(value, list):
+        if "minItems" in schema and len(value) < schema["minItems"]:
+            return [], f"{value!r} is too short"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            return [], f"{value!r} is too long"
+        if "items" in schema:
+            for index, item in enumerate(value):
+                error = _error(item, schema["items"])
+                if error is not None:
+                    error[0].insert(0, index)
+                    return error
+    elif isinstance(value, str):
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return [], f"{value!r} does not match {schema['pattern']!r}"
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            return [], f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return [], f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return [], (f"{value!r} is less than or equal to the minimum of "
+                        f"{schema['exclusiveMinimum']!r}")
+    return None
 
 
 def validate_config(config: dict) -> None:
-    """Schema validation; raises :class:`ConfigInvalid` with the cause.
+    """Checks ``config`` against the published schema; raises
+    :class:`ConfigInvalid` naming the failing value's path and the cause.
 
     The schema's ``number`` admits NaN and Infinity, so they are rejected here.
     """
-    err = jsonschema.exceptions.best_match(_validator().iter_errors(config))
-    if err is not None:
-        path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigInvalid(f"config invalid at {path}: {err.message}") from err
+    error = _error(config, _schema())
+    if error is not None:
+        path, message = error
+        raise ConfigInvalid(
+            f"config invalid at {'/'.join(map(str, path)) or '<root>'}: {message}")
     try:
         json.dumps(config, allow_nan=False)
     except ValueError as err:

@@ -144,6 +144,16 @@ class TestRun:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
+    def test_invalid_value_is_named_by_its_path(self, tmp_path):
+        config = load_bundled_config("stvk_uniaxial")
+        config["geometry"]["center"] = None
+        path = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = run_cli(["run", path, "--out", str(out)])
+        assert result.returncode == 2
+        assert "config invalid at geometry/center: " in result.stderr
+        assert not out.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         result = run_cli(["run", str(tmp_path / "absent.json")])
         assert result.returncode == 3
@@ -237,6 +247,20 @@ class TestSweep:
         rows = read_csv(out / config["name"] / "convergence.csv")
         errors = [float(r["power_identity_error"]) for r in rows]
         assert errors == sorted(errors, reverse=True)
+
+    def test_quadrature_sweep_refines_a_ball(self, monkeypatch):
+        # a ball reads radial_order; its exact integrands keep the rows equal,
+        # so only the node counts show that each order built its own rule
+        built = []
+
+        class Spy(Scenario):
+            def __init__(self, config):
+                super().__init__(config)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "Scenario", Spy)
+        cli.sweep_scenario(load_bundled_config("noether_harmonic"), "quad", [2, 4, 6, 8])
+        assert [len(s.volume_data.points) for s in built] == [52, 104, 156, 208]
 
     def test_polynomial_scenario_at_float_floor(self, tmp_path):
         # polynomial integrands are integrated exactly at every order past
