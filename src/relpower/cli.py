@@ -26,8 +26,8 @@ from . import __version__
 from . import configurational as conf
 from . import fields, geometry, materials
 from . import functionals as fn
-from .exceptions import (ConfigInvalid, NonAffineDefect, PreconditionViolated,
-                         RelpowerError)
+from .exceptions import (ConfigInvalid, NonAffineDefect, NonPositiveJacobian,
+                         PreconditionViolated, RelpowerError)
 from .fields import VirtualFieldPair, constant_field
 from .geometry import sphere_surface
 from .scenarios import (Scenario, build_motion, bundled_scenario_names,
@@ -225,7 +225,7 @@ class ScenarioRun:
                                spec["tolerance"]))
 
     def _check_eshelby_diagonal(self, spec: dict) -> None:
-        diag = np.diag(self.scenario.eshelby_at(self.scenario.part.center))
+        diag = np.diag(self.scenario.state(self.scenario.part.center).eshelby)
         expected = np.asarray(spec["expected"], float)
         error = float(np.max(np.abs(diag - expected)))
         self._add(CheckOutcome("eshelby_diagonal", "max_abs_error", error,
@@ -374,7 +374,7 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
     if axis == "quad":
         values = list(values or QUAD_SWEEP_VALUES)
         for value in values:
-            if value != int(value):
+            if not float(value).is_integer():
                 raise ConfigInvalid(
                     f"quadrature order must be an integer, got {value:g}")
     elif axis == "fd":
@@ -546,6 +546,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (ConfigInvalid, PreconditionViolated) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except NonPositiveJacobian as err:
+        # off the nodes: at a sample point, on a sphere, at the centre
+        print(f"error: NonPositiveJacobian: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Eshelby stress, closure sources and conservation-law data.
+"""Point states, and the closure and conservation-law data read from them.
 
 Conventions.  The divergence of a second-order tensor field T is the
 vector with components (Div T)_i = sum_j d T_ij / d x_j (divergence on
@@ -17,13 +17,15 @@ manufactured fields (b, f, mu) that make the first, third and fourth
 balances hold identically for a given motion and material; the second
 is constitutive and cannot be closed.
 
-Every function takes points x of shape (..., 3) and deformation
-gradients of shape (..., 3, 3), one point or a stack of them.
+Node data, closure sources, the Eshelby stress off the nodes and the
+conservation-law checks all read one :class:`PointState` (y, F, P, e, PP,
+de/dx|expl) from :func:`point_state`, which a finite-difference divergence
+makes at each shifted point.  Points x are (..., 3), one or a stack of them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,49 +43,58 @@ def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
     return np.trace(central_difference(field, x, step), axis1=-2, axis2=-1)
 
 
-def eshelby_stress(model: MaterialModel, x, f) -> np.ndarray:
-    """PP = e I - F^t P."""
-    return (np.asarray(model.energy(x, f))[..., None, None] * IDENTITY
-            - transpose(f) @ model.stress(x, f))
+class PointState(NamedTuple):
+    """The constitutive state along a motion at points (..., 3)."""
+
+    y: np.ndarray                   # (..., 3)
+    f_grad: np.ndarray              # F, (..., 3, 3)
+    stress: np.ndarray              # P, (..., 3, 3)
+    energy: np.ndarray              # e, (...)
+    eshelby: np.ndarray             # PP = e I - F^t P, (..., 3, 3)
+    material_gradient: np.ndarray   # de/dx|expl, (..., 3)
+
+
+def point_state(model: MaterialModel, motion: Motion, x) -> PointState:
+    """y, F, P, e, PP and de/dx|expl at points x, each computed once."""
+    x = as_vector(x)
+    f = motion.deformation_gradient(x)
+    p = model.stress(x, f)
+    e = np.asarray(model.energy(x, f))
+    return PointState(motion.y(x), f, p, e,
+                      e[..., None, None] * IDENTITY - transpose(f) @ p,
+                      model.material_gradient(x, f))
+
+
+def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointState,
+                       step: float = DEFAULT_DIVERGENCE_STEP):
+    """(Div P, Div PP) along the motion at points x of the given state.
+
+    Analytic from F, P and de/dx|expl of the state when the motion has dF/dx:
+    Div P sums dP/dx at fixed F and dP/dF[dF/dx_j] column by column, and
+    Div PP = grad e - Div(F^t P).  Otherwise central differences of P and PP
+    of the :func:`point_state` at each shifted point.
+    """
+    x = as_vector(x)
+    if motion.second_gradient is None:
+        def stresses(xx):   # P and PP stacked as (..., 2, 3, 3)
+            shifted = point_state(model, motion, xx)
+            return np.stack([shifted.stress, shifted.eshelby], axis=-3)
+        both = fd_tensor_divergence(stresses, x, step)
+        return both[..., 0, :], both[..., 1, :]
+    f, p = state.f_grad, state.stress
+    df_dx = motion.second_gradient(x)
+    div_p = np.einsum("...ijj->...i", model.stress_material_gradient(x, f))
+    for j in range(3):
+        div_p = div_p + model.stress_derivative(x, f, df_dx[..., j])[..., :, j]
+    grad_e = state.material_gradient + np.einsum("...kl,...klj->...j", p, df_dx)
+    return div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, p)
+                   - matvec(transpose(f), div_p))
 
 
 def div_first_pk(model: MaterialModel, motion: Motion, x,
                  step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
-    """Div P along the motion, analytic when the motion supports it.
-
-    The analytic form contracts dP/dF with dF/dx one column j at a time,
-    as the directional derivative dP/dF[dF/dx_j].
-    """
-    x = as_vector(x)
-    if motion.second_gradient is None:
-        return fd_tensor_divergence(
-            lambda xx: model.stress(xx, motion.deformation_gradient(xx)), x, step)
-    f = motion.deformation_gradient(x)
-    df_dx = motion.second_gradient(x)
-    div = np.einsum("...ijj->...i", model.stress_material_gradient(x, f))
-    for j in range(3):
-        div = div + model.stress_derivative(x, f, df_dx[..., j])[..., :, j]
-    return div
-
-
-def stress_divergences(model: MaterialModel, motion: Motion, x,
-                       step: float = DEFAULT_DIVERGENCE_STEP):
-    """(Div P, Div PP) along the motion from one Div P evaluation."""
-    x = as_vector(x)
-    if motion.second_gradient is None:
-        def stresses(xx):   # P and PP stacked as (..., 2, 3, 3)
-            f = motion.deformation_gradient(xx)
-            return np.stack([model.stress(xx, f), eshelby_stress(model, xx, f)],
-                            axis=-3)
-        both = fd_tensor_divergence(stresses, x, step)
-        return both[..., 0, :], both[..., 1, :]
-    f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
-    df_dx = motion.second_gradient(x)
-    div_p = div_first_pk(model, motion, x)
-    grad_e = model.material_gradient(x, f) + np.einsum("...kl,...klj->...j", p, df_dx)
-    return div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, p)
-                   - matvec(transpose(f), div_p))
+    """Div P along the motion at arbitrary points x."""
+    return stress_divergences(model, motion, x, point_state(model, motion, x), step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +103,17 @@ def stress_divergences(model: MaterialModel, motion: Motion, x,
 
 def closure_sources(model: MaterialModel, motion: Motion,
                     step: float = DEFAULT_DIVERGENCE_STEP):
-    """x -> (b, f, mu), the sources that close three pointwise balances:
+    """(x, state) -> (b, f, mu), the sources that close three pointwise balances:
 
         b  := -Div P                       (forces)
         f  := Div PP - F^t b + de/dx|expl  (configurational forces)
         mu := axial(2 Skw PP)              (configurational torques)
-
-    b and f share one Div P evaluation.
     """
-    def sources(x):
-        x = as_vector(x)
-        f_grad = motion.deformation_gradient(x)
-        div_p, div_pp = stress_divergences(model, motion, x, step)
-        driving = (div_pp + matvec(transpose(f_grad), div_p)
-                   + model.material_gradient(x, f_grad))
-        couple = axial_vector(2.0 * skew_part(eshelby_stress(model, x, f_grad)))
-        return -div_p, driving, couple
+    def sources(x, state: PointState):
+        div_p, div_pp = stress_divergences(model, motion, x, state, step)
+        driving = (div_pp + matvec(transpose(state.f_grad), div_p)
+                   + state.material_gradient)
+        return -div_p, driving, axial_vector(2.0 * skew_part(state.eshelby))
     return sources
 
 
@@ -115,40 +121,32 @@ def closure_sources(model: MaterialModel, motion: Motion,
 # Conservation-law (equivariance) data
 # ---------------------------------------------------------------------------
 
-def noether_flux(model: MaterialModel, motion: Motion,
-                 potential: Optional[BodyForcePotential],
-                 pair: VirtualFieldPair, x) -> np.ndarray:
-    """Flux density (e + u) w + P^t (v - F w)."""
-    x = as_vector(x)
-    f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
-    e = model.energy(x, f)
-    u = potential(motion.y(x)) if potential is not None else 0.0
+def noether_flux(potential: BodyForcePotential, pair: VirtualFieldPair, x,
+                 state: PointState) -> np.ndarray:
+    """Flux density (e + u) w + P^t (v - F w) at points x of the given state."""
     w = pair.w(x)
-    return (np.asarray(e + u)[..., None] * w
-            + matvec(transpose(p), pair.v(x) - matvec(f, w)))
+    return (np.asarray(state.energy + potential(state.y))[..., None] * w
+            + matvec(transpose(state.stress), pair.v(x) - matvec(state.f_grad, w)))
 
 
-def noether_condition_residuals(model: MaterialModel, motion: Motion,
-                                potential: Optional[BodyForcePotential],
-                                pair: VirtualFieldPair, x):
-    """Left-hand sides of the two equivariance conditions.
+def noether_condition_residuals(potential: BodyForcePotential, pair: VirtualFieldPair,
+                                x, state: PointState):
+    """Left-hand sides of the two equivariance conditions at points x.
 
     First: du/dy . v + P . grad v.  Second: de/dx|expl . w - P . (F grad w).
     Both gradients are reference-space gradients of the fields x -> v, w.
     """
-    x = as_vector(x)
-    f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
-    du = potential.grad(motion.y(x)) if potential is not None else np.zeros(x.shape)
-    first = dot(du, pair.v(x)) + contract(p, pair.v.grad(x))
-    second = (dot(model.material_gradient(x, f), pair.w(x))
-              - contract(p, f @ pair.w.grad(x)))
+    first = (dot(potential.grad(state.y), pair.v(x))
+             + contract(state.stress, pair.v.grad(x)))
+    second = (dot(state.material_gradient, pair.w(x))
+              - contract(state.stress, state.f_grad @ pair.w.grad(x)))
     return first, second
 
 
-def div_noether_flux(model, motion, potential, pair, x,
+def div_noether_flux(model: MaterialModel, motion: Motion,
+                     potential: BodyForcePotential, pair: VirtualFieldPair, x,
                      step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
     """Divergence of the flux density, by central differences."""
     return fd_tensor_divergence(
-        lambda xx: noether_flux(model, motion, potential, pair, xx), x, step)
+        lambda xx: noether_flux(potential, pair, xx, point_state(model, motion, xx)),
+        x, step)

@@ -385,7 +385,7 @@ class SurfaceIndependenceResult:
 def configurational_traction_flux(scenario: Scenario,
                                   surface: SurfaceQuadrature) -> np.ndarray:
     """int_S PP n dA over one closed surface."""
-    rows = matvec(scenario.eshelby_at(surface.points), surface.normals)
+    rows = matvec(scenario.state(surface.points).eshelby, surface.normals)
     return weighted_fsum(rows, surface.weights)
 
 
@@ -396,16 +396,16 @@ def surface_independence_check(scenario: Scenario, inner: SurfaceQuadrature,
     """Compare the configurational traction flux through nested surfaces.
 
     The hypotheses (homogeneous material, no sources, equilibrium) are
-    probed at 8 sampled interior points unless explicitly waived for a
-    control run.
+    checked, the sources at every volume node, unless explicitly waived for
+    a control run.
     """
     if not allow_broken_hypotheses:
         if not scenario.model.homogeneous:
             raise PreconditionViolated("surface independence requires a "
                                        "homogeneous material")
-        points = scenario.part.sample_interior(scenario.rng(), 8)
+        vol = scenario.volume_data
         if any(np.any(np.linalg.norm(source, axis=-1) > 1e-8)
-               for source in scenario.sources(points)):
+               for source in (vol.body_force, vol.driving_force, vol.couple)):
             raise PreconditionViolated("surface independence requires "
                                        "b = f = mu = 0")
     return SurfaceIndependenceResult(
@@ -451,12 +451,11 @@ def noether_point_checks(scenario: Scenario, n_points: int = 100) -> NoetherRepo
         raise PreconditionViolated(
             f"material field w is not isochoric: div w = {bad[0]:g}")
 
-    model, motion, pair = scenario.model, scenario.motion, scenario.pair
-    first, second = conf.noether_condition_residuals(
-        model, motion, scenario.potential, pair, points)
-    div_flux = conf.div_noether_flux(model, motion, scenario.potential, pair, points,
-                                     scenario.divergence_step)
-    reference = dot(model.material_gradient(points, motion.deformation_gradient(points)),
-                    pair.w(points))
+    pair, potential = scenario.pair, scenario.potential
+    state = scenario.state(points)
+    first, second = conf.noether_condition_residuals(potential, pair, points, state)
+    div_flux = conf.div_noether_flux(scenario.model, scenario.motion, potential, pair,
+                                     points, scenario.divergence_step)
+    reference = dot(state.material_gradient, pair.w(points))
     return NoetherReport(*(float(np.max(np.abs(values), initial=0.0))
                            for values in (first, second, div_flux, second - reference)))

@@ -18,8 +18,9 @@ section's config keys, which the schema's ``oneOf`` branches list too; its
 keyword-only ones (a step, a part's quadrature orders) come from elsewhere.
 
 Node data is built once per scenario, for its part, over stacked arrays,
-points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes; that
-build makes F at every node, so it is also the det F > 0 check.
+points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes: one
+point state per node, and the sources read from it; that build makes F at
+every node, so it is also the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -234,13 +235,13 @@ NODE_BLOCK = 256
 
 
 class _NodeData:
-    """y, F, P, PP and e evaluated once at every given quadrature node.
+    """The point state of every given quadrature node.
 
     Each attribute named in ``FIELDS`` is an array with one row per node,
     filled block by block from :meth:`evaluate`.
     """
 
-    FIELDS = ("y", "f_grad", "stress", "eshelby", "energy")
+    FIELDS = conf.PointState._fields
 
     def __init__(self, scenario: "Scenario", points: np.ndarray, weights: np.ndarray):
         self.points = points
@@ -254,29 +255,25 @@ class _NodeData:
 
     @staticmethod
     def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
-        f = scenario.motion.deformation_gradient(x)
-        return (scenario.motion.y(x), f, scenario.model.stress(x, f),
-                conf.eshelby_stress(scenario.model, x, f), scenario.model.energy(x, f))
+        return scenario.state(x)
 
 
 class VolumeNodeData(_NodeData):
-    """Scenario fields evaluated once at every volume quadrature node."""
+    """The state and the sources (b, f, mu) at every volume quadrature node."""
 
-    FIELDS = _NodeData.FIELDS + ("material_gradient", "body_force", "driving_force",
-                                 "couple")
+    FIELDS = _NodeData.FIELDS + ("body_force", "driving_force", "couple")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         super().__init__(scenario, part.volume_points, part.volume_weights)
 
     @staticmethod
     def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
-        state = _NodeData.evaluate(scenario, x)
-        return (state + (scenario.model.material_gradient(x, state[1]),)
-                + tuple(scenario.sources(x)))
+        state = scenario.state(x)
+        return state + scenario.sources(x, state)
 
 
 class SurfaceNodeData(_NodeData):
-    """Scenario fields evaluated once at every boundary quadrature node."""
+    """The state at every boundary quadrature node."""
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         super().__init__(scenario, part.surface.points, part.surface.weights)
@@ -363,7 +360,7 @@ class Scenario:
                 f"isotropic material (model {self.model.name!r})")
 
     def _build_sources(self, spec: dict):
-        """x -> (b, f, mu) at points x (..., 3)."""
+        """(x, state) -> (b, f, mu) at points x (..., 3) of the given state."""
         if spec["mode"] == "closure":
             return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
@@ -371,12 +368,13 @@ class Scenario:
         b = build_field(spec.get("b", zero), step=self.motion_step)
         f = build_field(spec.get("f", zero), step=self.motion_step)
         mu = build_field(spec.get("mu", zero), step=self.motion_step)
-        return lambda x: (b(x), f(x), mu(x))
+        return lambda x, state: (b(x), f(x), mu(x))
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def eshelby_at(self, x) -> np.ndarray:
-        return conf.eshelby_stress(self.model, x, self.motion.deformation_gradient(x))
+    def state(self, x) -> conf.PointState:
+        """y, F, P, e, PP and de/dx|expl at points x (..., 3)."""
+        return conf.point_state(self.model, self.motion, x)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -62,10 +62,39 @@ def fd_copy(obj):
     return dataclasses.replace(obj, gradient=None)
 
 
+def reference_divergences(model, motion, x,
+                          step: float = conf.DEFAULT_DIVERGENCE_STEP):
+    """(Div P, Div PP) at one point x from their definitions.
+
+    With dF/dx: Div P = tr dP/dx|F + sum_j dP/dF[dF/dx_j] e_j, and PP = e I - F^t P
+    by the product rule, with grad e = de/dx|expl + P : dF/dx.  Without it:
+    central differences of P and of e I - F^t P.
+    """
+    x = as_vector(x)
+
+    def stresses(xx):
+        f = motion.deformation_gradient(xx)
+        p = model.stress(xx, f)
+        return np.stack([p, model.energy(xx, f) * np.eye(3) - f.T @ p])
+
+    if motion.second_gradient is None:
+        div_p, div_pp = conf.fd_tensor_divergence(stresses, x, step)
+        return div_p, div_pp
+    f = motion.deformation_gradient(x)
+    p = model.stress(x, f)
+    d2y = motion.second_gradient(x)     # [k, l, j] = d^2 y_k / dx_l dx_j
+    div_p = np.einsum("ijj->i", model.stress_material_gradient(x, f)) + sum(
+        model.stress_derivative(x, f, d2y[:, :, j])[:, j] for j in range(3))
+    grad_e = model.material_gradient(x, f) + np.einsum("kl,klj->j", p, d2y)
+    # (Div F^t P)_a = d_j F_ka P_kj + F_ka (Div P)_k
+    div_pp = grad_e - np.einsum("kaj,kj->a", d2y, p) - f.T @ div_p
+    return div_p, div_pp
+
+
 def standard_force_residual(model, motion, b, x,
                             step: float = conf.DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
     """Div P + b at x."""
-    return conf.div_first_pk(model, motion, x, step) + as_vector(b)
+    return reference_divergences(model, motion, x, step)[0] + as_vector(b)
 
 
 def configurational_force_residual(model, motion, b, f, x,
@@ -73,20 +102,20 @@ def configurational_force_residual(model, motion, b, f, x,
     """Div PP - F^t b + de/dx|expl - f at x."""
     x = as_vector(x)
     f_grad = motion.deformation_gradient(x)
-    return (conf.stress_divergences(model, motion, x, step)[1]
+    return (reference_divergences(model, motion, x, step)[1]
             - f_grad.T @ as_vector(b)
             + model.material_gradient(x, f_grad)
             - as_vector(f))
 
 
 def torque_residuals(model, motion, mu, x):
-    """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x."""
+    """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x, with PP = e I - F^t P."""
     x = as_vector(x)
     f = motion.deformation_gradient(x)
     p = model.stress(x, f)
+    pp = model.energy(x, f) * np.eye(3) - f.T @ p
     first = axial_vector(2.0 * skew_part(p @ f.T))
-    second = (axial_vector(2.0 * skew_part(conf.eshelby_stress(model, x, f)))
-              - as_vector(mu))
+    second = axial_vector(2.0 * skew_part(pp)) - as_vector(mu)
     return first, second
 
 
@@ -94,29 +123,30 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     """Node data by the per-node loop, one point at a time.
 
     The oracle for the batched :class:`relpower.scenarios.VolumeNodeData`
-    and :class:`relpower.scenarios.SurfaceNodeData`.  Closure b and f take
-    Div P and Div PP separately, as their pointwise definitions read.
+    and :class:`relpower.scenarios.SurfaceNodeData`: every field from its
+    own definition, never through :func:`relpower.configurational.point_state`.
+    Closure b and f take Div P and Div PP from :func:`reference_divergences`,
+    as their pointwise definitions read.
     """
     model, motion, step = scenario.model, scenario.motion, scenario.divergence_step
     rows = defaultdict(list)
     for x in points:
         f = motion.deformation_gradient(x)
-        rows["y"].append(motion.y(x))
-        rows["f_grad"].append(f)
-        rows["stress"].append(model.stress(x, f))
-        rows["eshelby"].append(conf.eshelby_stress(model, x, f))
-        rows["energy"].append(model.energy(x, f))
+        p, e = model.stress(x, f), model.energy(x, f)
+        state = conf.PointState(y=motion.y(x), f_grad=f, stress=p, energy=e,
+                                eshelby=e * np.eye(3) - f.T @ p,
+                                material_gradient=model.material_gradient(x, f))
+        for name, value in state._asdict().items():
+            rows[name].append(value)
         if not volume:
             continue
-        rows["material_gradient"].append(model.material_gradient(x, f))
         if scenario.source_mode == "closure":
-            b = -conf.div_first_pk(model, motion, x, step)
-            driving = (conf.stress_divergences(model, motion, x, step)[1]
-                       + f.T @ conf.div_first_pk(model, motion, x, step)
-                       + model.material_gradient(x, f))
-            couple = axial_vector(2.0 * skew_part(conf.eshelby_stress(model, x, f)))
+            div_p, div_pp = reference_divergences(model, motion, x, step)
+            b = -div_p
+            driving = div_pp + f.T @ div_p + state.material_gradient
+            couple = axial_vector(2.0 * skew_part(state.eshelby))
         else:
-            b, driving, couple = scenario.sources(x)
+            b, driving, couple = scenario.sources(x, state)
         rows["body_force"].append(b)
         rows["driving_force"].append(driving)
         rows["couple"].append(couple)

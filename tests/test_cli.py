@@ -89,29 +89,38 @@ class TestRun:
         assert "NonPositiveJacobian" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("section,value", [
-        ("geometry", {"kind": "box", "center": [float("nan"), 0.0, 0.0],
-                      "halfwidths": [0.5, 0.5, 0.5]}),
-        ("geometry", {"kind": "box", "center": [0.0, 0.0, 0.0],
-                      "halfwidths": [0.0, 0.0, 0.0]}),
-        ("motion", {"preset": "rotation", "axis": [0.0, 0.0, 0.0], "angle": 0.5}),
+    @pytest.mark.parametrize("base,section,value", [
+        ("stvk_uniaxial", "geometry", {"kind": "box", "center": [float("nan"), 0.0, 0.0],
+                                       "halfwidths": [0.5, 0.5, 0.5]}),
+        ("stvk_uniaxial", "geometry", {"kind": "box", "center": [0.0, 0.0, 0.0],
+                                       "halfwidths": [0.0, 0.0, 0.0]}),
+        ("stvk_uniaxial", "motion",
+         {"preset": "rotation", "axis": [0.0, 0.0, 0.0], "angle": 0.5}),
         # equal spheres carry equal fluxes, so the gate could not fail
-        ("checks", {"surface_independence": {"inner_radius": 0.9, "outer_radius": 0.9,
-                                             "tolerance": 1e-6}}),
+        ("stvk_uniaxial", "checks", {"surface_independence": {
+            "inner_radius": 0.9, "outer_radius": 0.9, "tolerance": 1e-6}}),
         # mu = (x1 - x2) e_1 vanishes at the centre and on the line x1 = x2 = 0
-        ("sources", {"mode": "preset", "mu": {"preset": "linear", "matrix": [
-            [1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}),
+        ("stvk_uniaxial", "sources", {"mode": "preset", "mu": {
+            "preset": "linear",
+            "matrix": [[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}}),
         # Draft 7 counts integral floats as integers
-        ("quadrature", {"volume_order": 4.0}),
-        ("seed", 41007.0),
-        ("checks", {"noether": {"points": 100.0, "condition_tolerance": 1e-6}}),
-        ("checks", {"noether": {"points": 10001, "condition_tolerance": 1e-6}}),
+        ("stvk_uniaxial", "quadrature", {"volume_order": 4.0}),
+        ("stvk_uniaxial", "seed", 41007.0),
+        ("stvk_uniaxial", "checks",
+         {"noether": {"points": 100.0, "condition_tolerance": 1e-6}}),
+        ("stvk_uniaxial", "checks",
+         {"noether": {"points": 10001, "condition_tolerance": 1e-6}}),
+        # det F = 1 - 0.04 r^2 in-plane: positive at every node, -0.44 on the
+        # outer sphere of the check
+        ("surface_independence_quadratic", "checks", {"surface_independence": {
+            "inner_radius": 0.5, "outer_radius": 6.0, "tolerance": 1e-6}}),
     ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis",
             "equal_surface_independence_radii", "isotropic_preset_couple_off_center",
-            "float_order", "float_seed", "float_points", "too_many_points"])
-    def test_degenerate_config_rejected_without_traceback(self, tmp_path, section,
+            "float_order", "float_seed", "float_points", "too_many_points",
+            "det_f_negative_off_the_nodes"])
+    def test_degenerate_config_rejected_without_traceback(self, tmp_path, base, section,
                                                           value):
-        config = load_bundled_config("stvk_uniaxial")
+        config = load_bundled_config(base)
         config[section] = value
         path = write_config(tmp_path, config)
         out = tmp_path / "out"
@@ -142,6 +151,16 @@ class TestRun:
         result = run_cli(["run", path, "--out", str(out)])
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    def test_non_positive_jacobian_off_the_nodes_names_the_point(self, tmp_path):
+        config = load_bundled_config("surface_independence_quadratic")
+        config["checks"]["surface_independence"]["outer_radius"] = 6.0
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stderr == ("error: NonPositiveJacobian: det F = -0.44 <= 0 "
+                                 "at x = [6. 0. 0.]\n")
         assert not out.exists()
 
     def test_invalid_value_is_named_by_its_path(self, tmp_path):
@@ -291,11 +310,12 @@ class TestSweep:
 
     def test_fractional_quadrature_order_is_config_error(self, tmp_path, uniaxial):
         out = tmp_path / "out"
-        result = run_cli(["sweep", uniaxial, "--axis", "quad", "--values", "2", "2.5",
-                          "--out", str(out)])
-        assert result.returncode == 2
-        assert "integer" in result.stderr and "Traceback" not in result.stderr
-        assert not out.exists()
+        for value in ("2.5", "nan", "inf"):
+            result = run_cli(["sweep", uniaxial, "--axis", "quad",
+                              "--values", "2", value, "--out", str(out)])
+            assert result.returncode == 2, value
+            assert "integer" in result.stderr and "Traceback" not in result.stderr
+            assert not out.exists()
 
     @pytest.mark.parametrize("axis,section,value", [
         ("quad", "quadrature", []),

@@ -36,21 +36,32 @@ def quadratic(slope=None):
 SINUSOIDAL = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
 
 
+def eshelby(model, motion, x):
+    """PP of the point state at x."""
+    return conf.point_state(model, motion, x).eshelby
+
+
+def closure_at(model, motion, x, step=conf.DEFAULT_DIVERGENCE_STEP):
+    """(b, f, mu) of the closure sources at x."""
+    state = conf.point_state(model, motion, x)
+    return conf.closure_sources(model, motion, step)(x, state)
+
+
 class TestEshelbyStress:
     def test_zero_at_natural_state(self):
         np.testing.assert_allclose(
-            conf.eshelby_stress(stvk_unit(), np.zeros(3), np.eye(3)),
+            eshelby(stvk_unit(), homogeneous_motion(np.eye(3)), np.zeros(3)),
             np.zeros((3, 3)))
 
     def test_uniaxial_hand_value(self):
         # e I - F^t P = diag(0.0726 - 0.9504, 0.0726 - 0.22, 0.0726 - 0.22)
-        got = conf.eshelby_stress(stvk_unit(), np.zeros(3), STRETCH)
+        got = eshelby(stvk_unit(), homogeneous_motion(STRETCH), np.zeros(3))
         np.testing.assert_allclose(
             got, np.diag([-0.8778, -0.1474, -0.1474]), atol=1e-9)
 
     def test_zero_at_rotated_natural_state(self):
-        r = rotation_motion([0.1, 0.8, -0.5], 0.6).deformation_gradient(np.zeros(3))
-        got = conf.eshelby_stress(neo_hookean(), np.zeros(3), r)
+        rotation = rotation_motion([0.1, 0.8, -0.5], 0.6)
+        got = eshelby(neo_hookean(), rotation, np.zeros(3))
         np.testing.assert_allclose(got, np.zeros((3, 3)), atol=1e-13)
 
     def test_invariant_under_superposed_ambient_rotation(self, rng):
@@ -62,8 +73,8 @@ class TestEshelbyStress:
                          gradient=lambda x: r @ motion.gradient(x))
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
-            a = conf.eshelby_stress(model, x, motion.deformation_gradient(x))
-            b = conf.eshelby_stress(model, x, rotated.deformation_gradient(x))
+            a = eshelby(model, motion, x)
+            b = eshelby(model, rotated, x)
             np.testing.assert_allclose(b, a, atol=1e-10 * (1 + np.linalg.norm(a)))
 
 
@@ -92,8 +103,12 @@ class TestDivergences:
             exact = conf.div_first_pk(model, SINUSOIDAL, x)
             fd = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
-            exact_pp = conf.stress_divergences(model, SINUSOIDAL, x)[1]
-            fd_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[1]
+            exact_pp = conf.stress_divergences(
+                model, SINUSOIDAL, x, conf.point_state(model, SINUSOIDAL, x))[1]
+            fd_motion = fd_copy(SINUSOIDAL)
+            fd_pp = conf.stress_divergences(
+                model, fd_motion, x, conf.point_state(model, fd_motion, x),
+                step=1e-4)[1]
             np.testing.assert_allclose(fd_pp, exact_pp, atol=1e-6, rtol=1e-6)
 
     def test_pullback_identity(self, rng):
@@ -103,8 +118,11 @@ class TestDivergences:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             f = SINUSOIDAL.deformation_gradient(x)
-            div_p = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
-            div_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[1]
+            fd_motion = fd_copy(SINUSOIDAL)
+            div_p = conf.div_first_pk(model, fd_motion, x, step=1e-4)
+            div_pp = conf.stress_divergences(
+                model, fd_motion, x, conf.point_state(model, fd_motion, x),
+                step=1e-4)[1]
             residual = div_pp + f.T @ div_p - model.material_gradient(x, f)
             np.testing.assert_allclose(residual, np.zeros(3), atol=1e-6)
 
@@ -121,10 +139,9 @@ class TestResidualsAndClosure:
     def test_closure_zeroes_all_pointwise_balances(self, rng):
         model = graded_stvk()
         motion = SINUSOIDAL
-        sources = conf.closure_sources(model, motion)
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
-            b, f, mu = sources(x)
+            b, f, mu = closure_at(model, motion, x)
             np.testing.assert_allclose(
                 standard_force_residual(model, motion, b, x),
                 np.zeros(3), atol=1e-12)
@@ -139,7 +156,7 @@ class TestResidualsAndClosure:
         model = graded_stvk()
         motion = fd_copy(SINUSOIDAL)
         x = rng.uniform(-0.4, 0.4, size=3)
-        b, f, _ = conf.closure_sources(model, motion, step=1e-4)(x)
+        b, f, _ = closure_at(model, motion, x, step=1e-4)
         res = configurational_force_residual(model, motion, b, f, x, step=1e-4)
         np.testing.assert_allclose(res, np.zeros(3), atol=1e-5)
 
@@ -148,7 +165,7 @@ class TestResidualsAndClosure:
         from relpower.fields import identity_motion
         model = graded_stvk()
         x = rng.uniform(-0.4, 0.4, size=3)
-        for source in conf.closure_sources(model, identity_motion())(x):
+        for source in closure_at(model, identity_motion(), x):
             np.testing.assert_allclose(source, np.zeros(3), atol=1e-14)
 
     def test_torque_residuals_frame_indifferent(self, rng):
@@ -185,7 +202,8 @@ class TestNoether:
         pair = VirtualFieldPair(v=v, w=w)
         x = rng.uniform(-0.4, 0.4, size=3)
         f = motion.deformation_gradient(x)
-        flux = conf.noether_flux(model, motion, zero_potential(), pair, x)
+        flux = conf.noether_flux(zero_potential(), pair, x,
+                                 conf.point_state(model, motion, x))
         np.testing.assert_allclose(flux, model.energy(x, f) * w(x), atol=1e-14)
 
     def test_flux_reduces_when_w_zero(self, rng):
@@ -195,7 +213,8 @@ class TestNoether:
         x = rng.uniform(-0.4, 0.4, size=3)
         f = motion.deformation_gradient(x)
         p = model.stress(x, f)
-        flux = conf.noether_flux(model, motion, zero_potential(), pair, x)
+        flux = conf.noether_flux(zero_potential(), pair, x,
+                                 conf.point_state(model, motion, x))
         np.testing.assert_allclose(flux, p.T @ pair.v(x), atol=1e-14)
 
     def test_divergence_free_at_equilibrium(self, rng):
@@ -215,7 +234,7 @@ class TestNoether:
         pair = self._pair_const([0.3, -0.2, 0.5], [0.4, 0.1, -0.3])
         x = rng.uniform(-0.4, 0.4, size=3)
         first, second = conf.noether_condition_residuals(
-            model, motion, zero_potential(), pair, x)
+            zero_potential(), pair, x, conf.point_state(model, motion, x))
         assert first == 0.0
         assert second == 0.0
 
@@ -226,7 +245,7 @@ class TestNoether:
         pair = self._pair_const([0.3, -0.2, 0.5], w)
         x = rng.uniform(-0.4, 0.4, size=3)
         _, second = conf.noether_condition_residuals(
-            model, motion, zero_potential(), pair, x)
+            zero_potential(), pair, x, conf.point_state(model, motion, x))
         f = motion.deformation_gradient(x)
         expected = float(model.material_gradient(x, f) @ w)
         assert second == pytest.approx(expected, abs=1e-14)

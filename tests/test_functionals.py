@@ -367,6 +367,16 @@ class TestSurfaceIndependence:
         with pytest.raises(PreconditionViolated):
             fn.surface_independence_check(scenario, inner, outer)
 
+    def test_preset_body_force_raises_on_a_homogeneous_shell(self):
+        config = self._shell_config({"kind": "constant", "value": 1.0})
+        config["sources"] = {"mode": "preset",
+                             "b": {"preset": "constant", "value": [0.0, 0.0, 0.01]}}
+        scenario = Scenario(config)
+        inner = sphere_surface(scenario.part.center, 0.5, 26)
+        outer = sphere_surface(scenario.part.center, 0.9, 26)
+        with pytest.raises(PreconditionViolated, match="b = f = mu = 0"):
+            fn.surface_independence_check(scenario, inner, outer)
+
 
 class TestNoetherChecks:
     def test_equilibrium_report(self):

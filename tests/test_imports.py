@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every public function, class and method it defines is used in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -49,3 +51,36 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of every public module-level function and class,
+    and of every public method of a module-level class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not member.name.startswith("_")):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _references(node) -> Counter:
+    """How often each name is loaded or each attribute read under ``node``."""
+    return Counter(child.id if isinstance(child, ast.Name) else child.attr
+                   for child in ast.walk(node)
+                   if isinstance(child, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # the package's __init__ only re-exports, so its names do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}: {qualname}"
+              for module, tree in trees.items()
+              for qualname, node in _public_definitions(tree)
+              if everywhere[node.name] == _references(node)[node.name]]
+    assert not unused, f"defined but never used in src/relpower: {', '.join(unused)}"

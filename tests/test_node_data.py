@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_node_data
-from relpower import scenarios
+from relpower import materials, scenarios
 from relpower.exceptions import NonPositiveJacobian
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
 
@@ -79,6 +79,24 @@ def test_block_size_leaves_node_data_bit_identical(name, monkeypatch):
         for got, want in zip(_node_arrays(Scenario(CONFIGS[name])), reference):
             for field in want:
                 np.testing.assert_array_equal(got[field], want[field], err_msg=field)
+
+
+@pytest.mark.parametrize("name,per_volume_node", [("block_overflow", 1),
+                                                   ("block_overflow_fd", 7)])
+def test_node_data_evaluates_the_stress_once_per_point(name, per_volume_node,
+                                                       monkeypatch):
+    # one point state per node; an fd volume node adds P at its 6 shifted points
+    points = []
+    stress = materials.MaterialModel.stress
+
+    def counted(self, x, f):
+        points.append(len(np.reshape(x, (-1, 3))))
+        return stress(self, x, f)
+
+    monkeypatch.setattr(materials.MaterialModel, "stress", counted)
+    part = Scenario(CONFIGS[name]).part
+    assert sum(points) == (per_volume_node * len(part.volume_points)
+                           + len(part.surface.points))
 
 
 def test_single_bad_node_mid_block_is_found():
