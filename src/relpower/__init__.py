@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .exceptions import (ConfigInvalid, NonAffineDefect, NonPositiveJacobian,
                          NotAntisymmetric, PreconditionViolated, RelpowerError)
-from .fields import Motion, ObserverChange, VirtualField, VirtualFieldPair
+from .fields import Motion, VirtualField, VirtualFieldPair
 from .functionals import (BalanceResiduals, InvarianceDecomposition,
                           PowerBreakdown, inner_relative_power,
                           integral_balance_residuals, invariance_decomposition,

@@ -144,17 +144,12 @@ class ScenarioRun:
             for label, vec in residuals.as_dict().items()
         ]
 
-        tolerance = spec["tolerance"] if spec else None
         force_norms = max(float(np.linalg.norm(residuals.force)),
                           float(np.linalg.norm(residuals.configurational_force)))
-        shift = None
-        if spec and "pivot_shift" in spec:
-            shift = np.asarray(spec["pivot_shift"], float)
-        elif tolerance is not None and force_norms > tolerance:
+        if spec and force_norms > spec["tolerance"]:
             # nonzero force residuals make torque residuals pivot dependent;
             # rerun with a shifted pivot so the dependence is visible
             shift = 0.25 * scenario.part.scale * np.ones(3)
-        if shift is not None:
             shifted = fn.integral_balance_residuals(
                 scenario, x0=scenario.x0 + shift, y0=scenario.y0 + shift)
             rows.extend(
@@ -178,9 +173,7 @@ class ScenarioRun:
                                error, spec["tolerance"]))
 
     def _check_invariance(self, spec: dict) -> None:
-        decomp = fn.invariance_decomposition(
-            self.scenario, self._power, self._residuals,
-            affine_tolerance=spec.get("affine_tolerance", 1e-10))
+        decomp = fn.invariance_decomposition(self.scenario, self._power, self._residuals)
         header = ["scenario", "generator", "coeff_1", "coeff_2", "coeff_3",
                   "coeff_norm", "predicted_1", "predicted_2", "predicted_3",
                   "prediction_error"]
@@ -268,13 +261,13 @@ class ScenarioRun:
         self.tables["surface_independence"] = (header, rows)
 
     def _check_noether(self, spec: dict) -> None:
-        report = fn.noether_point_checks(self.scenario,
-                                         n_points=spec.get("points", 100))
+        points = spec.get("points", 100)
+        report = fn.noether_point_checks(self.scenario, points)
         header = ["scenario", "points", "max_first_condition",
                   "max_second_condition", "max_flux_divergence",
                   "max_second_condition_mismatch"]
         self.tables["noether"] = (header, [[
-            self.scenario.name, spec.get("points", 100),
+            self.scenario.name, points,
             report.max_first_condition, report.max_second_condition,
             report.max_flux_divergence, report.max_second_condition_mismatch,
         ]])
@@ -352,13 +345,12 @@ def _pointwise_divergence_error(scenario: Scenario) -> float:
     error.  Both motions are built from the config, so the comparison holds
     whatever the scenario's derivative mode.
     """
-    exact_motion = build_motion(scenario.config["motion"], step=scenario.motion_step)
+    exact_motion = build_motion(scenario.config["motion"], scenario.motion_step)
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
     rng = np.random.default_rng(scenario.seed + 2)
     points = scenario.part.sample_interior(rng, 16)
-    exact = conf.div_first_pk(scenario.model, exact_motion, points)
-    approx = conf.div_first_pk(scenario.model, fd_motion, points,
-                               step=scenario.divergence_step)
+    exact = conf.div_first_pk(scenario.model, exact_motion, points, scenario.divergence_step)
+    approx = conf.div_first_pk(scenario.model, fd_motion, points, scenario.divergence_step)
     return float(np.max(np.linalg.norm(approx - exact, axis=-1), initial=0.0))
 
 
@@ -417,7 +409,7 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
 
 def preset_keys(constructor) -> List[str]:
     """The config keys of a preset: its constructor's positional parameters
-    (the scenario sets the keyword-only ones).  Slow, so only listings call it."""
+    (a part's keyword-only ones are quadrature keys).  Slow: only listings call it."""
     return [p.name for p in inspect.signature(constructor).parameters.values()
             if p.kind is p.POSITIONAL_OR_KEYWORD]
 

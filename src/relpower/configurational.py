@@ -66,7 +66,7 @@ def point_state(model: MaterialModel, motion: Motion, x) -> PointState:
 
 
 def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointState,
-                       step: float = DEFAULT_DIVERGENCE_STEP):
+                       step: float):
     """(Div P, Div PP) along the motion at points x of the given state.
 
     Analytic from F, P and de/dx|expl of the state when the motion has dF/dx:
@@ -91,8 +91,7 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointStat
                    - matvec(transpose(f), div_p))
 
 
-def div_first_pk(model: MaterialModel, motion: Motion, x,
-                 step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
+def div_first_pk(model: MaterialModel, motion: Motion, x, step: float) -> np.ndarray:
     """Div P along the motion at arbitrary points x."""
     return stress_divergences(model, motion, x, point_state(model, motion, x), step)[0]
 
@@ -101,8 +100,7 @@ def div_first_pk(model: MaterialModel, motion: Motion, x,
 # Manufactured (closure) source fields
 # ---------------------------------------------------------------------------
 
-def closure_sources(model: MaterialModel, motion: Motion,
-                    step: float = DEFAULT_DIVERGENCE_STEP):
+def closure_sources(model: MaterialModel, motion: Motion, step: float):
     """(x, state) -> (b, f, mu), the sources that close three pointwise balances:
 
         b  := -Div P                       (forces)
@@ -145,7 +143,7 @@ def noether_condition_residuals(potential: BodyForcePotential, pair: VirtualFiel
 
 def div_noether_flux(model: MaterialModel, motion: Motion,
                      potential: BodyForcePotential, pair: VirtualFieldPair, x,
-                     step: float = DEFAULT_DIVERGENCE_STEP) -> np.ndarray:
+                     step: float) -> np.ndarray:
     """Divergence of the flux density, by central differences."""
     return fd_tensor_divergence(
         lambda xx: noether_flux(potential, pair, xx, point_state(model, motion, xx)),

@@ -12,15 +12,14 @@ independently (on sampled pairs, :meth:`PairSamples.shifted` in
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
 
-The generators (c_hat, q_hat, c, q) of an :class:`ObserverChange` may be
-stacked, shape (k, 3), to describe k changes about the same pivots at
-once; the invariance decomposition evaluates all of its changes so.
+An observer change is its four generators (c_hat, q_hat, c, q), one
+(4, 3) array; k changes about the same pivots are a (k, 4, 3) array.
 
-Every preset carries analytic derivatives.  An object whose
-``gradient`` is ``None`` takes that derivative by central finite
-differences instead; a scenario in ``fd`` derivative mode builds its
-motion and virtual fields with these callables removed, so the mode is
-chosen once, where the objects are built.
+Every preset carries analytic derivatives and takes no step.  An object
+whose ``gradient`` is ``None`` takes that derivative by central finite
+differences of its ``step`` instead; a scenario in ``fd`` derivative
+mode removes these callables and sets its motion step when it builds
+the objects, so the mode is chosen once, where the objects are built.
 
 Presets are tabled by config name in ``MOTIONS`` and ``FIELDS``; a
 constructor's positional parameters are its preset's config keys.
@@ -28,7 +27,7 @@ constructor's positional parameters are its preset's config keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,26 +135,6 @@ class VirtualFieldPair:
     w: VirtualField
 
 
-@dataclass(frozen=True)
-class ObserverChange:
-    """Generators of one synchronous isometric change in observers, or of
-    k changes with generators of shape (k, 3) and shared pivots (3,)."""
-
-    ambient_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ambient_rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    ambient_pivot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    material_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    material_rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    material_pivot: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        for name in (
-            "ambient_translation", "ambient_rotation", "ambient_pivot",
-            "material_translation", "material_rotation", "material_pivot",
-        ):
-            object.__setattr__(self, name, as_vector(getattr(self, name)))
-
-
 # ---------------------------------------------------------------------------
 # Motion presets
 # ---------------------------------------------------------------------------
@@ -163,28 +142,26 @@ class ObserverChange:
 _NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
 
 
-def identity_motion(*, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def identity_motion() -> Motion:
     """y = x"""
     return Motion(
         placement=lambda x: x.copy(),
         gradient=lambda x: _constant(IDENTITY, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
-        step=step,
     )
 
 
-def homogeneous_motion(matrix, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def homogeneous_motion(matrix) -> Motion:
     """y = F0 x"""
     f0 = as_tensor(matrix)
     return Motion(
         placement=lambda x: matvec(f0, x),
         gradient=lambda x: _constant(f0, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
-        step=step,
     )
 
 
-def rotation_motion(axis, angle: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def rotation_motion(axis, angle: float) -> Motion:
     """rigid rotation y = R x"""
     axis = as_vector(axis)
     if not np.any(axis):
@@ -192,16 +169,16 @@ def rotation_motion(axis, angle: float, *, step: float = DEFAULT_GRADIENT_STEP) 
     n = axis / np.linalg.norm(axis)
     k = cross_matrix(n)
     r = IDENTITY + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)  # Rodrigues
-    return homogeneous_motion(r, step=step)
+    return homogeneous_motion(r)
 
 
-def shear_motion(gamma: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def shear_motion(gamma: float) -> Motion:
     """y = x + gamma x_2 e_1"""
     f0 = IDENTITY + gamma * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    return homogeneous_motion(f0, step=step)
+    return homogeneous_motion(f0)
 
 
-def harmonic_motion(alpha: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def harmonic_motion(alpha: float) -> Motion:
     """y = x + alpha (x1^2 - x2^2, -2 x1 x2, 0)
 
     The displacement is the gradient of the harmonic potential
@@ -223,11 +200,10 @@ def harmonic_motion(alpha: float, *, step: float = DEFAULT_GRADIENT_STEP) -> Mot
     second *= alpha
     return Motion(placement,
                   gradient=lambda x: IDENTITY + np.einsum("klj,...j->...kl", second, x),
-                  second_gradient=lambda x: _constant(second, x), step=step)
+                  second_gradient=lambda x: _constant(second, x))
 
 
-def sinusoidal_motion(amplitude: float, wavevector, direction, *,
-                      step: float = DEFAULT_GRADIENT_STEP) -> Motion:
+def sinusoidal_motion(amplitude: float, wavevector, direction) -> Motion:
     """y = x + a sin(k.x) d"""
     k = as_vector(wavevector)
     d = as_vector(direction)
@@ -245,7 +221,7 @@ def sinusoidal_motion(amplitude: float, wavevector, direction, *,
     def second_gradient(x):
         return (-amplitude * np.sin(dot(k, x)))[..., None, None, None] * dkk
 
-    return Motion(placement, gradient, second_gradient, step=step)
+    return Motion(placement, gradient, second_gradient)
 
 
 MOTIONS = {"identity": identity_motion, "homogeneous": homogeneous_motion,
@@ -260,43 +236,40 @@ MOTIONS = {"identity": identity_motion, "homogeneous": homogeneous_motion,
 _ZERO_GRADIENT = np.zeros((3, 3))
 
 
-def constant_field(value, *, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def constant_field(value) -> VirtualField:
     """uniform field"""
     value = as_vector(value)
     return VirtualField(lambda x: _constant(value, x),
-                        gradient=lambda x: _constant(_ZERO_GRADIENT, x), step=step)
+                        gradient=lambda x: _constant(_ZERO_GRADIENT, x))
 
 
-def rigid_field(translation, rotation, pivot, *,
-                step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def rigid_field(translation, rotation, pivot) -> VirtualField:
     """c + q x (x - x0)"""
     c = as_vector(translation)
     q = as_vector(rotation)
     x0 = as_vector(pivot)
     q_cross = cross_matrix(q)
     return VirtualField(lambda x: c + np.cross(q, x - x0),
-                        gradient=lambda x: _constant(q_cross, x), step=step)
+                        gradient=lambda x: _constant(q_cross, x))
 
 
-def linear_field(matrix, *, step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def linear_field(matrix) -> VirtualField:
     """A x"""
     a = as_tensor(matrix)
     return VirtualField(lambda x: matvec(a, x),
-                        gradient=lambda x: _constant(a, x), step=step)
+                        gradient=lambda x: _constant(a, x))
 
 
-def affine_field(value, matrix, pivot=None, *,
-                 step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def affine_field(value, matrix, pivot=None) -> VirtualField:
     """value + A (x - pivot)"""
     c = as_vector(value)
     a = as_tensor(matrix)
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
     return VirtualField(lambda x: c + matvec(a, x - x0),
-                        gradient=lambda x: _constant(a, x), step=step)
+                        gradient=lambda x: _constant(a, x))
 
 
-def sinusoidal_field(amplitude: float, wavevector, direction, *,
-                     step: float = DEFAULT_GRADIENT_STEP) -> VirtualField:
+def sinusoidal_field(amplitude: float, wavevector, direction) -> VirtualField:
     """a sin(k.x) d; curl-free iff d || k"""
     k = as_vector(wavevector)
     d = as_vector(direction)
@@ -304,7 +277,6 @@ def sinusoidal_field(amplitude: float, wavevector, direction, *,
     return VirtualField(
         lambda x: (amplitude * np.sin(dot(k, x)))[..., None] * d,
         gradient=lambda x: (amplitude * np.cos(dot(k, x)))[..., None, None] * dk,
-        step=step,
     )
 
 

@@ -32,9 +32,9 @@ q-coefficient exactly twice R4 on couple-free closure scenarios.  The
 decomposition below extracts the coefficients by brute force and
 reports them next to these independently integrated predictions.  Its
 14 observer changes (12 unit generators, 2 random combinations) are one
-stack of generators, shape (14, 3) per slot, shifted and evaluated in
-chunks of changes sized to about four node blocks; the base power and the
-residuals come from the caller, which has already computed them.
+(14, 4, 3) array of generators, shifted and evaluated in chunks of changes
+sized to about four node blocks; the base power and the residuals come
+from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3)), built once with the
@@ -52,19 +52,22 @@ import numpy as np
 from . import configurational as conf
 from . import scenarios
 from .exceptions import NonAffineDefect, PreconditionViolated
-from .fields import ObserverChange, VirtualFieldPair, curl_from_gradient
+from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import SurfaceQuadrature, weighted_fsum
 from .scenarios import Scenario
 from .tensors import as_vector, contract, dot, matvec, skew_part, transpose
 
 
-# the generators of an observer change: (c_hat, q_hat, c, q)
+# the generators of an observer change: (c_hat, q_hat, c, q), rows of a (4, 3)
+# array, or of a (k, 4, 3) stack of k changes
 GENERATOR_SLOTS = (
     "ambient_translation",
     "ambient_rotation",
     "material_translation",
     "material_rotation",
 )
+
+AFFINE_TOLERANCE = 1e-10   # the defect is affine by construction: above it is a bug
 
 
 @dataclass(frozen=True)
@@ -105,15 +108,14 @@ class PairSamples:
     v_surface: np.ndarray
     w_surface: np.ndarray
 
-    def shifted(self, change: ObserverChange, vol, surf) -> "PairSamples":
-        """Samples of (v*, w*); the rigid offsets use the cached node data.
+    def shifted(self, generators, y0, x0, vol, surf) -> "PairSamples":
+        """Samples of (v*, w*) about pivots y0 and x0; the rigid offsets use
+        the cached node data.
 
-        Generators of shape (k, 3) give samples of shape (k, n, 3), one
-        stack entry per change.
+        Generators (4, 3), in ``GENERATOR_SLOTS`` order, give samples (n, 3);
+        a stack (k, 4, 3) of them gives (k, n, 3), one entry per change.
         """
-        c_hat, q_hat, c, q = (getattr(change, slot)[..., None, :]
-                              for slot in GENERATOR_SLOTS)
-        y0, x0 = change.ambient_pivot, change.material_pivot
+        c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
         return PairSamples(
             v_volume=self.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
             w_volume=self.w_volume + (c + np.cross(q, vol.points - x0)),
@@ -209,8 +211,6 @@ class BalanceResiduals:
     torque: np.ndarray
     configurational_force: np.ndarray
     configurational_torque: np.ndarray
-    ambient_pivot: np.ndarray
-    material_pivot: np.ndarray
 
     def as_dict(self) -> Dict[str, np.ndarray]:
         return {
@@ -248,7 +248,7 @@ def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceR
         + weighted_fsum(vol.couple, vol.weights)
     )
 
-    return BalanceResiduals(force, torque, config_force, config_torque, y0, x0)
+    return BalanceResiduals(force, torque, config_force, config_torque)
 
 
 def material_torque_mismatch(scenario: Scenario) -> np.ndarray:
@@ -288,8 +288,7 @@ class InvarianceDecomposition:
 
 
 def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
-                             residuals: BalanceResiduals,
-                             affine_tolerance: float = 1e-10) -> InvarianceDecomposition:
+                             residuals: BalanceResiduals) -> InvarianceDecomposition:
     """Extract the defect coefficients for unit generators, then verify
     that two random combined generators superpose affinely.
 
@@ -311,11 +310,9 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     chunk = max(1, 4 * scenarios.NODE_BLOCK // len(vol.weights))
     totals = []
     for start in range(0, len(gens), chunk):
-        block = gens[start:start + chunk]
-        change = ObserverChange(
-            ambient_pivot=scenario.y0, material_pivot=scenario.x0,
-            **{slot: block[:, s] for s, slot in enumerate(GENERATOR_SLOTS)})
-        totals.append(_power_from_samples(scenario, samples.shifted(change, vol, surf)).total)
+        shifted = samples.shifted(gens[start:start + chunk], scenario.y0, scenario.x0,
+                                  vol, surf)
+        totals.append(_power_from_samples(scenario, shifted).total)
     defects = np.concatenate(totals) - base.total
 
     units = defects[:3 * slots]
@@ -327,10 +324,10 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
             float(coefficients[slot] @ g) for slot, g in zip(GENERATOR_SLOTS, generators))
         worst = max(worst, abs(defect - predicted))
     affine_residual = worst / scale
-    if affine_residual > affine_tolerance:
+    if affine_residual > AFFINE_TOLERANCE:
         raise NonAffineDefect(
             f"affine superposition residual {affine_residual:g} exceeds "
-            f"{affine_tolerance:g}; the defect evaluation is inconsistent"
+            f"{AFFINE_TOLERANCE:g}; the defect evaluation is inconsistent"
         )
 
     mismatch = material_torque_mismatch(scenario)
@@ -433,7 +430,7 @@ class NoetherReport:
     max_second_condition_mismatch: float
 
 
-def noether_point_checks(scenario: Scenario, n_points: int = 100) -> NoetherReport:
+def noether_point_checks(scenario: Scenario, n_points: int) -> NoetherReport:
     """Evaluate the two equivariance conditions and Div F at random
     interior points.
 

@@ -14,8 +14,9 @@ Each section is built from a preset table, config name -> constructor:
 ``geometry.PARTS``, ``fields.MOTIONS``, ``fields.FIELDS``,
 ``materials.MODEL_CLASSES``, ``materials.MODULI`` and
 ``materials.POTENTIALS``.  A constructor's positional parameters are its
-section's config keys, which the schema's ``oneOf`` branches list too; its
-keyword-only ones (a step, a part's quadrature orders) come from elsewhere.
+section's config keys, which the schema's ``oneOf`` branches list too; a
+part's keyword-only ones are its quadrature orders.  Presets take no step:
+``fd`` mode sets the motion step where it removes the analytic derivatives.
 
 Node data is built once per scenario, for its part, over stacked arrays,
 points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes: one
@@ -204,7 +205,7 @@ def build_geometry(spec: dict, quad: dict) -> geometry.BodyPart:
 
 
 def build_motion(spec: dict, step: float) -> fields.Motion:
-    return _from_spec(fields.MOTIONS, spec, "preset", step=step)
+    return dataclasses.replace(_from_spec(fields.MOTIONS, spec, "preset"), step=step)
 
 
 def build_modulus(spec: Optional[dict]) -> materials.Modulus:
@@ -217,8 +218,8 @@ def build_material(spec: dict) -> materials.MaterialModel:
         spec["model"], build_modulus(spec.get("lam")), build_modulus(spec["mu"]))
 
 
-def build_field(spec: dict, step: float) -> fields.VirtualField:
-    return _from_spec(fields.FIELDS, spec, "preset", step=step)
+def build_field(spec: dict) -> fields.VirtualField:
+    return _from_spec(fields.FIELDS, spec, "preset")
 
 
 def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotential]:
@@ -316,13 +317,13 @@ class Scenario:
             deriv.get("divergence_step", conf.DEFAULT_DIVERGENCE_STEP) * self.part.scale
         )
 
-        motion = build_motion(config["motion"], step=self.motion_step)
-        v = build_field(config["virtual_fields"]["v"], step=self.motion_step)
-        w = build_field(config["virtual_fields"]["w"], step=self.motion_step)
+        motion = build_motion(config["motion"], self.motion_step)
+        v = build_field(config["virtual_fields"]["v"])
+        w = build_field(config["virtual_fields"]["w"])
         if self.derivative_mode == "fd":
             motion = dataclasses.replace(motion, gradient=None, second_gradient=None)
-            v = dataclasses.replace(v, gradient=None)
-            w = dataclasses.replace(w, gradient=None)
+            v = dataclasses.replace(v, gradient=None, step=self.motion_step)
+            w = dataclasses.replace(w, gradient=None, step=self.motion_step)
         self.motion = motion
         self.model = build_material(config["material"])
         self.pair = fields.VirtualFieldPair(v=v, w=w)
@@ -345,6 +346,14 @@ class Scenario:
             # equal surfaces carry equal fluxes, so the gate could not fail
             raise ConfigInvalid(
                 "surface_independence requires inner_radius < outer_radius")
+        radii = ("inner_radius", "outer_radius")
+        if (shells and shells.get("expect", "zero") != "zero"
+                and [config["geometry"].get(key) for key in radii]
+                != [shells[key] for key in radii]):
+            # int_b de/dx dx is the flux difference across the part's own boundary
+            raise ConfigInvalid(
+                "surface_independence expect material_gradient_integral requires a "
+                "shell part whose radii are the check's inner_radius and outer_radius")
 
         try:
             self.volume_data = VolumeNodeData(self, self.part)
@@ -365,9 +374,7 @@ class Scenario:
             return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
-        b = build_field(spec.get("b", zero), step=self.motion_step)
-        f = build_field(spec.get("f", zero), step=self.motion_step)
-        mu = build_field(spec.get("mu", zero), step=self.motion_step)
+        b, f, mu = (build_field(spec.get(key, zero)) for key in ("b", "f", "mu"))
         return lambda x, state: (b(x), f(x), mu(x))
 
     # -- pointwise evaluation ------------------------------------------------

@@ -153,11 +153,11 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     return {name: np.array(values) for name, values in rows.items()}
 
 
-def decompose(scenario, **kwargs):
+def decompose(scenario):
     """``invariance_decomposition`` with the base power and balance
     residuals it takes from its caller."""
     return fn.invariance_decomposition(scenario, fn.relative_power(scenario),
-                                       fn.integral_balance_residuals(scenario), **kwargs)
+                                       fn.integral_balance_residuals(scenario))
 
 
 def _loop_power(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):

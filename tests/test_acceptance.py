@@ -88,7 +88,7 @@ def test_criterion_04_invariance_on_closure_scenarios():
     for name in ("stvk_uniaxial", "closure_shear_neohookean",
                  "closure_sinusoidal_graded_stvk"):
         scenario = Scenario(load_bundled_config(name))
-        decomp = decompose(scenario, affine_tolerance=1e-10)
+        decomp = decompose(scenario)
         worst = max(decomp.coefficient_norms().values())
         ok = ok and worst <= 1e-8 * decomp.power_scale
         ok = ok and decomp.affine_residual <= 1e-10

@@ -114,10 +114,26 @@ class TestRun:
         # outer sphere of the check
         ("surface_independence_quadratic", "checks", {"surface_independence": {
             "inner_radius": 0.5, "outer_radius": 6.0, "tolerance": 1e-6}}),
+        # keys that no longer exist: the pivot shift is automatic, and the
+        # affine superposition bound is fixed
+        ("preset_nonequilibrium", "checks", {"balances": {
+            "tolerance": 1e-6, "pivot_shift": [0.1, 0.0, 0.0]}}),
+        ("closure_shear_neohookean", "checks", {"invariance": {
+            "tolerance": 1e-8, "affine_tolerance": 1e-6}}),
+        # int de/dx over the part is the flux difference across the part's
+        # own boundary only, not across spheres inside it or around a box
+        ("surface_independence_graded_control", "checks", {"surface_independence": {
+            "inner_radius": 0.6, "outer_radius": 0.8,
+            "expect": "material_gradient_integral", "tolerance": 1e-5}}),
+        ("stvk_uniaxial", "checks", {"surface_independence": {
+            "inner_radius": 0.1, "outer_radius": 0.3,
+            "expect": "material_gradient_integral", "tolerance": 1e-5}}),
     ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis",
             "equal_surface_independence_radii", "isotropic_preset_couple_off_center",
             "float_order", "float_seed", "float_points", "too_many_points",
-            "det_f_negative_off_the_nodes"])
+            "det_f_negative_off_the_nodes", "removed_pivot_shift",
+            "removed_affine_tolerance", "control_spheres_inside_the_shell",
+            "control_on_a_box"])
     def test_degenerate_config_rejected_without_traceback(self, tmp_path, base, section,
                                                           value):
         config = load_bundled_config(base)
@@ -162,6 +178,32 @@ class TestRun:
         assert result.stderr == ("error: NonPositiveJacobian: det F = -0.44 <= 0 "
                                  "at x = [6. 0. 0.]\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("name", [".", ".."])
+    def test_dot_name_rejected_without_output(self, tmp_path, command, name):
+        # the name is the report directory: "." and ".." would write into
+        # the output directory itself, or above it
+        config = load_bundled_config("stvk_uniaxial")
+        config["name"] = name
+        args = [command, write_config(tmp_path, config)]
+        args += ["--axis", "quad", "--values", "2"] if command == "sweep" else []
+        result = run_cli(args + ["--out", str(tmp_path / "out" / "inner")])
+        assert result.returncode == 2, result.stderr
+        assert "config invalid at name: " in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_control_across_the_part_own_spheres_passes(self, tmp_path):
+        # the control holds on any shell bounded by the check's spheres
+        config = load_bundled_config("surface_independence_graded_control")
+        config["geometry"].update(inner_radius=0.6, outer_radius=0.8)
+        config["checks"]["surface_independence"].update(inner_radius=0.6,
+                                                        outer_radius=0.8)
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        assert result.returncode == 0, result.stderr
+        rows = read_csv(out / config["name"] / "checks.csv")
+        assert [row["status"] for row in rows] == ["pass"]
 
     def test_invalid_value_is_named_by_its_path(self, tmp_path):
         config = load_bundled_config("stvk_uniaxial")

@@ -83,7 +83,8 @@ class TestDivergences:
         x = rng.uniform(-0.4, 0.4, size=3)
         motion = homogeneous_motion(STRETCH)
         np.testing.assert_allclose(
-            conf.div_first_pk(stvk_unit(), motion, x), np.zeros(3), atol=1e-15)
+            conf.div_first_pk(stvk_unit(), motion, x, conf.DEFAULT_DIVERGENCE_STEP),
+            np.zeros(3), atol=1e-15)
 
     def test_quadratic_harmonic_equilibrium(self, rng):
         # Div P = mu * laplacian(u) = 0 for the harmonic displacement
@@ -92,7 +93,8 @@ class TestDivergences:
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             np.testing.assert_allclose(
-                conf.div_first_pk(model, motion, x), np.zeros(3), atol=1e-14)
+                conf.div_first_pk(model, motion, x, conf.DEFAULT_DIVERGENCE_STEP),
+                np.zeros(3), atol=1e-14)
             fd = conf.div_first_pk(model, fd_copy(motion), x, step=1e-4)
             np.testing.assert_allclose(fd, np.zeros(3), atol=1e-6)
 
@@ -100,11 +102,12 @@ class TestDivergences:
         model = graded_stvk()
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
-            exact = conf.div_first_pk(model, SINUSOIDAL, x)
+            exact = conf.div_first_pk(model, SINUSOIDAL, x, conf.DEFAULT_DIVERGENCE_STEP)
             fd = conf.div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
             exact_pp = conf.stress_divergences(
-                model, SINUSOIDAL, x, conf.point_state(model, SINUSOIDAL, x))[1]
+                model, SINUSOIDAL, x, conf.point_state(model, SINUSOIDAL, x),
+                conf.DEFAULT_DIVERGENCE_STEP)[1]
             fd_motion = fd_copy(SINUSOIDAL)
             fd_pp = conf.stress_divergences(
                 model, fd_motion, x, conf.point_state(model, fd_motion, x),

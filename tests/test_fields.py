@@ -5,28 +5,34 @@ import pytest
 
 from conftest import fd_copy
 from relpower.exceptions import NonPositiveJacobian
-from relpower.fields import (ObserverChange, VirtualFieldPair, central_difference,
+from relpower.fields import (VirtualFieldPair, central_difference,
                              constant_field, curl_from_gradient, harmonic_motion,
                              homogeneous_motion, identity_motion, linear_field,
                              rigid_field, rotation_motion, shear_motion,
                              sinusoidal_field, sinusoidal_motion)
-from relpower.functionals import PairSamples
+from relpower.functionals import GENERATOR_SLOTS, PairSamples
 from relpower.tensors import cross_matrix
 
 
-def shifted_at(pair, motion, change, x) -> PairSamples:
-    """The pair sampled at the single node x and seen through ``change``."""
+def generators(**slots) -> np.ndarray:
+    """One observer change, (4, 3) in ``GENERATOR_SLOTS`` order, zero where unnamed."""
+    return np.array([slots.get(slot, np.zeros(3)) for slot in GENERATOR_SLOTS], float)
+
+
+def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> PairSamples:
+    """The pair sampled at the single node x and seen through the generators
+    ``change`` about pivots y0 and x0 = 0."""
     x = np.asarray(x, float)
     nodes = SimpleNamespace(points=x[None], y=motion.y(x)[None])
     samples = PairSamples(v_volume=pair.v(x)[None], w_volume=pair.w(x)[None],
                           curl_w_volume=pair.w.curl(x)[None],
                           v_surface=pair.v(x)[None], w_surface=pair.w(x)[None])
-    return samples.shifted(change, nodes, nodes)
+    return samples.shifted(change, np.asarray(y0, float), np.zeros(3), nodes, nodes)
 
 
-def ambient_change(pair, motion, change, x) -> np.ndarray:
+def ambient_change(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> np.ndarray:
     """v*(x), checked to agree between the volume and surface samples."""
-    out = shifted_at(pair, motion, change, x)
+    out = shifted_at(pair, motion, change, x, y0)
     np.testing.assert_array_equal(out.v_surface, out.v_volume)
     return out.v_volume[0]
 
@@ -132,41 +138,41 @@ class TestObserverChanges:
 
     def test_identity_ambient_change(self):
         pair = self._pair([0.4, -0.1, 0.2], [0.0, 0.0, 0.0])
-        change = ObserverChange()
+        change = generators()
         out = ambient_change(pair, identity_motion(), change, [0.1, 0.2, 0.3])
         np.testing.assert_allclose(out, [0.4, -0.1, 0.2])
 
     def test_ambient_rotation_cross_product(self):
         # v = 0, q_hat = e3, y - y0 = e1 -> e2
         pair = self._pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        change = ObserverChange(ambient_rotation=[0.0, 0.0, 1.0])
+        change = generators(ambient_rotation=[0.0, 0.0, 1.0])
         out = ambient_change(pair, identity_motion(), change, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
 
     def test_ambient_hand_value(self):
         # c_hat=(1,2,3), q_hat=e1, y-y0=e2, v=e3 -> (1,2,5)
         pair = self._pair([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-        change = ObserverChange(ambient_translation=[1.0, 2.0, 3.0],
-                                ambient_rotation=[1.0, 0.0, 0.0])
+        change = generators(ambient_translation=[1.0, 2.0, 3.0],
+                            ambient_rotation=[1.0, 0.0, 0.0])
         out = ambient_change(pair, identity_motion(), change, [0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [1.0, 2.0, 5.0], atol=1e-15)
 
     def test_identity_material_change(self):
         pair = self._pair([0.0, 0.0, 0.0], [0.7, 0.1, -0.2])
-        out = material_change(pair, ObserverChange(), [0.3, 0.1, 0.0])
+        out = material_change(pair, generators(), [0.3, 0.1, 0.0])
         np.testing.assert_allclose(out, [0.7, 0.1, -0.2])
 
     def test_material_rotation_cross_product(self):
         pair = self._pair([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        change = ObserverChange(material_rotation=[1.0, 0.0, 0.0])
+        change = generators(material_rotation=[1.0, 0.0, 0.0])
         out = material_change(pair, change, [0.0, 1.0, 0.0])
         np.testing.assert_allclose(out, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_material_hand_value(self):
         # c=e1, q=e3, x-x0=e1, w=-e2 -> e1 + e2 - e2 = e1
         pair = self._pair([0.0, 0.0, 0.0], [0.0, -1.0, 0.0])
-        change = ObserverChange(material_translation=[1.0, 0.0, 0.0],
-                                material_rotation=[0.0, 0.0, 1.0])
+        change = generators(material_translation=[1.0, 0.0, 0.0],
+                            material_rotation=[0.0, 0.0, 1.0])
         out = material_change(pair, change, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-15)
 
@@ -176,13 +182,13 @@ class TestObserverChanges:
         x = np.array([0.2, -0.1, 0.3])
         g1 = rng.normal(size=3)
         g2 = rng.normal(size=3)
-        base = ambient_change(pair, motion, ObserverChange(), x)
+        base = ambient_change(pair, motion, generators(), x)
         d1 = ambient_change(
-            pair, motion, ObserverChange(ambient_rotation=g1), x) - base
+            pair, motion, generators(ambient_rotation=g1), x) - base
         d2 = ambient_change(
-            pair, motion, ObserverChange(ambient_rotation=g2), x) - base
+            pair, motion, generators(ambient_rotation=g2), x) - base
         both = ambient_change(
-            pair, motion, ObserverChange(ambient_rotation=g1 + g2), x) - base
+            pair, motion, generators(ambient_rotation=g1 + g2), x) - base
         np.testing.assert_allclose(both, d1 + d2, atol=1e-14)
 
 
@@ -216,12 +222,13 @@ class TestShiftedPair:
         pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]),
                                 w=constant_field([0.0, 0.0, 0.0]))
         q_hat = np.array([0.3, -0.2, 0.6])
-        change = ObserverChange(ambient_rotation=q_hat, ambient_pivot=[0.1, 0.0, 0.2])
+        change = generators(ambient_rotation=q_hat)
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             expected = cross_matrix(q_hat) @ motion.deformation_gradient(x)
             fd = central_difference(
-                lambda xx: ambient_change(pair, motion, change, xx), x, 1e-6)
+                lambda xx: ambient_change(pair, motion, change, xx, [0.1, 0.0, 0.2]),
+                x, 1e-6)
             np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-8)
 
     def test_material_curl_shift(self, rng):
@@ -229,7 +236,7 @@ class TestShiftedPair:
         w = sinusoidal_field(0.5, [1.0, 0.6, -0.8], [-0.4, 0.8, 0.3])
         pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]), w=w)
         q = np.array([0.2, 0.5, -0.3])
-        change = ObserverChange(material_rotation=q)
+        change = generators(material_rotation=q)
         x = rng.uniform(-0.4, 0.4, size=3)
         curl = shifted_at(pair, identity_motion(), change, x).curl_w_volume[0]
         np.testing.assert_allclose(curl, w.curl(x) + 2.0 * q, atol=1e-14)

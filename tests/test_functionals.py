@@ -9,7 +9,7 @@ import relpower.functionals as fn
 from conftest import decompose, loop_decomposition
 from relpower import scenarios
 from relpower.exceptions import PreconditionViolated
-from relpower.fields import ObserverChange, VirtualField, VirtualFieldPair, constant_field
+from relpower.fields import VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import sphere_surface, weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
 from relpower.tensors import matvec
@@ -126,6 +126,15 @@ class TestRelativePower:
         power = fn.relative_power(scenario)
         inner = fn.inner_relative_power(scenario)
         assert abs(power.total - inner) <= 1e-9 * (1.0 + abs(power.total))
+
+    @pytest.mark.xfail(strict=True, reason="the rotational relabeling term and its inner "
+                       "form disagree on a skewed graded body (ROADMAP item 1)")
+    def test_power_identity_on_skewed_graded_closure(self):
+        # the gate the run applies, at 1e-9: normalized by 1 + |P_rel|
+        scenario = Scenario(load_bundled_config("closure_skewed_graded_stvk"))
+        power = fn.relative_power(scenario)
+        inner = fn.inner_relative_power(scenario)
+        assert abs(power.total - inner) / (1.0 + abs(power.total)) <= 1e-9
 
     def test_quadrature_convergence(self):
         # refining from order 4 to 8 shrinks the identity gap by >= 100x
@@ -279,13 +288,14 @@ class TestStackedObserverChanges:
         scenario = Scenario(make_config())
         vol, surf = scenario.volume_data, scenario.surface_data
         samples = fn.sample_pair(scenario, scenario.pair)
-        gens = {slot: rng.uniform(-1.0, 1.0, size=(5, 3)) for slot in fn.GENERATOR_SLOTS}
-        pivots = {"ambient_pivot": rng.normal(size=3), "material_pivot": rng.normal(size=3)}
-        stacked = samples.shifted(ObserverChange(**pivots, **gens), vol, surf)
+        # (5, 4, 3): five changes, one generator per slot in each
+        gens = np.stack([rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in fn.GENERATOR_SLOTS],
+                        axis=1)
+        y0, x0 = rng.normal(size=3), rng.normal(size=3)
+        stacked = samples.shifted(gens, y0, x0, vol, surf)
         power = fn._power_from_samples(scenario, stacked)
         for k in range(5):
-            single = samples.shifted(ObserverChange(
-                **pivots, **{slot: g[k] for slot, g in gens.items()}), vol, surf)
+            single = samples.shifted(gens[k], y0, x0, vol, surf)
             for field in ("v_volume", "w_volume", "curl_w_volume", "v_surface",
                           "w_surface"):
                 np.testing.assert_array_equal(getattr(stacked, field)[k],

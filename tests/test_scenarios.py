@@ -136,6 +136,8 @@ class TestScenarioBehavior:
         assert analytic.pair.w.gradient is not None
         assert fd.motion.gradient is None and fd.motion.second_gradient is None
         assert fd.pair.v.gradient is None and fd.pair.w.gradient is None
+        # the scenario sets the step where it removes the derivatives
+        assert fd.motion.step == fd.pair.v.step == fd.pair.w.step == fd.motion_step
         a, b = analytic.volume_data, fd.volume_data
         for name in ("f_grad", "stress", "eshelby"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-9)
@@ -196,6 +198,17 @@ def test_schema_materials_are_the_model_classes():
     assert sorted(material["model"]["enum"]) == sorted(materials.MODEL_CLASSES)
     for cls in materials.MODEL_CLASSES.values():
         assert set(material) - {"model"} == set(preset_keys(cls)), cls.name
+
+
+@pytest.mark.parametrize("table", [fields.MOTIONS, fields.FIELDS, materials.MODULI,
+                                   materials.POTENTIALS, materials.MODEL_CLASSES],
+                         ids=["motions", "fields", "moduli", "potentials", "materials"])
+def test_presets_take_no_keyword_only_parameter(table):
+    """A preset constructor takes its config keys and nothing else: the
+    scenario sets any other setting, such as the fd step, on what it built."""
+    for name, constructor in table.items():
+        kinds = [p.kind for p in inspect.signature(constructor).parameters.values()]
+        assert inspect.Parameter.KEYWORD_ONLY not in kinds, name
 
 
 def test_schema_quadrature_keys_are_the_part_keywords():

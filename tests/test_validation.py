@@ -142,6 +142,13 @@ def test_mutations_get_the_oracle_verdict():
     assert 0.05 < sum(verdicts) / MUTATIONS < 0.95
 
 
+@pytest.mark.parametrize("name", [".", "..", "...", ".a", "a..", "a.b"])
+def test_dot_names_get_the_oracle_verdict(name):
+    # "." and ".." would place the reports in or above the output directory
+    config = dict(BUNDLED[0], name=name)
+    assert accepts(config) == ORACLE.is_valid(config) == (name not in (".", ".."))
+
+
 def test_integral_float_is_no_integer():
     config = copy.deepcopy(BUNDLED[0])
     config["quadrature"] = {"volume_order": 4.0}
