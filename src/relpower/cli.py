@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .exceptions import (ConfigInvalid, NonAffineDefect, NonPositiveJacobian,
 from .fields import VirtualFieldPair, constant_field
 from .geometry import sphere_surface
 from .scenarios import (Scenario, build_motion, bundled_scenario_names,
-                        config_digest, load_bundled_config, load_config_file,
-                        validate_config)
+                        config_digest, config_seed, load_bundled_config,
+                        load_config_file, validate_config)
 
 DEFAULT_OUTPUT_ENV = "RELPOWER_OUT"
 DEFAULT_OUTPUT_DIR = "relpower_out"
@@ -70,37 +70,40 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> No
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-class CheckOutcome:
-    def __init__(self, check: str, metric: str, value: float, tolerance: float):
-        self.check = check
-        self.metric = metric
-        self.value = float(value)
-        self.tolerance = float(tolerance)
-        self.passed = self.value <= self.tolerance
+class Gate(NamedTuple):
+    """One gated metric of a check."""
 
-    def row(self, scenario: str) -> List:
-        return [scenario, self.check, self.metric, self.value, self.tolerance,
-                "pass" if self.passed else "fail"]
+    check: str
+    metric: str
+    value: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance
 
 
 class ScenarioRun:
     """Executes one scenario's enabled checks and collects its tables."""
 
+    # the gated checks after the balances, in the order they run and report
+    CHECKS = ("power_identity", "invariance", "standard_power", "eshelby_diagonal",
+              "surface_independence", "noether")
+
     def __init__(self, config: dict):
         self.config = config
         self.scenario = Scenario(config)
-        self.outcomes: List[CheckOutcome] = []
+        self.gates: List[Gate] = []
         self.tables: Dict[str, Tuple[List[str], List[List]]] = {}
         self.manifest_extra: Dict[str, object] = {}
 
     # -- helpers -------------------------------------------------------------
 
-    def _vector_row(self, label: str, pivot_label: str, vec: np.ndarray) -> List:
-        return [self.scenario.name, label, pivot_label,
-                vec[0], vec[1], vec[2], float(np.linalg.norm(vec))]
+    def _vector_row(self, vec: np.ndarray, *labels: str) -> List:
+        return [self.scenario.name, *labels, *vec, float(np.linalg.norm(vec))]
 
-    def _add(self, outcome: CheckOutcome) -> None:
-        self.outcomes.append(outcome)
+    def _gate(self, check: str, metric: str, value: float, tolerance: float) -> None:
+        self.gates.append(Gate(check, metric, float(value), float(tolerance)))
 
     # -- checks ----------------------------------------------------------------
 
@@ -108,30 +111,19 @@ class ScenarioRun:
         checks = self.scenario.checks
         self._report_power()
         self._report_balances(checks.get("balances"))
-        if "power_identity" in checks:
-            self._check_power_identity(checks["power_identity"])
-        if "invariance" in checks:
-            self._check_invariance(checks["invariance"])
-        if "standard_power" in checks:
-            self._check_standard_power(checks["standard_power"])
-        if "eshelby_diagonal" in checks:
-            self._check_eshelby_diagonal(checks["eshelby_diagonal"])
-        if "surface_independence" in checks:
-            self._check_surface_independence(checks["surface_independence"])
-        if "noether" in checks:
-            self._check_noether(checks["noether"])
+        for name in self.CHECKS:
+            if name in checks:
+                getattr(self, f"_check_{name}")(checks[name])
 
     def _report_power(self) -> None:
         power = fn.relative_power(self.scenario)
         inner = fn.inner_relative_power(self.scenario)
-        header = ["scenario", "actions_volume", "actions_surface", "energy_flux",
-                  "inhomogeneity", "couple", "actions", "disarrangement", "total",
-                  "inner", "abs_difference"]
-        row = [self.scenario.name, power.actions_volume, power.actions_surface,
-               power.energy_flux, power.inhomogeneity, power.couple,
-               power.actions, power.disarrangement, power.total, inner,
-               abs(power.total - inner)]
-        self.tables["power"] = (header, [row])
+        pieces = [field.name for field in dataclasses.fields(power)]
+        pieces += ["actions", "disarrangement", "total"]
+        self.tables["power"] = (
+            ["scenario", *pieces, "inner", "abs_difference"],
+            [[self.scenario.name, *(getattr(power, piece) for piece in pieces), inner,
+              abs(power.total - inner)]])
         self._power = power
         self._inner = inner
 
@@ -140,7 +132,7 @@ class ScenarioRun:
         residuals = fn.integral_balance_residuals(scenario)
         header = ["scenario", "row", "pivot", "comp_1", "comp_2", "comp_3", "norm"]
         rows = [
-            self._vector_row(label, "default", vec)
+            self._vector_row(vec, label, "default")
             for label, vec in residuals.as_dict().items()
         ]
 
@@ -153,7 +145,7 @@ class ScenarioRun:
             shifted = fn.integral_balance_residuals(
                 scenario, x0=scenario.x0 + shift, y0=scenario.y0 + shift)
             rows.extend(
-                self._vector_row(label, "shifted", vec)
+                self._vector_row(vec, label, "shifted")
                 for label, vec in shifted.as_dict().items()
             )
             self.manifest_extra["pivot_shift"] = [float(s) for s in shift]
@@ -162,15 +154,14 @@ class ScenarioRun:
         self._residuals = residuals
 
         if spec and spec.get("expect", "zero") == "zero":
-            worst = max(float(np.linalg.norm(v)) for v in residuals.as_dict().values())
-            self._add(CheckOutcome("balances", "max_residual_norm", worst,
-                                   spec["tolerance"]))
+            worst = max(row[-1] for row in rows if row[2] == "default")
+            self._gate("balances", "max_residual_norm", worst, spec["tolerance"])
 
     def _check_power_identity(self, spec: dict) -> None:
         # bound: tolerance * (1 + |P_rel|)
         error = abs(self._power.total - self._inner) / (1.0 + abs(self._power.total))
-        self._add(CheckOutcome("power_identity", "normalized_abs_difference",
-                               error, spec["tolerance"]))
+        self._gate("power_identity", "normalized_abs_difference", error,
+                   spec["tolerance"])
 
     def _check_invariance(self, spec: dict) -> None:
         decomp = fn.invariance_decomposition(self.scenario, self._power, self._residuals)
@@ -199,14 +190,11 @@ class ScenarioRun:
         self.manifest_extra["affine_residual"] = decomp.affine_residual
         self.manifest_extra["power_scale"] = decomp.power_scale
 
-        if spec.get("expect", "zero") == "zero":
-            worst = max(decomp.coefficient_norms().values())
-            self._add(CheckOutcome("invariance", "max_coefficient_norm",
-                                   worst / decomp.power_scale, spec["tolerance"]))
-        else:
-            worst = max(decomp.prediction_errors().values())
-            self._add(CheckOutcome("invariance", "max_prediction_error",
-                                   worst / decomp.power_scale, spec["tolerance"]))
+        column, metric = (("coeff_norm", "max_coefficient_norm")
+                          if spec.get("expect", "zero") == "zero"
+                          else ("prediction_error", "max_prediction_error"))
+        worst = max(row[header.index(column)] for row in rows)
+        self._gate("invariance", metric, worst / decomp.power_scale, spec["tolerance"])
 
     def _check_standard_power(self, spec: dict) -> None:
         scenario = self.scenario
@@ -214,17 +202,15 @@ class ScenarioRun:
         total = fn.relative_power(scenario, pair).total
         reference = fn.standard_external_power(scenario, pair)
         error = abs(total - reference) / max(1.0, abs(reference))
-        self._add(CheckOutcome("standard_power", "relative_difference", error,
-                               spec["tolerance"]))
+        self._gate("standard_power", "relative_difference", error, spec["tolerance"])
 
     def _check_eshelby_diagonal(self, spec: dict) -> None:
         diag = np.diag(self.scenario.state(self.scenario.part.center).eshelby)
         expected = np.asarray(spec["expected"], float)
         error = float(np.max(np.abs(diag - expected)))
-        self._add(CheckOutcome("eshelby_diagonal", "max_abs_error", error,
-                               spec["tolerance"]))
+        self._gate("eshelby_diagonal", "max_abs_error", error, spec["tolerance"])
         header, rows = self.tables["balances"]
-        rows.append(self._vector_row("eshelby_diagonal", "-", diag))
+        rows.append(self._vector_row(diag, "eshelby_diagonal", "-"))
 
     def _check_surface_independence(self, spec: dict) -> None:
         scenario = self.scenario
@@ -237,61 +223,46 @@ class ScenarioRun:
             allow_broken_hypotheses=(expect != "zero"))
 
         header = ["scenario", "row", "comp_1", "comp_2", "comp_3", "norm"]
-        rows = [
-            [scenario.name, "flux_inner", *result.flux_inner,
-             float(np.linalg.norm(result.flux_inner))],
-            [scenario.name, "flux_outer", *result.flux_outer,
-             float(np.linalg.norm(result.flux_outer))],
-            [scenario.name, "difference", *result.difference, result.difference_norm],
-        ]
+        rows = [self._vector_row(result.flux_inner, "flux_inner"),
+                self._vector_row(result.flux_outer, "flux_outer"),
+                self._vector_row(result.difference, "difference")]
 
         if expect == "zero":
-            metric = result.difference_norm / result.flux_scale
-            self._add(CheckOutcome("surface_independence", "difference_vs_flux_scale",
-                                   metric, spec["tolerance"]))
+            self._gate("surface_independence", "difference_vs_flux_scale",
+                       result.difference_norm / result.flux_scale, spec["tolerance"])
         else:
             expected = fn.material_gradient_integral(scenario)
-            rows.append([scenario.name, "expected_shell_integral", *expected,
-                         float(np.linalg.norm(expected))])
+            rows.append(self._vector_row(expected, "expected_shell_integral"))
             error = float(np.linalg.norm(result.difference - expected))
-            metric = error / max(1.0, float(np.linalg.norm(expected)))
-            self._add(CheckOutcome("surface_independence",
-                                   "difference_vs_shell_integral", metric,
-                                   spec["tolerance"]))
+            self._gate("surface_independence", "difference_vs_shell_integral",
+                       error / max(1.0, float(np.linalg.norm(expected))),
+                       spec["tolerance"])
         self.tables["surface_independence"] = (header, rows)
 
     def _check_noether(self, spec: dict) -> None:
         points = spec.get("points", 100)
         report = fn.noether_point_checks(self.scenario, points)
-        header = ["scenario", "points", "max_first_condition",
-                  "max_second_condition", "max_flux_divergence",
-                  "max_second_condition_mismatch"]
-        self.tables["noether"] = (header, [[
-            self.scenario.name, points,
-            report.max_first_condition, report.max_second_condition,
-            report.max_flux_divergence, report.max_second_condition_mismatch,
-        ]])
+        self.tables["noether"] = (["scenario", "points", *report._fields],
+                                  [[self.scenario.name, points, *report]])
 
         tol = spec["condition_tolerance"]
-        self._add(CheckOutcome("noether", "max_first_condition",
-                               report.max_first_condition, tol))
+        self._gate("noether", "max_first_condition", report.max_first_condition, tol)
         if spec.get("expect_second", "zero") == "zero":
-            self._add(CheckOutcome("noether", "max_second_condition",
-                                   report.max_second_condition, tol))
+            self._gate("noether", "max_second_condition", report.max_second_condition,
+                       tol)
         else:
-            self._add(CheckOutcome("noether", "max_second_condition_mismatch",
-                                   report.max_second_condition_mismatch,
-                                   spec.get("second_tolerance", tol)))
+            self._gate("noether", "max_second_condition_mismatch",
+                       report.max_second_condition_mismatch,
+                       spec.get("second_tolerance", tol))
         if "divergence_tolerance" in spec:
-            self._add(CheckOutcome("noether", "max_flux_divergence",
-                                   report.max_flux_divergence,
-                                   spec["divergence_tolerance"]))
+            self._gate("noether", "max_flux_divergence", report.max_flux_divergence,
+                       spec["divergence_tolerance"])
 
     # -- outputs ---------------------------------------------------------------
 
     @property
     def passed(self) -> bool:
-        return all(outcome.passed for outcome in self.outcomes)
+        return all(gate.passed for gate in self.gates)
 
     def manifest(self) -> dict:
         scenario = self.scenario
@@ -307,15 +278,10 @@ class ScenarioRun:
             },
             "quadrature": self.config.get("quadrature", {}),
             "source_mode": scenario.source_mode,
-            "tolerances": {
-                outcome.check + ":" + outcome.metric: outcome.tolerance
-                for outcome in self.outcomes
-            },
-            "results": {
-                outcome.check + ":" + outcome.metric:
-                    "pass" if outcome.passed else "fail"
-                for outcome in self.outcomes
-            },
+            "tolerances": {f"{gate.check}:{gate.metric}": gate.tolerance
+                           for gate in self.gates},
+            "results": {f"{gate.check}:{gate.metric}": "pass" if gate.passed else "fail"
+                        for gate in self.gates},
             "passed": self.passed,
         }
         manifest.update(self.manifest_extra)
@@ -329,7 +295,8 @@ class ScenarioRun:
             _write_csv(os.path.join(directory, f"{table_name}.csv"), header, rows)
         header = ["scenario", "check", "metric", "value", "tolerance", "status"]
         _write_csv(os.path.join(directory, "checks.csv"), header,
-                   [outcome.row(self.scenario.name) for outcome in self.outcomes])
+                   [[self.scenario.name, *gate, "pass" if gate.passed else "fail"]
+                    for gate in self.gates])
         _write_atomic(os.path.join(directory, "manifest.json"),
                       json.dumps(self.manifest(), indent=2, sort_keys=True) + "\n")
 
@@ -358,9 +325,10 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
     """Re-run one scenario across a discretization axis.
 
     ``axis='quad'`` varies the volume, surface and radial Gauss orders, of
-    which each part reads its own; ``axis='fd'``
-    switches to finite-difference derivatives and varies the divergence
-    step (with the motion step kept a decade smaller).
+    which each part reads its own; ``axis='fd'`` switches to
+    finite-difference derivatives and varies the divergence step (with the
+    motion step kept a decade smaller).  Every row takes the seed of the
+    unswept config, so all rows sample the same points.
     """
     rows = []
     if axis == "quad":
@@ -374,16 +342,14 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
     else:
         raise ConfigInvalid(f"unknown sweep axis {axis!r}")
 
+    seed = config_seed(config)
     for value in values:
         cfg = copy.deepcopy(config)
+        cfg["seed"] = seed
         if axis == "quad":
-            # only the orders the part reads: the config digest seeds a
-            # config without a seed, so an unread key would move its rows
-            keywords = geometry.PARTS[cfg["geometry"]["kind"]].__kwdefaults__
-            quad = cfg.setdefault("quadrature", {})
-            for key in ("volume_order", "surface_order", "radial_order"):
-                if key in keywords:
-                    quad[key] = int(value)
+            order = int(value)
+            cfg.setdefault("quadrature", {}).update(
+                volume_order=order, surface_order=order, radial_order=order)
         else:
             cfg["derivatives"] = {
                 "mode": "fd",

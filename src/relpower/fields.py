@@ -142,15 +142,6 @@ class VirtualFieldPair:
 _NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
 
 
-def identity_motion() -> Motion:
-    """y = x"""
-    return Motion(
-        placement=lambda x: x.copy(),
-        gradient=lambda x: _constant(IDENTITY, x),
-        second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
-    )
-
-
 def homogeneous_motion(matrix) -> Motion:
     """y = F0 x"""
     f0 = as_tensor(matrix)
@@ -159,6 +150,11 @@ def homogeneous_motion(matrix) -> Motion:
         gradient=lambda x: _constant(f0, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
     )
+
+
+def identity_motion() -> Motion:
+    """y = x"""
+    return homogeneous_motion(IDENTITY)
 
 
 def rotation_motion(axis, angle: float) -> Motion:
@@ -253,13 +249,6 @@ def rigid_field(translation, rotation, pivot) -> VirtualField:
                         gradient=lambda x: _constant(q_cross, x))
 
 
-def linear_field(matrix) -> VirtualField:
-    """A x"""
-    a = as_tensor(matrix)
-    return VirtualField(lambda x: matvec(a, x),
-                        gradient=lambda x: _constant(a, x))
-
-
 def affine_field(value, matrix, pivot=None) -> VirtualField:
     """value + A (x - pivot)"""
     c = as_vector(value)
@@ -267,6 +256,11 @@ def affine_field(value, matrix, pivot=None) -> VirtualField:
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
     return VirtualField(lambda x: c + matvec(a, x - x0),
                         gradient=lambda x: _constant(a, x))
+
+
+def linear_field(matrix) -> VirtualField:
+    """A x"""
+    return affine_field(np.zeros(3), matrix)
 
 
 def sinusoidal_field(amplitude: float, wavevector, direction) -> VirtualField:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -277,15 +277,6 @@ class InvarianceDecomposition:
     power_scale: float
     mismatch: np.ndarray
 
-    def coefficient_norms(self) -> Dict[str, float]:
-        return {k: float(np.linalg.norm(v)) for k, v in self.coefficients.items()}
-
-    def prediction_errors(self) -> Dict[str, float]:
-        return {
-            k: float(np.linalg.norm(self.coefficients[k] - self.predicted[k]))
-            for k in self.coefficients
-        }
-
 
 def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
                              residuals: BalanceResiduals) -> InvarianceDecomposition:
@@ -422,8 +413,7 @@ def material_gradient_integral(scenario: Scenario) -> np.ndarray:
 # Conservation-law point checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoetherReport:
+class NoetherReport(NamedTuple):
     max_first_condition: float
     max_second_condition: float
     max_flux_divergence: float

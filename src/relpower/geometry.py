@@ -1,9 +1,12 @@
 """Integrable parts of the reference body and their quadrature rules.
 
 Supported geometries: axis-aligned boxes, balls and spherical shells.
-Boxes use tensor-product Gauss-Legendre rules; balls and shells use a
-product of a radial Gauss rule (with the r^2 Jacobian folded into the
-weights) and an octahedrally symmetric spherical rule.
+Boxes use tensor-product Gauss-Legendre rules.  Balls and shells come
+from one constructor, a product of a radial Gauss rule (with the r^2
+Jacobian folded into the weights) and an octahedrally symmetric
+spherical rule, each rule a weighted sum of symmetry orbits of unit
+vectors.  A ball is a shell of inner radius 0 without its inner sphere;
+a shell's boundary adds the inner sphere with inward normals.
 
 Parts are tabled by config kind in ``PARTS``; a constructor's positional
 parameters are its config keys, its keyword-only ones its quadrature keys.
@@ -15,6 +18,7 @@ Accumulation everywhere goes through :func:`weighted_fsum`, which uses
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,50 +27,29 @@ import numpy as np
 
 from .tensors import as_vector
 
-# Octahedrally symmetric spherical rules (weights sum to 1; the 4*pi
-# measure is applied when weights are assembled).  Algebraic exactness:
-# 6 points -> degree 3, 14 -> degree 5, 26 -> degree 7.
-_SQ2 = 1.0 / math.sqrt(2.0)
-_SQ3 = 1.0 / math.sqrt(3.0)
-
-
-def _octahedron_vertices():
-    return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-
-
-def _edge_midpoints():
-    pts = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    p = [0.0, 0.0, 0.0]
-                    p[i] = si * _SQ2
-                    p[j] = sj * _SQ2
-                    pts.append(tuple(p))
-    return pts
-
-
-def _cube_vertices():
-    return [
-        (sx * _SQ3, sy * _SQ3, sz * _SQ3)
-        for sx in (1.0, -1.0) for sy in (1.0, -1.0) for sz in (1.0, -1.0)
-    ]
+# Octahedrally symmetric spherical rules: size -> {orbit k: weight of each of
+# its points}, weights summing to 1 (the 4*pi measure is applied when weights
+# are assembled).  Orbit k holds the unit vectors whose k nonzero components
+# are +-1/sqrt(k).  Algebraic exactness: 6 points -> degree 3, 14 -> degree 5,
+# 26 -> degree 7.
+_SPHERICAL_RULES = {6: {1: 1 / 6}, 14: {1: 1 / 15, 3: 3 / 40},
+                    26: {1: 1 / 21, 2: 4 / 105, 3: 27 / 840}}
 
 
 def spherical_rule(n_points: int):
     """Unit-sphere direction rule: (directions (n,3), weights summing to 1)."""
-    if n_points == 6:
-        dirs = _octahedron_vertices()
-        wts = [1.0 / 6.0] * 6
-    elif n_points == 14:
-        dirs = _octahedron_vertices() + _cube_vertices()
-        wts = [1.0 / 15.0] * 6 + [3.0 / 40.0] * 8
-    elif n_points == 26:
-        dirs = _octahedron_vertices() + _edge_midpoints() + _cube_vertices()
-        wts = [1.0 / 21.0] * 6 + [4.0 / 105.0] * 12 + [27.0 / 840.0] * 8
-    else:
+    if n_points not in _SPHERICAL_RULES:
         raise ValueError(f"unsupported spherical rule size {n_points}; use 6, 14 or 26")
+    dirs, wts = [], []
+    for k, weight in _SPHERICAL_RULES[n_points].items():
+        s = 1.0 / math.sqrt(k)
+        for axes in itertools.combinations(range(3), k):
+            for signs in itertools.product((s, -s), repeat=k):
+                direction = [0.0, 0.0, 0.0]
+                for axis, sign in zip(axes, signs):
+                    direction[axis] = sign
+                dirs.append(direction)
+                wts.append(weight)
     return np.asarray(dirs, float), np.asarray(wts, float)
 
 
@@ -175,90 +158,73 @@ def box_part(center, halfwidths, *, volume_order: int = 6,
     )
 
 
-def sphere_surface(center, radius: float, angular_points: int = 26,
-                   outward: bool = True) -> SurfaceQuadrature:
-    """Quadrature on a sphere; ``outward=False`` flips the normals."""
+def sphere_surface(center, radius: float, angular_points: int = 26) -> SurfaceQuadrature:
+    """Quadrature on a sphere, with outward normals."""
     center = as_vector(center)
     dirs, wts = spherical_rule(angular_points)
-    sign = 1.0 if outward else -1.0
     return SurfaceQuadrature(
         points=center + radius * dirs,
-        normals=sign * dirs,
+        normals=dirs,
         weights=4.0 * math.pi * radius ** 2 * wts,
     )
 
 
-def _radial_shell(center, r_inner: float, r_outer: float, radial_order: int,
-                  angular_points: int):
+def _spherical_part(center, r_inner: float, r_outer: float, radial_order: int,
+                    angular_points: int) -> BodyPart:
+    """Radial Gauss x spherical rule between two radii.  The boundary is the
+    outer sphere, then, for r_inner > 0, the inner one with inward normals."""
     center = as_vector(center)
     dirs, ang_wts = spherical_rule(angular_points)
     radii, rad_wts = gauss_legendre(radial_order, r_inner, r_outer)
     pts = center + radii[:, None, None] * dirs[None, :, :]
     wts = (rad_wts * radii ** 2 * 4.0 * math.pi)[:, None] * ang_wts[None, :]
-    return pts.reshape(-1, 3), wts.ravel()
+
+    surface = sphere_surface(center, r_outer, angular_points)
+    if r_inner > 0.0:
+        inner = sphere_surface(center, r_inner, angular_points)
+        surface = SurfaceQuadrature(np.vstack([surface.points, inner.points]),
+                                    np.vstack([surface.normals, -inner.normals]),
+                                    np.concatenate([surface.weights, inner.weights]))
+
+    pad = SAMPLE_MARGIN * r_outer
+    lo3, hi3 = (r_inner + pad) ** 3, (r_outer - pad) ** 3
+
+    def sample_interior(rng, n):
+        out = np.empty((n, 3))
+        for i in range(n):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            u = rng.uniform()
+            r = (r_outer * (1.0 - SAMPLE_MARGIN) * u ** (1.0 / 3.0) if r_inner == 0.0
+                 else (lo3 + (hi3 - lo3) * u) ** (1.0 / 3.0))
+            out[i] = center + r * d
+        return out
+
+    return BodyPart(
+        center=center,
+        scale=float(r_outer),
+        volume_points=pts.reshape(-1, 3),
+        volume_weights=wts.ravel(),
+        surface=surface,
+        sample_interior=sample_interior,
+    )
 
 
 def ball_part(center, radius: float, *, radial_order: int = 6,
               angular_points: int = 26) -> BodyPart:
     """ball, radial Gauss x spherical rule"""
-    center = as_vector(center)
     if radius <= 0.0:
         raise ValueError("ball radius must be positive")
-    pts, wts = _radial_shell(center, 0.0, radius, radial_order, angular_points)
-
-    def sample_interior(rng, n):
-        out = np.empty((n, 3))
-        r_max = radius * (1.0 - SAMPLE_MARGIN)
-        for i in range(n):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            out[i] = center + r_max * rng.uniform() ** (1.0 / 3.0) * d
-        return out
-
-    return BodyPart(
-        center=center,
-        scale=float(radius),
-        volume_points=pts,
-        volume_weights=wts,
-        surface=sphere_surface(center, radius, angular_points),
-        sample_interior=sample_interior,
-    )
+    return _spherical_part(center, 0.0, radius, radial_order, angular_points)
 
 
 def shell_part(center, inner_radius: float, outer_radius: float, *,
                radial_order: int = 6, angular_points: int = 26) -> BodyPart:
     """spherical shell, boundary = both spheres"""
-    center = as_vector(center)
     if not 0.0 < inner_radius < outer_radius:
         raise ValueError("need 0 < inner_radius < outer_radius")
-    pts, wts = _radial_shell(center, inner_radius, outer_radius, radial_order,
-                             angular_points)
-    outer = sphere_surface(center, outer_radius, angular_points, outward=True)
-    inner = sphere_surface(center, inner_radius, angular_points, outward=False)
-    surface = SurfaceQuadrature(
-        points=np.vstack([outer.points, inner.points]),
-        normals=np.vstack([outer.normals, inner.normals]),
-        weights=np.concatenate([outer.weights, inner.weights]),
-    )
-
-    def sample_interior(rng, n):
-        out = np.empty((n, 3))
-        pad = SAMPLE_MARGIN * outer_radius
-        lo3, hi3 = (inner_radius + pad) ** 3, (outer_radius - pad) ** 3
-        for i in range(n):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            out[i] = center + (lo3 + (hi3 - lo3) * rng.uniform()) ** (1.0 / 3.0) * d
-        return out
-
-    return BodyPart(
-        center=center,
-        scale=float(outer_radius),
-        volume_points=pts,
-        volume_weights=wts,
-        surface=surface,
-        sample_interior=sample_interior,
-    )
+    return _spherical_part(center, inner_radius, outer_radius, radial_order,
+                           angular_points)
 
 
 PARTS = {"box": box_part, "ball": ball_part, "shell": shell_part}

@@ -153,7 +153,6 @@ class SaintVenantKirchhoff(MaterialModel):
     """Saint Venant-Kirchhoff: lam/2 (tr E)^2 + mu tr(E^2)"""
 
     name = "stvk"
-    isotropic = True
 
     @staticmethod
     def _strain(f):
@@ -179,7 +178,6 @@ class NeoHookean(MaterialModel):
     """mu/2 (tr C - 3) - mu ln J + lam/2 (ln J)^2"""
 
     name = "neo_hookean"
-    isotropic = True
 
     @staticmethod
     def _log_det(f):

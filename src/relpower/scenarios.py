@@ -186,6 +186,11 @@ def config_digest(config: dict) -> str:
     ).hexdigest()
 
 
+def config_seed(config: dict) -> int:
+    """The config's ``seed``, or one drawn from its digest when it has none."""
+    return config.get("seed", int(config_digest(config)[:8], 16))
+
+
 # ---------------------------------------------------------------------------
 # Component builders
 # ---------------------------------------------------------------------------
@@ -339,7 +344,7 @@ class Scenario:
         self.source_mode = config["sources"]["mode"]
         self.sources = self._build_sources(config["sources"])
 
-        self.seed = config.get("seed", int(config_digest(config)[:8], 16))
+        self.seed = config_seed(config)
         self.checks = config.get("checks", {})
         shells = self.checks.get("surface_independence")
         if shells and shells["inner_radius"] >= shells["outer_radius"]:

@@ -1,22 +1,34 @@
 """Shared helpers: random kinematic states, finite-difference copies, the
-pointwise balance residuals, the per-node loop and the per-change
-observer loop used as oracles."""
+pointwise balance residuals, the per-node loop, the per-change
+observer loop and the coefficient norms of a decomposition, used as
+oracles, and the environment a child interpreter needs to run the tree
+under test."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+import relpower
 from relpower import configurational as conf
 from relpower import functionals as fn
 from relpower.fields import Motion
 from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
                                 make_material, sinusoidal_modulus)
 from relpower.tensors import as_vector, axial_vector, skew_part
+
+
+def working_tree_env() -> dict:
+    """This environment with the source root of the imported ``relpower``
+    first on PYTHONPATH, so a child interpreter runs the tree under test."""
+    src = os.path.dirname(os.path.dirname(relpower.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_state(rng, det_lo: float = 0.5, det_hi: float = 2.0):
@@ -158,6 +170,17 @@ def decompose(scenario):
     residuals it takes from its caller."""
     return fn.invariance_decomposition(scenario, fn.relative_power(scenario),
                                        fn.integral_balance_residuals(scenario))
+
+
+def coefficient_norms(decomp) -> dict:
+    """|c| of each generator slot of an invariance decomposition."""
+    return {k: float(np.linalg.norm(v)) for k, v in decomp.coefficients.items()}
+
+
+def prediction_errors(decomp) -> dict:
+    """|c - p|, coefficient against residual prediction, of each slot."""
+    return {k: float(np.linalg.norm(decomp.coefficients[k] - decomp.predicted[k]))
+            for k in decomp.coefficients}
 
 
 def _loop_power(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):

@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 import relpower.functionals as fn
-from conftest import (NOT_FRAME_INDIFFERENT, decompose, fd_material_gradient, fd_stress,
-                      graded_models, homogeneous_models, random_state)
+from conftest import (NOT_FRAME_INDIFFERENT, coefficient_norms, decompose,
+                      fd_material_gradient, fd_stress, graded_models, homogeneous_models,
+                      random_state, working_tree_env)
 from relpower import cli
 from relpower.cli import sweep_scenario
 from relpower.geometry import sphere_surface
@@ -89,7 +90,7 @@ def test_criterion_04_invariance_on_closure_scenarios():
                  "closure_sinusoidal_graded_stvk"):
         scenario = Scenario(load_bundled_config(name))
         decomp = decompose(scenario)
-        worst = max(decomp.coefficient_norms().values())
+        worst = max(coefficient_norms(decomp).values())
         ok = ok and worst <= 1e-8 * decomp.power_scale
         ok = ok and decomp.affine_residual <= 1e-10
         details.append(f"{name} coeff {worst:.2e} affine {decomp.affine_residual:.1e}")
@@ -215,7 +216,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     # nondeterminism still shows in the byte comparison
     run = [sys.executable, "-m", "relpower"]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    proc = subprocess.Popen(run + ["run", "--all", "--out", out1],
+    proc = subprocess.Popen(run + ["run", "--all", "--out", out1], env=working_tree_env(),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         second = cli.main(["run", "--all", "--out", out2])
@@ -234,7 +235,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     bad_path.write_text(json.dumps(bad))
     out3 = tmp_path / "c"
     invalid = subprocess.run(run + ["run", str(bad_path), "--out", str(out3)],
-                             capture_output=True, text=True)
+                             env=working_tree_env(), capture_output=True, text=True)
     ok = ok and invalid.returncode == 2 and not out3.exists()
     report(10, "cli_contract", ok,
            f"exit codes ({first}, {second}, "

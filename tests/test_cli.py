@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import working_tree_env
 from relpower import cli
-from relpower.scenarios import Scenario, load_bundled_config
+from relpower.scenarios import Scenario, config_seed, load_bundled_config
 
 
 def run_cli(args):
@@ -205,6 +206,21 @@ class TestRun:
         rows = read_csv(out / config["name"] / "checks.csv")
         assert [row["status"] for row in rows] == ["pass"]
 
+    @pytest.mark.parametrize("part_rule,check_rule,code", [
+        (6, None, 0), (14, None, 0), (6, 6, 1)])
+    def test_control_gate_follows_the_check_sphere_rule(self, tmp_path, part_rule,
+                                                        check_rule, code):
+        # the spheres take the check's angular_points (default 26), whatever
+        # the part's rule: the graded flux integrand has degree 4 on a sphere,
+        # which the 6-point rule (degree 3) misses even when the part uses it
+        config = load_bundled_config("surface_independence_graded_control")
+        config["quadrature"]["angular_points"] = part_rule
+        if check_rule is not None:
+            config["checks"]["surface_independence"]["angular_points"] = check_rule
+        result = run_cli(["run", write_config(tmp_path, config),
+                          "--out", str(tmp_path / "out")])
+        assert result.returncode == code, result.stderr
+
     def test_invalid_value_is_named_by_its_path(self, tmp_path):
         config = load_bundled_config("stvk_uniaxial")
         config["geometry"]["center"] = None
@@ -234,7 +250,8 @@ class TestRun:
         out = tmp_path / "out"
         # through the module entry point, whose exit status is what main returns
         result = subprocess.run([sys.executable, "-m", "relpower", "run", path,
-                                 "--out", str(out)], capture_output=True, text=True)
+                                 "--out", str(out)], env=working_tree_env(),
+                                capture_output=True, text=True)
         assert result.returncode == 1, result.stderr
         rows = read_csv(out / "stvk_uniaxial" / "checks.csv")
         failed = [r for r in rows if r["status"] == "fail"]
@@ -322,6 +339,17 @@ class TestSweep:
         monkeypatch.setattr(cli, "Scenario", Spy)
         cli.sweep_scenario(load_bundled_config("noether_harmonic"), "quad", [2, 4, 6, 8])
         assert [len(s.volume_data.points) for s in built] == [52, 104, 156, 208]
+
+    def test_seedless_sweep_rows_share_the_config_seed(self):
+        # each swept copy samples the unswept config's points: the pointwise
+        # gap does not depend on the quadrature order, so it reads one value
+        config = load_bundled_config("closure_sinusoidal_graded_stvk")
+        del config["seed"]
+        _, rows = cli.sweep_scenario(config, "quad")
+        assert len({row[-1] for row in rows}) == 1
+        seeded = dict(config, seed=config_seed(config))
+        assert (cli.sweep_scenario(config, "fd", [1e-3, 1e-4])
+                == cli.sweep_scenario(seeded, "fd", [1e-3, 1e-4]))
 
     def test_polynomial_scenario_at_float_floor(self, tmp_path):
         # polynomial integrands are integrated exactly at every order past

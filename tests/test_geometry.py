@@ -77,16 +77,23 @@ class TestBoxPart:
         total = surface_integral(part, lambda x, n: n)
         assert np.linalg.norm(total) <= 1e-10 * area(part)
 
-    def test_divergence_theorem_on_position(self):
-        # int x . n dA = 3 |box|
-        part = box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4)
-        got = surface_integral(part, lambda x, n: float(x @ n))
-        assert got == pytest.approx(3.0, rel=1e-13)
-
     def test_contains_and_interior_sampling(self, rng):
         part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], volume_order=2)
         for x in part.sample_interior(rng, 50):
             assert np.all(np.abs(x) < 0.5)
+
+
+@pytest.mark.parametrize("make_part,volume", [
+    (lambda: box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4), 1.0),
+    (lambda: ball_part([0.1, 0.0, -0.2], 0.8), 4.0 / 3.0 * math.pi * 0.8 ** 3),
+    (lambda: shell_part([0.1, 0.0, -0.2], 0.5, 0.9),
+     4.0 / 3.0 * math.pi * (0.9 ** 3 - 0.5 ** 3)),
+], ids=["box", "ball", "shell"])
+def test_divergence_theorem_on_position(make_part, volume):
+    # int x . n dA = 3 |part|; a sphere whose normals point the wrong way
+    # (into a ball, out of a shell's cavity) breaks it
+    got = surface_integral(make_part(), lambda x, n: float(x @ n))
+    assert got == pytest.approx(3.0 * volume, rel=1e-13)
 
 
 def test_weighted_fsum_matches_rowwise_fsum(rng):

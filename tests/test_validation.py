@@ -9,7 +9,6 @@ import copy
 import gc
 import importlib.util
 import json
-import os
 import pathlib
 import random
 import subprocess
@@ -19,7 +18,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-import relpower
+from conftest import working_tree_env
 from relpower import scenarios
 from relpower.exceptions import ConfigInvalid
 from relpower.scenarios import bundled_scenario_names, load_bundled_config, validate_config
@@ -181,15 +180,12 @@ def test_validation_leaves_no_reference_cycles():
 
 
 def test_cli_runs_without_jsonschema():
-    src = os.path.dirname(os.path.dirname(relpower.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys\n"
             "from relpower import cli\n"
             "from relpower.scenarios import load_bundled_config\n"
             "cli.validate_config(load_bundled_config('stvk_uniaxial'))\n"
             "print('jsonschema' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=working_tree_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
