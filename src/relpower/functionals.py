@@ -53,7 +53,7 @@ from . import configurational as conf
 from . import scenarios
 from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import VirtualFieldPair, curl_from_gradient
-from .geometry import SurfaceQuadrature, weighted_fsum
+from .geometry import weighted_fsum
 from .scenarios import Scenario
 from .tensors import as_vector, contract, dot, matvec, skew_part, transpose
 
@@ -370,18 +370,11 @@ class SurfaceIndependenceResult:
                    float(np.linalg.norm(self.flux_outer)))
 
 
-def configurational_traction_flux(scenario: Scenario,
-                                  surface: SurfaceQuadrature) -> np.ndarray:
-    """int_S PP n dA over one closed surface."""
-    rows = matvec(scenario.state(surface.points).eshelby, surface.normals)
-    return weighted_fsum(rows, surface.weights)
-
-
-def surface_independence_check(scenario: Scenario, inner: SurfaceQuadrature,
-                               outer: SurfaceQuadrature,
+def surface_independence_check(scenario: Scenario,
                                allow_broken_hypotheses: bool = False
                                ) -> SurfaceIndependenceResult:
-    """Compare the configurational traction flux through nested surfaces.
+    """The fluxes of PP n through the shell's two spheres, read at its boundary nodes:
+    their difference is the boundary term of the configurational force residual R3.
 
     The hypotheses (homogeneous material, no sources, equilibrium) are
     checked, the sources at every volume node, unless explicitly waived for
@@ -396,9 +389,13 @@ def surface_independence_check(scenario: Scenario, inner: SurfaceQuadrature,
                for source in (vol.body_force, vol.driving_force, vol.couple)):
             raise PreconditionViolated("surface independence requires "
                                        "b = f = mu = 0")
+    surf = scenario.surface_data
+    outer = dot(surf.normals, surf.points - scenario.part.center) > 0.0
+    # outward sphere normals: negating the inner flux would turn an exact 0 into -0
+    rows = matvec(surf.eshelby, np.where(outer[:, None], surf.normals, -surf.normals))
     return SurfaceIndependenceResult(
-        flux_inner=configurational_traction_flux(scenario, inner),
-        flux_outer=configurational_traction_flux(scenario, outer),
+        flux_inner=weighted_fsum(rows[~outer], surf.weights[~outer]),
+        flux_outer=weighted_fsum(rows[outer], surf.weights[outer]),
     )
 
 

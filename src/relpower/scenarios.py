@@ -347,18 +347,15 @@ class Scenario:
         self.seed = config_seed(config)
         self.checks = config.get("checks", {})
         shells = self.checks.get("surface_independence")
-        if shells and shells["inner_radius"] >= shells["outer_radius"]:
-            # equal surfaces carry equal fluxes, so the gate could not fail
-            raise ConfigInvalid(
-                "surface_independence requires inner_radius < outer_radius")
-        radii = ("inner_radius", "outer_radius")
-        if (shells and shells.get("expect", "zero") != "zero"
-                and [config["geometry"].get(key) for key in radii]
-                != [shells[key] for key in radii]):
-            # int_b de/dx dx is the flux difference across the part's own boundary
-            raise ConfigInvalid(
-                "surface_independence expect material_gradient_integral requires a "
-                "shell part whose radii are the check's inner_radius and outer_radius")
+        if shells is not None:
+            # the fluxes are read on the shell's own boundary, so the check's
+            # radii and rule may restate the part but not differ from it
+            part = {**geometry.PARTS["shell"].__kwdefaults__, **quad, **config["geometry"]}
+            restated = ("inner_radius", "outer_radius", "angular_points")
+            if part["kind"] != "shell" or any(
+                    shells.get(key, part[key]) != part[key] for key in restated):
+                raise ConfigInvalid("surface_independence requires a shell part whose "
+                                    "radii and angular_points the check only restates")
 
         try:
             self.volume_data = VolumeNodeData(self, self.part)

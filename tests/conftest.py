@@ -1,14 +1,16 @@
 """Shared helpers: random kinematic states, finite-difference copies, the
 pointwise balance residuals, the per-node loop, the per-change
 observer loop and the coefficient norms of a decomposition, used as
-oracles, and the environment a child interpreter needs to run the tree
-under test."""
+oracles, the environment a child interpreter needs to run the tree
+under test, and the benchmark's draw generator."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 import os
+import pathlib
 from collections import defaultdict
 
 import numpy as np
@@ -21,6 +23,13 @@ from relpower.fields import Motion
 from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
                                 make_material, sinusoidal_modulus)
 from relpower.tensors import as_vector, axial_vector, skew_part
+
+# perfbench/generate.py, loaded by path: the draws the benchmark runs, and
+# validates against the published schema before it times them
+_spec = importlib.util.spec_from_file_location(
+    "generate", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "generate.py")
+generate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(generate)
 
 
 def working_tree_env() -> dict:

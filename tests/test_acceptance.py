@@ -19,7 +19,6 @@ from conftest import (NOT_FRAME_INDIFFERENT, coefficient_norms, decompose,
                       random_state, working_tree_env)
 from relpower import cli
 from relpower.cli import sweep_scenario
-from relpower.geometry import sphere_surface
 from relpower.scenarios import Scenario, load_bundled_config
 from relpower.tensors import skew_part
 
@@ -131,15 +130,13 @@ def test_criterion_05_proof_grouping_match():
 
 
 def test_criterion_06_surface_independence():
+    # both shells are bounded by the spheres of radii 0.5 and 0.9, at 26 points
     scenario = Scenario(load_bundled_config("surface_independence_quadratic"))
-    inner = sphere_surface(scenario.part.center, 0.5, 26)
-    outer = sphere_surface(scenario.part.center, 0.9, 26)
-    result = fn.surface_independence_check(scenario, inner, outer)
+    result = fn.surface_independence_check(scenario)
     ok = result.difference_norm <= 1e-6 * result.flux_scale
 
     control = Scenario(load_bundled_config("surface_independence_graded_control"))
-    broken = fn.surface_independence_check(control, inner, outer,
-                                           allow_broken_hypotheses=True)
+    broken = fn.surface_independence_check(control, allow_broken_hypotheses=True)
     expected = fn.material_gradient_integral(control)
     err = np.linalg.norm(broken.difference - expected)
     ok = ok and np.linalg.norm(expected) > 1e-3

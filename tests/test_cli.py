@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -97,7 +98,7 @@ class TestRun:
                                        "halfwidths": [0.0, 0.0, 0.0]}),
         ("stvk_uniaxial", "motion",
          {"preset": "rotation", "axis": [0.0, 0.0, 0.0], "angle": 0.5}),
-        # equal spheres carry equal fluxes, so the gate could not fail
+        # the fluxes are read on a shell's own spheres, and a box has none
         ("stvk_uniaxial", "checks", {"surface_independence": {
             "inner_radius": 0.9, "outer_radius": 0.9, "tolerance": 1e-6}}),
         # mu = (x1 - x2) e_1 vanishes at the centre and on the line x1 = x2 = 0
@@ -111,10 +112,16 @@ class TestRun:
          {"noether": {"points": 100.0, "condition_tolerance": 1e-6}}),
         ("stvk_uniaxial", "checks",
          {"noether": {"points": 10001, "condition_tolerance": 1e-6}}),
-        # det F = 1 - 0.04 r^2 in-plane: positive at every node, -0.44 on the
-        # outer sphere of the check
+        # the check's radii and rule may only restate the part's (0.5, 0.9, 26)
         ("surface_independence_quadratic", "checks", {"surface_independence": {
             "inner_radius": 0.5, "outer_radius": 6.0, "tolerance": 1e-6}}),
+        ("surface_independence_quadratic", "checks", {"surface_independence": {
+            "inner_radius": 0.4, "tolerance": 1e-6}}),
+        ("surface_independence_quadratic", "checks", {"surface_independence": {
+            "angular_points": 14, "tolerance": 1e-6}}),
+        # a ball is bounded by one sphere only
+        ("surface_independence_quadratic", "geometry", {
+            "kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 0.9}),
         # keys that no longer exist: the pivot shift is automatic, and the
         # affine superposition bound is fixed
         ("preset_nonequilibrium", "checks", {"balances": {
@@ -132,7 +139,8 @@ class TestRun:
     ], ids=["nan_center", "zero_halfwidths", "zero_rotation_axis",
             "equal_surface_independence_radii", "isotropic_preset_couple_off_center",
             "float_order", "float_seed", "float_points", "too_many_points",
-            "det_f_negative_off_the_nodes", "removed_pivot_shift",
+            "check_outer_radius_not_the_part", "check_inner_radius_not_the_part",
+            "check_rule_not_the_part", "check_on_a_ball", "removed_pivot_shift",
             "removed_affine_tolerance", "control_spheres_inside_the_shell",
             "control_on_a_box"])
     def test_degenerate_config_rejected_without_traceback(self, tmp_path, base, section,
@@ -171,13 +179,19 @@ class TestRun:
         assert not out.exists()
 
     def test_non_positive_jacobian_off_the_nodes_names_the_point(self, tmp_path):
+        # det F = 1 - 0.04 r^2 in-plane: positive at the 8 nodes of the box,
+        # negative at Noether sample points near its corners
         config = load_bundled_config("surface_independence_quadratic")
-        config["checks"]["surface_independence"]["outer_radius"] = 6.0
+        config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
+                              "halfwidths": [4.0, 4.0, 4.0]}
+        config["quadrature"] = {"volume_order": 2, "surface_order": 2}
+        config["potential"] = {"kind": "zero"}
+        config["checks"] = {"noether": {"points": 100, "condition_tolerance": 1e-6}}
         out = tmp_path / "out"
         result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
         assert result.returncode == 2
-        assert result.stderr == ("error: NonPositiveJacobian: det F = -0.44 <= 0 "
-                                 "at x = [6. 0. 0.]\n")
+        assert result.stderr == ("error: NonPositiveJacobian: det F = -0.172318 <= 0 "
+                                 "at x = [-3.79684896  3.85900012  3.81735227]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -195,7 +209,7 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     def test_control_across_the_part_own_spheres_passes(self, tmp_path):
-        # the control holds on any shell bounded by the check's spheres
+        # the control holds on any shell, whose radii the check restates
         config = load_bundled_config("surface_independence_graded_control")
         config["geometry"].update(inner_radius=0.6, outer_radius=0.8)
         config["checks"]["surface_independence"].update(inner_radius=0.6,
@@ -206,20 +220,39 @@ class TestRun:
         rows = read_csv(out / config["name"] / "checks.csv")
         assert [row["status"] for row in rows] == ["pass"]
 
-    @pytest.mark.parametrize("part_rule,check_rule,code", [
-        (6, None, 0), (14, None, 0), (6, 6, 1)])
-    def test_control_gate_follows_the_check_sphere_rule(self, tmp_path, part_rule,
-                                                        check_rule, code):
-        # the spheres take the check's angular_points (default 26), whatever
-        # the part's rule: the graded flux integrand has degree 4 on a sphere,
-        # which the 6-point rule (degree 3) misses even when the part uses it
+    @pytest.mark.parametrize("rule,code,value", [
+        (14, 0, pytest.approx(0.0, abs=1e-15)), (6, 1, pytest.approx(1.499e-2, rel=1e-3))],
+        ids=["part_at_14_points", "part_at_6_points"])
+    def test_control_gate_follows_the_part_rule(self, tmp_path, rule, code, value):
+        # the spheres are the part's own, at its rule: the graded flux integrand
+        # has degree 4 on a sphere, which the 6-point rule (degree 3) misses
         config = load_bundled_config("surface_independence_graded_control")
-        config["quadrature"]["angular_points"] = part_rule
-        if check_rule is not None:
-            config["checks"]["surface_independence"]["angular_points"] = check_rule
-        result = run_cli(["run", write_config(tmp_path, config),
-                          "--out", str(tmp_path / "out")])
+        config["quadrature"]["angular_points"] = rule
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
         assert result.returncode == code, result.stderr
+        [row] = read_csv(out / config["name"] / "checks.csv")
+        assert row["metric"] == "difference_vs_shell_integral"
+        assert float(row["value"]) == value
+        assert float(row["tolerance"]) == 1e-5
+
+    @pytest.mark.parametrize("name", ["surface_independence_quadratic",
+                                      "surface_independence_graded_control"])
+    def test_check_without_restated_part_writes_the_same_report(self, tmp_path, name):
+        config = load_bundled_config(name)
+        check = config["checks"]["surface_independence"]
+        assert {"inner_radius", "outer_radius"} <= set(check)
+        bare = copy.deepcopy(config)
+        for key in ("inner_radius", "outer_radius", "angular_points"):
+            bare["checks"]["surface_independence"].pop(key, None)
+        reports = []
+        for label, cfg in (("stated", config), ("bare", bare)):
+            out = tmp_path / label
+            result = run_cli(["run", write_config(tmp_path, cfg, f"{label}.json"),
+                              "--out", str(out)])
+            assert result.returncode == 0, result.stderr
+            reports.append((out / name / "surface_independence.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_invalid_value_is_named_by_its_path(self, tmp_path):
         config = load_bundled_config("stvk_uniaxial")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import relpower.functionals as fn
-from conftest import coefficient_norms, decompose, loop_decomposition, prediction_errors
-from relpower import scenarios
+from conftest import (coefficient_norms, decompose, generate, loop_decomposition,
+                      prediction_errors)
+from relpower import cli, scenarios
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import sphere_surface, weighted_fsum
@@ -322,7 +323,41 @@ class TestStackedObserverChanges:
         assert whole <= 2 * one, f"{whole} bytes vs {one} for one evaluation"
 
 
+def _surface_independence_cases():
+    """Both bundled shells, the control at 14 points, and the
+    surface-independence draws of the benchmark's random_small seeds 7 and 41."""
+    cases = [load_bundled_config("surface_independence_quadratic"),
+             load_bundled_config("surface_independence_graded_control")]
+    control = copy.deepcopy(cases[1])
+    control["name"] += "_14"
+    control["quadrature"]["angular_points"] = 14
+    draws = generate.random_small(7) + generate.random_small(41)
+    return cases + [control] + [config for config in draws
+                                if "surface_independence" in config["checks"]]
+
+
+SURFACE_INDEPENDENCE_CASES = _surface_independence_cases()
+
+
 class TestSurfaceIndependence:
+    @pytest.mark.parametrize("config", SURFACE_INDEPENDENCE_CASES,
+                             ids=[config["name"] for config in SURFACE_INDEPENDENCE_CASES])
+    def test_fluxes_equal_the_sphere_oracle_bit_for_bit(self, config):
+        # the oracle evaluates the state again on spheres built on their own;
+        # the reports print each component with cli._fmt, so a signed zero counts
+        scenario = Scenario(config)
+        check = config["checks"]["surface_independence"]
+        result = fn.surface_independence_check(
+            scenario, allow_broken_hypotheses=check.get("expect", "zero") != "zero")
+        shell, rule = config["geometry"], config["quadrature"]["angular_points"]
+        for flux, radius in ((result.flux_inner, shell["inner_radius"]),
+                             (result.flux_outer, shell["outer_radius"])):
+            sphere = sphere_surface(scenario.part.center, radius, rule)
+            oracle = weighted_fsum(
+                matvec(scenario.state(sphere.points).eshelby, sphere.normals),
+                sphere.weights)
+            assert [cli._fmt(c) for c in flux] == [cli._fmt(c) for c in oracle]
+
     def test_homogeneous_stretch_fluxes_vanish(self):
         scenario = Scenario(make_config(
             geometry={"kind": "shell", "center": [0.0, 0.0, 0.0],
@@ -330,9 +365,7 @@ class TestSurfaceIndependence:
             motion={"preset": "homogeneous",
                     "matrix": [[1.2, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
             quadrature={"radial_order": 6, "angular_points": 26}))
-        inner = sphere_surface(scenario.part.center, 0.5, 26)
-        outer = sphere_surface(scenario.part.center, 0.9, 26)
-        result = fn.surface_independence_check(scenario, inner, outer)
+        result = fn.surface_independence_check(scenario)
         assert np.linalg.norm(result.flux_inner) <= 1e-12
         assert np.linalg.norm(result.flux_outer) <= 1e-12
         assert result.difference_norm <= 1e-12
@@ -349,18 +382,13 @@ class TestSurfaceIndependence:
 
     def test_quadratic_harmonic_surface_independent(self):
         scenario = Scenario(self._shell_config({"kind": "constant", "value": 1.0}))
-        inner = sphere_surface(scenario.part.center, 0.5, 26)
-        outer = sphere_surface(scenario.part.center, 0.9, 26)
-        result = fn.surface_independence_check(scenario, inner, outer)
+        result = fn.surface_independence_check(scenario)
         assert result.difference_norm <= 1e-6 * result.flux_scale
 
     def test_graded_control_equals_shell_integral(self):
         scenario = Scenario(self._shell_config(
             {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}))
-        inner = sphere_surface(scenario.part.center, 0.5, 26)
-        outer = sphere_surface(scenario.part.center, 0.9, 26)
-        result = fn.surface_independence_check(scenario, inner, outer,
-                                               allow_broken_hypotheses=True)
+        result = fn.surface_independence_check(scenario, allow_broken_hypotheses=True)
         expected = fn.material_gradient_integral(scenario)
         # closed form: 4 alpha^2 beta (2/3) * 4 pi (0.9^5 - 0.5^5)/5 along e3
         exact = 4.0 * 0.1 ** 2 * 0.4 * (2.0 / 3.0) * 4.0 * math.pi \
@@ -372,20 +400,16 @@ class TestSurfaceIndependence:
     def test_broken_hypotheses_raise_without_waiver(self):
         scenario = Scenario(self._shell_config(
             {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}))
-        inner = sphere_surface(scenario.part.center, 0.5, 26)
-        outer = sphere_surface(scenario.part.center, 0.9, 26)
         with pytest.raises(PreconditionViolated):
-            fn.surface_independence_check(scenario, inner, outer)
+            fn.surface_independence_check(scenario)
 
     def test_preset_body_force_raises_on_a_homogeneous_shell(self):
         config = self._shell_config({"kind": "constant", "value": 1.0})
         config["sources"] = {"mode": "preset",
                              "b": {"preset": "constant", "value": [0.0, 0.0, 0.01]}}
         scenario = Scenario(config)
-        inner = sphere_surface(scenario.part.center, 0.5, 26)
-        outer = sphere_surface(scenario.part.center, 0.9, 26)
         with pytest.raises(PreconditionViolated, match="b = f = mu = 0"):
-            fn.surface_independence_check(scenario, inner, outer)
+            fn.surface_independence_check(scenario)
 
 
 class TestNoetherChecks:

@@ -7,9 +7,7 @@ one place where the interpreter deliberately departs from plain Draft 7.
 
 import copy
 import gc
-import importlib.util
 import json
-import pathlib
 import random
 import subprocess
 import sys
@@ -18,18 +16,13 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from conftest import working_tree_env
+from conftest import generate, working_tree_env
 from relpower import scenarios
 from relpower.exceptions import ConfigInvalid
 from relpower.scenarios import bundled_scenario_names, load_bundled_config, validate_config
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCHEMA = json.loads(
     resources.files("relpower").joinpath("schema/scenario.schema.json").read_text())
-
-_spec = importlib.util.spec_from_file_location("generate", ROOT / "perfbench" / "generate.py")
-generate = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(generate)
 
 BUNDLED = [load_bundled_config(name) for name in bundled_scenario_names()]
 DRAWS = generate.random_small(3) + generate.random_small(41)
@@ -127,6 +120,25 @@ def test_uninterpreted_schema_raises_at_load(node):
 def test_valid_corpus_is_accepted(corpus):
     assert all(ORACLE.is_valid(config) for config in corpus)
     assert all(accepts(config) for config in corpus)
+
+
+def test_benchmark_draws_restate_their_shell():
+    # the benchmark writes inner_radius, outer_radius and angular_points on
+    # every surface-independence draw and validates each draw before timing
+    # it, so the schema must keep accepting those keys as restatements
+    draws = generate.random_small(7) + generate.random_small(41)
+    restated = 0
+    for config in draws:
+        validate_config(config)
+        check = config["checks"].get("surface_independence")
+        if check is not None:
+            shell = config["geometry"]
+            assert shell["kind"] == "shell"
+            assert [check["inner_radius"], check["outer_radius"], check["angular_points"]] \
+                == [shell["inner_radius"], shell["outer_radius"],
+                    config["quadrature"]["angular_points"]]
+            restated += 1
+    assert restated > 0
 
 
 def test_mutations_get_the_oracle_verdict():
