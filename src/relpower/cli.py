@@ -310,8 +310,9 @@ def _pointwise_divergence_error(scenario: Scenario) -> float:
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
     rng = np.random.default_rng(scenario.seed + 2)
     points = scenario.part.sample_interior(rng, 16)
-    exact = conf.div_first_pk(scenario.model, exact_motion, points, scenario.divergence_step)
-    approx = conf.div_first_pk(scenario.model, fd_motion, points, scenario.divergence_step)
+    approx, exact = (conf.stress_divergences(
+        scenario.model, motion, points, conf.point_state(scenario.model, motion, points),
+        scenario.divergence_step)[0] for motion in (fd_motion, exact_motion))
     return float(np.max(np.linalg.norm(approx - exact, axis=-1), initial=0.0))
 
 

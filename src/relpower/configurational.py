@@ -19,7 +19,8 @@ is constitutive and cannot be closed.
 
 Node data, closure sources, the Eshelby stress off the nodes and the
 conservation-law checks all read one :class:`PointState` (y, F, P, e, PP,
-de/dx|expl) from :func:`point_state`, which a finite-difference divergence
+de/dx|expl) from :func:`point_state`, whose constitutive part is one
+:meth:`MaterialModel.response`, and which a finite-difference divergence
 makes at each shifted point.  Points x are (..., 3), one or a stack of them.
 """
 
@@ -58,11 +59,9 @@ def point_state(model: MaterialModel, motion: Motion, x) -> PointState:
     """y, F, P, e, PP and de/dx|expl at points x, each computed once."""
     x = as_vector(x)
     f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
-    e = np.asarray(model.energy(x, f))
+    e, p, material_gradient = model.response(x, f)
     return PointState(motion.y(x), f, p, e,
-                      e[..., None, None] * IDENTITY - transpose(f) @ p,
-                      model.material_gradient(x, f))
+                      e[..., None, None] * IDENTITY - transpose(f) @ p, material_gradient)
 
 
 def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointState,
@@ -70,9 +69,9 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointStat
     """(Div P, Div PP) along the motion at points x of the given state.
 
     Analytic from F, P and de/dx|expl of the state when the motion has dF/dx:
-    Div P sums dP/dx at fixed F and dP/dF[dF/dx_j] column by column, and
-    Div PP = grad e - Div(F^t P).  Otherwise central differences of P and PP
-    of the :func:`point_state` at each shifted point.
+    Div P from :meth:`MaterialModel.div_stress`, and Div PP = grad e - Div(F^t P).
+    Otherwise central differences of P and PP of the :func:`point_state` at
+    each shifted point.
     """
     x = as_vector(x)
     if motion.second_gradient is None:
@@ -83,17 +82,10 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointStat
         return both[..., 0, :], both[..., 1, :]
     f, p = state.f_grad, state.stress
     df_dx = motion.second_gradient(x)
-    div_p = np.einsum("...ijj->...i", model.stress_material_gradient(x, f))
-    for j in range(3):
-        div_p = div_p + model.stress_derivative(x, f, df_dx[..., j])[..., :, j]
+    div_p = model.div_stress(x, f, df_dx)
     grad_e = state.material_gradient + np.einsum("...kl,...klj->...j", p, df_dx)
     return div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, p)
                    - matvec(transpose(f), div_p))
-
-
-def div_first_pk(model: MaterialModel, motion: Motion, x, step: float) -> np.ndarray:
-    """Div P along the motion at arbitrary points x."""
-    return stress_divergences(model, motion, x, point_state(model, motion, x), step)[0]
 
 
 # ---------------------------------------------------------------------------

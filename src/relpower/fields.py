@@ -33,8 +33,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross_matrix,
-                      dot, matvec, transpose)
+from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross,
+                      cross_matrix, dot, matvec, transpose)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
@@ -245,7 +245,7 @@ def rigid_field(translation, rotation, pivot) -> VirtualField:
     q = as_vector(rotation)
     x0 = as_vector(pivot)
     q_cross = cross_matrix(q)
-    return VirtualField(lambda x: c + np.cross(q, x - x0),
+    return VirtualField(lambda x: c + cross(q, x - x0),
                         gradient=lambda x: _constant(q_cross, x))
 
 

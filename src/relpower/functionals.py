@@ -30,15 +30,17 @@ term on the rotation generator (reported here as the *material torque
 mismatch*) vanishes for homogeneous couple-free scenarios and makes the
 q-coefficient exactly twice R4 on couple-free closure scenarios.  The
 decomposition below extracts the coefficients by brute force and
-reports them next to these independently integrated predictions.  Its
-14 observer changes (12 unit generators, 2 random combinations) are one
-(14, 4, 3) array of generators, shifted and evaluated in chunks of changes
-sized to about four node blocks; the base power and the residuals come
-from the caller, which has already computed them.
+reports them next to these independently integrated predictions.  The
+zero change and 14 observer changes (12 unit generators, 2 random
+combinations) are one (15, 4, 3) array of generators, shifted and
+evaluated in chunks sized to about four node blocks; the base power and
+the residuals come from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3)), built once with the
-scenario, and accumulated by ``weighted_fsum``.
+scenario.  ``relative_power`` sums each of the five literal pieces by
+``weighted_fsum``; the decomposition sums them per node and takes one
+``math.fsum`` per change, so each defect subtracts sums rounded alike.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import weighted_fsum
 from .scenarios import Scenario
-from .tensors import as_vector, contract, dot, matvec, skew_part, transpose
+from .tensors import as_vector, contract, cross, dot, matvec, skew_part, transpose
 
 
 # the generators of an observer change: (c_hat, q_hat, c, q), rows of a (4, 3)
@@ -72,8 +74,7 @@ AFFINE_TOLERANCE = 1e-10   # the defect is affine by construction: above it is a
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """The pieces of one relative-power evaluation; for a stack of k
-    observer-changed pairs each piece is an array of shape (k,)."""
+    """The pieces of one relative-power evaluation, each summed on its own."""
 
     actions_volume: float
     actions_surface: float
@@ -98,6 +99,26 @@ class PowerBreakdown:
         return max(1.0, abs(self.actions), abs(self.disarrangement))
 
 
+class NodeFactors(NamedTuple):
+    """The pair-independent factors of the literal power integrand at the nodes,
+    computed once per evaluation however many changes it shifts."""
+
+    y_volume: np.ndarray          # y - y0
+    x_volume: np.ndarray          # x - x0
+    y_surface: np.ndarray
+    x_surface: np.ndarray
+    inhomogeneity: np.ndarray     # de/dx|expl - f at the volume nodes
+    tractions: np.ndarray         # P n at the surface nodes
+
+
+def node_factors(scenario: Scenario) -> NodeFactors:
+    vol, surf = scenario.volume_data, scenario.surface_data
+    y0, x0 = scenario.y0, scenario.x0
+    return NodeFactors(vol.y - y0, vol.points - x0, surf.y - y0, surf.points - x0,
+                       vol.material_gradient - vol.driving_force,
+                       np.einsum("nij,nj->ni", surf.stress, surf.normals))
+
+
 @dataclass(frozen=True)
 class PairSamples:
     """A virtual-field pair sampled at the quadrature nodes of one part."""
@@ -108,20 +129,19 @@ class PairSamples:
     v_surface: np.ndarray
     w_surface: np.ndarray
 
-    def shifted(self, generators, y0, x0, vol, surf) -> "PairSamples":
-        """Samples of (v*, w*) about pivots y0 and x0; the rigid offsets use
-        the cached node data.
+    def shifted(self, generators, factors: NodeFactors) -> "PairSamples":
+        """Samples of (v*, w*) about the pivots of the node offsets in ``factors``.
 
         Generators (4, 3), in ``GENERATOR_SLOTS`` order, give samples (n, 3);
         a stack (k, 4, 3) of them gives (k, n, 3), one entry per change.
         """
         c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
         return PairSamples(
-            v_volume=self.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
-            w_volume=self.w_volume + (c + np.cross(q, vol.points - x0)),
+            v_volume=self.v_volume + (c_hat + cross(q_hat, factors.y_volume)),
+            w_volume=self.w_volume + (c + cross(q, factors.x_volume)),
             curl_w_volume=self.curl_w_volume + 2.0 * q,
-            v_surface=self.v_surface + (c_hat + np.cross(q_hat, surf.y - y0)),
-            w_surface=self.w_surface + (c + np.cross(q, surf.points - x0)),
+            v_surface=self.v_surface + (c_hat + cross(q_hat, factors.y_surface)),
+            w_surface=self.w_surface + (c + cross(q, factors.x_surface)),
         )
 
 
@@ -136,41 +156,31 @@ def sample_pair(scenario: Scenario, pair: VirtualFieldPair) -> PairSamples:
     )
 
 
-def _power_from_samples(scenario: Scenario, samples: PairSamples) -> PowerBreakdown:
-    """The breakdown of one sampled pair, or of a (k, n, 3) stack of them."""
+def _power_rows(scenario: Scenario, samples: PairSamples, factors: NodeFactors):
+    """The literal power integrand of one sampled pair, or of a (k, n, 3) stack of
+    them, as rows (..., n) of its five pieces in ``PowerBreakdown`` order."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    x0 = scenario.x0
-
     rel_velocity = samples.v_volume - np.einsum(
         "nij,...nj->...ni", vol.f_grad, samples.w_volume)
-    act_rows = np.einsum("ni,...ni->...n", vol.body_force, rel_velocity)
-    relabel = samples.w_volume - np.cross(samples.curl_w_volume,
-                                          vol.points - x0)
-    inh_rows = np.einsum(
-        "ni,...ni->...n", vol.material_gradient - vol.driving_force, relabel)
-    cpl_rows = np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume)
-
-    tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
+    relabel = samples.w_volume - cross(samples.curl_w_volume, factors.x_volume)
     rel_surf = samples.v_surface - np.einsum(
         "nij,...nj->...ni", surf.f_grad, samples.w_surface)
-    act_s_rows = np.einsum("ni,...ni->...n", tractions, rel_surf)
-    flux_rows = np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy
-
-    # rows go node axis first, so a stack sums column by column
-    return PowerBreakdown(
-        actions_volume=weighted_fsum(act_rows.T, vol.weights),
-        actions_surface=weighted_fsum(act_s_rows.T, surf.weights),
-        energy_flux=weighted_fsum(flux_rows.T, surf.weights),
-        inhomogeneity=weighted_fsum(inh_rows.T, vol.weights),
-        couple=weighted_fsum(cpl_rows.T, vol.weights),
-    )
+    return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
+            np.einsum("ni,...ni->...n", factors.tractions, rel_surf),
+            np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy,
+            np.einsum("ni,...ni->...n", factors.inhomogeneity, relabel),
+            np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume))
 
 
 def relative_power(scenario: Scenario,
                    pair: Optional[VirtualFieldPair] = None) -> PowerBreakdown:
-    """Literal evaluation of the relative power on the scenario's part."""
+    """Literal evaluation of the relative power on the scenario's part, each
+    piece summed on its own."""
     pair = scenario.pair if pair is None else pair
-    return _power_from_samples(scenario, sample_pair(scenario, pair))
+    rows = _power_rows(scenario, sample_pair(scenario, pair), node_factors(scenario))
+    vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
+    return PowerBreakdown(*(weighted_fsum(piece, weights) for piece, weights
+                            in zip(rows, (vol_w, surf_w, surf_w, vol_w, vol_w))))
 
 
 def inner_relative_power(scenario: Scenario) -> float:
@@ -232,8 +242,8 @@ def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceR
     force = (weighted_fsum(vol.body_force, vol.weights)
              + weighted_fsum(tractions, surf.weights))
 
-    torque = (weighted_fsum(np.cross(vol.y - y0, vol.body_force), vol.weights)
-              + weighted_fsum(np.cross(surf.y - y0, tractions), surf.weights))
+    torque = (weighted_fsum(cross(vol.y - y0, vol.body_force), vol.weights)
+              + weighted_fsum(cross(surf.y - y0, tractions), surf.weights))
 
     pulled_back = matvec(transpose(vol.f_grad), vol.body_force)
     config_force = (
@@ -243,8 +253,8 @@ def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceR
     )
 
     config_torque = (
-        weighted_fsum(np.cross(surf.points - x0, config_tractions), surf.weights)
-        - weighted_fsum(np.cross(vol.points - x0, pulled_back), vol.weights)
+        weighted_fsum(cross(surf.points - x0, config_tractions), surf.weights)
+        - weighted_fsum(cross(vol.points - x0, pulled_back), vol.weights)
         + weighted_fsum(vol.couple, vol.weights)
     )
 
@@ -258,7 +268,7 @@ def material_torque_mismatch(scenario: Scenario) -> np.ndarray:
     rotation-generator coefficient of the observer-change defect.
     """
     vol = scenario.volume_data
-    rows = (np.cross(vol.points - scenario.x0, vol.driving_force - vol.material_gradient)
+    rows = (cross(vol.points - scenario.x0, vol.driving_force - vol.material_gradient)
             + vol.couple)
     return weighted_fsum(rows, vol.weights)
 
@@ -283,28 +293,34 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     """Extract the defect coefficients for unit generators, then verify
     that two random combined generators superpose affinely.
 
-    ``base`` is the relative power of the scenario's pair and ``residuals``
-    its default-pivot balance residuals, both as the caller computed them.
-    The 12 unit changes (slot by slot, axis by axis) and the 2 random ones
-    are one stack of generators, evaluated in chunks of
-    ``max(1, 4 * NODE_BLOCK // n)`` changes for n volume nodes, so the
-    shifted samples of a chunk stay near four node blocks.
+    ``base`` (the relative power of the scenario's pair, which sets the
+    scale) and ``residuals`` (its default-pivot balance residuals) are as the
+    caller computed them.  The zero change, the 12 unit changes (slot by
+    slot, axis by axis) and the 2 random ones are one stack of generators,
+    evaluated in chunks of ``max(1, 4 * NODE_BLOCK // n)`` changes for n
+    volume nodes, so the shifted samples of a chunk stay near four node
+    blocks.  Each change's power is one ``math.fsum`` of its weighted
+    per-node integrands, volume and surface together.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
     combined = rng.uniform(-1.0, 1.0, size=(2, slots, 3))
-    # unit change 3 s + a carries e_a in slot s and nothing elsewhere
-    gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
+    # the zero change first; unit change 1 + 3 s + a carries e_a in slot s only
+    gens = np.concatenate([np.zeros((1, slots, 3)),
+                           np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
     samples = sample_pair(scenario, scenario.pair)
-    vol, surf = scenario.volume_data, scenario.surface_data
-    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(vol.weights))
+    factors = node_factors(scenario)
+    vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
+    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(vol_w))
     totals = []
     for start in range(0, len(gens), chunk):
-        shifted = samples.shifted(gens[start:start + chunk], scenario.y0, scenario.x0,
-                                  vol, surf)
-        totals.append(_power_from_samples(scenario, shifted).total)
-    defects = np.concatenate(totals) - base.total
+        act, act_s, flux, inh, cpl = _power_rows(
+            scenario, samples.shifted(gens[start:start + chunk], factors), factors)
+        terms = np.concatenate([(act + inh + cpl) * vol_w, (act_s + flux) * surf_w],
+                               axis=-1)
+        totals.extend(map(math.fsum, terms.tolist()))
+    defects = np.array(totals[1:]) - totals[0]
 
     units = defects[:3 * slots]
     coefficients = dict(zip(GENERATOR_SLOTS, units.reshape(slots, 3)))

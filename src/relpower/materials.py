@@ -6,7 +6,10 @@ Every shipped model has an energy that is linear in the two moduli,
 
 which makes the explicit material gradient of the energy (the derivative
 in x at frozen F) exactly A * grad lam + B * grad mu.  Inhomogeneity
-therefore enters only through position-dependent moduli.
+therefore enters only through position-dependent moduli.  A model derives
+what its parts need of F once per array of F (``kinematics``: E and tr E
+for StVK, F^-t and ln det F for neo-Hookean), so ``response``, which gives
+e, P and de/dx|expl, and ``div_stress`` each take it once.
 
 The presets are tabled by config name: models in ``MODEL_CLASSES``
 (Saint Venant-Kirchhoff ``stvk``, compressible ``neo_hookean`` and the
@@ -81,9 +84,9 @@ class MaterialModel:
     Points x are (..., 3); gradients F are (..., 3, 3), checked for
     finiteness once per call.  det F > 0 is checked where F is made and
     by the models that take ln det F.  Subclasses provide the
-    modulus-independent parts; this base class assembles energies,
-    stresses, the directional stress derivative dP/dF[H] and the
-    explicit x-derivatives from them.
+    modulus-independent parts from the F-derived quantities of
+    :meth:`kinematics`, computed once per F array; this base class
+    assembles the response (e, P, de/dx|expl) and Div P from them.
     """
 
     name = "base"
@@ -95,15 +98,19 @@ class MaterialModel:
 
     # -- hooks ------------------------------------------------------------
 
-    def energy_parts(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def kinematics(self, f: np.ndarray):
+        """The F-derived quantities the other hooks share; none by default."""
+        return None
+
+    def energy_parts(self, f: np.ndarray, kin) -> Tuple[np.ndarray, np.ndarray]:
         """(A, B) with e = lam A + mu B."""
         raise NotImplementedError
 
-    def stress_parts(self, f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def stress_parts(self, f: np.ndarray, kin) -> Tuple[np.ndarray, np.ndarray]:
         """(dA/dF, dB/dF)."""
         raise NotImplementedError
 
-    def stress_derivative_parts(self, f: np.ndarray,
+    def stress_derivative_parts(self, f: np.ndarray, kin,
                                 h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(d^2A/dF dF [H], d^2B/dF dF [H]): the stress parts differentiated
         along the direction H."""
@@ -115,38 +122,34 @@ class MaterialModel:
     def homogeneous(self) -> bool:
         return self.lam.is_constant and self.mu.is_constant
 
-    def energy(self, x, f) -> np.ndarray:
+    def response(self, x, f) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e
+        in x at fixed F."""
         f = as_tensor(f)
-        a, b = self.energy_parts(f)
-        return self.lam.value(x) * a + self.mu.value(x) * b
+        kin = self.kinematics(f)
+        a, b = self.energy_parts(f, kin)
+        pa, pb = self.stress_parts(f, kin)
+        lam, mu = self.lam.value(x), self.mu.value(x)
+        return (np.asarray(lam * a + mu * b),
+                _tensor_factor(lam) * pa + _tensor_factor(mu) * pb,
+                (np.asarray(a)[..., None] * self.lam.gradient(x)
+                 + np.asarray(b)[..., None] * self.mu.gradient(x)))
 
-    def stress(self, x, f) -> np.ndarray:
-        """First Piola-Kirchhoff stress P = dE/dF."""
-        f = as_tensor(f)
-        pa, pb = self.stress_parts(f)
-        return (_tensor_factor(self.lam.value(x)) * pa
-                + _tensor_factor(self.mu.value(x)) * pb)
-
-    def material_gradient(self, x, f) -> np.ndarray:
-        """Explicit derivative of e in x, holding F fixed."""
-        f = as_tensor(f)
-        a, b = self.energy_parts(f)
-        return (np.asarray(a)[..., None] * self.lam.gradient(x)
-                + np.asarray(b)[..., None] * self.mu.gradient(x))
-
-    def stress_derivative(self, x, f, h) -> np.ndarray:
-        """dP/dF[H] = d/dt P(x, F + t H) at t = 0."""
-        f = as_tensor(f)
-        da, db = self.stress_derivative_parts(f, as_tensor(h))
-        return (_tensor_factor(self.lam.value(x)) * da
-                + _tensor_factor(self.mu.value(x)) * db)
-
-    def stress_material_gradient(self, x, f) -> np.ndarray:
-        """dP/dx at fixed F, as a (..., 3, 3, 3) array with the x-component last."""
-        f = as_tensor(f)
-        pa, pb = self.stress_parts(f)
-        return (np.einsum("...ij,...m->...ijm", pa, self.lam.gradient(x))
-                + np.einsum("...ij,...m->...ijm", pb, self.mu.gradient(x)))
+    def div_stress(self, x, f, df_dx) -> np.ndarray:
+        """Div P along a motion with dF/dx = ``df_dx`` (..., 3, 3, 3), the x-index
+        last: dP/dx|F = dA/dF (x) grad lam + dB/dF (x) grad mu traced, plus
+        dP/dF[dF/dx_j] e_j summed column by column."""
+        f, df_dx = as_tensor(f), as_tensor(df_dx)
+        kin = self.kinematics(f)
+        pa, pb = self.stress_parts(f, kin)
+        lam, mu = _tensor_factor(self.lam.value(x)), _tensor_factor(self.mu.value(x))
+        # np.sum adds left to right; einsum("...ij->...i") rounds in another order
+        div_p = np.sum(pa * self.lam.gradient(x)[..., None, :]
+                       + pb * self.mu.gradient(x)[..., None, :], axis=-1)
+        for j in range(3):
+            da, db = self.stress_derivative_parts(f, kin, df_dx[..., j])
+            div_p = div_p + (lam * da + mu * db)[..., :, j]
+        return div_p
 
 
 class SaintVenantKirchhoff(MaterialModel):
@@ -154,23 +157,24 @@ class SaintVenantKirchhoff(MaterialModel):
 
     name = "stvk"
 
-    @staticmethod
-    def _strain(f):
-        return 0.5 * (transpose(f) @ f - IDENTITY)
+    def kinematics(self, f):
+        """(E, tr E)"""
+        e = 0.5 * (transpose(f) @ f - IDENTITY)
+        return e, np.trace(e, axis1=-2, axis2=-1)
 
-    def energy_parts(self, f):
-        e = self._strain(f)
-        return 0.5 * np.trace(e, axis1=-2, axis2=-1) ** 2, np.sum(e * e, axis=(-2, -1))
+    def energy_parts(self, f, kin):
+        e, tr_e = kin
+        return 0.5 * tr_e ** 2, np.sum(e * e, axis=(-2, -1))
 
-    def stress_parts(self, f):
-        e = self._strain(f)
-        return _tensor_factor(np.trace(e, axis1=-2, axis2=-1)) * f, 2.0 * f @ e
+    def stress_parts(self, f, kin):
+        e, tr_e = kin
+        return _tensor_factor(tr_e) * f, 2.0 * f @ e
 
-    def stress_derivative_parts(self, f, h):
-        e = self._strain(f)
+    def stress_derivative_parts(self, f, kin, h):
+        e, tr_e = kin
         de = 0.5 * (transpose(h) @ f + transpose(f) @ h)
         da = (_tensor_factor(np.trace(de, axis1=-2, axis2=-1)) * f
-              + _tensor_factor(np.trace(e, axis1=-2, axis2=-1)) * h)
+              + _tensor_factor(tr_e) * h)
         return da, 2.0 * (h @ e + f @ de)
 
 
@@ -179,28 +183,25 @@ class NeoHookean(MaterialModel):
 
     name = "neo_hookean"
 
-    @staticmethod
-    def _log_det(f):
-        """ln det F, raising :class:`NonPositiveJacobian` unless det F > 0."""
+    def kinematics(self, f):
+        """(F^-t, ln det F), raising :class:`NonPositiveJacobian` unless det F > 0."""
         det = np.linalg.det(f)
         if np.any(det <= 0.0):
             raise NonPositiveJacobian(f"det F = {np.min(det):g} <= 0")
-        return np.log(det)
+        return transpose(np.linalg.inv(f)), np.log(det)
 
-    def energy_parts(self, f):
-        log_j = self._log_det(f)
+    def energy_parts(self, f, kin):
+        log_j = kin[1]
         tr_c = np.trace(transpose(f) @ f, axis1=-2, axis2=-1)
         return 0.5 * log_j ** 2, 0.5 * (tr_c - 3.0) - log_j
 
-    def stress_parts(self, f):
-        f_inv_t = transpose(np.linalg.inv(f))
-        log_j = self._log_det(f)
+    def stress_parts(self, f, kin):
+        f_inv_t, log_j = kin
         return _tensor_factor(log_j) * f_inv_t, f - f_inv_t
 
-    def stress_derivative_parts(self, f, h):
+    def stress_derivative_parts(self, f, kin, h):
         # d(F^-t)[H] = -F^-t H^t F^-t ; d(ln J)[H] = F^-t : H
-        f_inv_t = transpose(np.linalg.inv(f))
-        log_j = self._log_det(f)
+        f_inv_t, log_j = kin
         d_finv_t = -(f_inv_t @ transpose(h) @ f_inv_t)
         da = (_tensor_factor(np.sum(f_inv_t * h, axis=(-2, -1))) * f_inv_t
               + _tensor_factor(log_j) * d_finv_t)
@@ -218,14 +219,14 @@ class Quadratic(MaterialModel):
     name = "quadratic"
     isotropic = False
 
-    def energy_parts(self, f):
+    def energy_parts(self, f, kin):
         d = f - IDENTITY
         return np.zeros(f.shape[:-2]), 0.5 * np.sum(d * d, axis=(-2, -1))
 
-    def stress_parts(self, f):
+    def stress_parts(self, f, kin):
         return np.zeros(f.shape), f - IDENTITY
 
-    def stress_derivative_parts(self, f, h):
+    def stress_derivative_parts(self, f, kin, h):
         return np.zeros(h.shape), h
 
 

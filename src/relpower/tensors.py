@@ -22,7 +22,7 @@ def as_vector(value) -> np.ndarray:
     v = np.asarray(value, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"expected shape (..., 3), got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite components")
     return v
 
@@ -32,7 +32,7 @@ def as_tensor(value) -> np.ndarray:
     t = np.asarray(value, dtype=float)
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"expected shape (..., 3, 3), got {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("tensor has non-finite components")
     return t
 
@@ -57,6 +57,14 @@ def matvec(t, v) -> np.ndarray:
     return (t @ np.asarray(v)[..., None])[..., 0]
 
 
+def cross(a, b) -> np.ndarray:
+    """a x b over the last axis, with the products and differences of ``np.cross``."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
 def skew_part(t) -> np.ndarray:
     """Antisymmetric part (T - T^t)/2."""
     t = as_tensor(t)
@@ -66,7 +74,7 @@ def skew_part(t) -> np.ndarray:
 def cross_matrix(a) -> np.ndarray:
     """Matrix W with W u = a x u for every u."""
     # row i of W is e_i x a, since (W u)_i = e_i . (a x u) = u . (e_i x a)
-    return np.cross(IDENTITY, as_vector(a)[..., None, :])
+    return cross(IDENTITY, as_vector(a)[..., None, :])
 
 
 def axial_vector(w) -> np.ndarray:

@@ -59,7 +59,7 @@ def fd_stress(model: MaterialModel, x, f, h: float = 1e-6) -> np.ndarray:
             step = h * max(1.0, abs(f[i, j]))
             fp[i, j] += step
             fm[i, j] -= step
-            p[i, j] = (model.energy(x, fp) - model.energy(x, fm)) / (2.0 * step)
+            p[i, j] = (model.response(x, fp)[0] - model.response(x, fm)[0]) / (2.0 * step)
     return p
 
 
@@ -71,7 +71,7 @@ def fd_material_gradient(model: MaterialModel, x, f, h: float = 1e-6) -> np.ndar
         xm = x.copy()
         xp[m] += h
         xm[m] -= h
-        g[m] = (model.energy(xp, f) - model.energy(xm, f)) / (2.0 * h)
+        g[m] = (model.response(xp, f)[0] - model.response(xm, f)[0]) / (2.0 * h)
     return g
 
 
@@ -87,26 +87,34 @@ def reference_divergences(model, motion, x,
                           step: float = conf.DEFAULT_DIVERGENCE_STEP):
     """(Div P, Div PP) at one point x from their definitions.
 
-    With dF/dx: Div P = tr dP/dx|F + sum_j dP/dF[dF/dx_j] e_j, and PP = e I - F^t P
-    by the product rule, with grad e = de/dx|expl + P : dF/dx.  Without it:
-    central differences of P and of e I - F^t P.
+    With dF/dx: Div P = sum_j (dP/dx_j|F + dP/dF[dF/dx_j]) e_j, column by
+    column from the model's hooks, and PP = e I - F^t P by the product rule,
+    with grad e = de/dx|expl + P : dF/dx.  Without it: central differences of
+    P and of e I - F^t P.
     """
     x = as_vector(x)
 
     def stresses(xx):
         f = motion.deformation_gradient(xx)
-        p = model.stress(xx, f)
-        return np.stack([p, model.energy(xx, f) * np.eye(3) - f.T @ p])
+        e, p, _ = model.response(xx, f)
+        return np.stack([p, e * np.eye(3) - f.T @ p])
 
     if motion.second_gradient is None:
         div_p, div_pp = conf.fd_tensor_divergence(stresses, x, step)
         return div_p, div_pp
     f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
+    _, p, material_gradient = model.response(x, f)
     d2y = motion.second_gradient(x)     # [k, l, j] = d^2 y_k / dx_l dx_j
-    div_p = np.einsum("ijj->i", model.stress_material_gradient(x, f)) + sum(
-        model.stress_derivative(x, f, d2y[:, :, j])[:, j] for j in range(3))
-    grad_e = model.material_gradient(x, f) + np.einsum("kl,klj->j", p, d2y)
+    kin = model.kinematics(f)
+    pa, pb = model.stress_parts(f, kin)
+    lam, mu = model.lam.value(x), model.mu.value(x)
+    grad_lam, grad_mu = model.lam.gradient(x), model.mu.gradient(x)
+    div_p = np.zeros(3)
+    for j in range(3):
+        da, db = model.stress_derivative_parts(f, kin, d2y[:, :, j])
+        div_p += (pa[:, j] * grad_lam[j] + pb[:, j] * grad_mu[j]
+                  + lam * da[:, j] + mu * db[:, j])
+    grad_e = material_gradient + np.einsum("kl,klj->j", p, d2y)
     # (Div F^t P)_a = d_j F_ka P_kj + F_ka (Div P)_k
     div_pp = grad_e - np.einsum("kaj,kj->a", d2y, p) - f.T @ div_p
     return div_p, div_pp
@@ -125,7 +133,7 @@ def configurational_force_residual(model, motion, b, f, x,
     f_grad = motion.deformation_gradient(x)
     return (reference_divergences(model, motion, x, step)[1]
             - f_grad.T @ as_vector(b)
-            + model.material_gradient(x, f_grad)
+            + model.response(x, f_grad)[2]
             - as_vector(f))
 
 
@@ -133,8 +141,8 @@ def torque_residuals(model, motion, mu, x):
     """(axial(2 Skw P F^t), axial(2 Skw PP) - mu) at x, with PP = e I - F^t P."""
     x = as_vector(x)
     f = motion.deformation_gradient(x)
-    p = model.stress(x, f)
-    pp = model.energy(x, f) * np.eye(3) - f.T @ p
+    e, p, _ = model.response(x, f)
+    pp = e * np.eye(3) - f.T @ p
     first = axial_vector(2.0 * skew_part(p @ f.T))
     second = axial_vector(2.0 * skew_part(pp)) - as_vector(mu)
     return first, second
@@ -145,7 +153,8 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
 
     The oracle for the batched :class:`relpower.scenarios.VolumeNodeData`
     and :class:`relpower.scenarios.SurfaceNodeData`: every field from its
-    own definition, never through :func:`relpower.configurational.point_state`.
+    own definition, never through :func:`relpower.configurational.point_state`,
+    the constitutive ones from :meth:`relpower.materials.MaterialModel.response`.
     Closure b and f take Div P and Div PP from :func:`reference_divergences`,
     as their pointwise definitions read.
     """
@@ -153,10 +162,10 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     rows = defaultdict(list)
     for x in points:
         f = motion.deformation_gradient(x)
-        p, e = model.stress(x, f), model.energy(x, f)
+        e, p, material_gradient = model.response(x, f)
         state = conf.PointState(y=motion.y(x), f_grad=f, stress=p, energy=e,
                                 eshelby=e * np.eye(3) - f.T @ p,
-                                material_gradient=model.material_gradient(x, f))
+                                material_gradient=material_gradient)
         for name, value in state._asdict().items():
             rows[name].append(value)
         if not volume:
@@ -192,9 +201,10 @@ def prediction_errors(decomp) -> dict:
             for k in decomp.coefficients}
 
 
-def _loop_power(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
-    """(actions, disarrangement) of one sampled pair: the five einsum rows
-    of the literal power, each summed row by row by fsum."""
+def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
+    """The literal power integrand of one sampled pair by its five einsum rows:
+    (actions, inhomogeneity, couple) at the volume nodes and (actions, flux)
+    at the surface nodes."""
     vol, surf = scenario.volume_data, scenario.surface_data
     rel = v_vol - np.einsum("nij,nj->ni", vol.f_grad, w_vol)
     act = np.einsum("ni,ni->n", vol.body_force, rel)
@@ -205,27 +215,25 @@ def _loop_power(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
     rel_s = v_surf - np.einsum("nij,nj->ni", surf.f_grad, w_surf)
     act_s = np.einsum("ni,ni->n", tractions, rel_s)
     flux = np.einsum("ni,ni->n", surf.normals, w_surf) * surf.energy
-
-    def total(rows, weights):
-        return math.fsum(r * w for r, w in zip(rows, weights))
-
-    return (total(act, vol.weights) + total(act_s, surf.weights),
-            total(flux, surf.weights) + total(inh, vol.weights) + total(cpl, vol.weights))
+    return (act, inh, cpl), (act_s, flux)
 
 
-def _loop_defect(scenario, samples, base_total, gens) -> float:
-    """P_rel(v*, w*) - P_rel(v, w) for one change, one cross product per offset."""
+def _loop_total(scenario, samples, gens) -> float:
+    """P_rel(v*, w*) of one change, one cross product per offset: the pieces
+    summed node by node, then one fsum over the volume and surface terms."""
     vol, surf = scenario.volume_data, scenario.surface_data
     c_hat, q_hat, c, q = (gens[slot] for slot in fn.GENERATOR_SLOTS)
     y0, x0 = scenario.y0, scenario.x0
-    actions, disarrangement = _loop_power(
+    (act, inh, cpl), (act_s, flux) = _loop_rows(
         scenario,
         samples.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
         samples.w_volume + (c + np.cross(q, vol.points - x0)),
         samples.curl_w_volume + 2.0 * q,
         samples.v_surface + (c_hat + np.cross(q_hat, surf.y - y0)),
         samples.w_surface + (c + np.cross(q, surf.points - x0)))
-    return (actions + disarrangement) - base_total
+    terms = [(a + i + m) * w for a, i, m, w in zip(act, inh, cpl, vol.weights)]
+    terms += [(a + fl) * w for a, fl, w in zip(act_s, flux, surf.weights)]
+    return math.fsum(terms)
 
 
 def loop_decomposition(scenario):
@@ -233,15 +241,22 @@ def loop_decomposition(scenario):
     evaluation per observer change, the oracle for the stacked
     :func:`relpower.functionals.invariance_decomposition`."""
     samples = fn.sample_pair(scenario, scenario.pair)
-    actions, disarrangement = _loop_power(
+    vol, surf = scenario.volume_data, scenario.surface_data
+
+    def total(rows, weights):
+        return math.fsum(r * w for r, w in zip(rows, weights))
+
+    (act, inh, cpl), (act_s, flux) = _loop_rows(
         scenario, samples.v_volume, samples.w_volume, samples.curl_w_volume,
         samples.v_surface, samples.w_surface)
-    base_total = actions + disarrangement
+    actions = total(act, vol.weights) + total(act_s, surf.weights)
+    disarrangement = (total(flux, surf.weights) + total(inh, vol.weights)
+                      + total(cpl, vol.weights))
     zero = {slot: np.zeros(3) for slot in fn.GENERATOR_SLOTS}
+    base_total = _loop_total(scenario, samples, zero)
     coefficients = {
-        slot: np.array([_loop_defect(scenario, samples, base_total,
-                                     {**zero, slot: np.eye(3)[axis]})
-                        for axis in range(3)])
+        slot: np.array([_loop_total(scenario, samples, {**zero, slot: np.eye(3)[axis]})
+                        - base_total for axis in range(3)])
         for slot in fn.GENERATOR_SLOTS}
     scale = max(1.0, abs(actions), abs(disarrangement),
                 max(float(np.max(np.abs(c))) for c in coefficients.values()))
@@ -249,7 +264,7 @@ def loop_decomposition(scenario):
     worst = 0.0
     for _ in range(2):
         gens = {slot: rng.uniform(-1.0, 1.0, size=3) for slot in fn.GENERATOR_SLOTS}
-        combined = _loop_defect(scenario, samples, base_total, gens)
+        combined = _loop_total(scenario, samples, gens) - base_total
         predicted = math.fsum(float(coefficients[slot] @ gens[slot])
                               for slot in fn.GENERATOR_SLOTS)
         worst = max(worst, abs(combined - predicted))

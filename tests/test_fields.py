@@ -23,11 +23,13 @@ def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> PairSamples:
     """The pair sampled at the single node x and seen through the generators
     ``change`` about pivots y0 and x0 = 0."""
     x = np.asarray(x, float)
-    nodes = SimpleNamespace(points=x[None], y=motion.y(x)[None])
+    arms = motion.y(x)[None] - np.asarray(y0, float), x[None]
+    nodes = SimpleNamespace(y_volume=arms[0], x_volume=arms[1],
+                            y_surface=arms[0], x_surface=arms[1])
     samples = PairSamples(v_volume=pair.v(x)[None], w_volume=pair.w(x)[None],
                           curl_w_volume=pair.w.curl(x)[None],
                           v_surface=pair.v(x)[None], w_surface=pair.w(x)[None])
-    return samples.shifted(change, np.asarray(y0, float), np.zeros(3), nodes, nodes)
+    return samples.shifted(change, nodes)
 
 
 def ambient_change(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> np.ndarray:

@@ -287,21 +287,22 @@ class TestStackedObserverChanges:
 
     def test_stacked_generators_equal_single_shifts(self, rng):
         scenario = Scenario(make_config())
-        vol, surf = scenario.volume_data, scenario.surface_data
         samples = fn.sample_pair(scenario, scenario.pair)
         # (5, 4, 3): five changes, one generator per slot in each
         gens = np.stack([rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in fn.GENERATOR_SLOTS],
                         axis=1)
-        y0, x0 = rng.normal(size=3), rng.normal(size=3)
-        stacked = samples.shifted(gens, y0, x0, vol, surf)
-        power = fn._power_from_samples(scenario, stacked)
+        scenario.y0, scenario.x0 = rng.normal(size=3), rng.normal(size=3)
+        factors = fn.node_factors(scenario)
+        stacked = samples.shifted(gens, factors)
+        rows = fn._power_rows(scenario, stacked, factors)
         for k in range(5):
-            single = samples.shifted(gens[k], y0, x0, vol, surf)
+            single = samples.shifted(gens[k], factors)
             for field in ("v_volume", "w_volume", "curl_w_volume", "v_surface",
                           "w_surface"):
                 np.testing.assert_array_equal(getattr(stacked, field)[k],
                                               getattr(single, field))
-            assert power.total[k] == fn._power_from_samples(scenario, single).total
+            for got, want in zip(rows, fn._power_rows(scenario, single, factors)):
+                np.testing.assert_array_equal(got[k], want)
 
     def test_chunked_peak_memory_stays_near_one_evaluation(self):
         scenario = Scenario(_refined_skewed())

@@ -87,16 +87,42 @@ def test_node_data_evaluates_the_stress_once_per_point(name, per_volume_node,
                                                        monkeypatch):
     # one point state per node; an fd volume node adds P at its 6 shifted points
     points = []
-    stress = materials.MaterialModel.stress
+    response = materials.MaterialModel.response
 
     def counted(self, x, f):
         points.append(len(np.reshape(x, (-1, 3))))
-        return stress(self, x, f)
+        return response(self, x, f)
 
-    monkeypatch.setattr(materials.MaterialModel, "stress", counted)
+    monkeypatch.setattr(materials.MaterialModel, "response", counted)
     part = Scenario(CONFIGS[name]).part
     assert sum(points) == (per_volume_node * len(part.volume_points)
                            + len(part.surface.points))
+
+
+@pytest.mark.parametrize("model", ["stvk", "neo_hookean"])
+@pytest.mark.parametrize("name,per_volume_block", [("block_overflow", 2),
+                                                   ("block_overflow_fd", 7)])
+def test_node_data_derives_kinematics_once_per_block_evaluation(
+        name, per_volume_block, model, monkeypatch):
+    # an analytic volume block takes them for its response and for Div P, an fd
+    # one for its response and the 6 shifted ones; a surface block for its response
+    config = copy.deepcopy(CONFIGS[name])
+    config["material"]["model"] = model
+    calls = []
+    cls = materials.MODEL_CLASSES[model]
+    kinematics = cls.kinematics
+
+    def counted(self, f):
+        calls.append(len(np.reshape(f, (-1, 3, 3))))
+        return kinematics(self, f)
+
+    monkeypatch.setattr(cls, "kinematics", counted)
+    part = Scenario(config).part
+    blocks = [-(-len(points) // scenarios.NODE_BLOCK)
+              for points in (part.volume_points, part.surface.points)]
+    assert len(calls) == per_volume_block * blocks[0] + blocks[1]
+    assert sum(calls) == (per_volume_block * len(part.volume_points)
+                          + len(part.surface.points))
 
 
 def test_single_bad_node_mid_block_is_found():

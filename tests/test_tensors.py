@@ -1,8 +1,36 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from relpower.exceptions import NotAntisymmetric
-from relpower.tensors import axial_vector, cross_matrix, skew_part
+from relpower.tensors import axial_vector, cross, cross_matrix, skew_part
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+# the shapes src/ broadcasts: a pivot offset, a stack of changes against the
+# nodes, the identity against points (cross_matrix), and node against node
+@pytest.mark.parametrize("a_shape,b_shape", [((3,), (7, 3)), ((4, 1, 3), (7, 3)),
+                                             ((3, 3), (5, 1, 3)), ((7, 3), (7, 3))])
+def test_cross_equals_np_cross_bit_for_bit(a_shape, b_shape, rng):
+    a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+    a.flat[::4] = 0.0   # exact zeros, where the sign of a zero product shows
+    b.flat[::5] = -0.0
+    got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_src_calls_no_np_cross():
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "cross"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert not calls, f"np.cross in src/ (use tensors.cross): {', '.join(calls)}"
 
 
 class TestSkewPart:
