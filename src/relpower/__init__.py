@@ -19,7 +19,7 @@ from .functionals import (BalanceResiduals, InvarianceDecomposition,
                           relative_power, standard_external_power,
                           surface_independence_check)
 from .geometry import (BodyPart, SurfaceQuadrature, ball_part, box_part,
-                       shell_part, sphere_surface, weighted_fsum)
+                       shell_part, weighted_fsum)
 from .materials import (MaterialModel, Modulus, affine_modulus,
                         constant_modulus, make_material, sinusoidal_modulus)
 from .scenarios import Scenario, bundled_scenario_names, load_bundled_config

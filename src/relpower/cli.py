@@ -1,7 +1,8 @@
 """Batch front door: run scenario files, sweep discretization axes, list presets.
 
 Exit codes: 0 all enabled tolerances pass, 1 tolerance failure,
-2 invalid configuration or usage, 3 I/O error.  Reports are CSV files
+2 invalid configuration or usage, or a det F <= 0 or non-finite value made
+from a valid one, 3 I/O error.  Reports are CSV files
 plus a JSON manifest per scenario; identical config and seed produce
 byte-identical outputs (fixed column order, 17-significant-digit
 floats, LF line endings, atomic writes).
@@ -26,8 +27,8 @@ from . import __version__
 from . import configurational as conf
 from . import fields, geometry, materials
 from . import functionals as fn
-from .exceptions import (ConfigInvalid, NonAffineDefect, NonPositiveJacobian,
-                         PreconditionViolated, RelpowerError)
+from .exceptions import (ConfigInvalid, NonAffineDefect, NonFiniteValue,
+                         NonPositiveJacobian, PreconditionViolated, RelpowerError)
 from .fields import VirtualFieldPair, constant_field
 from .scenarios import (Scenario, build_motion, bundled_scenario_names,
                         config_digest, config_seed, load_bundled_config,
@@ -500,9 +501,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigInvalid, PreconditionViolated) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except NonPositiveJacobian as err:
-        # off the nodes: at a sample point or at the centre
-        print(f"error: NonPositiveJacobian: {err}", file=sys.stderr)
+    except (NonPositiveJacobian, NonFiniteValue) as err:
+        # made from valid inputs: off the nodes, or overflowing anywhere
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fields import Motion, VirtualFieldPair, central_difference
 from .materials import BodyForcePotential, MaterialModel
-from .tensors import (IDENTITY, as_vector, axial_vector, contract, dot, matvec,
+from .tensors import (IDENTITY, axial_vector, check_finite, contract, dot, matvec,
                       skew_part, transpose)
 
 DEFAULT_DIVERGENCE_STEP = 1e-4
@@ -56,12 +56,13 @@ class PointState(NamedTuple):
 
 
 def point_state(model: MaterialModel, motion: Motion, x) -> PointState:
-    """y, F, P, e, PP and de/dx|expl at points x, each computed once."""
-    x = as_vector(x)
+    """y, F, P, e, PP and de/dx|expl at points x, each made once and checked finite."""
     f = motion.deformation_gradient(x)
     e, p, material_gradient = model.response(x, f)
-    return PointState(motion.y(x), f, p, e,
-                      e[..., None, None] * IDENTITY - transpose(f) @ p, material_gradient)
+    eshelby = e[..., None, None] * IDENTITY - transpose(f) @ p
+    state = PointState(motion.y(x), f, p, e, eshelby, material_gradient)
+    check_finite(x, **state._asdict())
+    return state
 
 
 def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointState,
@@ -73,7 +74,6 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointStat
     Otherwise central differences of P and PP of the :func:`point_state` at
     each shifted point.
     """
-    x = as_vector(x)
     if motion.second_gradient is None:
         def stresses(xx):   # P and PP stacked as (..., 2, 3, 3)
             shifted = point_state(model, motion, xx)

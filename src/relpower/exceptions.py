@@ -9,6 +9,10 @@ class NonPositiveJacobian(RelpowerError):
     """A deformation gradient with det F <= 0 was encountered."""
 
 
+class NonFiniteValue(RelpowerError):
+    """A value made from finite inputs has a non-finite component."""
+
+
 class NotAntisymmetric(RelpowerError):
     """An axial vector was requested for a tensor that is not antisymmetric."""
 

@@ -3,11 +3,12 @@
 A :class:`Motion` maps reference points to ambient points.  Virtual
 velocity fields come in pairs: ``v`` acts over the ambient space and
 ``w`` over the material (reference) space; both are functions of the
-reference point.  Every map takes points of shape (..., 3), a single
-point or a stack of them, and returns values with the same leading
-axes.  Observer changes superpose rigid rates on either field
-independently (on sampled pairs, :meth:`PairSamples.shifted` in
-:mod:`relpower.functionals` applies them):
+reference point.  Every map takes float points of shape (..., 3), a single
+point or a stack of them, and returns values with the same leading axes.
+A virtual field checks that its values and gradients are finite; y and F
+are checked in the point state made from them.  Observer changes superpose
+rigid rates on either field independently (on sampled pairs,
+:meth:`PairSamples.shifted` in :mod:`relpower.functionals` applies them):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
@@ -33,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross,
-                      cross_matrix, dot, matvec, transpose)
+from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, check_finite,
+                      cross, cross_matrix, dot, matvec, transpose)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
@@ -45,7 +46,6 @@ def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.nd
     For ``fn`` returning shape (...,) + S the result has shape (...,) + S + (3,)
     with [..., j] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
     """
-    x = as_vector(x)
     out = None
     for j in range(3):
         xp = x.copy()
@@ -61,8 +61,7 @@ def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.nd
 
 def curl_from_gradient(grad_w) -> np.ndarray:
     """curl w as the axial vector of grad w - (grad w)^t."""
-    g = as_tensor(grad_w)
-    return axial_vector(g - transpose(g))
+    return axial_vector(grad_w - transpose(grad_w))
 
 
 def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -85,14 +84,13 @@ class Motion:
     step: float = DEFAULT_GRADIENT_STEP
 
     def y(self, x) -> np.ndarray:
-        return as_vector(self.placement(as_vector(x)))
+        return self.placement(x)
 
     def deformation_gradient(self, x, use_analytic: bool = True) -> np.ndarray:
         """F(x) = Dy(x); raises :class:`NonPositiveJacobian` unless det F > 0
         at every point."""
-        x = as_vector(x)
         if use_analytic and self.gradient is not None:
-            f = as_tensor(self.gradient(x))
+            f = self.gradient(x)
         else:
             f = central_difference(self.placement, x, self.step)
         det = np.ravel(np.linalg.det(f))
@@ -113,12 +111,12 @@ class VirtualField:
     step: float = DEFAULT_GRADIENT_STEP
 
     def __call__(self, x) -> np.ndarray:
-        return as_vector(self.value(as_vector(x)))
+        return check_finite(x, virtual_field=self.value(x))
 
     def grad(self, x) -> np.ndarray:
-        if self.gradient is not None:
-            return as_tensor(self.gradient(as_vector(x)))
-        return central_difference(self.value, as_vector(x), self.step)
+        g = (central_difference(self.value, x, self.step) if self.gradient is None
+             else self.gradient(x))
+        return check_finite(x, virtual_field_gradient=g)
 
     def curl(self, x) -> np.ndarray:
         return curl_from_gradient(self.grad(x))

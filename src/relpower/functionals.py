@@ -57,7 +57,7 @@ from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import weighted_fsum
 from .scenarios import Scenario
-from .tensors import as_vector, contract, cross, dot, matvec, skew_part, transpose
+from .tensors import contract, cross, dot, matvec, skew_part, transpose
 
 
 # the generators of an observer change: (c_hat, q_hat, c, q), rows of a (4, 3)
@@ -232,8 +232,8 @@ class BalanceResiduals:
 
 
 def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceResiduals:
-    x0 = scenario.x0 if x0 is None else as_vector(x0)
-    y0 = scenario.y0 if y0 is None else as_vector(y0)
+    x0 = scenario.x0 if x0 is None else x0
+    y0 = scenario.y0 if y0 is None else y0
     vol, surf = scenario.volume_data, scenario.surface_data
 
     tractions = matvec(surf.stress, surf.normals)

@@ -158,17 +158,6 @@ def box_part(center, halfwidths, *, volume_order: int = 6,
     )
 
 
-def sphere_surface(center, radius: float, angular_points: int = 26) -> SurfaceQuadrature:
-    """Quadrature on a sphere, with outward normals."""
-    center = as_vector(center)
-    dirs, wts = spherical_rule(angular_points)
-    return SurfaceQuadrature(
-        points=center + radius * dirs,
-        normals=dirs,
-        weights=4.0 * math.pi * radius ** 2 * wts,
-    )
-
-
 def _spherical_part(center, r_inner: float, r_outer: float, radial_order: int,
                     angular_points: int) -> BodyPart:
     """Radial Gauss x spherical rule between two radii.  The boundary is the
@@ -179,12 +168,11 @@ def _spherical_part(center, r_inner: float, r_outer: float, radial_order: int,
     pts = center + radii[:, None, None] * dirs[None, :, :]
     wts = (rad_wts * radii ** 2 * 4.0 * math.pi)[:, None] * ang_wts[None, :]
 
-    surface = sphere_surface(center, r_outer, angular_points)
-    if r_inner > 0.0:
-        inner = sphere_surface(center, r_inner, angular_points)
-        surface = SurfaceQuadrature(np.vstack([surface.points, inner.points]),
-                                    np.vstack([surface.normals, -inner.normals]),
-                                    np.concatenate([surface.weights, inner.weights]))
+    spheres = [(r_outer, 1.0)] + ([(r_inner, -1.0)] if r_inner > 0.0 else [])
+    surface = SurfaceQuadrature(
+        np.vstack([center + r * dirs for r, _ in spheres]),
+        np.vstack([sign * dirs for _, sign in spheres]),
+        np.concatenate([4.0 * math.pi * r ** 2 * ang_wts for r, _ in spheres]))
 
     pad = SAMPLE_MARGIN * r_outer
     lo3, hi3 = (r_inner + pad) ** 3, (r_outer - pad) ** 3

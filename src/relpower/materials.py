@@ -27,7 +27,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import IDENTITY, as_tensor, as_vector, dot, transpose
+from .tensors import IDENTITY, as_vector, check_finite, dot, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +36,8 @@ from .tensors import IDENTITY, as_tensor, as_vector, dot, transpose
 
 @dataclass(frozen=True)
 class Modulus:
-    """A scalar modulus field and its exact gradient over points (..., 3); the
-    constructors below make both check their points with :func:`as_vector`."""
+    """A scalar modulus field and its exact gradient over float points (..., 3),
+    which neither checks: points are checked where they are made."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -47,22 +47,22 @@ class Modulus:
 def constant_modulus(value: float) -> Modulus:
     """uniform modulus"""
     value = float(value)
-    return Modulus(lambda x: np.full(as_vector(x).shape[:-1], value),
-                   lambda x: np.zeros(as_vector(x).shape), is_constant=True)
+    return Modulus(lambda x: np.full(x.shape[:-1], value),
+                   lambda x: np.zeros(x.shape), is_constant=True)
 
 
 def affine_modulus(value: float, slope) -> Modulus:
     """value + slope . x"""
     value, slope = float(value), as_vector(slope)
-    return Modulus(lambda x: value + dot(as_vector(x), slope),
-                   lambda x: np.broadcast_to(slope, as_vector(x).shape))
+    return Modulus(lambda x: value + dot(x, slope),
+                   lambda x: np.broadcast_to(slope, x.shape))
 
 
 def sinusoidal_modulus(value: float, amplitude: float, wavevector) -> Modulus:
     """value + amplitude sin(k . x)"""
     value, amplitude, k = float(value), float(amplitude), as_vector(wavevector)
-    return Modulus(lambda x: value + amplitude * np.sin(dot(as_vector(x), k)),
-                   lambda x: (amplitude * np.cos(dot(as_vector(x), k)))[..., None] * k)
+    return Modulus(lambda x: value + amplitude * np.sin(dot(x, k)),
+                   lambda x: (amplitude * np.cos(dot(x, k)))[..., None] * k)
 
 
 MODULI = {"constant": constant_modulus, "affine": affine_modulus,
@@ -81,12 +81,12 @@ def _tensor_factor(scalar) -> np.ndarray:
 class MaterialModel:
     """Free energy e(x, F) with analytic first Piola-Kirchhoff stress.
 
-    Points x are (..., 3); gradients F are (..., 3, 3), checked for
-    finiteness once per call.  det F > 0 is checked where F is made and
-    by the models that take ln det F.  Subclasses provide the
-    modulus-independent parts from the F-derived quantities of
-    :meth:`kinematics`, computed once per F array; this base class
-    assembles the response (e, P, de/dx|expl) and Div P from them.
+    Points x are float (..., 3) arrays and gradients F (..., 3, 3), taken
+    unchecked: ``point_state`` checks the state made from them.  det F > 0
+    is checked where F is made and by the models that take ln det F.
+    Subclasses provide the modulus-independent parts from the F-derived
+    quantities of :meth:`kinematics`, computed once per F array; this base
+    class assembles the response (e, P, de/dx|expl) and Div P from them.
     """
 
     name = "base"
@@ -125,7 +125,6 @@ class MaterialModel:
     def response(self, x, f) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e
         in x at fixed F."""
-        f = as_tensor(f)
         kin = self.kinematics(f)
         a, b = self.energy_parts(f, kin)
         pa, pb = self.stress_parts(f, kin)
@@ -139,7 +138,6 @@ class MaterialModel:
         """Div P along a motion with dF/dx = ``df_dx`` (..., 3, 3, 3), the x-index
         last: dP/dx|F = dA/dF (x) grad lam + dB/dF (x) grad mu traced, plus
         dP/dF[dF/dx_j] e_j summed column by column."""
-        f, df_dx = as_tensor(f), as_tensor(df_dx)
         kin = self.kinematics(f)
         pa, pb = self.stress_parts(f, kin)
         lam, mu = _tensor_factor(self.lam.value(x)), _tensor_factor(self.mu.value(x))
@@ -255,10 +253,10 @@ class BodyForcePotential:
     gradient: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, y) -> np.ndarray:
-        return self.value(as_vector(y))
+        return check_finite(y, potential=self.value(y))
 
     def grad(self, y) -> np.ndarray:
-        return as_vector(self.gradient(as_vector(y)))
+        return check_finite(y, potential_gradient=self.gradient(y))
 
 
 def zero_potential() -> BodyForcePotential:

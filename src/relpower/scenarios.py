@@ -39,7 +39,7 @@ import numpy as np
 from . import configurational as conf
 from . import fields, geometry, materials
 from .exceptions import ConfigInvalid, NonPositiveJacobian
-from .tensors import as_vector
+from .tensors import as_vector, check_finite
 
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
 
@@ -275,7 +275,9 @@ class VolumeNodeData(_NodeData):
     @staticmethod
     def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
         state = scenario.state(x)
-        return state + scenario.sources(x, state)
+        b, f, mu = scenario.sources(x, state)
+        check_finite(x, body_force=b, driving_force=f, couple=mu)
+        return state + (b, f, mu)
 
 
 class SurfaceNodeData(_NodeData):
@@ -335,11 +337,9 @@ class Scenario:
         self.potential = build_potential(config.get("potential"))
 
         pivots = config.get("pivots", {})
-        self.x0 = as_vector(pivots["x0"]) if "x0" in pivots else self.part.center.copy()
-        if "y0" in pivots:
-            self.y0 = as_vector(pivots["y0"])
-        else:
-            self.y0 = self.motion.y(self.part.center)
+        self.x0 = as_vector(pivots.get("x0", self.part.center))
+        self.y0 = as_vector(pivots["y0"] if "y0" in pivots
+                            else self.motion.y(self.part.center))
 
         self.source_mode = config["sources"]["mode"]
         self.sources = self._build_sources(config["sources"])

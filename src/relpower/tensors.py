@@ -3,16 +3,17 @@
 Everything is fixed to dimension three and backed by plain ``numpy``
 arrays.  Every operation works over leading axes: a single point is a
 ``(3,)`` vector, a stack of ``n`` points is an ``(n, 3)`` array, and a
-stack of tensors is ``(n, 3, 3)``.  Public operations validate
-finiteness once per array on entry, so NaN/Inf never propagate silently
-into an integral or a balance residual.
+stack of tensors is ``(n, 3, 3)``.  Finiteness is checked once per array:
+:func:`as_vector` and :func:`as_tensor` check preset parameters and pivots
+where they enter, :func:`check_finite` each point state, source, virtual
+field and potential value where it is made; the rest take float arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NotAntisymmetric
+from .exceptions import NonFiniteValue, NotAntisymmetric
 
 IDENTITY = np.eye(3)
 
@@ -35,6 +36,18 @@ def as_tensor(value) -> np.ndarray:
     if not np.isfinite(t).all():
         raise ValueError("tensor has non-finite components")
     return t
+
+
+def check_finite(x: np.ndarray, **values):
+    """The last of ``values``, each made at points x (..., 3), one row per point.
+    Raises :class:`NonFiniteValue` naming the first value with a non-finite
+    component and the first point where it has one."""
+    for quantity, value in values.items():
+        finite = np.isfinite(value)
+        if not finite.all():
+            i = np.flatnonzero(~finite.reshape(x.shape[:-1] + (-1,)).all(axis=-1))[0]
+            raise NonFiniteValue(f"{quantity} is not finite at {x.reshape(-1, 3)[i]}")
+    return value
 
 
 def transpose(t) -> np.ndarray:
@@ -67,7 +80,6 @@ def cross(a, b) -> np.ndarray:
 
 def skew_part(t) -> np.ndarray:
     """Antisymmetric part (T - T^t)/2."""
-    t = as_tensor(t)
     return 0.5 * (t - transpose(t))
 
 
@@ -83,7 +95,6 @@ def axial_vector(w) -> np.ndarray:
     Raises :class:`NotAntisymmetric` when the symmetric residue of any
     tensor in ``w`` exceeds 1e-12 times its norm.
     """
-    w = as_tensor(w)
     scale = np.linalg.norm(w, axis=(-2, -1))
     residue = np.linalg.norm(w + transpose(w), axis=(-2, -1))
     if np.any((scale > 0.0) & (residue > 1e-12 * scale)):

@@ -1,25 +1,24 @@
-"""Shared helpers: random kinematic states, finite-difference copies, the
-pointwise balance residuals, the per-node loop, the per-change
+"""Shared helpers: random kinematic states, a sphere quadrature, finite-difference
+copies, the pointwise balance residuals, the per-node loop, the per-change
 observer loop and the coefficient norms of a decomposition, used as
-oracles, the environment a child interpreter needs to run the tree
-under test, and the benchmark's draw generator."""
+oracles, and the benchmark's draw generator.  The repository's root
+``conftest.py`` gives child interpreters the tree under test."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
 import math
-import os
 import pathlib
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-import relpower
 from relpower import configurational as conf
 from relpower import functionals as fn
 from relpower.fields import Motion
+from relpower.geometry import SurfaceQuadrature, spherical_rule
 from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
                                 make_material, sinusoidal_modulus)
 from relpower.tensors import as_vector, axial_vector, skew_part
@@ -32,12 +31,12 @@ generate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate)
 
 
-def working_tree_env() -> dict:
-    """This environment with the source root of the imported ``relpower``
-    first on PYTHONPATH, so a child interpreter runs the tree under test."""
-    src = os.path.dirname(os.path.dirname(relpower.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+def sphere_surface(center, radius: float, angular_points: int) -> SurfaceQuadrature:
+    """Quadrature on one sphere, with outward normals, built on its own: the
+    oracle of the boundary a ball or shell builds from its own rule."""
+    dirs, wts = spherical_rule(angular_points)
+    return SurfaceQuadrature(points=np.asarray(center, float) + radius * dirs,
+                             normals=dirs, weights=4.0 * math.pi * radius ** 2 * wts)
 
 
 def random_state(rng, det_lo: float = 0.5, det_hi: float = 2.0):

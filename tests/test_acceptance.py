@@ -16,7 +16,7 @@ import numpy as np
 import relpower.functionals as fn
 from conftest import (NOT_FRAME_INDIFFERENT, coefficient_norms, decompose,
                       fd_material_gradient, fd_stress, graded_models, homogeneous_models,
-                      random_state, working_tree_env)
+                      random_state)
 from relpower import cli
 from relpower.cli import sweep_scenario
 from relpower.scenarios import Scenario, load_bundled_config
@@ -214,7 +214,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     # nondeterminism still shows in the byte comparison
     run = [sys.executable, "-m", "relpower"]
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    proc = subprocess.Popen(run + ["run", "--all", "--out", out1], env=working_tree_env(),
+    proc = subprocess.Popen(run + ["run", "--all", "--out", out1],
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         second = cli.main(["run", "--all", "--out", out2])
@@ -233,7 +233,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
     bad_path.write_text(json.dumps(bad))
     out3 = tmp_path / "c"
     invalid = subprocess.run(run + ["run", str(bad_path), "--out", str(out3)],
-                             env=working_tree_env(), capture_output=True, text=True)
+                             capture_output=True, text=True)
     ok = ok and invalid.returncode == 2 and not out3.exists()
     report(10, "cli_contract", ok,
            f"exit codes ({first}, {second}, "

@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import working_tree_env
 from relpower import cli
 from relpower.scenarios import Scenario, config_seed, load_bundled_config
 
@@ -39,6 +38,11 @@ def write_config(tmp_path, config, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+# y = x + 1e200 sin(x_1) e_1: F is finite, and E = (F^t F - I)/2 overflows
+OVERFLOWING_MOTION = {"preset": "sinusoidal", "amplitude": 1e200,
+                      "wavevector": [1.0, 0.0, 0.0], "direction": [1.0, 0.0, 0.0]}
 
 
 @pytest.fixture
@@ -151,6 +155,34 @@ class TestRun:
         out = tmp_path / "out"
         result = run_cli(["run", path, "--out", str(out)])
         assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    # finite config numbers whose values overflow where they are made
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("edits,quantity", [
+        ({"geometry.halfwidths": [1.0, 1.0, 1.0],
+          "virtual_fields.v": {"preset": "linear", "matrix": [
+              [1e308, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}},
+         "virtual_field"),
+        ({"motion": OVERFLOWING_MOTION}, "stress"),
+        ({"motion": OVERFLOWING_MOTION, "sources": {"mode": "preset"},
+          "checks": {"balances": {"tolerance": 1e-12},
+                     "standard_power": {"tolerance": 1e-12}}}, "stress"),
+        # F and P are finite, dF/dx is 1e300 and b = -Div P overflows
+        ({"motion": {"preset": "sinusoidal", "amplitude": 1e-300,
+                     "wavevector": [1e300, 0.0, 0.0], "direction": [0.0, 1.0, 0.0]},
+          "material.mu": {"kind": "constant", "value": 1e10}}, "body_force"),
+    ], ids=["linear_v", "closure_sources", "preset_sources", "closure_divergence"])
+    def test_overflow_rejected_without_traceback(self, tmp_path, edits, quantity):
+        config = load_bundled_config("stvk_uniaxial")
+        for key, value in edits.items():
+            section, _, name = key.rpartition(".")
+            (config[section] if section else config)[name] = value
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"error: NonFiniteValue: {quantity} is not finite")
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
@@ -283,8 +315,7 @@ class TestRun:
         out = tmp_path / "out"
         # through the module entry point, whose exit status is what main returns
         result = subprocess.run([sys.executable, "-m", "relpower", "run", path,
-                                 "--out", str(out)], env=working_tree_env(),
-                                capture_output=True, text=True)
+                                 "--out", str(out)], capture_output=True, text=True)
         assert result.returncode == 1, result.stderr
         rows = read_csv(out / "stvk_uniaxial" / "checks.csv")
         failed = [r for r in rows if r["status"] == "fail"]

@@ -60,12 +60,13 @@ def all_motion_presets():
 class TestDeformationGradient:
     def test_identity(self):
         m = identity_motion()
-        np.testing.assert_allclose(m.deformation_gradient([0.1, 0.2, 0.3]), np.eye(3))
+        x = np.array([0.1, 0.2, 0.3])
+        np.testing.assert_allclose(m.deformation_gradient(x), np.eye(3))
 
     def test_homogeneous_stretch(self):
         m = homogeneous_motion(np.diag([1.2, 1.0, 1.0]))
         np.testing.assert_allclose(
-            m.deformation_gradient([0.4, -0.2, 0.1]), np.diag([1.2, 1.0, 1.0]))
+            m.deformation_gradient(np.array([0.4, -0.2, 0.1])), np.diag([1.2, 1.0, 1.0]))
 
     def test_small_sinusoidal_hand_value(self):
         # y = x + 0.01 sin(x_1) e_2, so F(0) = I + 0.01 e_2 (x) e_1
@@ -197,7 +198,7 @@ class TestObserverChanges:
 class TestCurl:
     def test_constant_field(self):
         f = constant_field([0.3, -0.2, 0.5])
-        np.testing.assert_allclose(f.curl([0.1, 0.0, -0.2]), np.zeros(3))
+        np.testing.assert_allclose(f.curl(np.array([0.1, 0.0, -0.2])), np.zeros(3))
 
     def test_rigid_field_curl_is_twice_rotation(self, rng):
         q = np.array([0.4, -0.7, 0.2])
@@ -213,7 +214,7 @@ class TestCurl:
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
         f = linear_field(a)
-        np.testing.assert_allclose(f.curl([0.2, 0.4, -0.1]), [0.0, 0.0, -1.0],
+        np.testing.assert_allclose(f.curl(np.array([0.2, 0.4, -0.1])), [0.0, 0.0, -1.0],
                                    atol=1e-15)
 
 

@@ -7,11 +7,11 @@ import pytest
 
 import relpower.functionals as fn
 from conftest import (coefficient_norms, decompose, generate, loop_decomposition,
-                      prediction_errors)
+                      prediction_errors, sphere_surface)
 from relpower import cli, scenarios
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
-from relpower.geometry import sphere_surface, weighted_fsum
+from relpower.geometry import weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
 from relpower.tensors import matvec
 

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import sphere_surface
 from relpower.geometry import (ball_part, box_part, gauss_legendre, shell_part,
-                               sphere_surface, spherical_rule, weighted_fsum)
+                               spherical_rule, weighted_fsum)
 
 
 def volume_integral(part, integrand):
@@ -133,6 +135,19 @@ class TestBallAndShell:
     def test_unit_sphere_area(self):
         surface = sphere_surface([0.0, 0.0, 0.0], 1.0, 26)
         assert math.fsum(surface.weights) == pytest.approx(4.0 * math.pi, rel=1e-8)
+
+    @pytest.mark.parametrize("rule", [6, 14, 26])
+    def test_boundary_equals_the_sphere_oracle_bit_for_bit(self, rule):
+        center = [0.3, -0.1, 0.7]
+        ball = ball_part(center, 0.8, angular_points=rule).surface
+        shell = shell_part(center, 0.5, 0.9, angular_points=rule).surface
+        inner = sphere_surface(center, 0.5, rule)
+        inner = dataclasses.replace(inner, normals=-inner.normals)
+        for got, spheres in ((ball, [sphere_surface(center, 0.8, rule)]),
+                             (shell, [sphere_surface(center, 0.9, rule), inner])):
+            for name in ("points", "normals", "weights"):
+                want = np.concatenate([getattr(s, name) for s in spheres])
+                assert getattr(got, name).tobytes() == want.tobytes()
 
     def test_shell_weight_sum_and_volume(self):
         part = shell_part([0.0, 0.0, 0.0], 0.5, 0.9)

@@ -207,8 +207,9 @@ class TestFrameIndifference:
 class TestBodyForcePotential:
     def test_zero_potential(self):
         pot = zero_potential()
-        assert pot([0.3, 0.1, -0.2]) == 0.0
-        np.testing.assert_allclose(-pot.grad([0.3, 0.1, -0.2]), np.zeros(3))
+        y = np.array([0.3, 0.1, -0.2])
+        assert pot(y) == 0.0
+        np.testing.assert_allclose(-pot.grad(y), np.zeros(3))
 
     def test_linear_potential_constant_force(self, rng):
         g = np.array([0.1, -0.4, 0.25])

@@ -4,7 +4,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from relpower.exceptions import NotAntisymmetric
+from relpower import fields, geometry, materials
+from relpower.configurational import point_state
+from relpower.exceptions import NonFiniteValue, NotAntisymmetric
+from relpower.fields import Motion
+from relpower.materials import constant_modulus, make_material
 from relpower.tensors import axial_vector, cross, cross_matrix, skew_part
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -31,6 +35,43 @@ def test_src_calls_no_np_cross():
              if isinstance(node, ast.Attribute) and node.attr == "cross"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert not calls, f"np.cross in src/ (use tensors.cross): {', '.join(calls)}"
+
+
+def _call_sites(names):
+    """{name: {"module.qualname"}} of the functions in src/ that call each name."""
+    sites = {name: set() for name in names}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in sites):
+                sites[child.func.id].add(".".join([module] + scope))
+            visit(child, module, inner)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return sites
+
+
+def test_finiteness_is_checked_only_where_values_enter_or_are_made():
+    # entries: the preset constructors' parameters, the scenario's pivots and
+    # the public cross_matrix; made values: point states, the volume sources,
+    # and the values and gradients of virtual fields and potentials
+    tables = (fields.MOTIONS, fields.FIELDS, materials.MODULI, materials.POTENTIALS,
+              geometry.PARTS)
+    entries = {f"{f.__module__.rpartition('.')[2]}.{f.__name__}"
+               for table in tables for f in table.values()}
+    entries |= {"geometry._spherical_part", "scenarios.Scenario._build",
+                "tensors.cross_matrix"}
+    made = {"configurational.point_state", "scenarios.VolumeNodeData.evaluate",
+            "fields.VirtualField.__call__", "fields.VirtualField.grad",
+            "materials.BodyForcePotential.__call__", "materials.BodyForcePotential.grad"}
+    sites = _call_sites(("as_vector", "as_tensor", "check_finite"))
+    assert sites["as_vector"] | sites["as_tensor"] <= entries
+    assert sites["check_finite"] == made
 
 
 class TestSkewPart:
@@ -83,8 +124,12 @@ class TestAxialVector:
 
 
 def test_non_finite_inputs_rejected():
-    bad = np.full((3, 3), np.nan)
-    with pytest.raises(ValueError):
-        skew_part(bad)
+    # y is NaN where x_1 > 0; the error names y and the first such point
+    motion = Motion(lambda x: np.where(x[..., :1] > 0.0, np.nan, x),
+                    gradient=lambda x: np.broadcast_to(np.eye(3), x.shape + (3,)))
+    model = make_material("stvk", constant_modulus(1.0), constant_modulus(1.0))
+    points = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(NonFiniteValue, match=r"^y is not finite at \[1\. 2\. 3\.\]$"):
+        point_state(model, motion, points)
     with pytest.raises(ValueError):
         cross_matrix([1.0, np.inf, 0.0])

@@ -16,7 +16,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from conftest import generate, working_tree_env
+from conftest import generate
 from relpower import scenarios
 from relpower.exceptions import ConfigInvalid
 from relpower.scenarios import bundled_scenario_names, load_bundled_config, validate_config
@@ -197,7 +197,7 @@ def test_cli_runs_without_jsonschema():
             "from relpower.scenarios import load_bundled_config\n"
             "cli.validate_config(load_bundled_config('stvk_uniaxial'))\n"
             "print('jsonschema' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code], env=working_tree_env(),
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
