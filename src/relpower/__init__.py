@@ -20,8 +20,8 @@ from .functionals import (BalanceResiduals, InvarianceDecomposition,
                           surface_independence_check)
 from .geometry import (BodyPart, SurfaceQuadrature, ball_part, box_part,
                        shell_part, weighted_fsum)
-from .materials import (MaterialModel, Modulus, affine_modulus,
-                        constant_modulus, make_material, sinusoidal_modulus)
+from .materials import (MaterialModel, Modulus, affine_modulus, constant_modulus,
+                        sinusoidal_modulus)
 from .scenarios import Scenario, bundled_scenario_names, load_bundled_config
 from .tensors import axial_vector, cross_matrix, skew_part
 

@@ -71,20 +71,17 @@ def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Motion:
-    """Placement map x -> y(x) with optional analytic derivatives.
+    """Placement map ``y``: x -> y(x), with optional analytic derivatives.
 
     ``gradient`` returns F(x); ``second_gradient`` returns dF/dx as a
     (..., 3, 3, 3) array with entries [..., k, l, j] = d^2 y_k / (d x_l d x_j).
     ``step`` is the finite-difference step used when ``gradient`` is absent.
     """
 
-    placement: Callable[[np.ndarray], np.ndarray]
+    y: Callable[[np.ndarray], np.ndarray]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     second_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     step: float = DEFAULT_GRADIENT_STEP
-
-    def y(self, x) -> np.ndarray:
-        return self.placement(x)
 
     def deformation_gradient(self, x, use_analytic: bool = True) -> np.ndarray:
         """F(x) = Dy(x); raises :class:`NonPositiveJacobian` unless det F > 0
@@ -92,7 +89,7 @@ class Motion:
         if use_analytic and self.gradient is not None:
             f = self.gradient(x)
         else:
-            f = central_difference(self.placement, x, self.step)
+            f = central_difference(self.y, x, self.step)
         det = np.ravel(np.linalg.det(f))
         bad = np.flatnonzero(det <= 0.0)
         if bad.size:
@@ -144,7 +141,7 @@ def homogeneous_motion(matrix) -> Motion:
     """y = F0 x"""
     f0 = as_tensor(matrix)
     return Motion(
-        placement=lambda x: matvec(f0, x),
+        y=lambda x: matvec(f0, x),
         gradient=lambda x: _constant(f0, x),
         second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
     )

@@ -38,16 +38,16 @@ the residuals come from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3)), built once with the
-scenario.  ``relative_power`` sums each of the five literal pieces by
-``weighted_fsum``; the decomposition sums them per node and takes one
-``math.fsum`` per change, so each defect subtracts sums rounded alike.
+scenario.  Every integral is one ``weighted_fsum``: ``relative_power`` sums
+each literal piece on its own, the decomposition each change's pieces over
+all nodes together, so each defect subtracts sums rounded alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -199,10 +199,8 @@ def inner_relative_power(scenario: Scenario) -> float:
     return weighted_fsum(rows, vol.weights)
 
 
-def standard_external_power(scenario: Scenario,
-                            pair: Optional[VirtualFieldPair] = None) -> float:
+def standard_external_power(scenario: Scenario, pair: VirtualFieldPair) -> float:
     """int_b b . v dx + int_db Pn . v dA, evaluated on its own."""
-    pair = scenario.pair if pair is None else pair
     vol, surf = scenario.volume_data, scenario.surface_data
     vol_rows = dot(vol.body_force, pair.v(vol.points))
     surf_rows = dot(matvec(surf.stress, surf.normals), pair.v(surf.points))
@@ -213,22 +211,13 @@ def standard_external_power(scenario: Scenario,
 # Integral balances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BalanceResiduals:
+class BalanceResiduals(NamedTuple):
     """The four integral balance residual vectors of one part."""
 
     force: np.ndarray
     torque: np.ndarray
     configurational_force: np.ndarray
     configurational_torque: np.ndarray
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "force": self.force,
-            "torque": self.torque,
-            "configurational_force": self.configurational_force,
-            "configurational_torque": self.configurational_torque,
-        }
 
 
 def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceResiduals:
@@ -299,8 +288,8 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     slot, axis by axis) and the 2 random ones are one stack of generators,
     evaluated in chunks of ``max(1, 4 * NODE_BLOCK // n)`` changes for n
     volume nodes, so the shifted samples of a chunk stay near four node
-    blocks.  Each change's power is one ``math.fsum`` of its weighted
-    per-node integrands, volume and surface together.
+    blocks.  Each change's power is one ``weighted_fsum`` of its per-node
+    integrands, volume and surface together.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
@@ -311,15 +300,14 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
 
     samples = sample_pair(scenario, scenario.pair)
     factors = node_factors(scenario)
-    vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
-    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(vol_w))
+    weights = np.concatenate([scenario.volume_data.weights, scenario.surface_data.weights])
+    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(scenario.volume_data.weights))
     totals = []
     for start in range(0, len(gens), chunk):
         act, act_s, flux, inh, cpl = _power_rows(
             scenario, samples.shifted(gens[start:start + chunk], factors), factors)
-        terms = np.concatenate([(act + inh + cpl) * vol_w, (act_s + flux) * surf_w],
-                               axis=-1)
-        totals.extend(map(math.fsum, terms.tolist()))
+        rows = np.concatenate([act + inh + cpl, act_s + flux], axis=-1)
+        totals.extend(weighted_fsum(rows.T, weights))
     defects = np.array(totals[1:]) - totals[0]
 
     units = defects[:3 * slots]
@@ -367,30 +355,10 @@ def grouping_factor(coefficient: np.ndarray, residual: np.ndarray) -> Optional[f
 # Surface independence
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceIndependenceResult:
-    flux_inner: np.ndarray
-    flux_outer: np.ndarray
-
-    @property
-    def difference(self) -> np.ndarray:
-        return self.flux_outer - self.flux_inner
-
-    @property
-    def difference_norm(self) -> float:
-        return float(np.linalg.norm(self.difference))
-
-    @property
-    def flux_scale(self) -> float:
-        return max(1.0, float(np.linalg.norm(self.flux_inner)),
-                   float(np.linalg.norm(self.flux_outer)))
-
-
-def surface_independence_check(scenario: Scenario,
-                               allow_broken_hypotheses: bool = False
-                               ) -> SurfaceIndependenceResult:
-    """The fluxes of PP n through the shell's two spheres, read at its boundary nodes:
-    their difference is the boundary term of the configurational force residual R3.
+def surface_independence_check(scenario: Scenario, allow_broken_hypotheses: bool = False
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+    """(inner, outer) fluxes of PP n through the shell's spheres, read at its boundary
+    nodes: outer - inner is the boundary term of the configurational force residual R3.
 
     The hypotheses (homogeneous material, no sources, equilibrium) are
     checked, the sources at every volume node, unless explicitly waived for
@@ -409,17 +377,8 @@ def surface_independence_check(scenario: Scenario,
     outer = dot(surf.normals, surf.points - scenario.part.center) > 0.0
     # outward sphere normals: negating the inner flux would turn an exact 0 into -0
     rows = matvec(surf.eshelby, np.where(outer[:, None], surf.normals, -surf.normals))
-    return SurfaceIndependenceResult(
-        flux_inner=weighted_fsum(rows[~outer], surf.weights[~outer]),
-        flux_outer=weighted_fsum(rows[outer], surf.weights[outer]),
-    )
-
-
-def material_gradient_integral(scenario: Scenario) -> np.ndarray:
-    """int_b de/dx|expl dx, the control value when grading breaks the
-    surface-independence hypotheses."""
-    vol = scenario.volume_data
-    return weighted_fsum(vol.material_gradient, vol.weights)
+    return (weighted_fsum(rows[~outer], surf.weights[~outer]),
+            weighted_fsum(rows[outer], surf.weights[outer]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +403,7 @@ def noether_point_checks(scenario: Scenario, n_points: int) -> NoetherReport:
     if scenario.potential is None:
         raise PreconditionViolated("conservation-law checks need a declared "
                                    "body-force potential")
-    points = scenario.part.sample_interior(scenario.rng(), n_points)
+    points = scenario.part.sample_interior(np.random.default_rng(scenario.seed), n_points)
     div_w = scenario.pair.w.divergence(points[:8])
     bad = div_w[np.abs(div_w) > 1e-10]
     if bad.size:

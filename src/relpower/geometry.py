@@ -12,7 +12,8 @@ Parts are tabled by config kind in ``PARTS``; a constructor's positional
 parameters are its config keys, its keyword-only ones its quadrature keys.
 
 Accumulation everywhere goes through :func:`weighted_fsum`, which uses
-``math.fsum``, so integrals are correctly rounded and deterministic.
+``math.fsum``, so integrals are correctly rounded and deterministic; it
+raises :class:`NonFiniteValue` on a sum that is not finite.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exceptions import NonFiniteValue
 from .tensors import as_vector
 
 # Octahedrally symmetric spherical rules: size -> {orbit k: weight of each of
@@ -100,12 +102,16 @@ def weighted_fsum(values, weights: np.ndarray):
     """Correctly rounded sum of values[i] * weights[i] over the rows.
 
     Scalar rows give a float; vector rows give the per-component sums.
+    Raises :class:`NonFiniteValue` unless every sum is finite.
     """
-    values = np.asarray(values, float)
-    if values.ndim == 1:
-        return math.fsum((values * weights).tolist())
-    return np.array([math.fsum(column)
-                     for column in (values * weights[:, None]).T.tolist()])
+    terms = np.asarray(values, float).T * weights    # one row per sum
+    try:
+        sums = [math.fsum(row) for row in np.atleast_2d(terms).tolist()]
+    except (OverflowError, ValueError) as err:    # an overflow, or inf - inf
+        raise NonFiniteValue(f"integral is not finite ({err})") from None
+    if not all(map(math.isfinite, sums)):
+        raise NonFiniteValue("integral is not finite (non-finite terms)")
+    return sums[0] if terms.ndim == 1 else np.array(sums)
 
 
 # ---------------------------------------------------------------------------

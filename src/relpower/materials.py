@@ -26,7 +26,6 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .exceptions import NonPositiveJacobian
 from .tensors import IDENTITY, as_vector, check_finite, dot, transpose
 
 
@@ -83,7 +82,7 @@ class MaterialModel:
 
     Points x are float (..., 3) arrays and gradients F (..., 3, 3), taken
     unchecked: ``point_state`` checks the state made from them.  det F > 0
-    is checked where F is made and by the models that take ln det F.
+    is checked only where F is made (``Motion.deformation_gradient``).
     Subclasses provide the modulus-independent parts from the F-derived
     quantities of :meth:`kinematics`, computed once per F array; this base
     class assembles the response (e, P, de/dx|expl) and Div P from them.
@@ -182,11 +181,8 @@ class NeoHookean(MaterialModel):
     name = "neo_hookean"
 
     def kinematics(self, f):
-        """(F^-t, ln det F), raising :class:`NonPositiveJacobian` unless det F > 0."""
-        det = np.linalg.det(f)
-        if np.any(det <= 0.0):
-            raise NonPositiveJacobian(f"det F = {np.min(det):g} <= 0")
-        return transpose(np.linalg.inv(f)), np.log(det)
+        """(F^-t, ln det F); det F > 0 is checked only where F is made."""
+        return transpose(np.linalg.inv(f)), np.log(np.linalg.det(f))
 
     def energy_parts(self, f, kin):
         log_j = kin[1]
@@ -231,14 +227,6 @@ class Quadratic(MaterialModel):
 MODEL_CLASSES = {
     cls.name: cls for cls in (SaintVenantKirchhoff, NeoHookean, Quadratic)
 }
-
-
-def make_material(name: str, lam: Modulus, mu: Modulus) -> MaterialModel:
-    try:
-        cls = MODEL_CLASSES[name]
-    except KeyError:
-        raise ValueError(f"unknown material model {name!r}") from None
-    return cls(lam, mu)
 
 
 # ---------------------------------------------------------------------------

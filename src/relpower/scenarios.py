@@ -38,7 +38,7 @@ import numpy as np
 
 from . import configurational as conf
 from . import fields, geometry, materials
-from .exceptions import ConfigInvalid, NonPositiveJacobian
+from .exceptions import ConfigInvalid
 from .tensors import as_vector, check_finite
 
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
@@ -219,8 +219,8 @@ def build_modulus(spec: Optional[dict]) -> materials.Modulus:
 
 
 def build_material(spec: dict) -> materials.MaterialModel:
-    return materials.make_material(
-        spec["model"], build_modulus(spec.get("lam")), build_modulus(spec["mu"]))
+    return materials.MODEL_CLASSES[spec["model"]](build_modulus(spec.get("lam")),
+                                                  build_modulus(spec["mu"]))
 
 
 def build_field(spec: dict) -> fields.VirtualField:
@@ -298,8 +298,8 @@ class Scenario:
     The derivative mode is resolved here, once: ``fd`` mode builds the motion
     and both virtual fields without their analytic derivatives.  The node
     data of the part, ``volume_data`` and ``surface_data``, is built here
-    too; a node with det F <= 0, or a nonzero preset couple on an isotropic
-    material, makes the config invalid.
+    too: a node with det F <= 0 raises :class:`NonPositiveJacobian`, and a
+    nonzero preset couple on an isotropic material makes the config invalid.
     """
 
     def __init__(self, config: dict):
@@ -357,11 +357,8 @@ class Scenario:
                 raise ConfigInvalid("surface_independence requires a shell part whose "
                                     "radii and angular_points the check only restates")
 
-        try:
-            self.volume_data = VolumeNodeData(self, self.part)
-            self.surface_data = SurfaceNodeData(self, self.part)
-        except NonPositiveJacobian as err:
-            raise ConfigInvalid(f"NonPositiveJacobian: {err}") from err
+        self.volume_data = VolumeNodeData(self, self.part)
+        self.surface_data = SurfaceNodeData(self, self.part)
         if (self.source_mode == "preset" and self.model.isotropic
                 and np.any(self.volume_data.couple)):
             # couples are carried by anisotropy; an isotropic material space
@@ -384,9 +381,6 @@ class Scenario:
     def state(self, x) -> conf.PointState:
         """y, F, P, e, PP and de/dx|expl at points x (..., 3)."""
         return conf.point_state(self.model, self.motion, x)
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from relpower import configurational as conf
 from relpower import functionals as fn
 from relpower.fields import Motion
 from relpower.geometry import SurfaceQuadrature, spherical_rule
-from relpower.materials import (MaterialModel, affine_modulus, constant_modulus,
-                                make_material, sinusoidal_modulus)
+from relpower.materials import (MODEL_CLASSES, MaterialModel, affine_modulus,
+                                constant_modulus, sinusoidal_modulus)
 from relpower.tensors import as_vector, axial_vector, skew_part
 
 # perfbench/generate.py, loaded by path: the draws the benchmark runs, and
@@ -284,20 +284,20 @@ NOT_FRAME_INDIFFERENT = {"quadratic"}
 
 def homogeneous_models():
     return [
-        make_material("stvk", constant_modulus(1.0), constant_modulus(1.0)),
-        make_material("neo_hookean", constant_modulus(1.2), constant_modulus(0.8)),
-        make_material("quadratic", constant_modulus(0.0), constant_modulus(1.0)),
+        MODEL_CLASSES["stvk"](constant_modulus(1.0), constant_modulus(1.0)),
+        MODEL_CLASSES["neo_hookean"](constant_modulus(1.2), constant_modulus(0.8)),
+        MODEL_CLASSES["quadratic"](constant_modulus(0.0), constant_modulus(1.0)),
     ]
 
 
 def graded_models():
     return [
-        make_material("stvk", affine_modulus(1.0, [0.2, -0.1, 0.3]),
-                      affine_modulus(1.0, [0.4, 0.0, 0.0])),
-        make_material("neo_hookean", constant_modulus(1.2),
-                      sinusoidal_modulus(1.0, 0.3, [1.1, 0.7, -0.5])),
-        make_material("quadratic", constant_modulus(0.0),
-                      affine_modulus(1.0, [0.0, 0.0, 0.4])),
+        MODEL_CLASSES["stvk"](affine_modulus(1.0, [0.2, -0.1, 0.3]),
+                              affine_modulus(1.0, [0.4, 0.0, 0.0])),
+        MODEL_CLASSES["neo_hookean"](constant_modulus(1.2),
+                                     sinusoidal_modulus(1.0, 0.3, [1.1, 0.7, -0.5])),
+        MODEL_CLASSES["quadratic"](constant_modulus(0.0),
+                                   affine_modulus(1.0, [0.0, 0.0, 0.4])),
     ]
 
 

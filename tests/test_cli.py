@@ -43,6 +43,8 @@ def read_csv(path):
 # y = x + 1e200 sin(x_1) e_1: F is finite, and E = (F^t F - I)/2 overflows
 OVERFLOWING_MOTION = {"preset": "sinusoidal", "amplitude": 1e200,
                       "wavevector": [1.0, 0.0, 0.0], "direction": [1.0, 0.0, 0.0]}
+# a finite body force at the edge of the float range, whose integrals overflow
+HUGE_BODY_FORCE = {"mode": "preset", "b": {"preset": "constant", "value": [1e308] * 3}}
 
 
 @pytest.fixture
@@ -173,7 +175,25 @@ class TestRun:
         ({"motion": {"preset": "sinusoidal", "amplitude": 1e-300,
                      "wavevector": [1e300, 0.0, 0.0], "direction": [0.0, 1.0, 0.0]},
           "material.mu": {"kind": "constant", "value": 1e10}}, "body_force"),
-    ], ids=["linear_v", "closure_sources", "preset_sources", "closure_divergence"])
+        # the sum of the weighted terms overflows
+        ({"geometry.halfwidths": [1.0, 1.0, 1.0],
+          "sources": {"mode": "preset", "b": {"preset": "constant",
+                                              "value": [1e308, 0.0, 0.0]}},
+          "checks": {"balances": {"tolerance": 1e-9}}}, "integral"),
+        # b . v overflows to +inf and -inf at different nodes
+        ({"sources": HUGE_BODY_FORCE,
+          "virtual_fields.v": {"preset": "sinusoidal", "amplitude": 10.0,
+                               "wavevector": [3.0, 0.0, 0.0],
+                               "direction": [1.0, 1.0, 1.0]},
+          "virtual_fields.w": {"preset": "constant", "value": [0.0, 0.0, 0.0]},
+          "checks": {"standard_power": {"tolerance": 1e-9}}}, "integral"),
+        # b . v overflows to +inf at every node
+        ({"sources": HUGE_BODY_FORCE,
+          "virtual_fields.v": {"preset": "constant", "value": [10.0, 10.0, 10.0]},
+          "virtual_fields.w": {"preset": "constant", "value": [0.0, 0.0, 0.0]},
+          "checks": {"standard_power": {"tolerance": 1e-9}}}, "integral"),
+    ], ids=["linear_v", "closure_sources", "preset_sources", "closure_divergence",
+            "overflowing_sum", "opposite_infinite_terms", "infinite_terms"])
     def test_overflow_rejected_without_traceback(self, tmp_path, edits, quantity):
         config = load_bundled_config("stvk_uniaxial")
         for key, value in edits.items():
@@ -210,20 +230,35 @@ class TestRun:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
-    def test_non_positive_jacobian_off_the_nodes_names_the_point(self, tmp_path):
-        # det F = 1 - 0.04 r^2 in-plane: positive at the 8 nodes of the box,
-        # negative at Noether sample points near its corners
-        config = load_bundled_config("surface_independence_quadratic")
-        config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
-                              "halfwidths": [4.0, 4.0, 4.0]}
-        config["quadrature"] = {"volume_order": 2, "surface_order": 2}
-        config["potential"] = {"kind": "zero"}
-        config["checks"] = {"noether": {"points": 100, "condition_tolerance": 1e-6}}
+    @pytest.mark.parametrize("at_node,command,message", [
+        (False, ["run"],
+         "det F = -0.172318 <= 0 at x = [-3.79684896  3.85900012  3.81735227]"),
+        (True, ["run"], "det F = -1 <= 0 at x = [-0.48014493 -0.48014493 -0.48014493]"),
+        # order 8, the config's own, so the first node is the one run names
+        (True, ["sweep", "--axis", "quad", "--values", "8"],
+         "det F = -1 <= 0 at x = [-0.48014493 -0.48014493 -0.48014493]"),
+    ], ids=["off_the_nodes_run", "at_a_node_run", "at_a_node_sweep"])
+    def test_non_positive_jacobian_names_the_point(self, tmp_path, at_node, command,
+                                                   message):
+        if at_node:
+            config = load_bundled_config("stvk_uniaxial")
+            config["motion"] = {"preset": "homogeneous", "matrix": [
+                [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+            del config["checks"]["eshelby_diagonal"]
+        else:
+            # det F = 1 - 0.04 r^2 in-plane: positive at the 8 nodes of the box,
+            # negative at Noether sample points near its corners
+            config = load_bundled_config("surface_independence_quadratic")
+            config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
+                                  "halfwidths": [4.0, 4.0, 4.0]}
+            config["quadrature"] = {"volume_order": 2, "surface_order": 2}
+            config["potential"] = {"kind": "zero"}
+            config["checks"] = {"noether": {"points": 100, "condition_tolerance": 1e-6}}
         out = tmp_path / "out"
-        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        result = run_cli([command[0], write_config(tmp_path, config), *command[1:],
+                          "--out", str(out)])
         assert result.returncode == 2
-        assert result.stderr == ("error: NonPositiveJacobian: det F = -0.172318 <= 0 "
-                                 "at x = [-3.79684896  3.85900012  3.81735227]\n")
+        assert result.stderr == f"error: NonPositiveJacobian: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -340,7 +375,7 @@ class TestRun:
         assert result.returncode == 0, result.stderr
         # the points the noether check drew: the scenario seed, a fresh generator
         scenario = Scenario(config)
-        points = scenario.part.sample_interior(scenario.rng(),
+        points = scenario.part.sample_interior(np.random.default_rng(scenario.seed),
                                                config["checks"]["noether"]["points"])
         assert np.all(np.abs(points) < half)
 

@@ -8,29 +8,28 @@ from relpower.fields import (Motion, VirtualFieldPair, constant_field,
                              harmonic_motion, homogeneous_motion,
                              rotation_motion, shear_motion, sinusoidal_field,
                              sinusoidal_motion)
-from relpower.materials import (affine_modulus, constant_modulus,
-                                make_material, zero_potential)
+from relpower.materials import (MODEL_CLASSES, affine_modulus, constant_modulus,
+                                zero_potential)
 
 STRETCH = np.diag([1.2, 1.0, 1.0])
 
 
 def stvk_unit():
-    return make_material("stvk", constant_modulus(1.0), constant_modulus(1.0))
+    return MODEL_CLASSES["stvk"](constant_modulus(1.0), constant_modulus(1.0))
 
 
 def graded_stvk():
-    return make_material("stvk", constant_modulus(1.0),
-                         affine_modulus(1.0, [0.4, 0.0, 0.0]))
+    return MODEL_CLASSES["stvk"](constant_modulus(1.0),
+                                affine_modulus(1.0, [0.4, 0.0, 0.0]))
 
 
 def neo_hookean():
-    return make_material("neo_hookean", constant_modulus(1.2),
-                         constant_modulus(0.8))
+    return MODEL_CLASSES["neo_hookean"](constant_modulus(1.2), constant_modulus(0.8))
 
 
 def quadratic(slope=None):
     mu = constant_modulus(1.0) if slope is None else affine_modulus(1.0, slope)
-    return make_material("quadratic", constant_modulus(0.0), mu)
+    return MODEL_CLASSES["quadratic"](constant_modulus(0.0), mu)
 
 
 SINUSOIDAL = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
@@ -75,7 +74,7 @@ class TestEshelbyStress:
         model = neo_hookean()
         motion = SINUSOIDAL
         r = rotation_motion([0.3, -0.4, 0.9], 0.7).deformation_gradient(np.zeros(3))
-        rotated = Motion(lambda x: r @ motion.placement(x),
+        rotated = Motion(lambda x: r @ motion.y(x),
                          gradient=lambda x: r @ motion.gradient(x))
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)

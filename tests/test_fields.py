@@ -103,7 +103,7 @@ def test_central_difference_matches_loop_reference(rng):
     # same arithmetic as a per-component loop, so the results are identical
     motion = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
     x, h = rng.uniform(-0.5, 0.5, size=3), 1e-5
-    for fn in (motion.placement, motion.gradient):
+    for fn in (motion.y, motion.gradient):
         reference = np.empty(np.shape(fn(x)) + (3,))
         for j in range(3):
             xp, xm = x.copy(), x.copy()

@@ -10,7 +10,7 @@ from conftest import (configurational_force_residual, standard_force_residual,
                       torque_residuals)
 from relpower import fields, geometry, materials
 from relpower.cli import preset_keys
-from relpower.exceptions import ConfigInvalid
+from relpower.exceptions import ConfigInvalid, NonPositiveJacobian
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_digest,
                                 load_bundled_config, load_config_file,
                                 validate_config)
@@ -62,7 +62,7 @@ class TestValidation:
         config = minimal_config(motion={
             "preset": "homogeneous",
             "matrix": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})
-        with pytest.raises(ConfigInvalid, match="NonPositiveJacobian"):
+        with pytest.raises(NonPositiveJacobian, match=r"^det F = -1 <= 0 at x = "):
             Scenario(config)
 
     def test_preset_couple_rejected_for_isotropic_material(self):

@@ -8,7 +8,7 @@ from relpower import fields, geometry, materials
 from relpower.configurational import point_state
 from relpower.exceptions import NonFiniteValue, NotAntisymmetric
 from relpower.fields import Motion
-from relpower.materials import constant_modulus, make_material
+from relpower.materials import MODEL_CLASSES, constant_modulus
 from relpower.tensors import axial_vector, cross, cross_matrix, skew_part
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -127,7 +127,7 @@ def test_non_finite_inputs_rejected():
     # y is NaN where x_1 > 0; the error names y and the first such point
     motion = Motion(lambda x: np.where(x[..., :1] > 0.0, np.nan, x),
                     gradient=lambda x: np.broadcast_to(np.eye(3), x.shape + (3,)))
-    model = make_material("stvk", constant_modulus(1.0), constant_modulus(1.0))
+    model = MODEL_CLASSES["stvk"](constant_modulus(1.0), constant_modulus(1.0))
     points = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 0.0]])
     with pytest.raises(NonFiniteValue, match=r"^y is not finite at \[1\. 2\. 3\.\]$"):
         point_state(model, motion, points)
