@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +45,14 @@ FD_SWEEP_VALUES = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
+
+
+def _norm(vec) -> float:
+    """|vec|, a made value: raises :class:`NonFiniteValue` if it overflows."""
+    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(norm):
+        raise NonFiniteValue(f"norm is not finite for {vec}")
+    return norm
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -101,7 +110,7 @@ class ScenarioRun:
     # -- helpers -------------------------------------------------------------
 
     def _vector_row(self, vec: np.ndarray, *labels: str) -> List:
-        return [self.scenario.name, *labels, *vec, float(np.linalg.norm(vec))]
+        return [self.scenario.name, *labels, *vec, _norm(vec)]
 
     def _gate(self, check: str, metric: str, value: float, tolerance: float) -> None:
         self.gates.append(Gate(check, metric, float(value), float(tolerance)))
@@ -119,7 +128,7 @@ class ScenarioRun:
     def _report_power(self) -> None:
         power = fn.relative_power(self.scenario)
         inner = fn.inner_relative_power(self.scenario)
-        pieces = [field.name for field in dataclasses.fields(power)]
+        pieces = [f.name for f in dataclasses.fields(power) if f.name != "total"]
         pieces += ["actions", "disarrangement", "total"]
         self.tables["power"] = (
             ["scenario", *pieces, "inner", "abs_difference"],
@@ -135,8 +144,7 @@ class ScenarioRun:
         rows = [self._vector_row(vec, label, "default")
                 for label, vec in residuals._asdict().items()]
 
-        force_norms = max(float(np.linalg.norm(residuals.force)),
-                          float(np.linalg.norm(residuals.configurational_force)))
+        force_norms = max(_norm(residuals.force), _norm(residuals.configurational_force))
         if spec and force_norms > spec["tolerance"]:
             # nonzero force residuals make torque residuals pivot dependent;
             # rerun with a shifted pivot so the dependence is visible
@@ -170,8 +178,7 @@ class ScenarioRun:
             c = decomp.coefficients[slot]
             p = decomp.predicted[slot]
             rows.append([self.scenario.name, slot, c[0], c[1], c[2],
-                         float(np.linalg.norm(c)), p[0], p[1], p[2],
-                         float(np.linalg.norm(c - p))])
+                         _norm(c), p[0], p[1], p[2], _norm(c - p)])
         self.tables["invariance"] = (header, rows)
 
         config_torque = decomp.predicted["material_rotation"] - decomp.mismatch
@@ -229,7 +236,7 @@ class ScenarioRun:
             vol = self.scenario.volume_data
             expected = weighted_fsum(vol.material_gradient, vol.weights)
             rows.append(self._vector_row(expected, "expected_shell_integral"))
-            error = float(np.linalg.norm(outer - inner - expected))
+            error = _norm(outer - inner - expected)
             self._gate("surface_independence", "difference_vs_shell_integral",
                        error / max(1.0, rows[-1][-1]), spec["tolerance"])
         self.tables["surface_independence"] = (header, rows)
@@ -352,8 +359,7 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
         scenario = Scenario(cfg)
         power = fn.relative_power(scenario)
         inner = fn.inner_relative_power(scenario)
-        residuals = fn.integral_balance_residuals(scenario)
-        worst = max(float(np.linalg.norm(v)) for v in residuals)
+        worst = max(map(_norm, fn.integral_balance_residuals(scenario)))
         rows.append([cfg["name"], axis, float(value), abs(power.total - inner),
                      worst, _pointwise_divergence_error(scenario)])
 
@@ -491,8 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    code = None
+    try:
+        # warnings wait for the exit code: a run that exits 2 shows only its error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")    # each once per source line
+            code = _run_command(args)
+    finally:
+        for warning in caught if code != 2 else ():
+            warnings.warn_explicit(warning.message, warning.category,
+                                   warning.filename, warning.lineno)
+    return code
+
+
+def _run_command(args) -> int:
     try:
         return args.func(args)
     except (ConfigInvalid, PreconditionViolated) as err:

@@ -7,14 +7,14 @@ reference point.  Every map takes float points of shape (..., 3), a single
 point or a stack of them, and returns values with the same leading axes.
 A virtual field checks that its values and gradients are finite; y and F
 are checked in the point state made from them.  Observer changes superpose
-rigid rates on either field independently (on sampled pairs,
-:meth:`PairSamples.shifted` in :mod:`relpower.functionals` applies them):
+rigid rates on either field independently (``PairSamples.shifted(generators,
+scenario)`` in :mod:`relpower.functionals` applies them to sampled pairs):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
 
 An observer change is its four generators (c_hat, q_hat, c, q), one
-(4, 3) array; k changes about the same pivots are a (k, 4, 3) array.
+(4, 3) array; k changes about a scenario's pivots are a (k, 4, 3) array.
 
 Every preset carries analytic derivatives and takes no step.  An object
 whose ``gradient`` is ``None`` takes that derivative by central finite

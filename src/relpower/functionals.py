@@ -31,16 +31,18 @@ mismatch*) vanishes for homogeneous couple-free scenarios and makes the
 q-coefficient exactly twice R4 on couple-free closure scenarios.  The
 decomposition below extracts the coefficients by brute force and
 reports them next to these independently integrated predictions.  The
-zero change and 14 observer changes (12 unit generators, 2 random
-combinations) are one (15, 4, 3) array of generators, shifted and
-evaluated in chunks sized to about four node blocks; the base power and
-the residuals come from the caller, which has already computed them.
+14 observer changes (12 unit generators, 2 random combinations) are one
+(14, 4, 3) array of generators, shifted and evaluated in chunks sized to
+about four node blocks; the base power, whose total is the zero change's,
+and the residuals come from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
-scenario's part (points (n, 3), tensors (n, 3, 3)), built once with the
-scenario.  Every integral is one ``weighted_fsum``: ``relative_power`` sums
-each literal piece on its own, the decomposition each change's pieces over
-all nodes together, so each defect subtracts sums rounded alike.
+scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n
+among them), built once with the scenario.  Every identity (R1..R4, the
+standard external power, ``PowerBreakdown.total``, the power of each
+observer change) is one ``part_integral``: one ``weighted_fsum`` over its
+volume rows, then its surface rows, so each defect subtracts two totals
+summed alike.  Only the report pieces of ``power.csv`` are summed apart.
 """
 
 from __future__ import annotations
@@ -74,13 +76,14 @@ AFFINE_TOLERANCE = 1e-10   # the defect is affine by construction: above it is a
 
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """The pieces of one relative-power evaluation, each summed on its own."""
+    """The five pieces of one relative-power evaluation, and its total."""
 
     actions_volume: float
     actions_surface: float
     energy_flux: float
     inhomogeneity: float
     couple: float
+    total: float
 
     @property
     def actions(self) -> float:
@@ -91,32 +94,16 @@ class PowerBreakdown:
         return self.energy_flux + self.inhomogeneity + self.couple
 
     @property
-    def total(self) -> float:
-        return self.actions + self.disarrangement
-
-    @property
     def scale(self) -> float:
         return max(1.0, abs(self.actions), abs(self.disarrangement))
 
 
-class NodeFactors(NamedTuple):
-    """The pair-independent factors of the literal power integrand at the nodes,
-    computed once per evaluation however many changes it shifts."""
-
-    y_volume: np.ndarray          # y - y0
-    x_volume: np.ndarray          # x - x0
-    y_surface: np.ndarray
-    x_surface: np.ndarray
-    inhomogeneity: np.ndarray     # de/dx|expl - f at the volume nodes
-    tractions: np.ndarray         # P n at the surface nodes
-
-
-def node_factors(scenario: Scenario) -> NodeFactors:
+def part_integral(scenario: Scenario, volume_rows, surface_rows):
+    """int_b volume_rows dx + int_db surface_rows dA as one ``weighted_fsum`` over
+    the volume nodes, then the surface nodes; rows run along the first axis."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    y0, x0 = scenario.y0, scenario.x0
-    return NodeFactors(vol.y - y0, vol.points - x0, surf.y - y0, surf.points - x0,
-                       vol.material_gradient - vol.driving_force,
-                       np.einsum("nij,nj->ni", surf.stress, surf.normals))
+    return weighted_fsum(np.concatenate([volume_rows, surface_rows]),
+                         np.concatenate([vol.weights, surf.weights]))
 
 
 @dataclass(frozen=True)
@@ -129,19 +116,21 @@ class PairSamples:
     v_surface: np.ndarray
     w_surface: np.ndarray
 
-    def shifted(self, generators, factors: NodeFactors) -> "PairSamples":
-        """Samples of (v*, w*) about the pivots of the node offsets in ``factors``.
+    def shifted(self, generators, scenario: Scenario) -> "PairSamples":
+        """Samples of (v*, w*) about the scenario's pivots y0 and x0.
 
         Generators (4, 3), in ``GENERATOR_SLOTS`` order, give samples (n, 3);
         a stack (k, 4, 3) of them gives (k, n, 3), one entry per change.
         """
+        vol, surf = scenario.volume_data, scenario.surface_data
+        y0, x0 = scenario.y0, scenario.x0
         c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
         return PairSamples(
-            v_volume=self.v_volume + (c_hat + cross(q_hat, factors.y_volume)),
-            w_volume=self.w_volume + (c + cross(q, factors.x_volume)),
+            v_volume=self.v_volume + (c_hat + cross(q_hat, vol.y - y0)),
+            w_volume=self.w_volume + (c + cross(q, vol.points - x0)),
             curl_w_volume=self.curl_w_volume + 2.0 * q,
-            v_surface=self.v_surface + (c_hat + cross(q_hat, factors.y_surface)),
-            w_surface=self.w_surface + (c + cross(q, factors.x_surface)),
+            v_surface=self.v_surface + (c_hat + cross(q_hat, surf.y - y0)),
+            w_surface=self.w_surface + (c + cross(q, surf.points - x0)),
         )
 
 
@@ -156,31 +145,39 @@ def sample_pair(scenario: Scenario, pair: VirtualFieldPair) -> PairSamples:
     )
 
 
-def _power_rows(scenario: Scenario, samples: PairSamples, factors: NodeFactors):
+def _power_rows(scenario: Scenario, samples: PairSamples):
     """The literal power integrand of one sampled pair, or of a (k, n, 3) stack of
     them, as rows (..., n) of its five pieces in ``PowerBreakdown`` order."""
     vol, surf = scenario.volume_data, scenario.surface_data
     rel_velocity = samples.v_volume - np.einsum(
         "nij,...nj->...ni", vol.f_grad, samples.w_volume)
-    relabel = samples.w_volume - cross(samples.curl_w_volume, factors.x_volume)
+    relabel = samples.w_volume - cross(samples.curl_w_volume, vol.points - scenario.x0)
     rel_surf = samples.v_surface - np.einsum(
         "nij,...nj->...ni", surf.f_grad, samples.w_surface)
     return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
-            np.einsum("ni,...ni->...n", factors.tractions, rel_surf),
+            np.einsum("ni,...ni->...n", surf.traction, rel_surf),
             np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy,
-            np.einsum("ni,...ni->...n", factors.inhomogeneity, relabel),
+            np.einsum("ni,...ni->...n", vol.material_gradient - vol.driving_force,
+                      relabel),
             np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume))
+
+
+def _power_total(scenario: Scenario, rows):
+    """P_rel from the five piece rows of ``_power_rows``: the volume pieces and the
+    surface pieces added node by node, then one part integral."""
+    act, act_s, flux, inh, cpl = rows
+    return part_integral(scenario, (act + inh + cpl).T, (act_s + flux).T)
 
 
 def relative_power(scenario: Scenario,
                    pair: Optional[VirtualFieldPair] = None) -> PowerBreakdown:
-    """Literal evaluation of the relative power on the scenario's part, each
-    piece summed on its own."""
+    """Literal evaluation of the relative power on the scenario's part."""
     pair = scenario.pair if pair is None else pair
-    rows = _power_rows(scenario, sample_pair(scenario, pair), node_factors(scenario))
+    rows = _power_rows(scenario, sample_pair(scenario, pair))
     vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
     return PowerBreakdown(*(weighted_fsum(piece, weights) for piece, weights
-                            in zip(rows, (vol_w, surf_w, surf_w, vol_w, vol_w))))
+                            in zip(rows, (vol_w, surf_w, surf_w, vol_w, vol_w))),
+                          total=_power_total(scenario, rows))
 
 
 def inner_relative_power(scenario: Scenario) -> float:
@@ -202,9 +199,8 @@ def inner_relative_power(scenario: Scenario) -> float:
 def standard_external_power(scenario: Scenario, pair: VirtualFieldPair) -> float:
     """int_b b . v dx + int_db Pn . v dA, evaluated on its own."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    vol_rows = dot(vol.body_force, pair.v(vol.points))
-    surf_rows = dot(matvec(surf.stress, surf.normals), pair.v(surf.points))
-    return weighted_fsum(vol_rows, vol.weights) + weighted_fsum(surf_rows, surf.weights)
+    return part_integral(scenario, dot(vol.body_force, pair.v(vol.points)),
+                         dot(surf.traction, pair.v(surf.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,33 +217,23 @@ class BalanceResiduals(NamedTuple):
 
 
 def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceResiduals:
+    """R1..R4 about the pivots x0 and y0 (the scenario's by default)."""
     x0 = scenario.x0 if x0 is None else x0
     y0 = scenario.y0 if y0 is None else y0
     vol, surf = scenario.volume_data, scenario.surface_data
-
-    tractions = matvec(surf.stress, surf.normals)
     config_tractions = matvec(surf.eshelby, surf.normals)
-
-    force = (weighted_fsum(vol.body_force, vol.weights)
-             + weighted_fsum(tractions, surf.weights))
-
-    torque = (weighted_fsum(cross(vol.y - y0, vol.body_force), vol.weights)
-              + weighted_fsum(cross(surf.y - y0, tractions), surf.weights))
-
     pulled_back = matvec(transpose(vol.f_grad), vol.body_force)
-    config_force = (
-        weighted_fsum(config_tractions, surf.weights)
-        - weighted_fsum(pulled_back, vol.weights)
-        + weighted_fsum(vol.material_gradient - vol.driving_force, vol.weights)
+    return BalanceResiduals(
+        force=part_integral(scenario, vol.body_force, surf.traction),
+        torque=part_integral(scenario, cross(vol.y - y0, vol.body_force),
+                             cross(surf.y - y0, surf.traction)),
+        configurational_force=part_integral(
+            scenario, vol.material_gradient - vol.driving_force - pulled_back,
+            config_tractions),
+        configurational_torque=part_integral(
+            scenario, vol.couple - cross(vol.points - x0, pulled_back),
+            cross(surf.points - x0, config_tractions)),
     )
-
-    config_torque = (
-        weighted_fsum(cross(surf.points - x0, config_tractions), surf.weights)
-        - weighted_fsum(cross(vol.points - x0, pulled_back), vol.weights)
-        + weighted_fsum(vol.couple, vol.weights)
-    )
-
-    return BalanceResiduals(force, torque, config_force, config_torque)
 
 
 def material_torque_mismatch(scenario: Scenario) -> np.ndarray:
@@ -283,32 +269,25 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     that two random combined generators superpose affinely.
 
     ``base`` (the relative power of the scenario's pair, which sets the
-    scale) and ``residuals`` (its default-pivot balance residuals) are as the
-    caller computed them.  The zero change, the 12 unit changes (slot by
-    slot, axis by axis) and the 2 random ones are one stack of generators,
-    evaluated in chunks of ``max(1, 4 * NODE_BLOCK // n)`` changes for n
-    volume nodes, so the shifted samples of a chunk stay near four node
-    blocks.  Each change's power is one ``weighted_fsum`` of its per-node
-    integrands, volume and surface together.
+    scale and is the power of the zero change) and ``residuals`` (its
+    default-pivot balance residuals) are as the caller computed them.  The
+    12 unit changes (slot by slot, axis by axis) and the 2 random ones are
+    one stack of generators, evaluated in chunks of
+    ``max(1, 4 * NODE_BLOCK // n)`` changes for n volume nodes, so the
+    shifted samples of a chunk stay near four node blocks.  Each change's
+    power is summed as ``base.total`` is, by ``_power_total``.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
     combined = rng.uniform(-1.0, 1.0, size=(2, slots, 3))
-    # the zero change first; unit change 1 + 3 s + a carries e_a in slot s only
-    gens = np.concatenate([np.zeros((1, slots, 3)),
-                           np.eye(3 * slots).reshape(-1, slots, 3), combined])
+    # unit change 3 s + a carries e_a in slot s only
+    gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
     samples = sample_pair(scenario, scenario.pair)
-    factors = node_factors(scenario)
-    weights = np.concatenate([scenario.volume_data.weights, scenario.surface_data.weights])
     chunk = max(1, 4 * scenarios.NODE_BLOCK // len(scenario.volume_data.weights))
-    totals = []
-    for start in range(0, len(gens), chunk):
-        act, act_s, flux, inh, cpl = _power_rows(
-            scenario, samples.shifted(gens[start:start + chunk], factors), factors)
-        rows = np.concatenate([act + inh + cpl, act_s + flux], axis=-1)
-        totals.extend(weighted_fsum(rows.T, weights))
-    defects = np.array(totals[1:]) - totals[0]
+    defects = np.concatenate([_power_total(scenario, _power_rows(
+        scenario, samples.shifted(gens[k:k + chunk], scenario)))
+        for k in range(0, len(gens), chunk)]) - base.total
 
     units = defects[:3 * slots]
     coefficients = dict(zip(GENERATOR_SLOTS, units.reshape(slots, 3)))

@@ -281,11 +281,12 @@ class VolumeNodeData(_NodeData):
 
 
 class SurfaceNodeData(_NodeData):
-    """The state at every boundary quadrature node."""
+    """The state and the traction P n at every boundary quadrature node."""
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         super().__init__(scenario, part.surface.points, part.surface.weights)
         self.normals = part.surface.normals
+        self.traction = np.einsum("nij,nj->ni", self.stress, self.normals)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ OVERFLOWING_MOTION = {"preset": "sinusoidal", "amplitude": 1e200,
                       "wavevector": [1.0, 0.0, 0.0], "direction": [1.0, 0.0, 0.0]}
 # a finite body force at the edge of the float range, whose integrals overflow
 HUGE_BODY_FORCE = {"mode": "preset", "b": {"preset": "constant", "value": [1e308] * 3}}
+HUGE_NEGATIVE_X = {"preset": "constant", "value": [-1e308, 0.0, 0.0]}
 
 
 @pytest.fixture
@@ -160,8 +161,8 @@ class TestRun:
         assert "Traceback" not in result.stderr
         assert not out.exists()
 
-    # finite config numbers whose values overflow where they are made
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # finite config numbers whose values overflow where they are made; the
+    # error line is all a run that exits 2 prints, numpy warnings included
     @pytest.mark.parametrize("edits,quantity", [
         ({"geometry.halfwidths": [1.0, 1.0, 1.0],
           "virtual_fields.v": {"preset": "linear", "matrix": [
@@ -192,8 +193,15 @@ class TestRun:
           "virtual_fields.v": {"preset": "constant", "value": [10.0, 10.0, 10.0]},
           "virtual_fields.w": {"preset": "constant", "value": [0.0, 0.0, 0.0]},
           "checks": {"standard_power": {"tolerance": 1e-9}}}, "integral"),
+        # two finite integrals of R3 whose sum overflows
+        ({"sources": {"mode": "preset", "b": HUGE_NEGATIVE_X, "f": HUGE_NEGATIVE_X},
+          "checks": {"balances": {"tolerance": 1e-12}}}, "integral"),
+        # R1 = (-1e308, 0, 0) is finite, and its norm overflows
+        ({"sources": {"mode": "preset", "b": HUGE_NEGATIVE_X},
+          "checks": {"balances": {"tolerance": 1e-12}}}, "norm"),
     ], ids=["linear_v", "closure_sources", "preset_sources", "closure_divergence",
-            "overflowing_sum", "opposite_infinite_terms", "infinite_terms"])
+            "overflowing_sum", "opposite_infinite_terms", "infinite_terms",
+            "overflowing_identity", "overflowing_norm"])
     def test_overflow_rejected_without_traceback(self, tmp_path, edits, quantity):
         config = load_bundled_config("stvk_uniaxial")
         for key, value in edits.items():
@@ -203,8 +211,25 @@ class TestRun:
         result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith(f"error: NonFiniteValue: {quantity} is not finite")
+        assert len(result.stderr.splitlines()) == 1, result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_warnings_of_a_run_that_passes_are_shown(self, tmp_path, uniaxial,
+                                                      monkeypatch):
+        inner = cli.fn.inner_relative_power
+
+        def overflowing(scenario):
+            np.float64(1e308) * 10.0
+            return inner(scenario)
+
+        monkeypatch.setattr(cli.fn, "inner_relative_power", overflowing)
+        with pytest.raises(RuntimeWarning, match="overflow"):  # the warning filter holds
+            run_cli(["run", uniaxial, "--out", str(tmp_path / "a")])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = run_cli(["run", uniaxial, "--out", str(tmp_path / "b")])
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("motion", [
         # det F = 1 - cos(k . x) is zero at node 171 of 343 only

@@ -23,13 +23,13 @@ def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> PairSamples:
     """The pair sampled at the single node x and seen through the generators
     ``change`` about pivots y0 and x0 = 0."""
     x = np.asarray(x, float)
-    arms = motion.y(x)[None] - np.asarray(y0, float), x[None]
-    nodes = SimpleNamespace(y_volume=arms[0], x_volume=arms[1],
-                            y_surface=arms[0], x_surface=arms[1])
+    nodes = SimpleNamespace(y=motion.y(x)[None], points=x[None])
+    scenario = SimpleNamespace(volume_data=nodes, surface_data=nodes,
+                               y0=np.asarray(y0, float), x0=np.zeros(3))
     samples = PairSamples(v_volume=pair.v(x)[None], w_volume=pair.w(x)[None],
                           curl_w_volume=pair.w.curl(x)[None],
                           v_surface=pair.v(x)[None], w_surface=pair.w(x)[None])
-    return samples.shifted(change, nodes)
+    return samples.shifted(change, scenario)
 
 
 def ambient_change(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> np.ndarray:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import relpower.functionals as fn
-from conftest import (coefficient_norms, decompose, generate, loop_decomposition,
-                      prediction_errors, sphere_surface)
+from conftest import (_loop_total, coefficient_norms, decompose, generate,
+                      loop_decomposition, prediction_errors, sphere_surface)
 from relpower import cli, scenarios
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
@@ -270,6 +270,10 @@ class TestStackedObserverChanges:
         scenario = Scenario(config)
         decomp = decompose(scenario)
         coefficients, affine_residual, predicted = loop_decomposition(scenario)
+        # the zero change's one-fsum total is the base power the defects subtract
+        zero = {slot: np.zeros(3) for slot in fn.GENERATOR_SLOTS}
+        assert fn.relative_power(scenario).total == _loop_total(
+            scenario, fn.sample_pair(scenario, scenario.pair), zero)
         for slot in fn.GENERATOR_SLOTS:
             assert list(decomp.coefficients[slot]) == list(coefficients[slot]), slot
             assert list(decomp.predicted[slot]) == list(predicted[slot]), slot
@@ -292,16 +296,15 @@ class TestStackedObserverChanges:
         gens = np.stack([rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in fn.GENERATOR_SLOTS],
                         axis=1)
         scenario.y0, scenario.x0 = rng.normal(size=3), rng.normal(size=3)
-        factors = fn.node_factors(scenario)
-        stacked = samples.shifted(gens, factors)
-        rows = fn._power_rows(scenario, stacked, factors)
+        stacked = samples.shifted(gens, scenario)
+        rows = fn._power_rows(scenario, stacked)
         for k in range(5):
-            single = samples.shifted(gens[k], factors)
+            single = samples.shifted(gens[k], scenario)
             for field in ("v_volume", "w_volume", "curl_w_volume", "v_surface",
                           "w_surface"):
                 np.testing.assert_array_equal(getattr(stacked, field)[k],
                                               getattr(single, field))
-            for got, want in zip(rows, fn._power_rows(scenario, single, factors)):
+            for got, want in zip(rows, fn._power_rows(scenario, single)):
                 np.testing.assert_array_equal(got[k], want)
 
     def test_chunked_peak_memory_stays_near_one_evaluation(self):
