@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import tempfile
@@ -49,9 +50,12 @@ def _fmt(value: float) -> str:
 
 def _norm(vec) -> float:
     """|vec|, a made value: raises :class:`NonFiniteValue` if it overflows."""
-    norm = float(np.linalg.norm(vec))
-    if not np.isfinite(norm):
-        raise NonFiniteValue(f"norm is not finite for {vec}")
+    with np.errstate(over="ignore"):    # the squares may overflow, not the norm
+        norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        norm = math.hypot(*np.ravel(vec))
+        if not math.isfinite(norm):
+            raise NonFiniteValue(f"norm is not finite for {vec}")
     return norm
 
 
@@ -59,6 +63,9 @@ def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     handle, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)   # as open(path, "w") makes it; mkstemp's is 0600
         with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
             stream.write(text)
         os.replace(tmp, path)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .exceptions import NonPositiveJacobian
 from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, check_finite,
-                      cross, cross_matrix, dot, matvec, transpose)
+                      cross, cross_matrix, det, dot, matvec, transpose)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
@@ -90,12 +90,12 @@ class Motion:
             f = self.gradient(x)
         else:
             f = central_difference(self.y, x, self.step)
-        det = np.ravel(np.linalg.det(f))
-        bad = np.flatnonzero(det <= 0.0)
+        jac = np.ravel(det(f))
+        bad = np.flatnonzero(jac <= 0.0)
         if bad.size:
             i = bad[0]
             raise NonPositiveJacobian(
-                f"det F = {det[i]:g} <= 0 at x = {x.reshape(-1, 3)[i]}")
+                f"det F = {jac[i]:g} <= 0 at x = {x.reshape(-1, 3)[i]}")
         return f
 
 

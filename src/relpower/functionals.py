@@ -32,9 +32,9 @@ q-coefficient exactly twice R4 on couple-free closure scenarios.  The
 decomposition below extracts the coefficients by brute force and
 reports them next to these independently integrated predictions.  The
 14 observer changes (12 unit generators, 2 random combinations) are one
-(14, 4, 3) array of generators, shifted and evaluated in chunks sized to
-about four node blocks; the base power, whose total is the zero change's,
-and the residuals come from the caller, which has already computed them.
+(14, 4, 3) array of generators, shifted and evaluated in chunks of about
+``CHUNK_ROWS`` volume rows; the base power (the zero change's total) and
+the residuals come from the caller, which has already computed them.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n
@@ -54,7 +54,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import configurational as conf
-from . import scenarios
 from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import weighted_fsum
@@ -72,6 +71,7 @@ GENERATOR_SLOTS = (
 )
 
 AFFINE_TOLERANCE = 1e-10   # the defect is affine by construction: above it is a bug
+CHUNK_ROWS = 1024          # shifted volume rows per chunk of observer changes
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,9 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     default-pivot balance residuals) are as the caller computed them.  The
     12 unit changes (slot by slot, axis by axis) and the 2 random ones are
     one stack of generators, evaluated in chunks of
-    ``max(1, 4 * NODE_BLOCK // n)`` changes for n volume nodes, so the
-    shifted samples of a chunk stay near four node blocks.  Each change's
-    power is summed as ``base.total`` is, by ``_power_total``.
+    ``max(1, CHUNK_ROWS // n)`` changes for n volume nodes, so the shifted
+    samples of a chunk stay near ``CHUNK_ROWS`` rows.  Each change's power
+    is summed as ``base.total`` is, by ``_power_total``.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
@@ -284,7 +284,7 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
     gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
     samples = sample_pair(scenario, scenario.pair)
-    chunk = max(1, 4 * scenarios.NODE_BLOCK // len(scenario.volume_data.weights))
+    chunk = max(1, CHUNK_ROWS // len(scenario.volume_data.weights))
     defects = np.concatenate([_power_total(scenario, _power_rows(
         scenario, samples.shifted(gens[k:k + chunk], scenario)))
         for k in range(0, len(gens), chunk)]) - base.total

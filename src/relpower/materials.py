@@ -26,7 +26,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .tensors import IDENTITY, as_vector, check_finite, dot, transpose
+from .tensors import IDENTITY, as_vector, check_finite, cofactor, det, dot, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,9 @@ class NeoHookean(MaterialModel):
     name = "neo_hookean"
 
     def kinematics(self, f):
-        """(F^-t, ln det F); det F > 0 is checked only where F is made."""
-        return transpose(np.linalg.inv(f)), np.log(np.linalg.det(f))
+        """(F^-t = cof F / det F, ln det F); det F > 0 is checked where F is made."""
+        j = det(f)
+        return cofactor(f) / j[..., None, None], np.log(j)
 
     def energy_parts(self, f, kin):
         log_j = kin[1]

@@ -19,9 +19,9 @@ part's keyword-only ones are its quadrature orders.  Presets take no step:
 ``fd`` mode sets the motion step where it removes the analytic derivatives.
 
 Node data is built once per scenario, for its part, over stacked arrays,
-points (n, 3) and tensors (n, 3, 3), in blocks of ``NODE_BLOCK`` nodes: one
-point state per node, and the sources read from it; that build makes F at
-every node, so it is also the det F > 0 check.
+points (n, 3) and tensors (n, 3, 3): one point state over each node set,
+volume and surface, and the volume sources read from theirs in one call;
+that build makes F at every node, so it is also the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -235,33 +235,16 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # Node data
 # ---------------------------------------------------------------------------
 
-# Nodes evaluated per array call.  Node work is elementwise, so the block
-# size changes no result; it bounds the size of the temporaries.
-NODE_BLOCK = 256
-
-
 class _NodeData:
-    """The point state of every given quadrature node.
-
-    Each attribute named in ``FIELDS`` is an array with one row per node,
-    filled block by block from :meth:`evaluate`.
-    """
+    """The point state of every given quadrature node: each attribute named in
+    ``FIELDS`` is an array with one row per node, from one array call."""
 
     FIELDS = conf.PointState._fields
 
-    def __init__(self, scenario: "Scenario", points: np.ndarray, weights: np.ndarray):
+    def __init__(self, points: np.ndarray, weights: np.ndarray, values: tuple):
         self.points = points
         self.weights = weights
-        for start in range(0, len(points), NODE_BLOCK):
-            block = slice(start, start + NODE_BLOCK)
-            for name, value in zip(self.FIELDS, self.evaluate(scenario, points[block])):
-                if start == 0:
-                    setattr(self, name, np.empty((len(points),) + value.shape[1:]))
-                getattr(self, name)[block] = value
-
-    @staticmethod
-    def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
-        return scenario.state(x)
+        vars(self).update(zip(self.FIELDS, values))
 
 
 class VolumeNodeData(_NodeData):
@@ -270,22 +253,20 @@ class VolumeNodeData(_NodeData):
     FIELDS = _NodeData.FIELDS + ("body_force", "driving_force", "couple")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        super().__init__(scenario, part.volume_points, part.volume_weights)
-
-    @staticmethod
-    def evaluate(scenario: "Scenario", x: np.ndarray) -> tuple:
+        x = part.volume_points
         state = scenario.state(x)
         b, f, mu = scenario.sources(x, state)
         check_finite(x, body_force=b, driving_force=f, couple=mu)
-        return state + (b, f, mu)
+        super().__init__(x, part.volume_weights, state + (b, f, mu))
 
 
 class SurfaceNodeData(_NodeData):
     """The state and the traction P n at every boundary quadrature node."""
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        super().__init__(scenario, part.surface.points, part.surface.weights)
-        self.normals = part.surface.normals
+        surface = part.surface
+        super().__init__(surface.points, surface.weights, scenario.state(surface.points))
+        self.normals = surface.normals
         self.traction = np.einsum("nij,nj->ni", self.stress, self.normals)
 
 

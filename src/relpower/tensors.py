@@ -78,6 +78,27 @@ def cross(a, b) -> np.ndarray:
                      a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
 
 
+def det(t) -> np.ndarray:
+    """det T of every tensor in a stack, expanded along the first row."""
+    a, b, c = t[..., 0, 0], t[..., 0, 1], t[..., 0, 2]
+    d, e, f = t[..., 1, 0], t[..., 1, 1], t[..., 1, 2]
+    g, h, i = t[..., 2, 0], t[..., 2, 1], t[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+# cof T_ij = T_(i+1)(j+1) T_(i+2)(j+2) - T_(i+1)(j+2) T_(i+2)(j+1), indices mod 3:
+# the four factors as one index table into the 9 entries of T
+_COFACTOR_FACTORS = np.array([3 * ((i + r) % 3) + (j + c) % 3 for r, c in (
+    (1, 1), (2, 2), (1, 2), (2, 1)) for i in range(3) for j in range(3)])
+
+
+def cofactor(t) -> np.ndarray:
+    """cof T = det T T^-t of every tensor in a stack, defined for singular T too."""
+    lead = t.shape[:-2]
+    g = t.reshape(lead + (9,))[..., _COFACTOR_FACTORS].reshape(lead + (4, 3, 3))
+    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+
+
 def skew_part(t) -> np.ndarray:
     """Antisymmetric part (T - T^t)/2."""
     return 0.5 * (t - transpose(t))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -196,8 +197,10 @@ class TestRun:
         # two finite integrals of R3 whose sum overflows
         ({"sources": {"mode": "preset", "b": HUGE_NEGATIVE_X, "f": HUGE_NEGATIVE_X},
           "checks": {"balances": {"tolerance": 1e-12}}}, "integral"),
-        # R1 = (-1e308, 0, 0) is finite, and its norm overflows
-        ({"sources": {"mode": "preset", "b": HUGE_NEGATIVE_X},
+        # every residual is finite, and the norm of R3 = (-1.44e308, -1.2e308, 0)
+        # overflows
+        ({"sources": {"mode": "preset", "b": {"preset": "constant",
+                                              "value": [1.2e308, 1.2e308, 0.0]}},
           "checks": {"balances": {"tolerance": 1e-12}}}, "norm"),
     ], ids=["linear_v", "closure_sources", "preset_sources", "closure_divergence",
             "overflowing_sum", "opposite_infinite_terms", "infinite_terms",
@@ -214,6 +217,19 @@ class TestRun:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    def test_finite_norm_of_huge_components_is_reported(self, tmp_path):
+        # R1 = (-1e308, 0, 0): its squares overflow, its norm 1e308 does not
+        config = load_bundled_config("stvk_uniaxial")
+        config["sources"] = {"mode": "preset", "b": HUGE_NEGATIVE_X}
+        config["checks"] = {"balances": {"tolerance": 1e-12}}
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == "1 scenario(s) failed tolerances: stvk_uniaxial\n"
+        rows = read_csv(out / "stvk_uniaxial" / "balances.csv")
+        force = [row for row in rows if row["row"] == "force"]
+        assert [float(row["norm"]) for row in force] == [1e308, 1e308]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_warnings_of_a_run_that_passes_are_shown(self, tmp_path, uniaxial,
@@ -299,6 +315,29 @@ class TestRun:
         assert result.returncode == 2, result.stderr
         assert "config invalid at name: " in result.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_reports_get_the_mode_a_plain_open_gives(self, tmp_path, command, umask,
+                                                     uniaxial):
+        args = [command, uniaxial, "--out", str(tmp_path / "out")]
+        args += ["--axis", "quad", "--values", "2"] if command == "sweep" else []
+        previous = os.umask(umask)
+        try:
+            result = run_cli(args)
+            directory = tmp_path / "out" / "stvk_uniaxial"
+            with open(directory / "plain", "w"):
+                pass
+        finally:
+            os.umask(previous)
+        assert result.returncode == 0, result.stderr
+        want = stat.S_IMODE((directory / "plain").stat().st_mode)
+        assert want == 0o666 & ~umask
+        reports = sorted(path.name for path in directory.iterdir() if path.name != "plain")
+        assert reports == (["balances.csv", "checks.csv", "manifest.json",
+                            "power.csv"] if command == "run" else ["convergence.csv"])
+        for name in reports:
+            assert stat.S_IMODE((directory / name).stat().st_mode) == want, name
 
     def test_control_across_the_part_own_spheres_passes(self, tmp_path):
         # the control holds on any shell, whose radii the check restates

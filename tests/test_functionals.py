@@ -8,7 +8,7 @@ import pytest
 import relpower.functionals as fn
 from conftest import (_loop_total, coefficient_norms, decompose, generate,
                       loop_decomposition, prediction_errors, sphere_surface)
-from relpower import cli, scenarios
+from relpower import cli
 from relpower.exceptions import PreconditionViolated
 from relpower.fields import VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import weighted_fsum
@@ -283,8 +283,8 @@ class TestStackedObserverChanges:
                                       "preset_nonequilibrium"])
     def test_chunk_size_leaves_results_bit_identical(self, name, monkeypatch):
         reference = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
-        for block in (1, 100_000):
-            monkeypatch.setattr(scenarios, "NODE_BLOCK", block)
+        for rows in (1, 100_000):    # one change per chunk, and all 14 in one
+            monkeypatch.setattr(fn, "CHUNK_ROWS", rows)
             got = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
             for value, want in zip(got, reference):
                 np.testing.assert_array_equal(value, want)
@@ -309,7 +309,7 @@ class TestStackedObserverChanges:
 
     def test_chunked_peak_memory_stays_near_one_evaluation(self):
         scenario = Scenario(_refined_skewed())
-        assert len(scenario.volume_data.weights) > 4 * scenarios.NODE_BLOCK
+        assert len(scenario.volume_data.weights) > fn.CHUNK_ROWS
         base = fn.relative_power(scenario)
         residuals = fn.integral_balance_residuals(scenario)
 

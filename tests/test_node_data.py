@@ -1,6 +1,7 @@
-"""Batched node data against the per-node loop, and its block independence."""
+"""Batched node data against the per-node loop, and its split independence."""
 
 import copy
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from conftest import reference_node_data
 from relpower import materials, scenarios
 from relpower.exceptions import NonPositiveJacobian
-from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
+from relpower.scenarios import (Scenario, SurfaceNodeData, VolumeNodeData,
+                                bundled_scenario_names, load_bundled_config)
+from relpower.tensors import det
 
-# a graded closure part with 343 volume and 294 surface nodes: more than one
-# block, and not a multiple of the block size
+# a graded closure part with 343 volume and 294 surface nodes
 OVERFLOW = {
     "name": "block_overflow",
     "geometry": {"kind": "box", "center": [0.1, -0.05, 0.0],
@@ -48,12 +50,6 @@ def _node_arrays(scenario):
             {name: getattr(surf, name) for name in surf.FIELDS})
 
 
-def test_overflow_part_spans_a_partial_block():
-    part = Scenario(OVERFLOW).part
-    for n in (len(part.volume_points), len(part.surface.points)):
-        assert n > scenarios.NODE_BLOCK and n % scenarios.NODE_BLOCK
-
-
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_batched_node_data_matches_per_node_loop(name):
     scenario = Scenario(CONFIGS[name])
@@ -70,13 +66,34 @@ def test_batched_node_data_matches_per_node_loop(name):
             assert error <= tol * scale, f"{field}: {error:.3e} vs scale {scale:.3e}"
 
 
+def _split_node_arrays(scenario, size):
+    """The node arrays of the scenario's part, made from pieces of ``size`` nodes."""
+    part = scenario.part
+    starts = range(0, max(len(part.volume_points), len(part.surface.points)), size)
+    pieces = [SimpleNamespace(
+        volume_points=part.volume_points[k:k + size],
+        volume_weights=part.volume_weights[k:k + size],
+        surface=SimpleNamespace(points=part.surface.points[k:k + size],
+                                weights=part.surface.weights[k:k + size],
+                                normals=part.surface.normals[k:k + size]))
+        for k in starts]
+    volume = [VolumeNodeData(scenario, piece) for piece in pieces
+              if len(piece.volume_points)]
+    surface = [SurfaceNodeData(scenario, piece) for piece in pieces
+               if len(piece.surface.points)]
+    return tuple({name: np.concatenate([getattr(data, name) for data in datas])
+                  for name in datas[0].FIELDS}
+                 for datas in (volume, surface))
+
+
 @pytest.mark.parametrize("name", ["block_overflow", "block_overflow_fd",
                                   "closure_skewed_graded_stvk"])
-def test_block_size_leaves_node_data_bit_identical(name, monkeypatch):
-    reference = _node_arrays(Scenario(CONFIGS[name]))
-    for block in (1, 7, 100_000):
-        monkeypatch.setattr(scenarios, "NODE_BLOCK", block)
-        for got, want in zip(_node_arrays(Scenario(CONFIGS[name])), reference):
+def test_node_rows_are_bit_identical_however_the_points_are_split(name):
+    # node work is elementwise: a node's row does not depend on the others
+    scenario = Scenario(CONFIGS[name])
+    reference = _node_arrays(scenario)
+    for size in (1, 7, 100_000):
+        for got, want in zip(_split_node_arrays(scenario, size), reference):
             for field in want:
                 np.testing.assert_array_equal(got[field], want[field], err_msg=field)
 
@@ -100,12 +117,12 @@ def test_node_data_evaluates_the_stress_once_per_point(name, per_volume_node,
 
 
 @pytest.mark.parametrize("model", ["stvk", "neo_hookean"])
-@pytest.mark.parametrize("name,per_volume_block", [("block_overflow", 2),
-                                                   ("block_overflow_fd", 7)])
-def test_node_data_derives_kinematics_once_per_block_evaluation(
-        name, per_volume_block, model, monkeypatch):
-    # an analytic volume block takes them for its response and for Div P, an fd
-    # one for its response and the 6 shifted ones; a surface block for its response
+@pytest.mark.parametrize("name,per_volume_set", [("block_overflow", 2),
+                                                 ("block_overflow_fd", 7)])
+def test_node_data_derives_kinematics_once_per_node_set_evaluation(
+        name, per_volume_set, model, monkeypatch):
+    # the analytic volume set takes them for its response and for Div P, the fd
+    # one for its response and the 6 shifted ones; the surface set for its response
     config = copy.deepcopy(CONFIGS[name])
     config["material"]["model"] = model
     calls = []
@@ -118,14 +135,11 @@ def test_node_data_derives_kinematics_once_per_block_evaluation(
 
     monkeypatch.setattr(cls, "kinematics", counted)
     part = Scenario(config).part
-    blocks = [-(-len(points) // scenarios.NODE_BLOCK)
-              for points in (part.volume_points, part.surface.points)]
-    assert len(calls) == per_volume_block * blocks[0] + blocks[1]
-    assert sum(calls) == (per_volume_block * len(part.volume_points)
-                          + len(part.surface.points))
+    assert sorted(calls) == sorted(per_volume_set * [len(part.volume_points)]
+                                   + [len(part.surface.points)])
 
 
-def test_single_bad_node_mid_block_is_found():
+def test_single_bad_node_mid_set_is_found():
     # det F = 1 - cos(k . x) vanishes only where k . x = 0: the center node
     config = copy.deepcopy(OVERFLOW)
     config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
@@ -135,10 +149,28 @@ def test_single_bad_node_mid_block_is_found():
     part = scenarios.build_geometry(config["geometry"], config["quadrature"])
     motion = scenarios.build_motion(config["motion"], step=1e-5)
     points = part.volume_points
-    det = np.linalg.det(motion.gradient(points))
-    bad = np.flatnonzero(det <= 0.0)
-    assert list(bad) == [171]
-    assert 0 < bad[0] % scenarios.NODE_BLOCK < scenarios.NODE_BLOCK - 1
+    f = motion.gradient(points)
+    # the closed form finds the node LAPACK finds
+    assert list(np.flatnonzero(det(f) <= 0.0)) == [171]
+    assert list(np.flatnonzero(np.linalg.det(f) <= 0.0)) == [171]
     with pytest.raises(NonPositiveJacobian, match=r"at x = \[0\. 0\. 0\.\]"):
         motion.deformation_gradient(points)
     motion.deformation_gradient(np.delete(points, 171, axis=0))
+
+
+def test_closed_form_det_finds_the_band_lapack_finds():
+    # det F = 1 - 1.2 cos(k . x) <= 0 on a band of nodes: the closed form and
+    # LAPACK agree node by node on its sign, and the first such node is reported
+    geometry = {"kind": "box", "center": [0.0, 0.0, 0.0], "halfwidths": [0.5, 0.5, 0.5]}
+    part = scenarios.build_geometry(geometry, OVERFLOW["quadrature"])
+    motion = scenarios.build_motion({"preset": "sinusoidal", "amplitude": 0.3,
+                                     "wavevector": [4.0, 1.48, 0.452],
+                                     "direction": [-1.0, 0.0, 0.0]}, step=1e-5)
+    for points in (part.volume_points, part.surface.points):
+        f = motion.gradient(points)
+        bad = np.flatnonzero(det(f) <= 0.0)
+        assert 0 < len(bad) < len(points)
+        np.testing.assert_array_equal(bad, np.flatnonzero(np.linalg.det(f) <= 0.0))
+        with pytest.raises(NonPositiveJacobian) as raised:
+            motion.deformation_gradient(points)
+        assert str(raised.value).endswith(f"at x = {points[bad[0]]}")

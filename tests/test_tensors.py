@@ -9,7 +9,8 @@ from relpower.configurational import point_state
 from relpower.exceptions import NonFiniteValue, NotAntisymmetric
 from relpower.fields import Motion
 from relpower.materials import MODEL_CLASSES, constant_modulus
-from relpower.tensors import axial_vector, cross, cross_matrix, skew_part
+from relpower.tensors import (axial_vector, cofactor, cross, cross_matrix, det,
+                              skew_part, transpose)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +36,88 @@ def test_src_calls_no_np_cross():
              if isinstance(node, ast.Attribute) and node.attr == "cross"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
     assert not calls, f"np.cross in src/ (use tensors.cross): {', '.join(calls)}"
+
+
+EPS = np.finfo(float).eps
+
+
+def _kernel_stacks(rng):
+    """(n, 3, 3) stacks: random, near-singular (det about 1e-9 of the scale)
+    and exactly singular (small integers, row 2 = row 0 - 2 row 1)."""
+    random = rng.normal(size=(500, 3, 3))
+    near = random.copy()
+    near[:, 2] = near[:, 0] - 0.5 * near[:, 1] + 1e-9 * rng.normal(size=(500, 3))
+    singular = rng.integers(-9, 10, size=(500, 3, 3)).astype(float)
+    singular[:, 2] = singular[:, 0] - 2.0 * singular[:, 1]
+    return {"random": random, "near_singular": near, "singular": singular}
+
+
+def _minors(t):
+    """The signed 2x2 minors of every tensor by ``np.linalg.det``: cof T."""
+    out = np.empty_like(t)
+    for i in range(3):
+        for j in range(3):
+            sub = np.delete(np.delete(t, i, axis=-2), j, axis=-1)
+            out[..., i, j] = (-1) ** (i + j) * np.linalg.det(sub)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "near_singular", "singular"])
+def test_det_and_cofactor_match_numpy(kind, rng):
+    # both errors are within 8 eps of the Hadamard bound |det T| <= prod_i |row_i|
+    # (det), and of |T|_F^2 (each 2x2 minor), whatever the conditioning
+    t = _kernel_stacks(rng)[kind]
+    rows = np.prod(np.linalg.norm(t, axis=-1), axis=-1)
+    assert np.all(np.abs(det(t) - np.linalg.det(t)) <= 8 * EPS * rows)
+    frobenius = np.sum(t * t, axis=(-2, -1))[:, None, None]
+    assert np.all(np.abs(cofactor(t) - _minors(t)) <= 8 * EPS * frobenius)
+
+
+def test_kernels_are_exact_on_exactly_singular_stacks(rng):
+    # small integers: every product and difference is exact, so det T is 0
+    # and T cof T^t = det T I vanishes exactly, where LAPACK's LU may round
+    t = _kernel_stacks(rng)["singular"]
+    assert np.all(det(t) == 0.0)
+    np.testing.assert_array_equal(cofactor(t), np.round(_minors(t)))
+    np.testing.assert_array_equal(t @ transpose(cofactor(t)), np.zeros_like(t))
+
+
+def test_cofactor_over_det_is_the_inverse_transpose(rng):
+    # F^-t = cof F / det F, within 8 eps cond(F) of LAPACK's inverse
+    t = _kernel_stacks(rng)["random"]
+    got = transpose(cofactor(t) / det(t)[:, None, None])
+    want = np.linalg.inv(t)
+    bound = 8 * EPS * np.linalg.cond(t) * np.linalg.norm(want, axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= bound)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (2, 5, 3, 3)])
+def test_kernels_keep_leading_axes(shape, rng):
+    t = rng.normal(size=shape)
+    assert det(t).shape == shape[:-2]
+    assert cofactor(t).shape == shape
+    # a constant F broadcast over the nodes, as the homogeneous motions give it
+    stacked = np.broadcast_to(t, (4,) + shape)
+    np.testing.assert_array_equal(det(stacked), np.broadcast_to(det(t), (4,) + shape[:-2]))
+    np.testing.assert_array_equal(cofactor(stacked), np.broadcast_to(cofactor(t),
+                                                                     (4,) + shape))
+
+
+def test_src_calls_no_np_linalg_det_or_inv():
+    def linalg_call(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("det", "inv")
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+
+    def linalg_import(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                and any(alias.name in ("det", "inv") for alias in node.names))
+
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if linalg_call(node) or linalg_import(node)]
+    assert not calls, ("np.linalg.det or inv in src/ (use tensors.det and "
+                       f"tensors.cofactor): {', '.join(calls)}")
 
 
 def _call_sites(names):
@@ -66,7 +149,7 @@ def test_finiteness_is_checked_only_where_values_enter_or_are_made():
                for table in tables for f in table.values()}
     entries |= {"geometry._spherical_part", "scenarios.Scenario._build",
                 "tensors.cross_matrix"}
-    made = {"configurational.point_state", "scenarios.VolumeNodeData.evaluate",
+    made = {"configurational.point_state", "scenarios.VolumeNodeData.__init__",
             "fields.VirtualField.__call__", "fields.VirtualField.grad",
             "materials.BodyForcePotential.__call__", "materials.BodyForcePotential.grad"}
     sites = _call_sites(("as_vector", "as_tensor", "check_finite"))
