@@ -1,11 +1,12 @@
 """Batch front door: run scenario files, sweep discretization axes, list presets.
 
-Exit codes: 0 all enabled tolerances pass, 1 tolerance failure,
-2 invalid configuration or usage, or a det F <= 0 or non-finite value made
-from a valid one, 3 I/O error.  Reports are CSV files
-plus a JSON manifest per scenario; identical config and seed produce
-byte-identical outputs (fixed column order, 17-significant-digit
-floats, LF line endings, atomic writes).
+Exit codes: 0 all enabled tolerances pass, 1 tolerance failure, 2 invalid
+configuration or usage (a config path and ``--all`` together), or a det F <= 0
+or non-finite value made from a valid one, 3 I/O error.  ``run`` writes and
+prints each scenario before it builds the next.  Reports are CSV files plus a
+JSON manifest per scenario; identical config and seed produce byte-identical
+outputs (fixed column order, 17-significant-digit floats, LF line endings),
+each written to a new, exclusively opened hidden file, then renamed into place.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -30,7 +30,7 @@ from . import configurational as conf
 from . import fields, geometry, materials
 from . import functionals as fn
 from .exceptions import (ConfigInvalid, NonAffineDefect, NonFiniteValue,
-                         NonPositiveJacobian, PreconditionViolated, RelpowerError)
+                         NonPositiveJacobian, PreconditionViolated)
 from .fields import VirtualFieldPair, constant_field
 from .geometry import weighted_fsum
 from .scenarios import (Scenario, build_motion, bundled_scenario_names,
@@ -60,18 +60,15 @@ def _norm(vec) -> float:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    handle, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    # mode "x" neither overwrites nor follows a file planted at the random name
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    stream = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)   # as open(path, "w") makes it; mkstemp's is 0600
-        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as stream:
+        with stream:
             stream.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -108,7 +105,6 @@ class ScenarioRun:
               "surface_independence", "noether")
 
     def __init__(self, config: dict):
-        self.config = config
         self.scenario = Scenario(config)
         self.gates: List[Gate] = []
         self.tables: Dict[str, Tuple[List[str], List[List]]] = {}
@@ -220,8 +216,7 @@ class ScenarioRun:
         expected = np.asarray(spec["expected"], float)
         error = float(np.max(np.abs(diag - expected)))
         self._gate("eshelby_diagonal", "max_abs_error", error, spec["tolerance"])
-        header, rows = self.tables["balances"]
-        rows.append(self._vector_row(diag, "eshelby_diagonal", "-"))
+        self.tables["balances"][1].append(self._vector_row(diag, "eshelby_diagonal", "-"))
 
     def _check_surface_independence(self, spec: dict) -> None:
         expect = spec.get("expect", "zero")
@@ -278,14 +273,14 @@ class ScenarioRun:
         manifest = {
             "name": scenario.name,
             "tool_version": __version__,
-            "config_sha256": config_digest(self.config),
+            "config_sha256": config_digest(scenario.config),
             "seed": scenario.seed,
             "derivative_mode": scenario.derivative_mode,
             "steps": {
                 "motion": scenario.motion_step,
                 "divergence": scenario.divergence_step,
             },
-            "quadrature": self.config.get("quadrature", {}),
+            "quadrature": scenario.config.get("quadrature", {}),
             "source_mode": scenario.source_mode,
             "tolerances": {f"{gate.check}:{gate.metric}": gate.tolerance
                            for gate in self.gates},
@@ -410,27 +405,23 @@ def _resolve_out_dir(arg: Optional[str]) -> str:
 
 
 def _load_configs(args) -> List[dict]:
+    if (args.config is not None) == args.all:   # both given, or neither
+        raise ConfigInvalid("provide either a config path or --all")
     if args.all:
         return [load_bundled_config(name) for name in bundled_scenario_names()]
-    if args.config is None:
-        raise ConfigInvalid("provide a config path or --all")
     return [load_config_file(args.config)]
 
 
 def cmd_run(args) -> int:
-    configs = _load_configs(args)
     out_dir = _resolve_out_dir(args.out)
-    runs = []
-    for config in configs:
+    failed = []
+    for config in _load_configs(args):
         run = ScenarioRun(config)
         run.run()
-        runs.append(run)
-    for run in runs:
         run.write(out_dir)
-    failed = [run.scenario.name for run in runs if not run.passed]
-    for run in runs:
-        status = "PASS" if run.passed else "FAIL"
-        print(f"{status} {run.scenario.name}")
+        print(f"{'PASS' if run.passed else 'FAIL'} {run.scenario.name}")
+        if not run.passed:
+            failed.append(run.scenario.name)
     if failed:
         print(f"{len(failed)} scenario(s) failed tolerances: {', '.join(failed)}",
               file=sys.stderr)
@@ -533,9 +524,6 @@ def _run_command(args) -> int:
         return 3
     except NonAffineDefect as err:
         print(f"internal consistency failure: {err}", file=sys.stderr)
-        return 1
-    except RelpowerError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

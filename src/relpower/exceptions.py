@@ -13,10 +13,6 @@ class NonFiniteValue(RelpowerError):
     """A value made from finite inputs has a non-finite component."""
 
 
-class NotAntisymmetric(RelpowerError):
-    """An axial vector was requested for a tensor that is not antisymmetric."""
-
-
 class PreconditionViolated(RelpowerError):
     """A check was invoked on a scenario that violates its hypotheses."""
 

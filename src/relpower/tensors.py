@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NonFiniteValue, NotAntisymmetric
+from .exceptions import NonFiniteValue
 
 IDENTITY = np.eye(3)
 
@@ -111,13 +111,7 @@ def cross_matrix(a) -> np.ndarray:
 
 
 def axial_vector(w) -> np.ndarray:
-    """Inverse of :func:`cross_matrix` on antisymmetric tensors.
-
-    Raises :class:`NotAntisymmetric` when the symmetric residue of any
-    tensor in ``w`` exceeds 1e-12 times its norm.
-    """
-    scale = np.linalg.norm(w, axis=(-2, -1))
-    residue = np.linalg.norm(w + transpose(w), axis=(-2, -1))
-    if np.any((scale > 0.0) & (residue > 1e-12 * scale)):
-        raise NotAntisymmetric("tensor is not antisymmetric to tolerance")
+    """Inverse of :func:`cross_matrix` on antisymmetric tensors, read from
+    W_32, W_13 and W_21.  Callers pass a multiple of T - T^t, which rounding
+    keeps exactly antisymmetric."""
     return np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)

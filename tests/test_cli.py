@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from relpower import cli
-from relpower.scenarios import Scenario, config_seed, load_bundled_config
+from relpower.scenarios import (Scenario, bundled_scenario_names, config_seed,
+                                load_bundled_config)
 
 
 def run_cli(args):
@@ -339,6 +340,43 @@ class TestRun:
         for name in reports:
             assert stat.S_IMODE((directory / name).stat().st_mode) == want, name
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_reports_are_written_without_the_process_umask(self, tmp_path, command,
+                                                          uniaxial, monkeypatch):
+        def umask(mask):
+            raise AssertionError("the process umask was read or set")
+
+        args = [command, uniaxial, "--out", str(tmp_path / "out")]
+        args += ["--axis", "quad", "--values", "2"] if command == "sweep" else []
+        monkeypatch.setattr(os, "umask", umask)
+        result = run_cli(args)
+        assert result.returncode == 0, result.stderr
+
+    def test_report_target_that_is_a_directory_is_io_error(self, tmp_path, uniaxial):
+        directory = tmp_path / "out" / "stvk_uniaxial"
+        (directory / "power.csv").mkdir(parents=True)
+        result = run_cli(["run", uniaxial, "--out", str(tmp_path / "out")])
+        assert result.returncode == 3
+        assert result.stderr.startswith("io error: ")
+        assert sorted(path.name for path in directory.iterdir()) == ["balances.csv",
+                                                                     "power.csv"]
+
+    def test_planted_temp_name_is_neither_followed_nor_removed(self, tmp_path, uniaxial,
+                                                               monkeypatch):
+        directory = tmp_path / "out" / "stvk_uniaxial"
+        directory.mkdir(parents=True)
+        victim = tmp_path / "victim"
+        victim.write_text("keep")
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        planted = directory / f".tmp-{bytes(8).hex()}"
+        planted.symlink_to(victim)
+        result = run_cli(["run", uniaxial, "--out", str(tmp_path / "out")])
+        assert result.returncode == 3
+        assert result.stderr.startswith("io error: ")
+        assert victim.read_text() == "keep"
+        assert [path.name for path in directory.iterdir()] == [planted.name]
+        assert planted.is_symlink()
+
     def test_control_across_the_part_own_spheres_passes(self, tmp_path):
         # the control holds on any shell, whose radii the check restates
         config = load_bundled_config("surface_independence_graded_control")
@@ -402,6 +440,46 @@ class TestRun:
     def test_run_without_arguments_is_usage_error(self):
         result = run_cli(["run"])
         assert result.returncode == 2
+
+    def test_all_with_a_config_is_usage_error(self, tmp_path, uniaxial):
+        out = tmp_path / "out"
+        result = run_cli(["run", "--all", uniaxial, "--out", str(out)])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: provide either a config path or --all\n"
+        assert not out.exists()
+
+    def test_run_all_writes_each_scenario_before_building_the_next(self, tmp_path,
+                                                                  monkeypatch):
+        events = []
+
+        def build(config):
+            events.append(("build", config["name"]))
+            return Scenario(config)
+
+        def write(run, out_dir):
+            events.append(("write", run.scenario.name))
+            write_reports(run, out_dir)
+
+        write_reports = cli.ScenarioRun.write
+        monkeypatch.setattr(cli, "Scenario", build)
+        monkeypatch.setattr(cli.ScenarioRun, "write", write)
+        result = run_cli(["run", "--all", "--out", str(tmp_path / "out")])
+        assert result.returncode == 0, result.stderr
+        names = bundled_scenario_names()
+        assert events == [(event, name) for name in names for event in ("build", "write")]
+        assert result.stdout == "".join(f"PASS {name}\n" for name in names)
+
+    def test_batch_that_stops_keeps_the_reports_before_it(self, tmp_path):
+        names = bundled_scenario_names()
+        out = tmp_path / "out"
+        (out / names[2] / "power.csv").mkdir(parents=True)
+        result = run_cli(["run", "--all", "--out", str(out)])
+        assert result.returncode == 3
+        assert result.stdout == f"PASS {names[0]}\nPASS {names[1]}\n"
+        assert sorted(os.listdir(out)) == sorted(names[:3])
+        for name in names[:2]:
+            assert (out / name / "manifest.json").is_file()
 
     def test_unknown_flag_is_usage_error(self):
         result = run_cli(["run", "--bogus"])

@@ -6,7 +6,7 @@ import pytest
 
 from relpower import fields, geometry, materials
 from relpower.configurational import point_state
-from relpower.exceptions import NonFiniteValue, NotAntisymmetric
+from relpower.exceptions import NonFiniteValue
 from relpower.fields import Motion
 from relpower.materials import MODEL_CLASSES, constant_modulus
 from relpower.tensors import (axial_vector, cofactor, cross, cross_matrix, det,
@@ -200,10 +200,6 @@ class TestAxialVector:
         for _ in range(5):
             u = rng.normal(size=3)
             np.testing.assert_allclose(np.cross(a, u), w @ u, atol=1e-14)
-
-    def test_raises_for_non_antisymmetric(self):
-        with pytest.raises(NotAntisymmetric):
-            axial_vector(np.eye(3))
 
 
 def test_non_finite_inputs_rejected():

@@ -38,11 +38,34 @@ VALUES = [None, True, False, 0, 1, -1, 4, 4.0, 0.5, -0.5, 1e9, 10000, 10001, 26,
           {"preset": "constant", "value": [0.1, 0.0, 0.0]}]
 
 
-ORACLE = jsonschema.validators.extend(
+ORACLE_VALIDATOR = jsonschema.validators.extend(
     jsonschema.Draft7Validator,
     type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)),
-)(SCHEMA)
+)
+ORACLE = ORACLE_VALIDATOR(SCHEMA)
+
+
+def _inlined(node):
+    """``node`` with each ``$ref`` replaced by the definition it names.
+
+    Draft 7 ignores the siblings of a ``$ref``, and no definition refers to
+    itself, so this is the same schema without reference resolution.
+    """
+    if isinstance(node, list):
+        return [_inlined(item) for item in node]
+    if not isinstance(node, dict):
+        return node
+    if "$ref" in node:
+        prefix, name = node["$ref"].rsplit("/", 1)
+        assert prefix == "#/definitions"
+        return _inlined(SCHEMA["definitions"][name])
+    return {key: _inlined(value) for key, value in node.items()}
+
+
+# the oracle of the 3,000 mutants: the same verdicts, a third faster
+INLINED_ORACLE = ORACLE_VALIDATOR(
+    _inlined({key: value for key, value in SCHEMA.items() if key != "definitions"}))
 
 
 def accepts(config) -> bool:
@@ -119,6 +142,7 @@ def test_uninterpreted_schema_raises_at_load(node):
 @pytest.mark.parametrize("corpus", [BUNDLED, DRAWS], ids=["bundled", "random_small"])
 def test_valid_corpus_is_accepted(corpus):
     assert all(ORACLE.is_valid(config) for config in corpus)
+    assert all(INLINED_ORACLE.is_valid(config) for config in corpus)
     assert all(accepts(config) for config in corpus)
 
 
@@ -145,7 +169,7 @@ def test_mutations_get_the_oracle_verdict():
     rng = random.Random(20080)
     bases = BUNDLED + DRAWS[::12]
     mutants = [_mutate(rng, rng.choice(bases)) for _ in range(MUTATIONS)]
-    verdicts = [ORACLE.is_valid(config) for config in mutants]
+    verdicts = [INLINED_ORACLE.is_valid(config) for config in mutants]
     mismatches = [config for config, verdict in zip(mutants, verdicts)
                   if accepts(config) != verdict]
     assert not mismatches, json.dumps(mismatches[0])
@@ -157,7 +181,8 @@ def test_mutations_get_the_oracle_verdict():
 def test_dot_names_get_the_oracle_verdict(name):
     # "." and ".." would place the reports in or above the output directory
     config = dict(BUNDLED[0], name=name)
-    assert accepts(config) == ORACLE.is_valid(config) == (name not in (".", ".."))
+    assert (accepts(config) == ORACLE.is_valid(config) == INLINED_ORACLE.is_valid(config)
+            == (name not in (".", "..")))
 
 
 def test_integral_float_is_no_integer():
@@ -165,6 +190,7 @@ def test_integral_float_is_no_integer():
     config["quadrature"] = {"volume_order": 4.0}
     assert jsonschema.Draft7Validator(SCHEMA).is_valid(config)
     assert not ORACLE.is_valid(config)
+    assert not INLINED_ORACLE.is_valid(config)
     with pytest.raises(ConfigInvalid, match="at quadrature/volume_order: 4.0 is not of type"):
         validate_config(config)
 
