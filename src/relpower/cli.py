@@ -172,28 +172,18 @@ class ScenarioRun:
                    spec["tolerance"])
 
     def _check_invariance(self, spec: dict) -> None:
-        decomp = fn.invariance_decomposition(self.scenario, self._power, self._residuals)
+        decomp = fn.invariance_decomposition(self.scenario, self._power)
         header = ["scenario", "generator", "coeff_1", "coeff_2", "coeff_3",
                   "coeff_norm", "predicted_1", "predicted_2", "predicted_3",
                   "prediction_error"]
+        # the coefficient of each generator is its balance residual, R1..R4 in order
         rows = []
-        for slot in fn.GENERATOR_SLOTS:
+        for slot, p in zip(fn.GENERATOR_SLOTS, self._residuals):
             c = decomp.coefficients[slot]
-            p = decomp.predicted[slot]
             rows.append([self.scenario.name, slot, c[0], c[1], c[2],
                          _norm(c), p[0], p[1], p[2], _norm(c - p)])
         self.tables["invariance"] = (header, rows)
 
-        config_torque = decomp.predicted["material_rotation"] - decomp.mismatch
-        factors = {
-            "material_translation": fn.grouping_factor(
-                decomp.coefficients["material_translation"],
-                decomp.predicted["material_translation"]),
-            "material_rotation": fn.grouping_factor(
-                decomp.coefficients["material_rotation"], config_torque),
-        }
-        self.manifest_extra["grouping_factors"] = factors
-        self.manifest_extra["torque_mismatch"] = [float(m) for m in decomp.mismatch]
         self.manifest_extra["affine_residual"] = decomp.affine_residual
         self.manifest_extra["power_scale"] = decomp.power_scale
 

@@ -5,36 +5,54 @@ The relative power of a part for the pair (v, w) is evaluated literally:
     P_rel(v, w) = P_act(v, w) + P_dis(v, w)
 
     P_act = int_b  b . (v - F w) dx  +  int_db  Pn . (v - F w) dA
-    P_dis = int_db (n . w) e dA
-          + int_b (de/dx|expl - f) . (w - curl w x (x - x0)) dx
-          + int_b mu . curl w dx
+    P_dis = int_db (n . w) e dA  +  int_b (de/dx|expl - f) . w dx
+          - 1/2 int_b mu . curl w dx
 
 The inner form is
 
-    P_inn = int_b ( P . grad v + PP . grad w
-                    - (x - x0) (x) (de/dx|expl - f) . Skw grad w
-                    + mu . curl w ) dx
+    P_inn = int_b ( P . grad v + PP . grad w - 1/2 mu . curl w ) dx
 
-and the four integral balances are the force, torque, configurational
-force and configurational torque residuals of the same part.
+and the four integral balances of the same part, about the pivots y0 and
+x0 (X = x - x0), are
 
-Observer-change bookkeeping.  The defect P_rel(v*, w*) - P_rel(v, w) is
-linear in the change generators (c_hat, q_hat, c, q); regrouping the
-integrand shows the four coefficient vectors are exactly
+    R1 = int_b b dx + int_db Pn dA
+    R2 = int_b (y - y0) x b dx + int_db (y - y0) x Pn dA
+    R3 = int_b g dx + int_db PP n dA,        g = de/dx|expl - f - F^t b
+    R4 = int_b (X x g - mu) dx + int_db X x PP n dA
 
-    c_hat : R1          q_hat : R2          c : R3
-    q     : R4 + int_b [ (x - x0) x (f - de/dx|expl) + mu ] dx
+so R4 is the moment of R3's rows plus the couple, as R2 is of R1's.
 
-where R1..R4 are the four integral balance residuals.  The extra moment
-term on the rotation generator (reported here as the *material torque
-mismatch*) vanishes for homogeneous couple-free scenarios and makes the
-q-coefficient exactly twice R4 on couple-free closure scenarios.  The
-decomposition below extracts the coefficients by brute force and
-reports them next to these independently integrated predictions.  The
-14 observer changes (12 unit generators, 2 random combinations) are one
+Why these weights.  Let the literal form carry (de/dx|expl - f) .
+(w - kappa curl w x X) and both forms kappa_c mu . curl w, and let the
+inner form carry - s (de/dx|expl - f) . (Skw grad w) X.  An observer
+change v* = v + c_hat + q_hat x (y - y0), w* = w + c + q x X (so
+curl w* = curl w + 2 q) moves P_rel by R1 . c_hat + R2 . q_hat + R3 . c
++ Q . q, with
+
+    Q = int_db X x PP n dA - int_b X x F^t b dx
+        + (1 - 2 kappa) int_b X x (de/dx|expl - f) dx + 2 kappa_c int_b mu dx,
+
+and under closure P_rel - P_inn = (s - 2 kappa) int_b (de/dx|expl - f) .
+(Skw grad w) X dx, where kappa_c cancels.  Three requirements fix the
+weights:
+
+  1. P_rel = P_inn for every w: s = 2 kappa.
+  2. Q is a torque, so Q(x0 + d) = Q(x0) - d x R3: the moment of every
+     row of R3 must carry weight 1, so kappa = 0 and s = 0.
+  3. Under closure (b = -Div P, f = Div PP + F^t Div P + de/dx|expl,
+     mu = axial(2 Skw PP)) Q vanishes as the quadrature is refined.  Then
+     g = -Div PP, and the divergence theorem gives int_db X x PP n dA =
+     int_b (X x Div PP + mu) dx, so Q -> (1 + 2 kappa_c) int_b mu dx, and
+     kappa_c = -1/2.
+
+With these weights Q is R4, so every coefficient of the defect is a
+balance residual, R1..R4 in ``GENERATOR_SLOTS`` order.  The
+decomposition below extracts the coefficients by brute force, for the
+caller to set against the independently integrated residuals.  The 14
+observer changes (12 unit generators, 2 random combinations) are one
 (14, 4, 3) array of generators, shifted and evaluated in chunks of about
-``CHUNK_ROWS`` volume rows; the base power (the zero change's total) and
-the residuals come from the caller, which has already computed them.
+``CHUNK_ROWS`` volume rows; the base power (the zero change's total)
+comes from the caller, which has already computed it.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n
@@ -58,7 +76,7 @@ from .exceptions import NonAffineDefect, PreconditionViolated
 from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import weighted_fsum
 from .scenarios import Scenario
-from .tensors import contract, cross, dot, matvec, skew_part, transpose
+from .tensors import contract, cross, dot, matvec, transpose
 
 
 # the generators of an observer change: (c_hat, q_hat, c, q), rows of a (4, 3)
@@ -151,15 +169,14 @@ def _power_rows(scenario: Scenario, samples: PairSamples):
     vol, surf = scenario.volume_data, scenario.surface_data
     rel_velocity = samples.v_volume - np.einsum(
         "nij,...nj->...ni", vol.f_grad, samples.w_volume)
-    relabel = samples.w_volume - cross(samples.curl_w_volume, vol.points - scenario.x0)
     rel_surf = samples.v_surface - np.einsum(
         "nij,...nj->...ni", surf.f_grad, samples.w_surface)
     return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
             np.einsum("ni,...ni->...n", surf.traction, rel_surf),
             np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy,
             np.einsum("ni,...ni->...n", vol.material_gradient - vol.driving_force,
-                      relabel),
-            np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume))
+                      samples.w_volume),
+            -0.5 * np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume))
 
 
 def _power_total(scenario: Scenario, rows):
@@ -184,15 +201,10 @@ def inner_relative_power(scenario: Scenario) -> float:
     """Volume-only inner form of the relative power for the scenario's pair."""
     pair = scenario.pair
     vol = scenario.volume_data
-    x0 = scenario.x0
-
     grad_w = pair.w.grad(vol.points)
-    moment = ((vol.points - x0)[:, :, None]
-              * (vol.material_gradient - vol.driving_force)[:, None, :])
     rows = (contract(vol.stress, pair.v.grad(vol.points))
             + contract(vol.eshelby, grad_w)
-            - contract(moment, skew_part(grad_w))
-            + dot(vol.couple, curl_from_gradient(grad_w)))
+            - 0.5 * dot(vol.couple, curl_from_gradient(grad_w)))
     return weighted_fsum(rows, vol.weights)
 
 
@@ -222,30 +234,17 @@ def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceR
     y0 = scenario.y0 if y0 is None else y0
     vol, surf = scenario.volume_data, scenario.surface_data
     config_tractions = matvec(surf.eshelby, surf.normals)
-    pulled_back = matvec(transpose(vol.f_grad), vol.body_force)
+    config_forces = (vol.material_gradient - vol.driving_force
+                     - matvec(transpose(vol.f_grad), vol.body_force))
     return BalanceResiduals(
         force=part_integral(scenario, vol.body_force, surf.traction),
         torque=part_integral(scenario, cross(vol.y - y0, vol.body_force),
                              cross(surf.y - y0, surf.traction)),
-        configurational_force=part_integral(
-            scenario, vol.material_gradient - vol.driving_force - pulled_back,
-            config_tractions),
+        configurational_force=part_integral(scenario, config_forces, config_tractions),
         configurational_torque=part_integral(
-            scenario, vol.couple - cross(vol.points - x0, pulled_back),
+            scenario, cross(vol.points - x0, config_forces) - vol.couple,
             cross(surf.points - x0, config_tractions)),
     )
-
-
-def material_torque_mismatch(scenario: Scenario) -> np.ndarray:
-    """int_b [(x - x0) x (f - de/dx|expl) + mu] dx.
-
-    The gap between the configurational-torque residual and the
-    rotation-generator coefficient of the observer-change defect.
-    """
-    vol = scenario.volume_data
-    rows = (cross(vol.points - scenario.x0, vol.driving_force - vol.material_gradient)
-            + vol.couple)
-    return weighted_fsum(rows, vol.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +256,17 @@ class InvarianceDecomposition:
     """Brute-force coefficients of the observer-change defect."""
 
     coefficients: Dict[str, np.ndarray]
-    predicted: Dict[str, np.ndarray]
     affine_residual: float
     power_scale: float
-    mismatch: np.ndarray
 
 
-def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
-                             residuals: BalanceResiduals) -> InvarianceDecomposition:
+def invariance_decomposition(scenario: Scenario,
+                             base: PowerBreakdown) -> InvarianceDecomposition:
     """Extract the defect coefficients for unit generators, then verify
     that two random combined generators superpose affinely.
 
-    ``base`` (the relative power of the scenario's pair, which sets the
-    scale and is the power of the zero change) and ``residuals`` (its
-    default-pivot balance residuals) are as the caller computed them.  The
+    ``base`` is the relative power of the scenario's pair as the caller
+    computed it: it sets the scale and is the power of the zero change.  The
     12 unit changes (slot by slot, axis by axis) and the 2 random ones are
     one stack of generators, evaluated in chunks of
     ``max(1, CHUNK_ROWS // n)`` changes for n volume nodes, so the shifted
@@ -303,31 +299,9 @@ def invariance_decomposition(scenario: Scenario, base: PowerBreakdown,
             f"affine superposition residual {affine_residual:g} exceeds "
             f"{AFFINE_TOLERANCE:g}; the defect evaluation is inconsistent"
         )
-
-    mismatch = material_torque_mismatch(scenario)
-    predicted_coeffs = {
-        "ambient_translation": residuals.force,
-        "ambient_rotation": residuals.torque,
-        "material_translation": residuals.configurational_force,
-        "material_rotation": residuals.configurational_torque + mismatch,
-    }
-
-    return InvarianceDecomposition(
-        coefficients=coefficients,
-        predicted=predicted_coeffs,
-        affine_residual=affine_residual,
-        power_scale=base.scale,
-        mismatch=mismatch,
-    )
-
-
-def grouping_factor(coefficient: np.ndarray, residual: np.ndarray) -> Optional[float]:
-    """Least-squares scalar a with coefficient ~ a * residual, if |residual|
-    reaches 1e-9."""
-    denom = float(residual @ residual)
-    if denom < 1e-9 ** 2:
-        return None
-    return float(coefficient @ residual) / denom
+    return InvarianceDecomposition(coefficients=coefficients,
+                                   affine_residual=affine_residual,
+                                   power_scale=base.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -183,10 +183,8 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
 
 
 def decompose(scenario):
-    """``invariance_decomposition`` with the base power and balance
-    residuals it takes from its caller."""
-    return fn.invariance_decomposition(scenario, fn.relative_power(scenario),
-                                       fn.integral_balance_residuals(scenario))
+    """``invariance_decomposition`` with the base power it takes from its caller."""
+    return fn.invariance_decomposition(scenario, fn.relative_power(scenario))
 
 
 def coefficient_norms(decomp) -> dict:
@@ -194,10 +192,11 @@ def coefficient_norms(decomp) -> dict:
     return {k: float(np.linalg.norm(v)) for k, v in decomp.coefficients.items()}
 
 
-def prediction_errors(decomp) -> dict:
-    """|c - p|, coefficient against residual prediction, of each slot."""
-    return {k: float(np.linalg.norm(decomp.coefficients[k] - decomp.predicted[k]))
-            for k in decomp.coefficients}
+def prediction_errors(decomp, residuals) -> dict:
+    """|c - R|, the coefficient of each slot against its balance residual
+    (R1..R4 in ``GENERATOR_SLOTS`` order)."""
+    return {k: float(np.linalg.norm(decomp.coefficients[k] - r))
+            for k, r in zip(fn.GENERATOR_SLOTS, residuals)}
 
 
 def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
@@ -207,9 +206,8 @@ def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
     vol, surf = scenario.volume_data, scenario.surface_data
     rel = v_vol - np.einsum("nij,nj->ni", vol.f_grad, w_vol)
     act = np.einsum("ni,ni->n", vol.body_force, rel)
-    relabel = w_vol - np.cross(curl_w, vol.points - scenario.x0)
-    inh = np.einsum("ni,ni->n", vol.material_gradient - vol.driving_force, relabel)
-    cpl = np.einsum("ni,ni->n", vol.couple, curl_w)
+    inh = np.einsum("ni,ni->n", vol.material_gradient - vol.driving_force, w_vol)
+    cpl = -0.5 * np.einsum("ni,ni->n", vol.couple, curl_w)
     tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
     rel_s = v_surf - np.einsum("nij,nj->ni", surf.f_grad, w_surf)
     act_s = np.einsum("ni,ni->n", tractions, rel_s)
@@ -236,7 +234,7 @@ def _loop_total(scenario, samples, gens) -> float:
 
 
 def loop_decomposition(scenario):
-    """(coefficients, affine_residual, predicted) by one literal-power
+    """(coefficients, affine_residual) by one literal-power
     evaluation per observer change, the oracle for the stacked
     :func:`relpower.functionals.invariance_decomposition`."""
     samples = fn.sample_pair(scenario, scenario.pair)
@@ -267,15 +265,7 @@ def loop_decomposition(scenario):
         predicted = math.fsum(float(coefficients[slot] @ gens[slot])
                               for slot in fn.GENERATOR_SLOTS)
         worst = max(worst, abs(combined - predicted))
-    residuals = fn.integral_balance_residuals(scenario)
-    mismatch = fn.material_torque_mismatch(scenario)
-    predicted = {
-        "ambient_translation": residuals.force,
-        "ambient_rotation": residuals.torque,
-        "material_translation": residuals.configurational_force,
-        "material_rotation": residuals.configurational_torque + mismatch,
-    }
-    return coefficients, worst / scale, predicted
+    return coefficients, worst / scale
 
 
 # the shipped models whose energy changes under a superposed rotation

@@ -543,17 +543,6 @@ class TestRun:
             assert ((first / "stvk_uniaxial" / name).read_bytes()
                     == (last / "stvk_uniaxial" / name).read_bytes()), name
 
-    def test_manifest_reports_grouping_factors(self, tmp_path):
-        config = load_bundled_config("closure_skewed_graded_stvk")
-        path = write_config(tmp_path, config)
-        out = tmp_path / "out"
-        assert run_cli(["run", path, "--out", str(out)]).returncode == 0
-        manifest = json.loads(
-            (out / "closure_skewed_graded_stvk" / "manifest.json").read_text())
-        factors = manifest["grouping_factors"]
-        assert factors["material_rotation"] == pytest.approx(2.0, abs=1e-6)
-        assert manifest["passed"] is True
-
 
 class TestSweep:
     def test_quadrature_orders_monotone(self, tmp_path):
