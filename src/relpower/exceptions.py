@@ -1,23 +1,19 @@
 """Exception types shared across the toolkit."""
 
 
-class RelpowerError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class NonPositiveJacobian(RelpowerError):
+class NonPositiveJacobian(Exception):
     """A deformation gradient with det F <= 0 was encountered."""
 
 
-class NonFiniteValue(RelpowerError):
+class NonFiniteValue(Exception):
     """A value made from finite inputs has a non-finite component."""
 
 
-class PreconditionViolated(RelpowerError):
+class PreconditionViolated(Exception):
     """A check was invoked on a scenario that violates its hypotheses."""
 
 
-class NonAffineDefect(RelpowerError):
+class NonAffineDefect(Exception):
     """The observer-change defect failed the affine superposition check.
 
     The defect is affine in the change generators by construction, so this
@@ -26,5 +22,5 @@ class NonAffineDefect(RelpowerError):
     """
 
 
-class ConfigInvalid(RelpowerError):
+class ConfigInvalid(Exception):
     """A scenario configuration failed schema or semantic validation."""

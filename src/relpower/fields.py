@@ -7,8 +7,8 @@ reference point.  Every map takes float points of shape (..., 3), a single
 point or a stack of them, and returns values with the same leading axes.
 A virtual field checks that its values and gradients are finite; y and F
 are checked in the point state made from them.  Observer changes superpose
-rigid rates on either field independently (``PairSamples.shifted(generators,
-scenario)`` in :mod:`relpower.functionals` applies them to sampled pairs):
+rigid rates on either field independently (``pair_rows(scenario, generators)``
+in :mod:`relpower.functionals` applies them to the pair's node rows):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
@@ -114,9 +114,6 @@ class VirtualField:
         g = (central_difference(self.value, x, self.step) if self.gradient is None
              else self.gradient(x))
         return check_finite(x, virtual_field_gradient=g)
-
-    def curl(self, x) -> np.ndarray:
-        return curl_from_gradient(self.grad(x))
 
     def divergence(self, x) -> np.ndarray:
         return np.trace(self.grad(x), axis1=-2, axis2=-1)

@@ -55,8 +55,9 @@ observer changes (12 unit generators, 2 random combinations) are one
 comes from the caller, which has already computed it.
 
 Every integrand is evaluated at once over the node arrays of the
-scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n
-among them), built once with the scenario.  Every identity (R1..R4, the
+scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n and
+the pair's samples among them), built once with the scenario, so the pair
+is sampled once: this module only combines rows.  Every identity (R1..R4, the
 standard external power, ``PowerBreakdown.total``, the power of each
 observer change) is one ``part_integral``: one ``weighted_fsum`` over its
 volume rows, then its surface rows, so each defect subtracts two totals
@@ -67,13 +68,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
 from . import configurational as conf
 from .exceptions import NonAffineDefect, PreconditionViolated
-from .fields import VirtualFieldPair, curl_from_gradient
 from .geometry import weighted_fsum
 from .scenarios import Scenario
 from .tensors import contract, cross, dot, matvec, transpose
@@ -124,59 +124,39 @@ def part_integral(scenario: Scenario, volume_rows, surface_rows):
                          np.concatenate([vol.weights, surf.weights]))
 
 
-@dataclass(frozen=True)
-class PairSamples:
-    """A virtual-field pair sampled at the quadrature nodes of one part."""
+def pair_rows(scenario: Scenario, generators=None):
+    """The pair's node rows: v at the volume and surface nodes, then w at both,
+    then curl w at the volume nodes, each (n, 3) for the n nodes of its set.
 
-    v_volume: np.ndarray
-    w_volume: np.ndarray
-    curl_w_volume: np.ndarray
-    v_surface: np.ndarray
-    w_surface: np.ndarray
-
-    def shifted(self, generators, scenario: Scenario) -> "PairSamples":
-        """Samples of (v*, w*) about the scenario's pivots y0 and x0.
-
-        Generators (4, 3), in ``GENERATOR_SLOTS`` order, give samples (n, 3);
-        a stack (k, 4, 3) of them gives (k, n, 3), one entry per change.
-        """
-        vol, surf = scenario.volume_data, scenario.surface_data
-        y0, x0 = scenario.y0, scenario.x0
-        c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
-        return PairSamples(
-            v_volume=self.v_volume + (c_hat + cross(q_hat, vol.y - y0)),
-            w_volume=self.w_volume + (c + cross(q, vol.points - x0)),
-            curl_w_volume=self.curl_w_volume + 2.0 * q,
-            v_surface=self.v_surface + (c_hat + cross(q_hat, surf.y - y0)),
-            w_surface=self.w_surface + (c + cross(q, surf.points - x0)),
-        )
-
-
-def sample_pair(scenario: Scenario, pair: VirtualFieldPair) -> PairSamples:
+    Generators (4, 3), in ``GENERATOR_SLOTS`` order, give the rows of (v*, w*)
+    about the scenario's pivots y0 and x0; a stack (k, 4, 3) of them gives
+    rows (k, n, 3), one entry per change.
+    """
     vol, surf = scenario.volume_data, scenario.surface_data
-    return PairSamples(
-        v_volume=pair.v(vol.points),
-        w_volume=pair.w(vol.points),
-        curl_w_volume=pair.w.curl(vol.points),
-        v_surface=pair.v(surf.points),
-        w_surface=pair.w(surf.points),
-    )
+    if generators is None:
+        return vol.v, surf.v, vol.w, surf.w, vol.curl_w
+    y0, x0 = scenario.y0, scenario.x0
+    c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
+    return (vol.v + (c_hat + cross(q_hat, vol.y - y0)),
+            surf.v + (c_hat + cross(q_hat, surf.y - y0)),
+            vol.w + (c + cross(q, vol.points - x0)),
+            surf.w + (c + cross(q, surf.points - x0)),
+            vol.curl_w + 2.0 * q)
 
 
-def _power_rows(scenario: Scenario, samples: PairSamples):
-    """The literal power integrand of one sampled pair, or of a (k, n, 3) stack of
-    them, as rows (..., n) of its five pieces in ``PowerBreakdown`` order."""
+def _power_rows(scenario: Scenario, rows):
+    """The literal power integrand of the pair rows of ``pair_rows``, or of
+    (k, n, 3) stacks of them, as rows (..., n) of its five pieces in
+    ``PowerBreakdown`` order."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    rel_velocity = samples.v_volume - np.einsum(
-        "nij,...nj->...ni", vol.f_grad, samples.w_volume)
-    rel_surf = samples.v_surface - np.einsum(
-        "nij,...nj->...ni", surf.f_grad, samples.w_surface)
+    v, v_surf, w, w_surf, curl_w = rows
+    rel_velocity = v - np.einsum("nij,...nj->...ni", vol.f_grad, w)
+    rel_surf = v_surf - np.einsum("nij,...nj->...ni", surf.f_grad, w_surf)
     return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
             np.einsum("ni,...ni->...n", surf.traction, rel_surf),
-            np.einsum("ni,...ni->...n", surf.normals, samples.w_surface) * surf.energy,
-            np.einsum("ni,...ni->...n", vol.material_gradient - vol.driving_force,
-                      samples.w_volume),
-            -0.5 * np.einsum("ni,...ni->...n", vol.couple, samples.curl_w_volume))
+            np.einsum("ni,...ni->...n", surf.normals, w_surf) * surf.energy,
+            np.einsum("ni,...ni->...n", vol.material_gradient - vol.driving_force, w),
+            -0.5 * np.einsum("ni,...ni->...n", vol.couple, curl_w))
 
 
 def _power_total(scenario: Scenario, rows):
@@ -186,33 +166,28 @@ def _power_total(scenario: Scenario, rows):
     return part_integral(scenario, (act + inh + cpl).T, (act_s + flux).T)
 
 
-def relative_power(scenario: Scenario,
-                   pair: Optional[VirtualFieldPair] = None) -> PowerBreakdown:
-    """Literal evaluation of the relative power on the scenario's part."""
-    pair = scenario.pair if pair is None else pair
-    rows = _power_rows(scenario, sample_pair(scenario, pair))
+def relative_power(scenario: Scenario, rows=None) -> PowerBreakdown:
+    """Literal evaluation of the relative power on the scenario's part, for the
+    pair rows of :func:`pair_rows` (the node rows by default)."""
+    pieces = _power_rows(scenario, pair_rows(scenario) if rows is None else rows)
     vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
     return PowerBreakdown(*(weighted_fsum(piece, weights) for piece, weights
-                            in zip(rows, (vol_w, surf_w, surf_w, vol_w, vol_w))),
-                          total=_power_total(scenario, rows))
+                            in zip(pieces, (vol_w, surf_w, surf_w, vol_w, vol_w))),
+                          total=_power_total(scenario, pieces))
 
 
 def inner_relative_power(scenario: Scenario) -> float:
     """Volume-only inner form of the relative power for the scenario's pair."""
-    pair = scenario.pair
     vol = scenario.volume_data
-    grad_w = pair.w.grad(vol.points)
-    rows = (contract(vol.stress, pair.v.grad(vol.points))
-            + contract(vol.eshelby, grad_w)
-            - 0.5 * dot(vol.couple, curl_from_gradient(grad_w)))
+    rows = (contract(vol.stress, vol.grad_v) + contract(vol.eshelby, vol.grad_w)
+            - 0.5 * dot(vol.couple, vol.curl_w))
     return weighted_fsum(rows, vol.weights)
 
 
-def standard_external_power(scenario: Scenario, pair: VirtualFieldPair) -> float:
+def standard_external_power(scenario: Scenario) -> float:
     """int_b b . v dx + int_db Pn . v dA, evaluated on its own."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    return part_integral(scenario, dot(vol.body_force, pair.v(vol.points)),
-                         dot(surf.traction, pair.v(surf.points)))
+    return part_integral(scenario, dot(vol.body_force, vol.v), dot(surf.traction, surf.v))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +245,7 @@ def invariance_decomposition(scenario: Scenario,
     12 unit changes (slot by slot, axis by axis) and the 2 random ones are
     one stack of generators, evaluated in chunks of
     ``max(1, CHUNK_ROWS // n)`` changes for n volume nodes, so the shifted
-    samples of a chunk stay near ``CHUNK_ROWS`` rows.  Each change's power
+    pair rows of a chunk stay near ``CHUNK_ROWS`` rows.  Each change's power
     is summed as ``base.total`` is, by ``_power_total``.
     """
     slots = len(GENERATOR_SLOTS)
@@ -279,10 +254,9 @@ def invariance_decomposition(scenario: Scenario,
     # unit change 3 s + a carries e_a in slot s only
     gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
-    samples = sample_pair(scenario, scenario.pair)
     chunk = max(1, CHUNK_ROWS // len(scenario.volume_data.weights))
     defects = np.concatenate([_power_total(scenario, _power_rows(
-        scenario, samples.shifted(gens[k:k + chunk], scenario)))
+        scenario, pair_rows(scenario, gens[k:k + chunk])))
         for k in range(0, len(gens), chunk)]) - base.total
 
     units = defects[:3 * slots]

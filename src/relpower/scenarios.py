@@ -20,8 +20,10 @@ part's keyword-only ones are its quadrature orders.  Presets take no step:
 
 Node data is built once per scenario, for its part, over stacked arrays,
 points (n, 3) and tensors (n, 3, 3): one point state over each node set,
-volume and surface, and the volume sources read from theirs in one call;
-that build makes F at every node, so it is also the det F > 0 check.
+volume and surface, the volume sources read from theirs in one call, and
+the pair sampled once per set, v and w at both, grad v and grad w at the
+volume nodes; that build makes F at every node, so it is also the det F > 0
+check, and each sample is checked finite where the field makes it.
 """
 
 from __future__ import annotations
@@ -236,8 +238,8 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # ---------------------------------------------------------------------------
 
 class _NodeData:
-    """The point state of every given quadrature node: each attribute named in
-    ``FIELDS`` is an array with one row per node, from one array call."""
+    """The rows of every given quadrature node: each attribute named in ``FIELDS``
+    is an array with one row per node, from one array call."""
 
     FIELDS = conf.PointState._fields
 
@@ -248,24 +250,31 @@ class _NodeData:
 
 
 class VolumeNodeData(_NodeData):
-    """The state and the sources (b, f, mu) at every volume quadrature node."""
+    """The state, the sources (b, f, mu) and the pair at every volume node."""
 
-    FIELDS = _NodeData.FIELDS + ("body_force", "driving_force", "couple")
+    FIELDS = _NodeData.FIELDS + ("body_force", "driving_force", "couple",
+                                 "v", "w", "grad_v", "grad_w", "curl_w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         x = part.volume_points
         state = scenario.state(x)
         b, f, mu = scenario.sources(x, state)
         check_finite(x, body_force=b, driving_force=f, couple=mu)
-        super().__init__(x, part.volume_weights, state + (b, f, mu))
+        v, w = scenario.pair.v, scenario.pair.w
+        grad_w = w.grad(x)
+        pair = (v(x), w(x), v.grad(x), grad_w, fields.curl_from_gradient(grad_w))
+        super().__init__(x, part.volume_weights, state + (b, f, mu) + pair)
 
 
 class SurfaceNodeData(_NodeData):
-    """The state and the traction P n at every boundary quadrature node."""
+    """The state, the pair and the traction P n at every boundary node."""
+
+    FIELDS = _NodeData.FIELDS + ("v", "w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        surface = part.surface
-        super().__init__(surface.points, surface.weights, scenario.state(surface.points))
+        surface, pair = part.surface, scenario.pair
+        x = surface.points
+        super().__init__(x, surface.weights, scenario.state(x) + (pair.v(x), pair.w(x)))
         self.normals = surface.normals
         self.traction = np.einsum("nij,nj->ni", self.stress, self.normals)
 
@@ -387,13 +396,13 @@ def load_bundled_config(name: str) -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    """Read a config from disk; IO failures propagate as OSError."""
+    """Read a config from disk; IO failures propagate as OSError, and bytes the JSON
+    decoder cannot read (not UTF-8, too deep, too many digits) as ConfigInvalid."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigInvalid(f"config is not valid JSON: {err}") from err
+        try:
+            config = json.loads(handle.read())
+        except (ValueError, RecursionError) as err:   # ValueError: not UTF-8, or JSON
+            raise ConfigInvalid(f"config is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigInvalid("config root must be a JSON object")
     return config

@@ -153,11 +153,13 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     The oracle for the batched :class:`relpower.scenarios.VolumeNodeData`
     and :class:`relpower.scenarios.SurfaceNodeData`: every field from its
     own definition, never through :func:`relpower.configurational.point_state`,
-    the constitutive ones from :meth:`relpower.materials.MaterialModel.response`.
+    the constitutive ones from :meth:`relpower.materials.MaterialModel.response`,
+    and the pair's samples from the scenario's fields, one point per call.
     Closure b and f take Div P and Div PP from :func:`reference_divergences`,
     as their pointwise definitions read.
     """
     model, motion, step = scenario.model, scenario.motion, scenario.divergence_step
+    v, w = scenario.pair.v, scenario.pair.w
     rows = defaultdict(list)
     for x in points:
         f = motion.deformation_gradient(x)
@@ -167,8 +169,14 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
                                 material_gradient=material_gradient)
         for name, value in state._asdict().items():
             rows[name].append(value)
+        rows["v"].append(v(x))
+        rows["w"].append(w(x))
         if not volume:
             continue
+        grad_w = w.grad(x)
+        rows["grad_v"].append(v.grad(x))
+        rows["grad_w"].append(grad_w)
+        rows["curl_w"].append(axial_vector(grad_w - grad_w.T))
         if scenario.source_mode == "closure":
             div_p, div_pp = reference_divergences(model, motion, x, step)
             b = -div_p
@@ -200,7 +208,7 @@ def prediction_errors(decomp, residuals) -> dict:
 
 
 def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
-    """The literal power integrand of one sampled pair by its five einsum rows:
+    """The literal power integrand of one pair's rows by its five einsum rows:
     (actions, inhomogeneity, couple) at the volume nodes and (actions, flux)
     at the surface nodes."""
     vol, surf = scenario.volume_data, scenario.surface_data
@@ -215,19 +223,20 @@ def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
     return (act, inh, cpl), (act_s, flux)
 
 
-def _loop_total(scenario, samples, gens) -> float:
-    """P_rel(v*, w*) of one change, one cross product per offset: the pieces
-    summed node by node, then one fsum over the volume and surface terms."""
+def _loop_total(scenario, gens) -> float:
+    """P_rel(v*, w*) of one change, from the pair's node rows, one cross product
+    per offset: the pieces summed node by node, then one fsum over the volume
+    and surface terms."""
     vol, surf = scenario.volume_data, scenario.surface_data
     c_hat, q_hat, c, q = (gens[slot] for slot in fn.GENERATOR_SLOTS)
     y0, x0 = scenario.y0, scenario.x0
     (act, inh, cpl), (act_s, flux) = _loop_rows(
         scenario,
-        samples.v_volume + (c_hat + np.cross(q_hat, vol.y - y0)),
-        samples.w_volume + (c + np.cross(q, vol.points - x0)),
-        samples.curl_w_volume + 2.0 * q,
-        samples.v_surface + (c_hat + np.cross(q_hat, surf.y - y0)),
-        samples.w_surface + (c + np.cross(q, surf.points - x0)))
+        vol.v + (c_hat + np.cross(q_hat, vol.y - y0)),
+        vol.w + (c + np.cross(q, vol.points - x0)),
+        vol.curl_w + 2.0 * q,
+        surf.v + (c_hat + np.cross(q_hat, surf.y - y0)),
+        surf.w + (c + np.cross(q, surf.points - x0)))
     terms = [(a + i + m) * w for a, i, m, w in zip(act, inh, cpl, vol.weights)]
     terms += [(a + fl) * w for a, fl, w in zip(act_s, flux, surf.weights)]
     return math.fsum(terms)
@@ -237,22 +246,20 @@ def loop_decomposition(scenario):
     """(coefficients, affine_residual) by one literal-power
     evaluation per observer change, the oracle for the stacked
     :func:`relpower.functionals.invariance_decomposition`."""
-    samples = fn.sample_pair(scenario, scenario.pair)
     vol, surf = scenario.volume_data, scenario.surface_data
 
     def total(rows, weights):
         return math.fsum(r * w for r, w in zip(rows, weights))
 
     (act, inh, cpl), (act_s, flux) = _loop_rows(
-        scenario, samples.v_volume, samples.w_volume, samples.curl_w_volume,
-        samples.v_surface, samples.w_surface)
+        scenario, vol.v, vol.w, vol.curl_w, surf.v, surf.w)
     actions = total(act, vol.weights) + total(act_s, surf.weights)
     disarrangement = (total(flux, surf.weights) + total(inh, vol.weights)
                       + total(cpl, vol.weights))
     zero = {slot: np.zeros(3) for slot in fn.GENERATOR_SLOTS}
-    base_total = _loop_total(scenario, samples, zero)
+    base_total = _loop_total(scenario, zero)
     coefficients = {
-        slot: np.array([_loop_total(scenario, samples, {**zero, slot: np.eye(3)[axis]})
+        slot: np.array([_loop_total(scenario, {**zero, slot: np.eye(3)[axis]})
                         - base_total for axis in range(3)])
         for slot in fn.GENERATOR_SLOTS}
     scale = max(1.0, abs(actions), abs(disarrangement),
@@ -261,7 +268,7 @@ def loop_decomposition(scenario):
     worst = 0.0
     for _ in range(2):
         gens = {slot: rng.uniform(-1.0, 1.0, size=3) for slot in fn.GENERATOR_SLOTS}
-        combined = _loop_total(scenario, samples, gens) - base_total
+        combined = _loop_total(scenario, gens) - base_total
         predicted = math.fsum(float(coefficients[slot] @ gens[slot])
                               for slot in fn.GENERATOR_SLOTS)
         worst = max(worst, abs(combined - predicted))

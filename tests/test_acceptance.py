@@ -189,7 +189,7 @@ def test_criterion_08_torque_identities():
 def test_criterion_09_standard_power_degeneracy():
     scenario = Scenario(load_bundled_config("standard_power_degeneracy"))
     power = fn.relative_power(scenario)  # the bundled pair already has w = 0
-    reference = fn.standard_external_power(scenario, scenario.pair)
+    reference = fn.standard_external_power(scenario)
     err = abs(power.total - reference) / max(1.0, abs(reference))
     ok = power.disarrangement == 0.0 and err <= 1e-12
     report(9, "standard_power_degeneracy", ok, f"relative difference {err:.2e}")

@@ -650,6 +650,69 @@ class TestSweep:
         assert errors[-1] > best  # rounding branch
 
 
+# config bytes the JSON decoder cannot read: not UTF-8, nested deeper than it
+# recurses, and an integer longer than Python converts
+UNREADABLE_CONFIGS = {"not_utf8": b'{"name": "\xff\xfe"}', "too_deep": b"[" * 100_000,
+                      "too_many_digits": b'{"seed": ' + b"7" * 5000 + b"}"}
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "quad"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("content", UNREADABLE_CONFIGS.values(), ids=UNREADABLE_CONFIGS)
+def test_unreadable_config_bytes_are_invalid_config(tmp_path, command, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    result = run_cli([command[0], str(path), *command[1:], "--out", str(out)])
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: config is not valid JSON: ")
+    assert result.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def run_with_closed_stdout(args, buffered=False):
+    """``python -m relpower args`` writing to a pipe whose read end is closed
+    before the process starts, its stdout block-buffered or unbuffered."""
+    env = {name: value for name, value in os.environ.items()
+           if name != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "relpower", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+class TestClosedStdout:
+    # output to a reader that has gone away is dropped; the run goes on, and
+    # exits as it would with stdout open, with nothing on stderr at exit either
+
+    @pytest.mark.parametrize("args", [["list-presets"], ["list-presets", "--json"]],
+                             ids=["text", "json"])
+    def test_list_presets(self, args, buffered):
+        result = run_with_closed_stdout(args, buffered)
+        assert (result.returncode, result.stderr) == (0, "")
+
+    def test_run_all_writes_every_report(self, tmp_path, buffered):
+        result = run_with_closed_stdout(["run", "--all", "--out", str(tmp_path)],
+                                        buffered)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert sorted(os.listdir(tmp_path)) == bundled_scenario_names()
+        for name in bundled_scenario_names():
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["passed"]
+
+    def test_report_error_is_still_io_error(self, tmp_path, buffered):
+        target = tmp_path / "file"
+        target.write_text("")
+        result = run_with_closed_stdout(["run", "--all", "--out", str(target)], buffered)
+        assert result.returncode == 3
+        assert result.stderr.startswith("io error: ") and result.stderr.count("\n") == 1
+
+
 class TestListPresets:
     def test_text_listing(self):
         result = run_cli(["list-presets"])

@@ -10,7 +10,7 @@ from relpower.fields import (VirtualFieldPair, central_difference,
                              homogeneous_motion, identity_motion, linear_field,
                              rigid_field, rotation_motion, shear_motion,
                              sinusoidal_field, sinusoidal_motion)
-from relpower.functionals import GENERATOR_SLOTS, PairSamples
+from relpower.functionals import GENERATOR_SLOTS, pair_rows
 from relpower.tensors import cross_matrix
 
 
@@ -19,31 +19,34 @@ def generators(**slots) -> np.ndarray:
     return np.array([slots.get(slot, np.zeros(3)) for slot in GENERATOR_SLOTS], float)
 
 
-def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> PairSamples:
-    """The pair sampled at the single node x and seen through the generators
-    ``change`` about pivots y0 and x0 = 0."""
+def curl(field, x) -> np.ndarray:
+    """curl of a virtual field at x, from its gradient."""
+    return curl_from_gradient(field.grad(x))
+
+
+def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> tuple:
+    """The pair rows (v, v_surface, w, w_surface, curl w) at the single node x,
+    seen through the generators ``change`` about pivots y0 and x0 = 0."""
     x = np.asarray(x, float)
-    nodes = SimpleNamespace(y=motion.y(x)[None], points=x[None])
+    nodes = SimpleNamespace(y=motion.y(x)[None], points=x[None], v=pair.v(x)[None],
+                            w=pair.w(x)[None], curl_w=curl(pair.w, x)[None])
     scenario = SimpleNamespace(volume_data=nodes, surface_data=nodes,
                                y0=np.asarray(y0, float), x0=np.zeros(3))
-    samples = PairSamples(v_volume=pair.v(x)[None], w_volume=pair.w(x)[None],
-                          curl_w_volume=pair.w.curl(x)[None],
-                          v_surface=pair.v(x)[None], w_surface=pair.w(x)[None])
-    return samples.shifted(change, scenario)
+    return pair_rows(scenario, change)
 
 
 def ambient_change(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """v*(x), checked to agree between the volume and surface samples."""
-    out = shifted_at(pair, motion, change, x, y0)
-    np.testing.assert_array_equal(out.v_surface, out.v_volume)
-    return out.v_volume[0]
+    """v*(x), checked to agree between the volume and surface rows."""
+    v, v_surface, *_ = shifted_at(pair, motion, change, x, y0)
+    np.testing.assert_array_equal(v_surface, v)
+    return v[0]
 
 
 def material_change(pair, change, x) -> np.ndarray:
-    """w*(x), checked to agree between the volume and surface samples."""
-    out = shifted_at(pair, identity_motion(), change, x)
-    np.testing.assert_array_equal(out.w_surface, out.w_volume)
-    return out.w_volume[0]
+    """w*(x), checked to agree between the volume and surface rows."""
+    _, _, w, w_surface, _ = shifted_at(pair, identity_motion(), change, x)
+    np.testing.assert_array_equal(w_surface, w)
+    return w[0]
 
 
 def all_motion_presets():
@@ -198,15 +201,15 @@ class TestObserverChanges:
 class TestCurl:
     def test_constant_field(self):
         f = constant_field([0.3, -0.2, 0.5])
-        np.testing.assert_allclose(f.curl(np.array([0.1, 0.0, -0.2])), np.zeros(3))
+        np.testing.assert_allclose(curl(f, np.array([0.1, 0.0, -0.2])), np.zeros(3))
 
     def test_rigid_field_curl_is_twice_rotation(self, rng):
         q = np.array([0.4, -0.7, 0.2])
         f = rigid_field([0.0, 0.0, 0.0], q, [0.1, 0.1, 0.1])
         x = rng.uniform(-0.5, 0.5, size=3)
-        np.testing.assert_allclose(f.curl(x), 2.0 * q, atol=1e-14)
+        np.testing.assert_allclose(curl(f, x), 2.0 * q, atol=1e-14)
         # finite-difference oracle for the same identity
-        np.testing.assert_allclose(fd_copy(f).curl(x), 2.0 * q,
+        np.testing.assert_allclose(curl(fd_copy(f), x), 2.0 * q,
                                    rtol=1e-8, atol=1e-9)
 
     def test_linear_field_hand_value(self):
@@ -214,7 +217,7 @@ class TestCurl:
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
         f = linear_field(a)
-        np.testing.assert_allclose(f.curl(np.array([0.2, 0.4, -0.1])), [0.0, 0.0, -1.0],
+        np.testing.assert_allclose(curl(f, np.array([0.2, 0.4, -0.1])), [0.0, 0.0, -1.0],
                                    atol=1e-15)
 
 
@@ -235,15 +238,15 @@ class TestShiftedPair:
             np.testing.assert_allclose(fd, expected, rtol=1e-6, atol=1e-8)
 
     def test_material_curl_shift(self, rng):
-        # the shifted curl samples are curl w + 2 q, and match the FD curl of w*
+        # the shifted curl rows are curl w + 2 q, and match the FD curl of w*
         w = sinusoidal_field(0.5, [1.0, 0.6, -0.8], [-0.4, 0.8, 0.3])
         pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]), w=w)
         q = np.array([0.2, 0.5, -0.3])
         change = generators(material_rotation=q)
         x = rng.uniform(-0.4, 0.4, size=3)
-        curl = shifted_at(pair, identity_motion(), change, x).curl_w_volume[0]
-        np.testing.assert_allclose(curl, w.curl(x) + 2.0 * q, atol=1e-14)
+        shifted = shifted_at(pair, identity_motion(), change, x)[-1][0]
+        np.testing.assert_allclose(shifted, curl(w, x) + 2.0 * q, atol=1e-14)
         fd_grad = central_difference(lambda xx: material_change(pair, change, xx),
                                      x, 1e-6)
-        np.testing.assert_allclose(curl_from_gradient(fd_grad), curl,
+        np.testing.assert_allclose(curl_from_gradient(fd_grad), shifted,
                                    rtol=1e-8, atol=1e-9)

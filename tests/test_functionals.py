@@ -10,7 +10,6 @@ from conftest import (_loop_total, coefficient_norms, decompose, generate,
                       loop_decomposition, prediction_errors, sphere_surface)
 from relpower import cli
 from relpower.exceptions import PreconditionViolated
-from relpower.fields import VirtualField, VirtualFieldPair, constant_field
 from relpower.geometry import weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
 from relpower.tensors import matvec
@@ -39,13 +38,18 @@ def make_config(**overrides) -> dict:
     return config
 
 
+def zero_w(rows):
+    """The pair rows of (v, 0): v's rows, and zeros for w's."""
+    return rows[:2] + tuple(np.zeros(row.shape) for row in rows[2:])
+
+
 class TestRelativePower:
     def test_vanishes_when_v_is_pushforward_of_w(self):
         scenario = Scenario(make_config())
-        w = scenario.pair.w
-        f_grad = scenario.motion.deformation_gradient
-        v = VirtualField(lambda x: matvec(f_grad(x), w(x)))
-        power = fn.relative_power(scenario, VirtualFieldPair(v=v, w=w))
+        vol, surf = scenario.volume_data, scenario.surface_data
+        _, _, w, w_surf, curl_w = fn.pair_rows(scenario)
+        rows = (matvec(vol.f_grad, w), matvec(surf.f_grad, w_surf), w, w_surf, curl_w)
+        power = fn.relative_power(scenario, rows)
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 
     def test_reduces_to_standard_power_when_w_zero(self):
@@ -56,32 +60,23 @@ class TestRelativePower:
                   "pivot": [0.0, 0.0, 0.0]},
         })
         scenario = Scenario(config)
-        pair = VirtualFieldPair(v=scenario.pair.v, w=constant_field([0.0, 0.0, 0.0]))
-        power = fn.relative_power(scenario, pair)
+        power = fn.relative_power(scenario, zero_w(fn.pair_rows(scenario)))
         assert power.disarrangement == pytest.approx(0.0, abs=1e-16)
-        reference = fn.standard_external_power(scenario, pair)
+        reference = fn.standard_external_power(scenario)
         assert power.total == pytest.approx(reference, rel=1e-12)
 
     def test_linear_in_the_rate_pair(self):
         scenario = Scenario(make_config())
-        v1, w1 = scenario.pair.v, scenario.pair.w
-        v2 = constant_field([0.2, -0.5, 0.3])
-        w2 = constant_field([-0.1, 0.4, 0.2])
+        # the same part and state, with the constant pair (v2, w2)
+        constant = Scenario(make_config(virtual_fields={
+            "v": {"preset": "constant", "value": [0.2, -0.5, 0.3]},
+            "w": {"preset": "constant", "value": [-0.1, 0.4, 0.2]}}))
+        rows1, rows2 = fn.pair_rows(scenario), fn.pair_rows(constant)
         alpha, beta = 1.7, -0.6
-
-        def combo_v(x):
-            return alpha * v1(x) + beta * v2(x)
-
-        def combo_w(x):
-            return alpha * w1(x) + beta * w2(x)
-
-        combined = VirtualFieldPair(
-            v=VirtualField(combo_v, lambda x: alpha * v1.grad(x) + beta * v2.grad(x)),
-            w=VirtualField(combo_w, lambda x: alpha * w1.grad(x) + beta * w2.grad(x)),
-        )
+        combined = tuple(alpha * r1 + beta * r2 for r1, r2 in zip(rows1, rows2))
         p_combined = fn.relative_power(scenario, combined).total
-        p1 = fn.relative_power(scenario, VirtualFieldPair(v=v1, w=w1)).total
-        p2 = fn.relative_power(scenario, VirtualFieldPair(v=v2, w=w2)).total
+        p1 = fn.relative_power(scenario).total
+        p2 = fn.relative_power(scenario, rows2).total
         assert p_combined == pytest.approx(alpha * p1 + beta * p2, rel=1e-12)
 
     def test_volume_terms_additive_over_split_box(self):
@@ -261,7 +256,7 @@ class TestInvarianceDecomposition:
 
 
 def _refined_skewed() -> dict:
-    # order 12: 1,728 volume nodes, more than 4 * NODE_BLOCK, so one
+    # order 12: 1,728 volume nodes, more than CHUNK_ROWS = 1024, so one
     # change per chunk
     config = load_bundled_config("closure_skewed_graded_stvk")
     config["quadrature"] = {"volume_order": 12, "surface_order": 12}
@@ -284,8 +279,7 @@ class TestStackedObserverChanges:
         coefficients, affine_residual = loop_decomposition(scenario)
         # the zero change's one-fsum total is the base power the defects subtract
         zero = {slot: np.zeros(3) for slot in fn.GENERATOR_SLOTS}
-        assert fn.relative_power(scenario).total == _loop_total(
-            scenario, fn.sample_pair(scenario, scenario.pair), zero)
+        assert fn.relative_power(scenario).total == _loop_total(scenario, zero)
         for slot in fn.GENERATOR_SLOTS:
             assert list(decomp.coefficients[slot]) == list(coefficients[slot]), slot
         assert decomp.affine_residual == affine_residual
@@ -302,19 +296,17 @@ class TestStackedObserverChanges:
 
     def test_stacked_generators_equal_single_shifts(self, rng):
         scenario = Scenario(make_config())
-        samples = fn.sample_pair(scenario, scenario.pair)
         # (5, 4, 3): five changes, one generator per slot in each
         gens = np.stack([rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in fn.GENERATOR_SLOTS],
                         axis=1)
         scenario.y0, scenario.x0 = rng.normal(size=3), rng.normal(size=3)
-        stacked = samples.shifted(gens, scenario)
+        stacked = fn.pair_rows(scenario, gens)
         rows = fn._power_rows(scenario, stacked)
         for k in range(5):
-            single = samples.shifted(gens[k], scenario)
-            for field in ("v_volume", "w_volume", "curl_w_volume", "v_surface",
-                          "w_surface"):
-                np.testing.assert_array_equal(getattr(stacked, field)[k],
-                                              getattr(single, field))
+            single = fn.pair_rows(scenario, gens[k])
+            assert len(stacked) == len(single) == 5
+            for got, want in zip(stacked, single):
+                np.testing.assert_array_equal(got[k], want)
             for got, want in zip(rows, fn._power_rows(scenario, single)):
                 np.testing.assert_array_equal(got[k], want)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_node_data
-from relpower import materials, scenarios
+from relpower import cli, fields, materials, scenarios
 from relpower.exceptions import NonPositiveJacobian
 from relpower.scenarios import (Scenario, SurfaceNodeData, VolumeNodeData,
                                 bundled_scenario_names, load_bundled_config)
@@ -174,3 +174,28 @@ def test_closed_form_det_finds_the_band_lapack_finds():
         with pytest.raises(NonPositiveJacobian) as raised:
             motion.deformation_gradient(points)
         assert str(raised.value).endswith(f"at x = {points[bad[0]]}")
+
+
+@pytest.mark.parametrize("name", ["closure_skewed_graded_stvk", "stvk_uniaxial",
+                                  "closure_shear_neohookean_fd"])
+def test_run_samples_the_pair_once_per_node_set(name, monkeypatch):
+    # every identity of a run reads the node rows: each field of the pair is
+    # sampled once per node set and differentiated once, on the volume set
+    calls = []
+    value, grad = fields.VirtualField.__call__, fields.VirtualField.grad
+
+    def counted(method, kind):
+        def call(self, x):
+            calls.append((self, kind, len(x)))
+            return method(self, x)
+        return call
+
+    monkeypatch.setattr(fields.VirtualField, "__call__", counted(value, "value"))
+    monkeypatch.setattr(fields.VirtualField, "grad", counted(grad, "grad"))
+    run = cli.ScenarioRun(load_bundled_config(name))
+    run.run()
+    part = run.scenario.part
+    volume, surface = len(part.volume_points), len(part.surface.points)
+    for field in (run.scenario.pair.v, run.scenario.pair.w):
+        assert sorted((kind, n) for owner, kind, n in calls if owner is field) == [
+            ("grad", volume), ("value", surface), ("value", volume)]
