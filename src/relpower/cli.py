@@ -194,19 +194,19 @@ class ScenarioRun:
         self.tables["invariance"] = (header, rows)
 
         self.manifest_extra["affine_residual"] = decomp.affine_residual
-        self.manifest_extra["power_scale"] = decomp.power_scale
+        self.manifest_extra["power_scale"] = self._power.scale
 
         column, metric = (("coeff_norm", "max_coefficient_norm")
                           if spec.get("expect", "zero") == "zero"
                           else ("prediction_error", "max_prediction_error"))
         worst = max(row[header.index(column)] for row in rows)
-        self._gate("invariance", metric, worst / decomp.power_scale, spec["tolerance"])
+        self._gate("invariance", metric, worst / self._power.scale, spec["tolerance"])
 
     def _check_standard_power(self, spec: dict) -> None:
-        # the pair (v, 0); zeros in C order, as einsum sums in the order of the layout
+        # the pair (v, 0)
         rows = fn.pair_rows(self.scenario)
         total = fn.relative_power(
-            self.scenario, rows[:2] + tuple(np.zeros(row.shape) for row in rows[2:])).total
+            self.scenario, rows[:2] + tuple(map(np.zeros_like, rows[2:]))).total
         reference = fn.standard_external_power(self.scenario)
         error = abs(total - reference) / max(1.0, abs(reference))
         self._gate("standard_power", "relative_difference", error, spec["tolerance"])

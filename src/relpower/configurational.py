@@ -21,7 +21,9 @@ Node data, closure sources, the Eshelby stress off the nodes and the
 conservation-law checks all read one :class:`PointState` (y, F, P, e, PP,
 de/dx|expl) from :func:`point_state`, whose constitutive part is one
 :meth:`MaterialModel.response`, and which a finite-difference divergence
-makes at each shifted point.  Points x are (..., 3), one or a stack of them.
+makes at each shifted point.  The conservation-law data takes the pair's
+samples beside the state: this module evaluates no virtual field.  Points
+x are (..., 3), one or a stack of them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Motion, VirtualFieldPair, central_difference
+from .fields import Motion, central_difference
 from .materials import BodyForcePotential, MaterialModel
 from .tensors import (IDENTITY, axial_vector, check_finite, contract, dot, matvec,
                       skew_part, transpose)
@@ -111,32 +113,21 @@ def closure_sources(model: MaterialModel, motion: Motion, step: float):
 # Conservation-law (equivariance) data
 # ---------------------------------------------------------------------------
 
-def noether_flux(potential: BodyForcePotential, pair: VirtualFieldPair, x,
-                 state: PointState) -> np.ndarray:
-    """Flux density (e + u) w + P^t (v - F w) at points x of the given state."""
-    w = pair.w(x)
+def noether_flux(potential: BodyForcePotential, state: PointState, v, w) -> np.ndarray:
+    """Flux density (e + u) w + P^t (v - F w) of the given state and pair samples."""
     return (np.asarray(state.energy + potential(state.y))[..., None] * w
-            + matvec(transpose(state.stress), pair.v(x) - matvec(state.f_grad, w)))
+            + matvec(transpose(state.stress), v - matvec(state.f_grad, w)))
 
 
-def noether_condition_residuals(potential: BodyForcePotential, pair: VirtualFieldPair,
-                                x, state: PointState):
-    """Left-hand sides of the two equivariance conditions at points x.
+def noether_condition_residuals(potential: BodyForcePotential, state: PointState,
+                                v, grad_v, w, grad_w):
+    """Left-hand sides of the two equivariance conditions, from the given state
+    and the pair's samples at its points.
 
     First: du/dy . v + P . grad v.  Second: de/dx|expl . w - P . (F grad w).
     Both gradients are reference-space gradients of the fields x -> v, w.
     """
-    first = (dot(potential.grad(state.y), pair.v(x))
-             + contract(state.stress, pair.v.grad(x)))
-    second = (dot(state.material_gradient, pair.w(x))
-              - contract(state.stress, state.f_grad @ pair.w.grad(x)))
+    first = dot(potential.grad(state.y), v) + contract(state.stress, grad_v)
+    second = (dot(state.material_gradient, w)
+              - contract(state.stress, state.f_grad @ grad_w))
     return first, second
-
-
-def div_noether_flux(model: MaterialModel, motion: Motion,
-                     potential: BodyForcePotential, pair: VirtualFieldPair, x,
-                     step: float) -> np.ndarray:
-    """Divergence of the flux density, by central differences."""
-    return fd_tensor_divergence(
-        lambda xx: noether_flux(potential, pair, xx, point_state(model, motion, xx)),
-        x, step)

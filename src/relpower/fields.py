@@ -1,10 +1,10 @@
 """Motions, virtual velocity fields and isometric observer changes.
 
-A :class:`Motion` maps reference points to ambient points.  Virtual
-velocity fields come in pairs: ``v`` acts over the ambient space and
-``w`` over the material (reference) space; both are functions of the
-reference point.  Every map takes float points of shape (..., 3), a single
-point or a stack of them, and returns values with the same leading axes.
+A :class:`Motion` maps reference points to ambient points.  A scenario's
+virtual velocity fields are ``v``, over the ambient space, and ``w``, over
+the material (reference) space; both are functions of the reference point.
+Every map takes float points of shape (..., 3), a single point or a stack
+of them, and returns values with the same leading axes.
 A virtual field checks that its values and gradients are finite; y and F
 are checked in the point state made from them.  Observer changes superpose
 rigid rates on either field independently (``pair_rows(scenario, generators)``
@@ -114,17 +114,6 @@ class VirtualField:
         g = (central_difference(self.value, x, self.step) if self.gradient is None
              else self.gradient(x))
         return check_finite(x, virtual_field_gradient=g)
-
-    def divergence(self, x) -> np.ndarray:
-        return np.trace(self.grad(x), axis1=-2, axis2=-1)
-
-
-@dataclass(frozen=True)
-class VirtualFieldPair:
-    """Ambient field v and material field w, evaluated over the body."""
-
-    v: VirtualField
-    w: VirtualField
 
 
 # ---------------------------------------------------------------------------

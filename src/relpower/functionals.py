@@ -57,7 +57,8 @@ comes from the caller, which has already computed it.
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n and
 the pair's samples among them), built once with the scenario, so the pair
-is sampled once: this module only combines rows.  Every identity (R1..R4, the
+is sampled once: this module only combines rows (the Noether check, off the
+nodes, samples it once at its own points).  Every identity (R1..R4, the
 standard external power, ``PowerBreakdown.total``, the power of each
 observer change) is one ``part_integral``: one ``weighted_fsum`` over its
 volume rows, then its surface rows, so each defect subtracts two totals
@@ -147,9 +148,10 @@ def pair_rows(scenario: Scenario, generators=None):
 def _power_rows(scenario: Scenario, rows):
     """The literal power integrand of the pair rows of ``pair_rows``, or of
     (k, n, 3) stacks of them, as rows (..., n) of its five pieces in
-    ``PowerBreakdown`` order."""
+    ``PowerBreakdown`` order.  The rows are taken C-contiguous, since ``einsum``
+    sums in an order that follows the memory layout."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    v, v_surf, w, w_surf, curl_w = rows
+    v, v_surf, w, w_surf, curl_w = map(np.ascontiguousarray, rows)
     rel_velocity = v - np.einsum("nij,...nj->...ni", vol.f_grad, w)
     rel_surf = v_surf - np.einsum("nij,...nj->...ni", surf.f_grad, w_surf)
     return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
@@ -232,7 +234,6 @@ class InvarianceDecomposition:
 
     coefficients: Dict[str, np.ndarray]
     affine_residual: float
-    power_scale: float
 
 
 def invariance_decomposition(scenario: Scenario,
@@ -274,8 +275,7 @@ def invariance_decomposition(scenario: Scenario,
             f"{AFFINE_TOLERANCE:g}; the defect evaluation is inconsistent"
         )
     return InvarianceDecomposition(coefficients=coefficients,
-                                   affine_residual=affine_residual,
-                                   power_scale=base.scale)
+                                   affine_residual=affine_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -321,27 +321,31 @@ class NoetherReport(NamedTuple):
 
 def noether_point_checks(scenario: Scenario, n_points: int) -> NoetherReport:
     """Evaluate the two equivariance conditions and Div F at random
-    interior points.
-
-    Requires a declared body-force potential and a material field w that
-    is isochoric (|div w| <= 1e-10).  The mismatch column compares the second condition against
-    de/dx|expl . w, its value for constant w.
+    interior points, where v and w are sampled once, as node data is at the
+    nodes; the flux's central-difference divergence reads them at its
+    shifted points.  Requires a declared body-force potential and an
+    isochoric w (|div w| <= 1e-10 at every point).  The mismatch column
+    compares the second condition against de/dx|expl . w, its value for
+    constant w.
     """
     if scenario.potential is None:
         raise PreconditionViolated("conservation-law checks need a declared "
                                    "body-force potential")
     points = scenario.part.sample_interior(np.random.default_rng(scenario.seed), n_points)
-    div_w = scenario.pair.w.divergence(points[:8])
+    v, w, potential = scenario.v, scenario.w, scenario.potential
+    grad_w = w.grad(points)
+    div_w = np.trace(grad_w, axis1=-2, axis2=-1)
     bad = div_w[np.abs(div_w) > 1e-10]
     if bad.size:
         raise PreconditionViolated(
             f"material field w is not isochoric: div w = {bad[0]:g}")
 
-    pair, potential = scenario.pair, scenario.potential
-    state = scenario.state(points)
-    first, second = conf.noether_condition_residuals(potential, pair, points, state)
-    div_flux = conf.div_noether_flux(scenario.model, scenario.motion, potential, pair,
-                                     points, scenario.divergence_step)
-    reference = dot(state.material_gradient, pair.w(points))
+    state, w_points = scenario.state(points), w(points)
+    first, second = conf.noether_condition_residuals(
+        potential, state, v(points), v.grad(points), w_points, grad_w)
+    div_flux = conf.fd_tensor_divergence(
+        lambda xx: conf.noether_flux(potential, scenario.state(xx), v(xx), w(xx)),
+        points, scenario.divergence_step)
+    reference = dot(state.material_gradient, w_points)
     return NoetherReport(*(float(np.max(np.abs(values), initial=0.0))
                            for values in (first, second, div_flux, second - reference)))

@@ -1,7 +1,7 @@
 """Declarative scenario configurations and their in-memory realization.
 
-A scenario bundles one part of the body, one motion, one material, one
-virtual-field pair, the source fields (b, f, mu) and the evaluation
+A scenario bundles one part of the body, one motion, one material, the
+virtual fields v and w, the source fields (b, f, mu) and the evaluation
 options (derivative mode, quadrature orders, pivots, seed).  Configs
 are plain JSON documents validated against the published schema before
 anything is computed.  The schema is the single source of truth; a small
@@ -260,7 +260,7 @@ class VolumeNodeData(_NodeData):
         state = scenario.state(x)
         b, f, mu = scenario.sources(x, state)
         check_finite(x, body_force=b, driving_force=f, couple=mu)
-        v, w = scenario.pair.v, scenario.pair.w
+        v, w = scenario.v, scenario.w
         grad_w = w.grad(x)
         pair = (v(x), w(x), v.grad(x), grad_w, fields.curl_from_gradient(grad_w))
         super().__init__(x, part.volume_weights, state + (b, f, mu) + pair)
@@ -272,9 +272,9 @@ class SurfaceNodeData(_NodeData):
     FIELDS = _NodeData.FIELDS + ("v", "w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        surface, pair = part.surface, scenario.pair
+        surface, v, w = part.surface, scenario.v, scenario.w
         x = surface.points
-        super().__init__(x, surface.weights, scenario.state(x) + (pair.v(x), pair.w(x)))
+        super().__init__(x, surface.weights, scenario.state(x) + (v(x), w(x)))
         self.normals = surface.normals
         self.traction = np.einsum("nij,nj->ni", self.stress, self.normals)
 
@@ -322,9 +322,8 @@ class Scenario:
             motion = dataclasses.replace(motion, gradient=None, second_gradient=None)
             v = dataclasses.replace(v, gradient=None, step=self.motion_step)
             w = dataclasses.replace(w, gradient=None, step=self.motion_step)
-        self.motion = motion
+        self.motion, self.v, self.w = motion, v, w
         self.model = build_material(config["material"])
-        self.pair = fields.VirtualFieldPair(v=v, w=w)
         self.potential = build_potential(config.get("potential"))
 
         pivots = config.get("pivots", {})

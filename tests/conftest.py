@@ -159,7 +159,7 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     as their pointwise definitions read.
     """
     model, motion, step = scenario.model, scenario.motion, scenario.divergence_step
-    v, w = scenario.pair.v, scenario.pair.w
+    v, w = scenario.v, scenario.w
     rows = defaultdict(list)
     for x in points:
         f = motion.deformation_gradient(x)

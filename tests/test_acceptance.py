@@ -91,7 +91,7 @@ def test_criterion_04_invariance_on_closure_scenarios():
         scenario = Scenario(load_bundled_config(name))
         decomp = decompose(scenario)
         worst = max(coefficient_norms(decomp).values())
-        ok = ok and worst <= 1e-8 * decomp.power_scale
+        ok = ok and worst <= 1e-8 * fn.relative_power(scenario).scale
         ok = ok and decomp.affine_residual <= 1e-10
         details.append(f"{name} coeff {worst:.2e} affine {decomp.affine_residual:.1e}")
     report(4, "invariance", ok, "; ".join(details))
@@ -106,7 +106,7 @@ def test_criterion_05_proof_grouping_match():
     ok = ok and np.linalg.norm(residuals.torque) > 1e-3
     ok = ok and np.linalg.norm(residuals.configurational_torque) > 1e-3
     errors = prediction_errors(decomp, residuals)
-    ok = ok and max(errors.values()) <= 1e-10 * decomp.power_scale
+    ok = ok and max(errors.values()) <= 1e-10 * fn.relative_power(scenario).scale
 
     # on the closure with a nonzero inhomogeneity moment the rotation
     # coefficient is R4 too, and both fall as the quadrature is refined

@@ -1,17 +1,25 @@
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from conftest import fd_copy
 from relpower.exceptions import NonPositiveJacobian
-from relpower.fields import (VirtualFieldPair, central_difference,
+from relpower.fields import (VirtualField, central_difference,
                              constant_field, curl_from_gradient, harmonic_motion,
                              homogeneous_motion, identity_motion, linear_field,
                              rigid_field, rotation_motion, shear_motion,
                              sinusoidal_field, sinusoidal_motion)
 from relpower.functionals import GENERATOR_SLOTS, pair_rows
 from relpower.tensors import cross_matrix
+
+
+class Pair(NamedTuple):
+    """A virtual-field pair: v over the ambient space, w over the material space."""
+
+    v: VirtualField
+    w: VirtualField
 
 
 def generators(**slots) -> np.ndarray:
@@ -140,7 +148,7 @@ class TestVirtualFieldPresets:
 
 class TestObserverChanges:
     def _pair(self, v_value, w_value):
-        return VirtualFieldPair(v=constant_field(v_value), w=constant_field(w_value))
+        return Pair(v=constant_field(v_value), w=constant_field(w_value))
 
     def test_identity_ambient_change(self):
         pair = self._pair([0.4, -0.1, 0.2], [0.0, 0.0, 0.0])
@@ -225,7 +233,7 @@ class TestShiftedPair:
     def test_rigid_ambient_gradient_chain_rule(self, rng):
         # grad of x -> q_hat x (y(x) - y0) is (q_hat x) F, checked by FD
         motion = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
-        pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]),
+        pair = Pair(v=constant_field([0.0, 0.0, 0.0]),
                                 w=constant_field([0.0, 0.0, 0.0]))
         q_hat = np.array([0.3, -0.2, 0.6])
         change = generators(ambient_rotation=q_hat)
@@ -240,7 +248,7 @@ class TestShiftedPair:
     def test_material_curl_shift(self, rng):
         # the shifted curl rows are curl w + 2 q, and match the FD curl of w*
         w = sinusoidal_field(0.5, [1.0, 0.6, -0.8], [-0.4, 0.8, 0.3])
-        pair = VirtualFieldPair(v=constant_field([0.0, 0.0, 0.0]), w=w)
+        pair = Pair(v=constant_field([0.0, 0.0, 0.0]), w=w)
         q = np.array([0.2, 0.5, -0.3])
         change = generators(material_rotation=q)
         x = rng.uniform(-0.4, 0.4, size=3)

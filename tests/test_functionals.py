@@ -8,7 +8,7 @@ import pytest
 import relpower.functionals as fn
 from conftest import (_loop_total, coefficient_norms, decompose, generate,
                       loop_decomposition, prediction_errors, sphere_surface)
-from relpower import cli
+from relpower import cli, fields
 from relpower.exceptions import PreconditionViolated
 from relpower.geometry import weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
@@ -146,6 +146,28 @@ class TestRelativePower:
         assert errors[8] <= floor or errors[4] / errors[8] >= 100.0
 
 
+# the bundled scenarios, and two draws whose totals a summation that followed
+# the row layout would move
+LAYOUT_CONFIGS = ([load_bundled_config(name) for name in bundled_scenario_names()]
+                  + [config for seed, i in ((3, 72), (41, 86))
+                     for config in generate.random_small(seed)[i:i + 1]])
+
+
+@pytest.mark.parametrize("config", LAYOUT_CONFIGS,
+                         ids=[config["name"] for config in LAYOUT_CONFIGS])
+def test_literal_power_does_not_depend_on_row_layout(config):
+    # equal row values give equal totals, whatever the memory layout of the rows
+    scenario = Scenario(config)
+    rows = fn.pair_rows(scenario)
+    total = fn.relative_power(scenario, rows).total
+    for layout in (np.asfortranarray, lambda row: np.repeat(row, 2, axis=0)[::2]):
+        assert fn.relative_power(scenario, tuple(map(layout, rows))).total == total
+    zeros, zeros_like = (
+        fn.relative_power(scenario, rows[:2] + tuple(map(make, rows[2:]))).total
+        for make in (lambda row: np.zeros(row.shape), np.zeros_like))
+    assert zeros_like == zeros
+
+
 class TestIntegralBalances:
     def test_homogeneous_closure_residuals_vanish(self):
         scenario = Scenario(make_config(
@@ -210,8 +232,9 @@ class TestInvarianceDecomposition:
         scenario = Scenario(make_config(
             quadrature={"volume_order": 6, "surface_order": 6}))
         decomp = decompose(scenario)
+        scale = fn.relative_power(scenario).scale
         for norm in coefficient_norms(decomp).values():
-            assert norm <= 1e-10 * decomp.power_scale
+            assert norm <= 1e-10 * scale
 
     def test_coefficients_match_residual_predictions(self):
         config = load_bundled_config("preset_nonequilibrium")
@@ -220,8 +243,9 @@ class TestInvarianceDecomposition:
         decomp = decompose(scenario)
         residuals = fn.integral_balance_residuals(scenario)
         assert np.linalg.norm(residuals.force) > 0.1  # the match is not trivial
+        scale = fn.relative_power(scenario).scale
         for err in prediction_errors(decomp, residuals).values():
-            assert err <= 1e-12 * decomp.power_scale
+            assert err <= 1e-12 * scale
 
     def test_rotation_coefficient_equals_residual_on_graded_closure(self):
         # the only bundled closure with a nonzero inhomogeneity moment: the
@@ -446,3 +470,36 @@ class TestNoetherChecks:
         scenario = Scenario(config)
         with pytest.raises(PreconditionViolated):
             fn.noether_point_checks(scenario, n_points=5)
+
+    @pytest.mark.parametrize("name", ["noether_harmonic", "noether_graded"])
+    def test_samples_the_pair_once_at_the_points(self, name, monkeypatch):
+        # one value and one gradient call of each field at the points, and one
+        # value call of each at each of the divergence's 6 shifted point sets
+        scenario = Scenario(load_bundled_config(name))
+        calls = []
+        value, grad = fields.VirtualField.__call__, fields.VirtualField.grad
+
+        def counted(method, kind):
+            def call(self, x):
+                calls.append((self, kind))
+                return method(self, x)
+            return call
+
+        monkeypatch.setattr(fields.VirtualField, "__call__", counted(value, "value"))
+        monkeypatch.setattr(fields.VirtualField, "grad", counted(grad, "grad"))
+        fn.noether_point_checks(scenario, n_points=40)
+        for field in (scenario.v, scenario.w):
+            kinds = [kind for owner, kind in calls if owner is field]
+            assert sorted(kinds) == ["grad"] + ["value"] * 7
+
+    def test_non_isochoric_w_rejected_at_every_point(self):
+        # div w vanishes at the first 8 points the check draws, not at the 9th
+        scenario = Scenario(load_bundled_config("noether_harmonic"))
+        points = scenario.part.sample_interior(np.random.default_rng(scenario.seed), 12)
+
+        def gradient(x):
+            return np.where(np.all(x == points[8], axis=-1)[..., None, None],
+                            0.1 * np.eye(3), 0.0)
+        scenario.w = fields.VirtualField(lambda x: np.zeros(x.shape), gradient)
+        with pytest.raises(PreconditionViolated, match="div w = 0.3"):
+            fn.noether_point_checks(scenario, n_points=12)

@@ -196,6 +196,6 @@ def test_run_samples_the_pair_once_per_node_set(name, monkeypatch):
     run.run()
     part = run.scenario.part
     volume, surface = len(part.volume_points), len(part.surface.points)
-    for field in (run.scenario.pair.v, run.scenario.pair.w):
+    for field in (run.scenario.v, run.scenario.w):
         assert sorted((kind, n) for owner, kind, n in calls if owner is field) == [
             ("grad", volume), ("value", surface), ("value", volume)]

@@ -132,12 +132,12 @@ class TestScenarioBehavior:
         analytic, fd = Scenario(config), Scenario(fd_config)
         assert analytic.motion.gradient is not None
         assert analytic.motion.second_gradient is not None
-        assert analytic.pair.v.gradient is not None
-        assert analytic.pair.w.gradient is not None
+        assert analytic.v.gradient is not None
+        assert analytic.w.gradient is not None
         assert fd.motion.gradient is None and fd.motion.second_gradient is None
-        assert fd.pair.v.gradient is None and fd.pair.w.gradient is None
+        assert fd.v.gradient is None and fd.w.gradient is None
         # the scenario sets the step where it removes the derivatives
-        assert fd.motion.step == fd.pair.v.step == fd.pair.w.step == fd.motion_step
+        assert fd.motion.step == fd.v.step == fd.w.step == fd.motion_step
         a, b = analytic.volume_data, fd.volume_data
         for name in ("f_grad", "stress", "eshelby"):
             np.testing.assert_allclose(getattr(b, name), getattr(a, name), atol=1e-9)
