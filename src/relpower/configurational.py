@@ -17,13 +17,13 @@ manufactured fields (b, f, mu) that make the first, third and fourth
 balances hold identically for a given motion and material; the second
 is constitutive and cannot be closed.
 
-Node data, closure sources, the Eshelby stress off the nodes and the
-conservation-law checks all read one :class:`PointState` (y, F, P, e, PP,
-de/dx|expl) from :func:`point_state`, whose constitutive part is one
-:meth:`MaterialModel.response`, and which a finite-difference divergence
-makes at each shifted point.  The conservation-law data takes the pair's
-samples beside the state: this module evaluates no virtual field.  Points
-x are (..., 3), one or a stack of them.
+Node data, closure sources and the Eshelby stress off the nodes read one
+:class:`PointState` (y, F, P, e, PP, de/dx|expl) from :func:`point_state`,
+whose constitutive part is one :meth:`MaterialModel.response`, and which
+the ``fd`` stress divergences make at each shifted point.  The
+conservation-law data reads any state with those names, node data among
+them, and takes the pair's samples beside it: this module evaluates no
+virtual field.  Points x are (..., 3), one or a stack of them.
 """
 
 from __future__ import annotations

@@ -57,12 +57,12 @@ comes from the caller, which has already computed it.
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n and
 the pair's samples among them), built once with the scenario, so the pair
-is sampled once: this module only combines rows (the Noether check, off the
-nodes, samples it once at its own points).  Every identity (R1..R4, the
-standard external power, ``PowerBreakdown.total``, the power of each
-observer change) is one ``part_integral``: one ``weighted_fsum`` over its
-volume rows, then its surface rows, so each defect subtracts two totals
-summed alike.  Only the report pieces of ``power.csv`` are summed apart.
+is sampled once: this module only combines rows, the Noether check's too.
+Every identity (R1..R4, the standard external power, ``PowerBreakdown.total``,
+the power of each observer change, the Noether flux balance) is one
+``part_integral``: one ``weighted_fsum`` over its volume rows, then its
+surface rows, so each defect subtracts two totals summed alike.  Only the
+report pieces of ``power.csv`` are summed apart.
 """
 
 from __future__ import annotations
@@ -309,43 +309,42 @@ def surface_independence_check(scenario: Scenario, allow_broken_hypotheses: bool
 
 
 # ---------------------------------------------------------------------------
-# Conservation-law point checks
+# Conservation-law checks
 # ---------------------------------------------------------------------------
 
 class NoetherReport(NamedTuple):
     max_first_condition: float
     max_second_condition: float
-    max_flux_divergence: float
+    boundary_flux_gap: float
     max_second_condition_mismatch: float
 
 
-def noether_point_checks(scenario: Scenario, n_points: int) -> NoetherReport:
-    """Evaluate the two equivariance conditions and Div F at random
-    interior points, where v and w are sampled once, as node data is at the
-    nodes; the flux's central-difference divergence reads them at its
-    shifted points.  Requires a declared body-force potential and an
-    isochoric w (|div w| <= 1e-10 at every point).  The mismatch column
-    compares the second condition against de/dx|expl . w, its value for
-    constant w.
+def noether_point_checks(scenario: Scenario) -> NoetherReport:
+    """The two equivariance conditions at every volume node, and the balance
+    of the flux F = (e + u) w + P^t (v - F w) through the part's boundary,
+
+        boundary_flux_gap = | int_db F . n dA - int_b (first + second) dx |,
+
+    read from the node data, so no derivative of F is taken (Div F = first +
+    second where div w = 0 and Div P = du/dy).  Requires a declared body-force
+    potential and an isochoric w (|div w| <= 1e-10 at every volume node).  The
+    mismatch column compares the second condition against de/dx|expl . w, its
+    value for constant w.
     """
     if scenario.potential is None:
         raise PreconditionViolated("conservation-law checks need a declared "
                                    "body-force potential")
-    points = scenario.part.sample_interior(np.random.default_rng(scenario.seed), n_points)
-    v, w, potential = scenario.v, scenario.w, scenario.potential
-    grad_w = w.grad(points)
-    div_w = np.trace(grad_w, axis1=-2, axis2=-1)
+    vol, surf, potential = scenario.volume_data, scenario.surface_data, scenario.potential
+    div_w = np.trace(vol.grad_w, axis1=-2, axis2=-1)
     bad = div_w[np.abs(div_w) > 1e-10]
     if bad.size:
         raise PreconditionViolated(
             f"material field w is not isochoric: div w = {bad[0]:g}")
 
-    state, w_points = scenario.state(points), w(points)
     first, second = conf.noether_condition_residuals(
-        potential, state, v(points), v.grad(points), w_points, grad_w)
-    div_flux = conf.fd_tensor_divergence(
-        lambda xx: conf.noether_flux(potential, scenario.state(xx), v(xx), w(xx)),
-        points, scenario.divergence_step)
-    reference = dot(state.material_gradient, w_points)
+        potential, vol, vol.v, vol.grad_v, vol.w, vol.grad_w)
+    flux = dot(conf.noether_flux(potential, surf, surf.v, surf.w), surf.normals)
+    gap = abs(part_integral(scenario, -(first + second), flux))
+    mismatch = second - dot(vol.material_gradient, vol.w)
     return NoetherReport(*(float(np.max(np.abs(values), initial=0.0))
-                           for values in (first, second, div_flux, second - reference)))
+                           for values in (first, second, gap, mismatch)))

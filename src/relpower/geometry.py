@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -53,11 +52,6 @@ def spherical_rule(n_points: int):
                 dirs.append(direction)
                 wts.append(weight)
     return np.asarray(dirs, float), np.asarray(wts, float)
-
-
-# Fraction of each extent (box halfwidth, ball or shell radius) that sampled
-# interior points keep from the boundary.
-SAMPLE_MARGIN = 1e-3
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,7 +89,6 @@ class BodyPart:
     volume_points: np.ndarray
     volume_weights: np.ndarray
     surface: SurfaceQuadrature
-    sample_interior: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def weighted_fsum(values, weights: np.ndarray):
@@ -148,19 +141,12 @@ def box_part(center, halfwidths, *, volume_order: int = 6,
             s_nrm.append(np.tile(normal, (face.shape[0] * face.shape[1], 1)))
             s_wts.append((wa[:, None] * wb[None, :]).ravel())
 
-    lo, hi = center - half, center + half
-
-    def sample_interior(rng, n):
-        m = SAMPLE_MARGIN * half
-        return rng.uniform(lo + m, hi - m, size=(n, 3))
-
     return BodyPart(
         center=center,
         scale=float(np.max(half)),
         volume_points=pts,
         volume_weights=wts,
         surface=SurfaceQuadrature(np.vstack(s_pts), np.vstack(s_nrm), np.concatenate(s_wts)),
-        sample_interior=sample_interior,
     )
 
 
@@ -180,27 +166,12 @@ def _spherical_part(center, r_inner: float, r_outer: float, radial_order: int,
         np.vstack([sign * dirs for _, sign in spheres]),
         np.concatenate([4.0 * math.pi * r ** 2 * ang_wts for r, _ in spheres]))
 
-    pad = SAMPLE_MARGIN * r_outer
-    lo3, hi3 = (r_inner + pad) ** 3, (r_outer - pad) ** 3
-
-    def sample_interior(rng, n):
-        out = np.empty((n, 3))
-        for i in range(n):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            u = rng.uniform()
-            r = (r_outer * (1.0 - SAMPLE_MARGIN) * u ** (1.0 / 3.0) if r_inner == 0.0
-                 else (lo3 + (hi3 - lo3) * u) ** (1.0 / 3.0))
-            out[i] = center + r * d
-        return out
-
     return BodyPart(
         center=center,
         scale=float(r_outer),
         volume_points=pts.reshape(-1, 3),
         volume_weights=wts.ravel(),
         surface=surface,
-        sample_interior=sample_interior,
     )
 
 

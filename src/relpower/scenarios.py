@@ -2,13 +2,14 @@
 
 A scenario bundles one part of the body, one motion, one material, the
 virtual fields v and w, the source fields (b, f, mu) and the evaluation
-options (derivative mode, quadrature orders, pivots, seed).  Configs
-are plain JSON documents validated against the published schema before
-anything is computed.  The schema is the single source of truth; a small
-interpreter here reads the keywords it uses with their Draft 7 meaning,
-and refuses to load a schema with any other.  Unknown keys are rejected,
-``integer`` fields take Python ints only (Draft 7 would also take 4.0),
-and an error names the path of the failing value.
+options (derivative mode, quadrature orders, pivots, and the seed of the
+invariance decomposition's random observer changes).  Configs are plain
+JSON documents validated against the published schema before anything is
+computed.  The schema is the single source of truth; a small interpreter
+here reads the keywords it uses with their Draft 7 meaning, and refuses
+to load a schema with any other.  Unknown keys are rejected, ``integer``
+fields take Python ints only (Draft 7 would also take 4.0), and an error
+names the path of the failing value.
 
 Each section is built from a preset table, config name -> constructor:
 ``geometry.PARTS``, ``fields.MOTIONS``, ``fields.FIELDS``,
@@ -22,8 +23,9 @@ Node data is built once per scenario, for its part, over stacked arrays,
 points (n, 3) and tensors (n, 3, 3): one point state over each node set,
 volume and surface, the volume sources read from theirs in one call, and
 the pair sampled once per set, v and w at both, grad v and grad w at the
-volume nodes; that build makes F at every node, so it is also the det F > 0
-check, and each sample is checked finite where the field makes it.
+volume nodes; every check reads it, the Noether check too.  The build makes
+F at every node, so it is also the det F > 0 check, and each sample is
+checked finite where the field makes it.
 """
 
 from __future__ import annotations

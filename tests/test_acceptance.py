@@ -145,17 +145,17 @@ def test_criterion_06_surface_independence():
 
 def test_criterion_07_noether():
     scenario = Scenario(load_bundled_config("noether_harmonic"))
-    rep = fn.noether_point_checks(scenario, n_points=100)
+    rep = fn.noether_point_checks(scenario)
     ok = (rep.max_first_condition <= 1e-10
           and rep.max_second_condition <= 1e-10
-          and rep.max_flux_divergence <= 1e-6)
+          and rep.boundary_flux_gap <= 1e-6)
     graded = Scenario(load_bundled_config("noether_graded"))
-    rep2 = fn.noether_point_checks(graded, n_points=100)
+    rep2 = fn.noether_point_checks(graded)
     ok = ok and rep2.max_second_condition > 1e-4
     ok = ok and rep2.max_second_condition_mismatch <= 1e-8
     report(7, "noether", ok,
            f"conditions ({rep.max_first_condition:.1e}, "
-           f"{rep.max_second_condition:.1e}), div {rep.max_flux_divergence:.2e}, "
+           f"{rep.max_second_condition:.1e}), flux gap {rep.boundary_flux_gap:.2e}, "
            f"graded mismatch {rep2.max_second_condition_mismatch:.2e}")
 
 

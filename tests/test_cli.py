@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from relpower import cli
+from relpower import configurational as conf
+from relpower.geometry import weighted_fsum
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_seed,
                                 load_bundled_config)
 
@@ -273,8 +275,7 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("at_node,command,message", [
-        (False, ["run"],
-         "det F = -0.172318 <= 0 at x = [-3.79684896  3.85900012  3.81735227]"),
+        (False, ["run"], "det F = -0.5 <= 0 at x = [0. 0. 0.]"),
         (True, ["run"], "det F = -1 <= 0 at x = [-0.48014493 -0.48014493 -0.48014493]"),
         # order 8, the config's own, so the first node is the one run names
         (True, ["sweep", "--axis", "quad", "--values", "8"],
@@ -288,14 +289,17 @@ class TestRun:
                 [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
             del config["checks"]["eshelby_diagonal"]
         else:
-            # det F = 1 - 0.04 r^2 in-plane: positive at the 8 nodes of the box,
-            # negative at Noether sample points near its corners
-            config = load_bundled_config("surface_independence_quadratic")
-            config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0],
-                                  "halfwidths": [4.0, 4.0, 4.0]}
+            # det F = 1 - 1.5 cos(kappa x_1): 1 at the order-2 Gauss nodes
+            # x_1 = +-0.5/sqrt(3), at least 1 on the faces x_1 = +-0.5, and -0.5
+            # at the centre, where only the eshelby_diagonal check reads the state
+            kappa = math.pi * math.sqrt(3.0)
+            config = load_bundled_config("stvk_uniaxial")
+            config["motion"] = {"preset": "sinusoidal", "amplitude": 1.5 / kappa,
+                                "wavevector": [kappa, 0.0, 0.0],
+                                "direction": [-1.0, 0.0, 0.0]}
             config["quadrature"] = {"volume_order": 2, "surface_order": 2}
-            config["potential"] = {"kind": "zero"}
-            config["checks"] = {"noether": {"points": 100, "condition_tolerance": 1e-6}}
+            for check in ("balances", "power_identity", "standard_power"):
+                del config["checks"][check]
         out = tmp_path / "out"
         result = run_cli([command[0], write_config(tmp_path, config), *command[1:],
                           "--out", str(out)])
@@ -505,21 +509,51 @@ class TestRun:
         assert result.returncode == 0, result.stderr
         rows = read_csv(out / "noether_harmonic" / "noether.csv")
         assert len(rows) == 1
-        assert float(rows[0]["max_flux_divergence"]) <= 1e-6
+        assert float(rows[0]["boundary_flux_gap"]) <= 1e-6
 
-    def test_thin_box_samples_inside(self, tmp_path):
-        # the thinnest halfwidth is below SAMPLE_MARGIN of the largest one
+    def test_noether_points_key_is_ignored(self, tmp_path):
+        # the schema still admits "points"; the check reads the volume nodes
         config = load_bundled_config("noether_harmonic")
-        half = [0.5, 1e-4, 0.5]
-        config["geometry"] = {"kind": "box", "center": [0.0, 0.0, 0.0], "halfwidths": half}
-        path = write_config(tmp_path, config)
-        result = run_cli(["run", path, "--out", str(tmp_path / "out")])
-        assert result.returncode == 0, result.stderr
-        # the points the noether check drew: the scenario seed, a fresh generator
-        scenario = Scenario(config)
-        points = scenario.part.sample_interior(np.random.default_rng(scenario.seed),
-                                               config["checks"]["noether"]["points"])
-        assert np.all(np.abs(points) < half)
+        with_points = copy.deepcopy(config)
+        with_points["checks"]["noether"]["points"] = 4
+        outs = []
+        for label, cfg in (("without", config), ("with", with_points)):
+            out = tmp_path / label
+            result = run_cli(["run", write_config(tmp_path, cfg, f"{label}.json"),
+                              "--out", str(out)])
+            assert result.returncode == 0, result.stderr
+            outs.append(out / "noether_harmonic")
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            first, second = ((out / name).read_bytes() for out in outs)
+            if name == "manifest.json":   # only the digest of the config differs
+                first, second = ({**json.loads(text), "config_sha256": None}
+                                 for text in (first, second))
+            assert first == second, name
+
+    def test_gravity_that_no_body_force_carries_fails_the_flux_gap(self, tmp_path):
+        # u = -g . y with g orthogonal to v keeps the first condition at 0; but
+        # the closure body force is -Div P = 0, not g, so the flux balance is
+        # off by int_b g . F w dx
+        config = load_bundled_config("noether_harmonic")
+        gravity = [0.5, 0.0, -0.3]
+        assert np.dot(gravity, config["virtual_fields"]["v"]["value"]) == 0.0
+        config["potential"] = {"kind": "linear", "gravity": gravity}
+        out = tmp_path / "out" / "noether_harmonic"
+        result = run_cli(["run", write_config(tmp_path, config), "--out",
+                          str(out.parent)])
+        assert result.returncode == 1, result.stderr
+        failed = [(r["check"], r["metric"]) for r in read_csv(out / "checks.csv")
+                  if r["status"] == "fail"]
+        assert failed == [("noether", "boundary_flux_gap")]
+        report = read_csv(out / "noether.csv")[0]
+        assert float(report["max_first_condition"]) <= 1e-16
+        vol = Scenario(config).volume_data
+        expected = weighted_fsum(np.einsum("i,nij,nj->n", gravity, vol.f_grad, vol.w),
+                                 vol.weights)
+        assert float(report["boundary_flux_gap"]) == pytest.approx(abs(expected),
+                                                                   rel=1e-12)
 
     def test_in_process_calls_share_the_parser_not_their_state(self, tmp_path, uniaxial,
                                                               capsys, monkeypatch):
@@ -570,13 +604,24 @@ class TestSweep:
         cli.sweep_scenario(load_bundled_config("noether_harmonic"), "quad", [2, 4, 6, 8])
         assert [len(s.volume_data.points) for s in built] == [52, 104, 156, 208]
 
+    def test_pointwise_divergence_error_reads_the_volume_nodes(self, monkeypatch):
+        scenario = Scenario(load_bundled_config("closure_sinusoidal_graded_stvk"))
+        seen = []
+        divergences = conf.stress_divergences
+
+        def spy(model, motion, x, *rest):
+            seen.append(x)
+            return divergences(model, motion, x, *rest)
+
+        monkeypatch.setattr(conf, "stress_divergences", spy)
+        error = cli._pointwise_divergence_error(scenario)
+        assert len(seen) == 2 and all(x is scenario.volume_data.points for x in seen)
+        assert 0.0 < error < 1e-6
+
     def test_seedless_sweep_rows_share_the_config_seed(self):
-        # each swept copy samples the unswept config's points: the pointwise
-        # gap does not depend on the quadrature order, so it reads one value
+        # each swept copy takes the unswept config's seed
         config = load_bundled_config("closure_sinusoidal_graded_stvk")
         del config["seed"]
-        _, rows = cli.sweep_scenario(config, "quad")
-        assert len({row[-1] for row in rows}) == 1
         seeded = dict(config, seed=config_seed(config))
         assert (cli.sweep_scenario(config, "fd", [1e-3, 1e-4])
                 == cli.sweep_scenario(seeded, "fd", [1e-3, 1e-4]))

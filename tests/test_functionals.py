@@ -9,6 +9,7 @@ import relpower.functionals as fn
 from conftest import (_loop_total, coefficient_norms, decompose, generate,
                       loop_decomposition, prediction_errors, sphere_surface)
 from relpower import cli, fields
+from relpower import configurational as conf
 from relpower.exceptions import PreconditionViolated
 from relpower.geometry import weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
@@ -446,21 +447,23 @@ class TestSurfaceIndependence:
 class TestNoetherChecks:
     def test_equilibrium_report(self):
         scenario = Scenario(load_bundled_config("noether_harmonic"))
-        report = fn.noether_point_checks(scenario, n_points=40)
+        report = fn.noether_point_checks(scenario)
         assert report.max_first_condition <= 1e-10
         assert report.max_second_condition <= 1e-10
-        assert report.max_flux_divergence <= 1e-6
+        assert report.boundary_flux_gap <= 1e-6
 
     def test_graded_second_condition(self):
         scenario = Scenario(load_bundled_config("noether_graded"))
-        report = fn.noether_point_checks(scenario, n_points=40)
+        report = fn.noether_point_checks(scenario)
         assert report.max_second_condition > 1e-4  # genuinely nonzero
         assert report.max_second_condition_mismatch <= 1e-8
+        # the flux through the boundary carries the nonzero second condition
+        assert report.boundary_flux_gap <= 1e-12
 
     def test_missing_potential_rejected(self):
         scenario = Scenario(make_config())
         with pytest.raises(PreconditionViolated):
-            fn.noether_point_checks(scenario, n_points=5)
+            fn.noether_point_checks(scenario)
 
     def test_non_isochoric_w_rejected(self):
         config = load_bundled_config("noether_harmonic")
@@ -469,37 +472,44 @@ class TestNoetherChecks:
             "matrix": [[0.3, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.1]]}
         scenario = Scenario(config)
         with pytest.raises(PreconditionViolated):
-            fn.noether_point_checks(scenario, n_points=5)
+            fn.noether_point_checks(scenario)
 
     @pytest.mark.parametrize("name", ["noether_harmonic", "noether_graded"])
-    def test_samples_the_pair_once_at_the_points(self, name, monkeypatch):
-        # one value and one gradient call of each field at the points, and one
-        # value call of each at each of the divergence's 6 shifted point sets
+    def test_flux_balance_holds_for_varying_fields(self, name):
+        # affine v and rigid, so isochoric, w: the first condition is far from
+        # 0, and the flux through the boundary still carries both conditions
+        config = load_bundled_config(name)
+        config["virtual_fields"] = {
+            "v": {"preset": "affine", "value": [0.3, -0.2, 0.5],
+                  "matrix": [[0.1, 0.2, 0.0], [0.0, -0.1, 0.3], [0.2, 0.0, 0.05]]},
+            "w": {"preset": "rigid", "translation": [0.4, 0.1, -0.3],
+                  "rotation": [0.2, -0.1, 0.3], "pivot": [0.1, 0.0, 0.0]}}
+        report = fn.noether_point_checks(Scenario(config))
+        assert report.max_first_condition > 1e-2
+        assert report.boundary_flux_gap <= 1e-15
+
+    @pytest.mark.parametrize("name", ["noether_harmonic", "noether_graded"])
+    def test_reads_only_node_data(self, name, monkeypatch):
+        # after the build the check evaluates no state, virtual field or motion
         scenario = Scenario(load_bundled_config(name))
-        calls = []
-        value, grad = fields.VirtualField.__call__, fields.VirtualField.grad
+        report = fn.noether_point_checks(scenario)
 
-        def counted(method, kind):
-            def call(self, x):
-                calls.append((self, kind))
-                return method(self, x)
-            return call
+        def evaluated(*args, **kwargs):
+            raise AssertionError("evaluated after the build")
 
-        monkeypatch.setattr(fields.VirtualField, "__call__", counted(value, "value"))
-        monkeypatch.setattr(fields.VirtualField, "grad", counted(grad, "grad"))
-        fn.noether_point_checks(scenario, n_points=40)
-        for field in (scenario.v, scenario.w):
-            kinds = [kind for owner, kind in calls if owner is field]
-            assert sorted(kinds) == ["grad"] + ["value"] * 7
+        monkeypatch.setattr(conf, "point_state", evaluated)
+        monkeypatch.setattr(conf, "stress_divergences", evaluated)
+        monkeypatch.setattr(fields.VirtualField, "__call__", evaluated)
+        monkeypatch.setattr(fields.VirtualField, "grad", evaluated)
+        monkeypatch.setattr(fields.Motion, "deformation_gradient", evaluated)
+        scenario.motion = fields.Motion(evaluated, evaluated, evaluated)
+        assert fn.noether_point_checks(scenario) == report
 
     def test_non_isochoric_w_rejected_at_every_point(self):
-        # div w vanishes at the first 8 points the check draws, not at the 9th
+        # div w vanishes at every volume node but the 10th
         scenario = Scenario(load_bundled_config("noether_harmonic"))
-        points = scenario.part.sample_interior(np.random.default_rng(scenario.seed), 12)
-
-        def gradient(x):
-            return np.where(np.all(x == points[8], axis=-1)[..., None, None],
-                            0.1 * np.eye(3), 0.0)
-        scenario.w = fields.VirtualField(lambda x: np.zeros(x.shape), gradient)
+        grad_w = scenario.volume_data.grad_w.copy()
+        grad_w[9] = 0.1 * np.eye(3)
+        scenario.volume_data.grad_w = grad_w
         with pytest.raises(PreconditionViolated, match="div w = 0.3"):
-            fn.noether_point_checks(scenario, n_points=12)
+            fn.noether_point_checks(scenario)

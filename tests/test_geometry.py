@@ -79,11 +79,6 @@ class TestBoxPart:
         total = surface_integral(part, lambda x, n: n)
         assert np.linalg.norm(total) <= 1e-10 * area(part)
 
-    def test_contains_and_interior_sampling(self, rng):
-        part = box_part([0.0, 0.0, 0.0], [0.5, 0.5, 0.5], volume_order=2)
-        for x in part.sample_interior(rng, 50):
-            assert np.all(np.abs(x) < 0.5)
-
 
 @pytest.mark.parametrize("make_part,volume", [
     (lambda: box_part([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], volume_order=4), 1.0),
@@ -165,16 +160,6 @@ class TestBallAndShell:
         got = volume_integral(part, lambda x: float(x @ x))
         exact = 4.0 * math.pi * (0.9 ** 5 - 0.5 ** 5) / 5.0
         assert got == pytest.approx(exact, rel=1e-12)
-
-    def test_ball_interior_sampling(self, rng):
-        part = ball_part([0.2, 0.0, 0.0], 0.6)
-        for x in part.sample_interior(rng, 50):
-            assert np.linalg.norm(x - [0.2, 0.0, 0.0]) < 0.6
-
-    def test_shell_interior_sampling(self, rng):
-        part = shell_part([0.0, 0.0, 0.0], 0.5, 0.9)
-        for x in part.sample_interior(rng, 50):
-            assert 0.5 < np.linalg.norm(x) < 0.9
 
     def test_vector_integrand_accumulation(self):
         part = ball_part([0.0, 0.0, 0.0], 1.0)

@@ -83,3 +83,37 @@ def test_every_public_definition_is_used_in_the_package():
               for qualname, node in _public_definitions(tree)
               if everywhere[node.name] == _references(node)[node.name]]
     assert not unused, f"defined but never used in src/relpower: {', '.join(unused)}"
+
+
+def _scoped_nodes(tree):
+    """(scope, node) for every node: the module-level function, class method or
+    ``<module>`` it sits in."""
+    for top in tree.body:
+        members = top.body if isinstance(top, ast.ClassDef) else [top]
+        for member in members:
+            scope = getattr(member, "name", "<module>")
+            if member is not top:
+                scope = f"{top.name}.{scope}"
+            for node in ast.walk(member):
+                yield scope, node
+
+
+def _reaches_random(node) -> bool:
+    """An import of a random module, or a name or attribute ``random``."""
+    if isinstance(node, ast.Import):
+        return any("random" in alias.name for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return "random" in (node.module or "") or any(
+            "random" in alias.name for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "random"
+            or isinstance(node, ast.Attribute) and node.attr == "random")
+
+
+def test_random_numbers_are_drawn_in_one_place():
+    # every check reads the node data; only the decomposition's two combined
+    # observer changes are random, drawn from the scenario's seed
+    draws = [(path.name, scope, ast.unparse(node))
+             for path in MODULES
+             for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
+             if _reaches_random(node)]
+    assert draws == [("functionals.py", "invariance_decomposition", "np.random")]
