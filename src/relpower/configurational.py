@@ -19,11 +19,11 @@ is constitutive and cannot be closed.
 
 Node data, closure sources and the Eshelby stress off the nodes read one
 :class:`PointState` (y, F, P, e, PP, de/dx|expl) from :func:`point_state`,
-whose constitutive part is one :meth:`MaterialModel.response`, and which
-the ``fd`` stress divergences make at each shifted point.  The
-conservation-law data reads any state with those names, node data among
-them, and takes the pair's samples beside it: this module evaluates no
-virtual field.  Points x are (..., 3), one or a stack of them.
+whose constitutive part is one :meth:`MaterialModel.response`, which also
+gives closure sources Div P; ``fd`` ones make F, e, P and PP alone at each
+shifted point.  The conservation-law data reads any state with those names,
+node data among them, and takes the pair's samples beside it: this module
+evaluates no virtual field.  Points x are (..., 3), one or a stack of them.
 """
 
 from __future__ import annotations
@@ -57,37 +57,39 @@ class PointState(NamedTuple):
     material_gradient: np.ndarray   # de/dx|expl, (..., 3)
 
 
-def point_state(model: MaterialModel, motion: Motion, x) -> PointState:
-    """y, F, P, e, PP and de/dx|expl at points x, each made once and checked finite."""
+def point_state(model: MaterialModel, motion: Motion, x, df_dx=None):
+    """y, F, P, e, PP and de/dx|expl at points x, each made once and checked
+    finite; given dF/dx = ``df_dx``, (state, Div P) from the same response."""
     f = motion.deformation_gradient(x)
-    e, p, material_gradient = model.response(x, f)
+    e, p, material_gradient, *div_p = model.response(x, f, df_dx)
     eshelby = e[..., None, None] * IDENTITY - transpose(f) @ p
     state = PointState(motion.y(x), f, p, e, eshelby, material_gradient)
     check_finite(x, **state._asdict())
-    return state
+    return (state, *div_p) if div_p else state
 
 
-def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointState,
-                       step: float):
-    """(Div P, Div PP) along the motion at points x of the given state.
+def stress_divergences(model: MaterialModel, motion: Motion, x, step: float):
+    """(state, Div P, Div PP): the :func:`point_state` at points x and the
+    divergences of its P and PP along the motion.
 
-    Analytic from F, P and de/dx|expl of the state when the motion has dF/dx:
-    Div P from :meth:`MaterialModel.div_stress`, and Div PP = grad e - Div(F^t P).
-    Otherwise central differences of P and PP of the :func:`point_state` at
-    each shifted point.
+    Analytic when the motion has dF/dx: Div P from the response that made the
+    state's P, and Div PP = grad e - Div(F^t P).  Otherwise central differences
+    of P and PP, made from F, e and P alone at each shifted point.
     """
     if motion.second_gradient is None:
         def stresses(xx):   # P and PP stacked as (..., 2, 3, 3)
-            shifted = point_state(model, motion, xx)
-            return np.stack([shifted.stress, shifted.eshelby], axis=-3)
-        both = fd_tensor_divergence(stresses, x, step)
-        return both[..., 0, :], both[..., 1, :]
-    f, p = state.f_grad, state.stress
+            f = motion.deformation_gradient(xx)
+            e, p = model.response(xx, f)[:2]
+            eshelby = e[..., None, None] * IDENTITY - transpose(f) @ p
+            return np.stack([p, check_finite(xx, f_grad=f, stress=p, energy=e,
+                                             eshelby=eshelby)], axis=-3)
+        state, both = point_state(model, motion, x), fd_tensor_divergence(stresses, x, step)
+        return state, both[..., 0, :], both[..., 1, :]
     df_dx = motion.second_gradient(x)
-    div_p = model.div_stress(x, f, df_dx)
-    grad_e = state.material_gradient + np.einsum("...kl,...klj->...j", p, df_dx)
-    return div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, p)
-                   - matvec(transpose(f), div_p))
+    state, div_p = point_state(model, motion, x, df_dx)
+    grad_e = state.material_gradient + np.einsum("...kl,...klj->...j", state.stress, df_dx)
+    return state, div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, state.stress)
+                          - matvec(transpose(state.f_grad), div_p))
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +97,17 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, state: PointStat
 # ---------------------------------------------------------------------------
 
 def closure_sources(model: MaterialModel, motion: Motion, step: float):
-    """(x, state) -> (b, f, mu), the sources that close three pointwise balances:
+    """x -> (state, (b, f, mu)): the point state, and sources that close three balances:
 
         b  := -Div P                       (forces)
         f  := Div PP - F^t b + de/dx|expl  (configurational forces)
         mu := axial(2 Skw PP)              (configurational torques)
     """
-    def sources(x, state: PointState):
-        div_p, div_pp = stress_divergences(model, motion, x, state, step)
+    def sources(x):
+        state, div_p, div_pp = stress_divergences(model, motion, x, step)
         driving = (div_pp + matvec(transpose(state.f_grad), div_p)
                    + state.material_gradient)
-        return -div_p, driving, axial_vector(2.0 * skew_part(state.eshelby))
+        return state, (-div_p, driving, axial_vector(2.0 * skew_part(state.eshelby)))
     return sources
 
 

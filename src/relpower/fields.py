@@ -7,8 +7,8 @@ Every map takes float points of shape (..., 3), a single point or a stack
 of them, and returns values with the same leading axes.
 A virtual field checks that its values and gradients are finite; y and F
 are checked in the point state made from them.  Observer changes superpose
-rigid rates on either field independently (``pair_rows(scenario, generators)``
-in :mod:`relpower.functionals` applies them to the pair's node rows):
+rigid rates on either field independently (``functionals.pair_rows(scenario,
+generators)`` applies them to the pair's node rows, component-major (3, n)):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w

@@ -50,23 +50,24 @@ balance residual, R1..R4 in ``GENERATOR_SLOTS`` order.  The
 decomposition below extracts the coefficients by brute force, for the
 caller to set against the independently integrated residuals.  The 14
 observer changes (12 unit generators, 2 random combinations) are one
-(14, 4, 3) array of generators, shifted and evaluated in chunks of about
-``CHUNK_ROWS`` volume rows; the base power (the zero change's total)
-comes from the caller, which has already computed it.
+(14, 4, 3) array of generators, evaluated in chunks of about
+``CHUNK_ROWS`` volume rows, each chunk re-evaluating only the pieces that
+read a field it moves; the base power comes from the caller.
 
 Every integrand is evaluated at once over the node arrays of the
 scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n and
-the pair's samples among them), built once with the scenario, so the pair
-is sampled once: this module only combines rows, the Noether check's too.
-Every identity (R1..R4, the standard external power, ``PowerBreakdown.total``,
-the power of each observer change, the Noether flux balance) is one
-``part_integral``: one ``weighted_fsum`` over its volume rows, then its
-surface rows, so each defect subtracts two totals summed alike.  Only the
-report pieces of ``power.csv`` are summed apart.
+the pair's samples among them), built once with the scenario, so this
+module only combines rows; the literal power reads them component-major,
+(3, n) per field.  Every identity (R1..R4, the standard external power,
+``PowerBreakdown.total``, the power of each observer change, the Noether
+flux balance) is one ``part_integral``: one ``weighted_fsum`` over its
+volume rows, then its surface rows, so each defect subtracts two totals
+summed alike.  Only the report pieces of ``power.csv`` are summed apart.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Tuple
@@ -125,40 +126,63 @@ def part_integral(scenario: Scenario, volume_rows, surface_rows):
                          np.concatenate([vol.weights, surf.weights]))
 
 
+def _component_major(rows):
+    """A C-contiguous copy of node rows (n, ...), with the node axis last."""
+    return np.ascontiguousarray(rows.transpose(*range(1, rows.ndim), 0))
+
+
 def pair_rows(scenario: Scenario, generators=None):
-    """The pair's node rows: v at the volume and surface nodes, then w at both,
-    then curl w at the volume nodes, each (n, 3) for the n nodes of its set.
+    """The pair's node rows, component-major: v at the volume and surface nodes,
+    then w at both, then curl w at the volume nodes, each (3, n) for n nodes.
 
     Generators (4, 3), in ``GENERATOR_SLOTS`` order, give the rows of (v*, w*)
-    about the scenario's pivots y0 and x0; a stack (k, 4, 3) of them gives
-    rows (k, n, 3), one entry per change.
+    about the scenario's pivots y0 and x0, and a stack (k, 4, 3) of them rows
+    (k, 3, n); a field that no change moves keeps its node rows, the same arrays.
     """
     vol, surf = scenario.volume_data, scenario.surface_data
-    if generators is None:
-        return vol.v, surf.v, vol.w, surf.w, vol.curl_w
-    y0, x0 = scenario.y0, scenario.x0
-    c_hat, q_hat, c, q = (generators[..., s, None, :] for s in range(4))
-    return (vol.v + (c_hat + cross(q_hat, vol.y - y0)),
-            surf.v + (c_hat + cross(q_hat, surf.y - y0)),
-            vol.w + (c + cross(q, vol.points - x0)),
-            surf.w + (c + cross(q, surf.points - x0)),
-            vol.curl_w + 2.0 * q)
+    rows = tuple(map(_component_major, (vol.v, surf.v, vol.w, surf.w, vol.curl_w)))
+    return rows if generators is None else _shifted(rows, _arms(scenario), generators)
 
 
-def _power_rows(scenario: Scenario, rows):
-    """The literal power integrand of the pair rows of ``pair_rows``, or of
-    (k, n, 3) stacks of them, as rows (..., n) of its five pieces in
-    ``PowerBreakdown`` order.  The rows are taken C-contiguous, since ``einsum``
-    sums in an order that follows the memory layout."""
+def _arms(scenario: Scenario):
+    """y - y0 at the volume and surface nodes, then x - x0 at both, component-major."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    v, v_surf, w, w_surf, curl_w = map(np.ascontiguousarray, rows)
-    rel_velocity = v - np.einsum("nij,...nj->...ni", vol.f_grad, w)
-    rel_surf = v_surf - np.einsum("nij,...nj->...ni", surf.f_grad, w_surf)
-    return (np.einsum("ni,...ni->...n", vol.body_force, rel_velocity),
-            np.einsum("ni,...ni->...n", surf.traction, rel_surf),
-            np.einsum("ni,...ni->...n", surf.normals, w_surf) * surf.energy,
-            np.einsum("ni,...ni->...n", vol.material_gradient - vol.driving_force, w),
-            -0.5 * np.einsum("ni,...ni->...n", vol.couple, curl_w))
+    y0, x0 = scenario.y0, scenario.x0
+    return tuple(map(_component_major, (vol.y - y0, surf.y - y0, vol.points - x0,
+                                        surf.points - x0)))
+
+
+def _shifted(rows, arms, generators):
+    """``pair_rows``' shift of its rows by the generators, about the ``_arms``."""
+    c_hat, q_hat, c, q = (generators[..., s, :, None] for s in range(4))
+    rates = [(c_hat, q_hat)] * 2 + [(c, q)] * 2
+    return (*(row + (t + cross(r, arm, axis=-2)) if t.any() or r.any() else row
+              for row, arm, (t, r) in zip(rows, arms, rates)),
+            rows[4] + 2.0 * q if q.any() else rows[4])
+
+
+def _power_rows(scenario: Scenario):
+    """The literal power integrand as maps of C-contiguous component-major pair
+    rows, so ``einsum`` adds each node's components in order, over component-major
+    copies, made here, of the node rows it reads: ``material(w, w_surf)`` gives F w
+    at both node sets and the flux and inhomogeneity rows, ``couple(curl_w)`` the
+    couple rows, and ``pieces(v, v_surf, of_w, couple)`` the ``PowerBreakdown`` rows."""
+    vol, surf = scenario.volume_data, scenario.surface_data
+    f, f_surf, b, traction, normals, inhomogeneity, mu = map(_component_major, (
+        vol.f_grad, surf.f_grad, vol.body_force, surf.traction, surf.normals,
+        vol.material_gradient - vol.driving_force, vol.couple))
+    def material(w, w_surf):
+        return (np.einsum("ijn,...jn->...in", f, w),
+                np.einsum("ijn,...jn->...in", f_surf, w_surf),
+                np.einsum("in,...in->...n", normals, w_surf) * surf.energy,
+                np.einsum("in,...in->...n", inhomogeneity, w))
+
+    def pieces(v, v_surf, of_w, couple):
+        f_w, f_w_surf, flux, inh = of_w
+        return (np.einsum("in,...in->...n", b, v - f_w),
+                np.einsum("in,...in->...n", traction, v_surf - f_w_surf), flux, inh, couple)
+
+    return material, lambda curl_w: -0.5 * np.einsum("in,...in->...n", mu, curl_w), pieces
 
 
 def _power_total(scenario: Scenario, rows):
@@ -171,7 +195,9 @@ def _power_total(scenario: Scenario, rows):
 def relative_power(scenario: Scenario, rows=None) -> PowerBreakdown:
     """Literal evaluation of the relative power on the scenario's part, for the
     pair rows of :func:`pair_rows` (the node rows by default)."""
-    pieces = _power_rows(scenario, pair_rows(scenario) if rows is None else rows)
+    material, couple, power_rows = _power_rows(scenario)
+    v, v_surf, w, w_surf, curl_w = map(np.ascontiguousarray, rows or pair_rows(scenario))
+    pieces = power_rows(v, v_surf, material(w, w_surf), couple(curl_w))
     vol_w, surf_w = scenario.volume_data.weights, scenario.surface_data.weights
     return PowerBreakdown(*(weighted_fsum(piece, weights) for piece, weights
                             in zip(pieces, (vol_w, surf_w, surf_w, vol_w, vol_w))),
@@ -244,10 +270,10 @@ def invariance_decomposition(scenario: Scenario,
     ``base`` is the relative power of the scenario's pair as the caller
     computed it: it sets the scale and is the power of the zero change.  The
     12 unit changes (slot by slot, axis by axis) and the 2 random ones are
-    one stack of generators, evaluated in chunks of
-    ``max(1, CHUNK_ROWS // n)`` changes for n volume nodes, so the shifted
-    pair rows of a chunk stay near ``CHUNK_ROWS`` rows.  Each change's power
-    is summed as ``base.total`` is, by ``_power_total``.
+    one stack of generators, evaluated in chunks of ``max(1, CHUNK_ROWS //
+    n)`` changes for n volume nodes.  A chunk that moves no w, or no curl w,
+    takes the zero change's pieces of it, made when first taken; each change's
+    power is still the full literal power, summed as ``base.total`` is.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
@@ -255,10 +281,18 @@ def invariance_decomposition(scenario: Scenario,
     # unit change 3 s + a carries e_a in slot s only
     gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
+    material, couple, power_rows = _power_rows(scenario)
+    rows, arms = pair_rows(scenario), _arms(scenario)
+    base_material = functools.cache(lambda: material(*rows[2:4]))
+    base_couple = functools.cache(lambda: couple(rows[4]))
     chunk = max(1, CHUNK_ROWS // len(scenario.volume_data.weights))
-    defects = np.concatenate([_power_total(scenario, _power_rows(
-        scenario, pair_rows(scenario, gens[k:k + chunk])))
-        for k in range(0, len(gens), chunk)]) - base.total
+    totals = []
+    for k in range(0, len(gens), chunk):
+        v, v_surf, w, w_surf, curl_w = _shifted(rows, arms, gens[k:k + chunk])
+        totals.append(_power_total(scenario, power_rows(
+            v, v_surf, base_material() if w is rows[2] else material(w, w_surf),
+            base_couple() if curl_w is rows[4] else couple(curl_w))))
+    defects = np.concatenate(totals) - base.total
 
     units = defects[:3 * slots]
     coefficients = dict(zip(GENERATOR_SLOTS, units.reshape(slots, 3)))

@@ -99,7 +99,7 @@ def weighted_fsum(values, weights: np.ndarray):
     """
     terms = np.asarray(values, float).T * weights    # one row per sum
     try:
-        sums = [math.fsum(row) for row in np.atleast_2d(terms).tolist()]
+        sums = [math.fsum(memoryview(row)) for row in np.atleast_2d(terms)]
     except (OverflowError, ValueError) as err:    # an overflow, or inf - inf
         raise NonFiniteValue(f"integral is not finite ({err})") from None
     if not all(map(math.isfinite, sums)):

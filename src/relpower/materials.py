@@ -9,7 +9,7 @@ in x at frozen F) exactly A * grad lam + B * grad mu.  Inhomogeneity
 therefore enters only through position-dependent moduli.  A model derives
 what its parts need of F once per array of F (``kinematics``: E and tr E
 for StVK, F^-t and ln det F for neo-Hookean), so ``response``, which gives
-e, P and de/dx|expl, and ``div_stress`` each take it once.
+e, P, de/dx|expl and, along a motion, Div P, takes it once.
 
 The presets are tabled by config name: models in ``MODEL_CLASSES``
 (Saint Venant-Kirchhoff ``stvk``, compressible ``neo_hookean`` and the
@@ -85,7 +85,7 @@ class MaterialModel:
     is checked only where F is made (``Motion.deformation_gradient``).
     Subclasses provide the modulus-independent parts from the F-derived
     quantities of :meth:`kinematics`, computed once per F array; this base
-    class assembles the response (e, P, de/dx|expl) and Div P from them.
+    class assembles the response (e, P, de/dx|expl, and Div P) from them.
     """
 
     name = "base"
@@ -121,32 +121,26 @@ class MaterialModel:
     def homogeneous(self) -> bool:
         return self.lam.is_constant and self.mu.is_constant
 
-    def response(self, x, f) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e
-        in x at fixed F."""
+    def response(self, x, f, df_dx=None):
+        """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e in
+        x at fixed F.  Given dF/dx = ``df_dx`` (..., 3, 3, 3), x-index last, Div P
+        follows from the same parts: dP/dx|F = dA/dF (x) grad lam + dB/dF (x) grad
+        mu traced, plus dP/dF[dF/dx_j] e_j summed column by column."""
         kin = self.kinematics(f)
-        a, b = self.energy_parts(f, kin)
-        pa, pb = self.stress_parts(f, kin)
+        (a, b), (pa, pb) = self.energy_parts(f, kin), self.stress_parts(f, kin)
         lam, mu = self.lam.value(x), self.mu.value(x)
-        return (np.asarray(lam * a + mu * b),
-                _tensor_factor(lam) * pa + _tensor_factor(mu) * pb,
-                (np.asarray(a)[..., None] * self.lam.gradient(x)
-                 + np.asarray(b)[..., None] * self.mu.gradient(x)))
-
-    def div_stress(self, x, f, df_dx) -> np.ndarray:
-        """Div P along a motion with dF/dx = ``df_dx`` (..., 3, 3, 3), the x-index
-        last: dP/dx|F = dA/dF (x) grad lam + dB/dF (x) grad mu traced, plus
-        dP/dF[dF/dx_j] e_j summed column by column."""
-        kin = self.kinematics(f)
-        pa, pb = self.stress_parts(f, kin)
-        lam, mu = _tensor_factor(self.lam.value(x)), _tensor_factor(self.mu.value(x))
+        grad_lam, grad_mu = self.lam.gradient(x), self.mu.gradient(x)
+        lam_t, mu_t = _tensor_factor(lam), _tensor_factor(mu)
+        values = (np.asarray(lam * a + mu * b), lam_t * pa + mu_t * pb,
+                  np.asarray(a)[..., None] * grad_lam + np.asarray(b)[..., None] * grad_mu)
+        if df_dx is None:
+            return values
         # np.sum adds left to right; einsum("...ij->...i") rounds in another order
-        div_p = np.sum(pa * self.lam.gradient(x)[..., None, :]
-                       + pb * self.mu.gradient(x)[..., None, :], axis=-1)
+        div_p = np.sum(pa * grad_lam[..., None, :] + pb * grad_mu[..., None, :], axis=-1)
         for j in range(3):
             da, db = self.stress_derivative_parts(f, kin, df_dx[..., j])
-            div_p = div_p + (lam * da + mu * db)[..., :, j]
-        return div_p
+            div_p = div_p + (lam_t * da + mu_t * db)[..., :, j]
+        return values + (div_p,)
 
 
 class SaintVenantKirchhoff(MaterialModel):

@@ -21,7 +21,7 @@ part's keyword-only ones are its quadrature orders.  Presets take no step:
 
 Node data is built once per scenario, for its part, over stacked arrays,
 points (n, 3) and tensors (n, 3, 3): one point state over each node set,
-volume and surface, the volume sources read from theirs in one call, and
+volume and surface, the volume one made with its sources in one call, and
 the pair sampled once per set, v and w at both, grad v and grad w at the
 volume nodes; every check reads it, the Noether check too.  The build makes
 F at every node, so it is also the det F > 0 check, and each sample is
@@ -259,8 +259,7 @@ class VolumeNodeData(_NodeData):
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
         x = part.volume_points
-        state = scenario.state(x)
-        b, f, mu = scenario.sources(x, state)
+        state, (b, f, mu) = scenario.sources(x)
         check_finite(x, body_force=b, driving_force=f, couple=mu)
         v, w = scenario.v, scenario.w
         grad_w = w.grad(x)
@@ -360,13 +359,13 @@ class Scenario:
                 f"isotropic material (model {self.model.name!r})")
 
     def _build_sources(self, spec: dict):
-        """(x, state) -> (b, f, mu) at points x (..., 3) of the given state."""
+        """x -> (state, (b, f, mu)), the point state and sources at points x."""
         if spec["mode"] == "closure":
             return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
         b, f, mu = (build_field(spec.get(key, zero)) for key in ("b", "f", "mu"))
-        return lambda x, state: (b(x), f(x), mu(x))
+        return lambda x: (self.state(x), (b(x), f(x), mu(x)))
 
     # -- pointwise evaluation ------------------------------------------------
 

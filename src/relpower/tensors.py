@@ -70,12 +70,13 @@ def matvec(t, v) -> np.ndarray:
     return (t @ np.asarray(v)[..., None])[..., 0]
 
 
-def cross(a, b) -> np.ndarray:
-    """a x b over the last axis, with the products and differences of ``np.cross``."""
+def cross(a, b, axis: int = -1) -> np.ndarray:
+    """a x b over axis ``axis`` < 0, with ``np.cross``'s products and differences."""
     a, b = np.asarray(a), np.asarray(b)
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+    c = [(..., i) + (slice(None),) * (-1 - axis) for i in range(3)]   # component i
+    return np.stack([a[c[1]] * b[c[2]] - a[c[2]] * b[c[1]],
+                     a[c[2]] * b[c[0]] - a[c[0]] * b[c[2]],
+                     a[c[0]] * b[c[1]] - a[c[1]] * b[c[0]]], axis=axis)
 
 
 def det(t) -> np.ndarray:

@@ -183,7 +183,7 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
             driving = div_pp + f.T @ div_p + state.material_gradient
             couple = axial_vector(2.0 * skew_part(state.eshelby))
         else:
-            b, driving, couple = scenario.sources(x, state)
+            b, driving, couple = scenario.sources(x)[1]
         rows["body_force"].append(b)
         rows["driving_force"].append(driving)
         rows["couple"].append(couple)
@@ -207,36 +207,44 @@ def prediction_errors(decomp, residuals) -> dict:
             for k, r in zip(fn.GENERATOR_SLOTS, residuals)}
 
 
+def _component_major(rows):
+    """A C-contiguous copy of node rows (n, ...), the node axis last."""
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
+
+
 def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
-    """The literal power integrand of one pair's rows by its five einsum rows:
+    """The literal power integrand of one pair's component-major rows (3, n), by
+    its five einsum rows over component-major copies of the node rows:
     (actions, inhomogeneity, couple) at the volume nodes and (actions, flux)
     at the surface nodes."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    rel = v_vol - np.einsum("nij,nj->ni", vol.f_grad, w_vol)
-    act = np.einsum("ni,ni->n", vol.body_force, rel)
-    inh = np.einsum("ni,ni->n", vol.material_gradient - vol.driving_force, w_vol)
-    cpl = -0.5 * np.einsum("ni,ni->n", vol.couple, curl_w)
+    cm = _component_major
+    rel = v_vol - np.einsum("ijn,jn->in", cm(vol.f_grad), w_vol)
+    act = np.einsum("in,in->n", cm(vol.body_force), rel)
+    inh = np.einsum("in,in->n", cm(vol.material_gradient - vol.driving_force), w_vol)
+    cpl = -0.5 * np.einsum("in,in->n", cm(vol.couple), curl_w)
     tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
-    rel_s = v_surf - np.einsum("nij,nj->ni", surf.f_grad, w_surf)
-    act_s = np.einsum("ni,ni->n", tractions, rel_s)
-    flux = np.einsum("ni,ni->n", surf.normals, w_surf) * surf.energy
+    rel_s = v_surf - np.einsum("ijn,jn->in", cm(surf.f_grad), w_surf)
+    act_s = np.einsum("in,in->n", cm(tractions), rel_s)
+    flux = np.einsum("in,in->n", cm(surf.normals), w_surf) * surf.energy
     return (act, inh, cpl), (act_s, flux)
 
 
 def _loop_total(scenario, gens) -> float:
     """P_rel(v*, w*) of one change, from the pair's node rows, one cross product
-    per offset: the pieces summed node by node, then one fsum over the volume
-    and surface terms."""
+    per offset and all five pieces recomputed: the pieces summed node by node,
+    then one fsum over the volume and surface terms."""
     vol, surf = scenario.volume_data, scenario.surface_data
     c_hat, q_hat, c, q = (gens[slot] for slot in fn.GENERATOR_SLOTS)
     y0, x0 = scenario.y0, scenario.x0
+    cm = _component_major
     (act, inh, cpl), (act_s, flux) = _loop_rows(
         scenario,
-        vol.v + (c_hat + np.cross(q_hat, vol.y - y0)),
-        vol.w + (c + np.cross(q, vol.points - x0)),
-        vol.curl_w + 2.0 * q,
-        surf.v + (c_hat + np.cross(q_hat, surf.y - y0)),
-        surf.w + (c + np.cross(q, surf.points - x0)))
+        cm(vol.v + (c_hat + np.cross(q_hat, vol.y - y0))),
+        cm(vol.w + (c + np.cross(q, vol.points - x0))),
+        cm(vol.curl_w + 2.0 * q),
+        cm(surf.v + (c_hat + np.cross(q_hat, surf.y - y0))),
+        cm(surf.w + (c + np.cross(q, surf.points - x0))))
     terms = [(a + i + m) * w for a, i, m, w in zip(act, inh, cpl, vol.weights)]
     terms += [(a + fl) * w for a, fl, w in zip(act_s, flux, surf.weights)]
     return math.fsum(terms)
@@ -251,8 +259,8 @@ def loop_decomposition(scenario):
     def total(rows, weights):
         return math.fsum(r * w for r, w in zip(rows, weights))
 
-    (act, inh, cpl), (act_s, flux) = _loop_rows(
-        scenario, vol.v, vol.w, vol.curl_w, surf.v, surf.w)
+    (act, inh, cpl), (act_s, flux) = _loop_rows(scenario, *map(
+        _component_major, (vol.v, vol.w, vol.curl_w, surf.v, surf.w)))
     actions = total(act, vol.weights) + total(act_s, surf.weights)
     disarrangement = (total(flux, surf.weights) + total(inh, vol.weights)
                       + total(cpl, vol.weights))

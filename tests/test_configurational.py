@@ -36,8 +36,7 @@ SINUSOIDAL = sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45])
 
 def div_first_pk(model, motion, x, step):
     """Div P of the point state at x."""
-    return conf.stress_divergences(model, motion, x, conf.point_state(model, motion, x),
-                                   step)[0]
+    return conf.stress_divergences(model, motion, x, step)[1]
 
 
 def eshelby(model, motion, x):
@@ -47,8 +46,7 @@ def eshelby(model, motion, x):
 
 def closure_at(model, motion, x, step=conf.DEFAULT_DIVERGENCE_STEP):
     """(b, f, mu) of the closure sources at x."""
-    state = conf.point_state(model, motion, x)
-    return conf.closure_sources(model, motion, step)(x, state)
+    return conf.closure_sources(model, motion, step)(x)[1]
 
 
 class TestEshelbyStress:
@@ -110,12 +108,8 @@ class TestDivergences:
             fd = div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
             np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
             exact_pp = conf.stress_divergences(
-                model, SINUSOIDAL, x, conf.point_state(model, SINUSOIDAL, x),
-                conf.DEFAULT_DIVERGENCE_STEP)[1]
-            fd_motion = fd_copy(SINUSOIDAL)
-            fd_pp = conf.stress_divergences(
-                model, fd_motion, x, conf.point_state(model, fd_motion, x),
-                step=1e-4)[1]
+                model, SINUSOIDAL, x, conf.DEFAULT_DIVERGENCE_STEP)[2]
+            fd_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[2]
             np.testing.assert_allclose(fd_pp, exact_pp, atol=1e-6, rtol=1e-6)
 
     def test_pullback_identity(self, rng):
@@ -127,9 +121,7 @@ class TestDivergences:
             f = SINUSOIDAL.deformation_gradient(x)
             fd_motion = fd_copy(SINUSOIDAL)
             div_p = div_first_pk(model, fd_motion, x, step=1e-4)
-            div_pp = conf.stress_divergences(
-                model, fd_motion, x, conf.point_state(model, fd_motion, x),
-                step=1e-4)[1]
+            div_pp = conf.stress_divergences(model, fd_motion, x, step=1e-4)[2]
             residual = div_pp + f.T @ div_p - model.response(x, f)[2]
             np.testing.assert_allclose(residual, np.zeros(3), atol=1e-6)
 

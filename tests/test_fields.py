@@ -34,7 +34,8 @@ def curl(field, x) -> np.ndarray:
 
 def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> tuple:
     """The pair rows (v, v_surface, w, w_surface, curl w) at the single node x,
-    seen through the generators ``change`` about pivots y0 and x0 = 0."""
+    component-major (3, 1), seen through the generators ``change`` about pivots
+    y0 and x0 = 0."""
     x = np.asarray(x, float)
     nodes = SimpleNamespace(y=motion.y(x)[None], points=x[None], v=pair.v(x)[None],
                             w=pair.w(x)[None], curl_w=curl(pair.w, x)[None])
@@ -47,14 +48,14 @@ def ambient_change(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> np.ndarray:
     """v*(x), checked to agree between the volume and surface rows."""
     v, v_surface, *_ = shifted_at(pair, motion, change, x, y0)
     np.testing.assert_array_equal(v_surface, v)
-    return v[0]
+    return v[:, 0]
 
 
 def material_change(pair, change, x) -> np.ndarray:
     """w*(x), checked to agree between the volume and surface rows."""
     _, _, w, w_surface, _ = shifted_at(pair, identity_motion(), change, x)
     np.testing.assert_array_equal(w_surface, w)
-    return w[0]
+    return w[:, 0]
 
 
 def all_motion_presets():
@@ -252,7 +253,7 @@ class TestShiftedPair:
         q = np.array([0.2, 0.5, -0.3])
         change = generators(material_rotation=q)
         x = rng.uniform(-0.4, 0.4, size=3)
-        shifted = shifted_at(pair, identity_motion(), change, x)[-1][0]
+        shifted = shifted_at(pair, identity_motion(), change, x)[-1][:, 0]
         np.testing.assert_allclose(shifted, curl(w, x) + 2.0 * q, atol=1e-14)
         fd_grad = central_difference(lambda xx: material_change(pair, change, xx),
                                      x, 1e-6)

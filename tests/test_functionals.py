@@ -48,8 +48,9 @@ class TestRelativePower:
     def test_vanishes_when_v_is_pushforward_of_w(self):
         scenario = Scenario(make_config())
         vol, surf = scenario.volume_data, scenario.surface_data
-        _, _, w, w_surf, curl_w = fn.pair_rows(scenario)
-        rows = (matvec(vol.f_grad, w), matvec(surf.f_grad, w_surf), w, w_surf, curl_w)
+        _, _, w, w_surf, curl_w = fn.pair_rows(scenario)   # component-major (3, n)
+        rows = (matvec(vol.f_grad, w.T).T, matvec(surf.f_grad, w_surf.T).T,
+                w, w_surf, curl_w)
         power = fn.relative_power(scenario, rows)
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 
@@ -157,11 +158,12 @@ LAYOUT_CONFIGS = ([load_bundled_config(name) for name in bundled_scenario_names(
 @pytest.mark.parametrize("config", LAYOUT_CONFIGS,
                          ids=[config["name"] for config in LAYOUT_CONFIGS])
 def test_literal_power_does_not_depend_on_row_layout(config):
-    # equal row values give equal totals, whatever the memory layout of the rows
+    # equal row values give equal totals, whatever the memory layout of the
+    # component-major rows (3, n): F-ordered, or strided along the nodes
     scenario = Scenario(config)
     rows = fn.pair_rows(scenario)
     total = fn.relative_power(scenario, rows).total
-    for layout in (np.asfortranarray, lambda row: np.repeat(row, 2, axis=0)[::2]):
+    for layout in (np.asfortranarray, lambda row: np.repeat(row, 2, axis=-1)[..., ::2]):
         assert fn.relative_power(scenario, tuple(map(layout, rows))).total == total
     zeros, zeros_like = (
         fn.relative_power(scenario, rows[:2] + tuple(map(make, rows[2:]))).total
@@ -310,12 +312,20 @@ class TestStackedObserverChanges:
         assert decomp.affine_residual == affine_residual
 
     @pytest.mark.parametrize("name", ["closure_sinusoidal_graded_stvk_fd",
-                                      "preset_nonequilibrium"])
+                                      "preset_nonequilibrium",
+                                      "closure_skewed_graded_stvk_order12"])
     def test_chunk_size_leaves_results_bit_identical(self, name, monkeypatch):
-        reference = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
-        for rows in (1, 100_000):    # one change per chunk, and all 14 in one
+        # a chunk that moves only some fields reuses the zero change's rows of the rest
+        def config():
+            return (_refined_skewed() if name.endswith("_order12")
+                    else load_bundled_config(name))
+
+        reference = _decomposition_arrays(decompose(Scenario(config())))
+        # one change per chunk, 1024 rows (one change per chunk at order 12),
+        # and all 14 in one
+        for rows in (1, 1024, 100_000):
             monkeypatch.setattr(fn, "CHUNK_ROWS", rows)
-            got = _decomposition_arrays(decompose(Scenario(load_bundled_config(name))))
+            got = _decomposition_arrays(decompose(Scenario(config())))
             for value, want in zip(got, reference):
                 np.testing.assert_array_equal(value, want)
 
@@ -325,14 +335,21 @@ class TestStackedObserverChanges:
         gens = np.stack([rng.uniform(-1.0, 1.0, size=(5, 3)) for _ in fn.GENERATOR_SLOTS],
                         axis=1)
         scenario.y0, scenario.x0 = rng.normal(size=3), rng.normal(size=3)
-        stacked = fn.pair_rows(scenario, gens)
-        rows = fn._power_rows(scenario, stacked)
+        material, couple, power_rows = fn._power_rows(scenario)
+
+        def pieces(rows):
+            v, v_surf, w, w_surf, curl_w = rows
+            return power_rows(v, v_surf, material(w, w_surf), couple(curl_w))
+
+        stacked = fn.pair_rows(scenario, gens)   # component-major (5, 3, n)
+        rows = pieces(stacked)
         for k in range(5):
             single = fn.pair_rows(scenario, gens[k])
             assert len(stacked) == len(single) == 5
             for got, want in zip(stacked, single):
+                assert got[k].shape == want.shape == (3, len(want[0]))
                 np.testing.assert_array_equal(got[k], want)
-            for got, want in zip(rows, fn._power_rows(scenario, single)):
+            for got, want in zip(rows, pieces(single)):
                 np.testing.assert_array_equal(got[k], want)
 
     def test_chunked_peak_memory_stays_near_one_evaluation(self):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sphere_surface
+from relpower.exceptions import NonFiniteValue
 from relpower.geometry import (ball_part, box_part, gauss_legendre, shell_part,
                                spherical_rule, weighted_fsum)
 
@@ -102,6 +105,59 @@ def test_weighted_fsum_matches_rowwise_fsum(rng):
     assert list(weighted_fsum(values, weights)) == expected
     scalar = math.fsum(v * w for v, w in zip(values[:, 0], weights))
     assert weighted_fsum(list(values[:, 0]), weights) == scalar
+
+
+# zero, or a magnitude from 1e-300 to 1e300 of either sign
+FINITE = st.just(0.0) | st.floats(1e-300, 1e300).flatmap(lambda m: st.sampled_from((m, -m)))
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "strided": lambda a: np.repeat(a, 2, axis=0)[::2]}
+
+
+@st.composite
+def weighted_rows(draw):
+    """(values, weights): scalar or vector rows and their weights, both in one
+    memory layout; half the draws repeat every row negated, so terms cancel."""
+    n, width = draw(st.integers(1, 8)), draw(st.sampled_from((None, 1, 3)))
+    shape = (n,) if width is None else (n, width)
+    values = np.array(draw(st.lists(FINITE, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))).reshape(shape)
+    weights = np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        values, weights = np.concatenate([values, -values]), np.concatenate([weights, weights])
+    layout = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    return layout(values), layout(weights)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(weighted_rows())
+def test_weighted_fsum_is_math_fsum_of_the_weighted_terms(rows):
+    # bit for bit where the sums are finite, NonFiniteValue where math.fsum
+    # overflows, meets inf - inf or gives a non-finite sum
+    values, weights = rows
+    columns = [values] if values.ndim == 1 else list(values.T)
+    try:
+        sums = [math.fsum(float(v) * float(w) for v, w in zip(column, weights))
+                for column in columns]
+    except (OverflowError, ValueError):
+        sums = [math.inf]
+    if not all(map(math.isfinite, sums)):
+        with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
+            weighted_fsum(values, weights)
+        return
+    got = weighted_fsum(values, weights)
+    assert isinstance(got, float) == (values.ndim == 1)
+    assert [float(s).hex() for s in np.atleast_1d(got)] == [s.hex() for s in sums]
+
+
+@pytest.mark.parametrize("values,weights", [
+    ([1e308, 1e308], [1.0, 1.0]),        # the sum overflows
+    ([1e308, -1e308], [10.0, 10.0]),     # the terms are inf and -inf
+    ([[1e308, 0.0], [1e308, 1.0]], [1.0, 1.0]),
+])
+def test_weighted_fsum_rejects_overflow_and_inf_minus_inf(values, weights):
+    with pytest.raises(NonFiniteValue, match="integral is not finite"), \
+            np.errstate(over="ignore"):
+        weighted_fsum(np.array(values), np.array(weights))
 
 
 class TestSphericalRules:

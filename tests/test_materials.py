@@ -24,7 +24,7 @@ def material_gradient(model, x, f):
 
 
 def stress_derivative(model, x, f, h):
-    """dP/dF[H] assembled from the hooks, as ``div_stress`` assembles it."""
+    """dP/dF[H] assembled from the hooks, as ``response`` assembles it for Div P."""
     da, db = model.stress_derivative_parts(f, model.kinematics(f), h)
     return model.lam.value(x) * da + model.mu.value(x) * db
 
@@ -150,7 +150,7 @@ class TestDerivativeConsistency:
                 dx = h * np.eye(3)[j]
                 fd += (stress(model, x + dx, f + g @ dx)
                        - stress(model, x - dx, f - g @ dx))[:, j] / (2.0 * h)
-            np.testing.assert_allclose(model.div_stress(x, f, g), fd, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(model.response(x, f, g)[3], fd, rtol=1e-5, atol=1e-6)
 
     def test_homogeneous_flag_means_zero_material_gradient(self, rng):
         for model in homogeneous_models():

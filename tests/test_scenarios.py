@@ -112,7 +112,7 @@ class TestScenarioBehavior:
     def test_pointwise_residuals_vanish_under_closure(self):
         s = Scenario(minimal_config())
         x = np.array([0.1, -0.2, 0.3])
-        b, f, mu = s.sources(x, s.state(x))
+        b, f, mu = s.sources(x)[1]
         np.testing.assert_allclose(
             standard_force_residual(s.model, s.motion, b, x, s.divergence_step),
             np.zeros(3), atol=1e-12)

@@ -141,15 +141,17 @@ def _call_sites(names):
 
 def test_finiteness_is_checked_only_where_values_enter_or_are_made():
     # entries: the preset constructors' parameters, the scenario's pivots and
-    # the public cross_matrix; made values: point states, the volume sources,
-    # and the values and gradients of virtual fields and potentials
+    # the public cross_matrix; made values: point states, the fd stresses at
+    # shifted points, the volume sources, and the values and gradients of
+    # virtual fields and potentials
     tables = (fields.MOTIONS, fields.FIELDS, materials.MODULI, materials.POTENTIALS,
               geometry.PARTS)
     entries = {f"{f.__module__.rpartition('.')[2]}.{f.__name__}"
                for table in tables for f in table.values()}
     entries |= {"geometry._spherical_part", "scenarios.Scenario._build",
                 "tensors.cross_matrix"}
-    made = {"configurational.point_state", "scenarios.VolumeNodeData.__init__",
+    made = {"configurational.point_state", "configurational.stress_divergences.stresses",
+            "scenarios.VolumeNodeData.__init__",
             "fields.VirtualField.__call__", "fields.VirtualField.grad",
             "materials.BodyForcePotential.__call__", "materials.BodyForcePotential.grad"}
     sites = _call_sites(("as_vector", "as_tensor", "check_finite"))
