@@ -317,11 +317,11 @@ def _pointwise_divergence_error(scenario: Scenario) -> float:
     """
     exact_motion = build_motion(scenario.config["motion"], scenario.motion_step)
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
-    points = scenario.volume_data.points
+    points = scenario.part.volume_points
     approx, exact = (conf.stress_divergences(scenario.model, motion, points,
                                              scenario.divergence_step)[1]
                      for motion in (fd_motion, exact_motion))
-    return float(np.max(np.linalg.norm(approx - exact, axis=-1), initial=0.0))
+    return float(np.max(np.linalg.norm(approx - exact, axis=0), initial=0.0))
 
 
 def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = None):

@@ -23,7 +23,8 @@ whose constitutive part is one :meth:`MaterialModel.response`, which also
 gives closure sources Div P; ``fd`` ones make F, e, P and PP alone at each
 shifted point.  The conservation-law data reads any state with those names,
 node data among them, and takes the pair's samples beside it: this module
-evaluates no virtual field.  Points x are (..., 3), one or a stack of them.
+evaluates no virtual field.  Points x are (..., 3), one or a stack of them;
+the state is component-major, (3, ...) and (3, 3, ...), the node axes last.
 """
 
 from __future__ import annotations
@@ -34,36 +35,36 @@ import numpy as np
 
 from .fields import Motion, central_difference
 from .materials import BodyForcePotential, MaterialModel
-from .tensors import (IDENTITY, axial_vector, check_finite, contract, dot, matvec,
-                      skew_part, transpose)
+from .tensors import (axial_vector, check_finite, component_major, contract,
+                      identity_like, skew_part)
 
 DEFAULT_DIVERGENCE_STEP = 1e-4
 
 
 def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
                          step: float) -> np.ndarray:
-    """Central-difference divergence on the last index of a vector or tensor field."""
-    return np.trace(central_difference(field, x, step), axis1=-2, axis2=-1)
+    """Central-difference divergence on the second index of a component-major field."""
+    return np.trace(central_difference(field, x, step), axis1=-1 - x.ndim, axis2=-1)
 
 
 class PointState(NamedTuple):
-    """The constitutive state along a motion at points (..., 3)."""
+    """The constitutive state along a motion at n points."""
 
-    y: np.ndarray                   # (..., 3)
-    f_grad: np.ndarray              # F, (..., 3, 3)
-    stress: np.ndarray              # P, (..., 3, 3)
-    energy: np.ndarray              # e, (...)
-    eshelby: np.ndarray             # PP = e I - F^t P, (..., 3, 3)
-    material_gradient: np.ndarray   # de/dx|expl, (..., 3)
+    y: np.ndarray                   # (3, n)
+    f_grad: np.ndarray              # F, (3, 3, n)
+    stress: np.ndarray              # P, (3, 3, n)
+    energy: np.ndarray              # e, (n,)
+    eshelby: np.ndarray             # PP = e I - F^t P, (3, 3, n)
+    material_gradient: np.ndarray   # de/dx|expl, (3, n)
 
 
 def point_state(model: MaterialModel, motion: Motion, x, df_dx=None):
     """y, F, P, e, PP and de/dx|expl at points x, each made once and checked
     finite; given dF/dx = ``df_dx``, (state, Div P) from the same response."""
-    f = motion.deformation_gradient(x)
+    f = component_major(motion.deformation_gradient(x), 2)
     e, p, material_gradient, *div_p = model.response(x, f, df_dx)
-    eshelby = e[..., None, None] * IDENTITY - transpose(f) @ p
-    state = PointState(motion.y(x), f, p, e, eshelby, material_gradient)
+    eshelby = e * identity_like(f) - np.einsum("ki...,kj...->ij...", f, p)
+    state = PointState(component_major(motion.y(x)), f, p, e, eshelby, material_gradient)
     check_finite(x, **state._asdict())
     return (state, *div_p) if div_p else state
 
@@ -77,19 +78,21 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, step: float):
     of P and PP, made from F, e and P alone at each shifted point.
     """
     if motion.second_gradient is None:
-        def stresses(xx):   # P and PP stacked as (..., 2, 3, 3)
-            f = motion.deformation_gradient(xx)
+        def stresses(xx):   # P and PP stacked as (2, 3, 3, ...)
+            f = component_major(motion.deformation_gradient(xx), 2)
             e, p = model.response(xx, f)[:2]
-            eshelby = e[..., None, None] * IDENTITY - transpose(f) @ p
+            eshelby = e * identity_like(f) - np.einsum("ki...,kj...->ij...", f, p)
             return np.stack([p, check_finite(xx, f_grad=f, stress=p, energy=e,
-                                             eshelby=eshelby)], axis=-3)
+                                             eshelby=eshelby)])
         state, both = point_state(model, motion, x), fd_tensor_divergence(stresses, x, step)
-        return state, both[..., 0, :], both[..., 1, :]
-    df_dx = motion.second_gradient(x)
+        return state, both[0], both[1]
+    df_dx = component_major(motion.second_gradient(x), 3)
     state, div_p = point_state(model, motion, x, df_dx)
-    grad_e = state.material_gradient + np.einsum("...kl,...klj->...j", state.stress, df_dx)
-    return state, div_p, (grad_e - np.einsum("...kaj,...kj->...a", df_dx, state.stress)
-                          - matvec(transpose(state.f_grad), div_p))
+    # q_lij = sum_k P_kl dF_kij/dx: grad e - Div(F^t P) reads its diagonals
+    q = np.einsum("kl...,kij...->lij...", state.stress, df_dx)
+    grad_e = state.material_gradient + (q[0, 0] + q[1, 1] + q[2, 2])
+    return state, div_p, (grad_e - (q[0, :, 0] + q[1, :, 1] + q[2, :, 2])
+                          - np.einsum("ki...,k...->i...", state.f_grad, div_p))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +108,7 @@ def closure_sources(model: MaterialModel, motion: Motion, step: float):
     """
     def sources(x):
         state, div_p, div_pp = stress_divergences(model, motion, x, step)
-        driving = (div_pp + matvec(transpose(state.f_grad), div_p)
+        driving = (div_pp + np.einsum("ki...,k...->i...", state.f_grad, div_p)
                    + state.material_gradient)
         return state, (-div_p, driving, axial_vector(2.0 * skew_part(state.eshelby)))
     return sources
@@ -117,8 +120,9 @@ def closure_sources(model: MaterialModel, motion: Motion, step: float):
 
 def noether_flux(potential: BodyForcePotential, state: PointState, v, w) -> np.ndarray:
     """Flux density (e + u) w + P^t (v - F w) of the given state and pair samples."""
-    return (np.asarray(state.energy + potential(state.y))[..., None] * w
-            + matvec(transpose(state.stress), v - matvec(state.f_grad, w)))
+    f_w = np.einsum("ij...,j...->i...", state.f_grad, w)
+    return ((state.energy + potential(np.moveaxis(state.y, 0, -1))) * w
+            + np.einsum("ki...,k...->i...", state.stress, v - f_w))
 
 
 def noether_condition_residuals(potential: BodyForcePotential, state: PointState,
@@ -129,7 +133,8 @@ def noether_condition_residuals(potential: BodyForcePotential, state: PointState
     First: du/dy . v + P . grad v.  Second: de/dx|expl . w - P . (F grad w).
     Both gradients are reference-space gradients of the fields x -> v, w.
     """
-    first = dot(potential.grad(state.y), v) + contract(state.stress, grad_v)
-    second = (dot(state.material_gradient, w)
-              - contract(state.stress, state.f_grad @ grad_w))
+    first = (np.einsum("...i,i...->...", potential.grad(np.moveaxis(state.y, 0, -1)), v)
+             + contract(state.stress, grad_v))
+    second = (np.einsum("i...,i...->...", state.material_gradient, w) - contract(
+        state.stress, np.einsum("ik...,kj...->ij...", state.f_grad, grad_w)))
     return first, second

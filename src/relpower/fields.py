@@ -4,9 +4,9 @@ A :class:`Motion` maps reference points to ambient points.  A scenario's
 virtual velocity fields are ``v``, over the ambient space, and ``w``, over
 the material (reference) space; both are functions of the reference point.
 Every map takes float points of shape (..., 3), a single point or a stack
-of them, and returns values with the same leading axes.
-A virtual field checks that its values and gradients are finite; y and F
-are checked in the point state made from them.  Observer changes superpose
+of them, and returns row-major values with the same leading axes; node
+data transposes them, once per node set, and checks them finite (y and F
+in the point state made from them).  Observer changes superpose
 rigid rates on either field independently (``functionals.pair_rows(scenario,
 generators)`` applies them to the pair's node rows, component-major (3, n)):
 
@@ -34,8 +34,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, check_finite,
-                      cross, cross_matrix, det, dot, matvec, transpose)
+from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross, cross_matrix,
+                      det, dot, matvec)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
@@ -60,8 +60,8 @@ def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.nd
 
 
 def curl_from_gradient(grad_w) -> np.ndarray:
-    """curl w as the axial vector of grad w - (grad w)^t."""
-    return axial_vector(grad_w - transpose(grad_w))
+    """curl w as the axial vector of grad w - (grad w)^t, component-major."""
+    return axial_vector(grad_w - np.swapaxes(grad_w, 0, 1))
 
 
 def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -90,7 +90,7 @@ class Motion:
             f = self.gradient(x)
         else:
             f = central_difference(self.y, x, self.step)
-        jac = np.ravel(det(f))
+        jac = np.ravel(det(np.einsum("...ij->ij...", f)))   # a component-major view
         bad = np.flatnonzero(jac <= 0.0)
         if bad.size:
             i = bad[0]
@@ -108,12 +108,11 @@ class VirtualField:
     step: float = DEFAULT_GRADIENT_STEP
 
     def __call__(self, x) -> np.ndarray:
-        return check_finite(x, virtual_field=self.value(x))
+        return self.value(x)
 
     def grad(self, x) -> np.ndarray:
-        g = (central_difference(self.value, x, self.step) if self.gradient is None
-             else self.gradient(x))
-        return check_finite(x, virtual_field_gradient=g)
+        return (central_difference(self.value, x, self.step) if self.gradient is None
+                else self.gradient(x))
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,15 @@ observer changes (12 unit generators, 2 random combinations) are one
 read a field it moves; the base power comes from the caller.
 
 Every integrand is evaluated at once over the node arrays of the
-scenario's part (points (n, 3), tensors (n, 3, 3), the traction P n and
-the pair's samples among them), built once with the scenario, so this
-module only combines rows; the literal power reads them component-major,
-(3, n) per field.  Every identity (R1..R4, the standard external power,
-``PowerBreakdown.total``, the power of each observer change, the Noether
-flux balance) is one ``part_integral``: one ``weighted_fsum`` over its
-volume rows, then its surface rows, so each defect subtracts two totals
-summed alike.  Only the report pieces of ``power.csv`` are summed apart.
+scenario's part (the points, the traction P n and the pair's samples
+among them), built once with the scenario, component-major, vectors (3, n)
+and tensors (3, 3, n), so this module only combines rows, each contraction
+one ``einsum`` over the node axis.  Every identity (R1..R4, the standard
+external power, ``PowerBreakdown.total``, the power of each observer
+change, the Noether flux balance) is one ``part_integral``: one
+``weighted_fsum`` over its volume rows, then its surface rows, so each
+defect subtracts two totals summed alike.  Only the report pieces of
+``power.csv`` are summed apart.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from . import configurational as conf
 from .exceptions import NonAffineDefect, PreconditionViolated
 from .geometry import weighted_fsum
 from .scenarios import Scenario
-from .tensors import contract, cross, dot, matvec, transpose
+from .tensors import contract, cross
 
 
 # the generators of an observer change: (c_hat, q_hat, c, q), rows of a (4, 3)
@@ -120,76 +121,60 @@ class PowerBreakdown:
 
 def part_integral(scenario: Scenario, volume_rows, surface_rows):
     """int_b volume_rows dx + int_db surface_rows dA as one ``weighted_fsum`` over
-    the volume nodes, then the surface nodes; rows run along the first axis."""
+    the volume nodes, then the surface nodes; the node axis of the rows is last."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    return weighted_fsum(np.concatenate([volume_rows, surface_rows]),
+    return weighted_fsum(np.concatenate([volume_rows, surface_rows], axis=-1),
                          np.concatenate([vol.weights, surf.weights]))
 
 
-def _component_major(rows):
-    """A C-contiguous copy of node rows (n, ...), with the node axis last."""
-    return np.ascontiguousarray(rows.transpose(*range(1, rows.ndim), 0))
-
-
 def pair_rows(scenario: Scenario, generators=None):
-    """The pair's node rows, component-major: v at the volume and surface nodes,
-    then w at both, then curl w at the volume nodes, each (3, n) for n nodes.
+    """The pair's node rows: v at the volume and surface nodes, then w at both,
+    then curl w at the volume nodes, each (3, n) for n nodes.
 
     Generators (4, 3), in ``GENERATOR_SLOTS`` order, give the rows of (v*, w*)
     about the scenario's pivots y0 and x0, and a stack (k, 4, 3) of them rows
     (k, 3, n); a field that no change moves keeps its node rows, the same arrays.
     """
     vol, surf = scenario.volume_data, scenario.surface_data
-    rows = tuple(map(_component_major, (vol.v, surf.v, vol.w, surf.w, vol.curl_w)))
-    return rows if generators is None else _shifted(rows, _arms(scenario), generators)
-
-
-def _arms(scenario: Scenario):
-    """y - y0 at the volume and surface nodes, then x - x0 at both, component-major."""
-    vol, surf = scenario.volume_data, scenario.surface_data
-    y0, x0 = scenario.y0, scenario.x0
-    return tuple(map(_component_major, (vol.y - y0, surf.y - y0, vol.points - x0,
-                                        surf.points - x0)))
-
-
-def _shifted(rows, arms, generators):
-    """``pair_rows``' shift of its rows by the generators, about the ``_arms``."""
+    rows = (vol.v, surf.v, vol.w, surf.w, vol.curl_w)
+    if generators is None:
+        return rows
     c_hat, q_hat, c, q = (generators[..., s, :, None] for s in range(4))
-    rates = [(c_hat, q_hat)] * 2 + [(c, q)] * 2
-    return (*(row + (t + cross(r, arm, axis=-2)) if t.any() or r.any() else row
-              for row, arm, (t, r) in zip(rows, arms, rates)),
+    moves = [(c_hat, q_hat, vol.y, scenario.y0), (c_hat, q_hat, surf.y, scenario.y0),
+             (c, q, vol.points, scenario.x0), (c, q, surf.points, scenario.x0)]
+    return (*(row + (t + cross(r, nodes - pivot[:, None], axis=-2))
+              if t.any() or r.any() else row
+              for row, (t, r, nodes, pivot) in zip(rows, moves)),
             rows[4] + 2.0 * q if q.any() else rows[4])
 
 
 def _power_rows(scenario: Scenario):
-    """The literal power integrand as maps of C-contiguous component-major pair
-    rows, so ``einsum`` adds each node's components in order, over component-major
-    copies, made here, of the node rows it reads: ``material(w, w_surf)`` gives F w
-    at both node sets and the flux and inhomogeneity rows, ``couple(curl_w)`` the
+    """The literal power integrand as maps of C-contiguous pair rows, so ``einsum``
+    adds each node's components in order: ``material(w, w_surf)`` gives F w at
+    both node sets and the flux and inhomogeneity rows, ``couple(curl_w)`` the
     couple rows, and ``pieces(v, v_surf, of_w, couple)`` the ``PowerBreakdown`` rows."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    f, f_surf, b, traction, normals, inhomogeneity, mu = map(_component_major, (
-        vol.f_grad, surf.f_grad, vol.body_force, surf.traction, surf.normals,
-        vol.material_gradient - vol.driving_force, vol.couple))
+    inhomogeneity = vol.material_gradient - vol.driving_force
     def material(w, w_surf):
-        return (np.einsum("ijn,...jn->...in", f, w),
-                np.einsum("ijn,...jn->...in", f_surf, w_surf),
-                np.einsum("in,...in->...n", normals, w_surf) * surf.energy,
+        return (np.einsum("ijn,...jn->...in", vol.f_grad, w),
+                np.einsum("ijn,...jn->...in", surf.f_grad, w_surf),
+                np.einsum("in,...in->...n", surf.normals, w_surf) * surf.energy,
                 np.einsum("in,...in->...n", inhomogeneity, w))
 
     def pieces(v, v_surf, of_w, couple):
         f_w, f_w_surf, flux, inh = of_w
-        return (np.einsum("in,...in->...n", b, v - f_w),
-                np.einsum("in,...in->...n", traction, v_surf - f_w_surf), flux, inh, couple)
+        return (np.einsum("in,...in->...n", vol.body_force, v - f_w),
+                np.einsum("in,...in->...n", surf.traction, v_surf - f_w_surf),
+                flux, inh, couple)
 
-    return material, lambda curl_w: -0.5 * np.einsum("in,...in->...n", mu, curl_w), pieces
+    return material, lambda c: -0.5 * np.einsum("in,...in->...n", vol.couple, c), pieces
 
 
 def _power_total(scenario: Scenario, rows):
     """P_rel from the five piece rows of ``_power_rows``: the volume pieces and the
     surface pieces added node by node, then one part integral."""
     act, act_s, flux, inh, cpl = rows
-    return part_integral(scenario, (act + inh + cpl).T, (act_s + flux).T)
+    return part_integral(scenario, act + inh + cpl, act_s + flux)
 
 
 def relative_power(scenario: Scenario, rows=None) -> PowerBreakdown:
@@ -208,14 +193,15 @@ def inner_relative_power(scenario: Scenario) -> float:
     """Volume-only inner form of the relative power for the scenario's pair."""
     vol = scenario.volume_data
     rows = (contract(vol.stress, vol.grad_v) + contract(vol.eshelby, vol.grad_w)
-            - 0.5 * dot(vol.couple, vol.curl_w))
+            - 0.5 * np.einsum("in,in->n", vol.couple, vol.curl_w))
     return weighted_fsum(rows, vol.weights)
 
 
 def standard_external_power(scenario: Scenario) -> float:
     """int_b b . v dx + int_db Pn . v dA, evaluated on its own."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    return part_integral(scenario, dot(vol.body_force, vol.v), dot(surf.traction, surf.v))
+    return part_integral(scenario, np.einsum("in,in->n", vol.body_force, vol.v),
+                         np.einsum("in,in->n", surf.traction, surf.v))
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +219,20 @@ class BalanceResiduals(NamedTuple):
 
 def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceResiduals:
     """R1..R4 about the pivots x0 and y0 (the scenario's by default)."""
-    x0 = scenario.x0 if x0 is None else x0
-    y0 = scenario.y0 if y0 is None else y0
+    x0 = (scenario.x0 if x0 is None else x0)[:, None]
+    y0 = (scenario.y0 if y0 is None else y0)[:, None]
     vol, surf = scenario.volume_data, scenario.surface_data
-    config_tractions = matvec(surf.eshelby, surf.normals)
+    config_tractions = np.einsum("ijn,jn->in", surf.eshelby, surf.normals)
     config_forces = (vol.material_gradient - vol.driving_force
-                     - matvec(transpose(vol.f_grad), vol.body_force))
+                     - np.einsum("kin,kn->in", vol.f_grad, vol.body_force))
     return BalanceResiduals(
         force=part_integral(scenario, vol.body_force, surf.traction),
-        torque=part_integral(scenario, cross(vol.y - y0, vol.body_force),
-                             cross(surf.y - y0, surf.traction)),
+        torque=part_integral(scenario, cross(vol.y - y0, vol.body_force, axis=-2),
+                             cross(surf.y - y0, surf.traction, axis=-2)),
         configurational_force=part_integral(scenario, config_forces, config_tractions),
         configurational_torque=part_integral(
-            scenario, cross(vol.points - x0, config_forces) - vol.couple,
-            cross(surf.points - x0, config_tractions)),
+            scenario, cross(vol.points - x0, config_forces, axis=-2) - vol.couple,
+            cross(surf.points - x0, config_tractions, axis=-2)),
     )
 
 
@@ -271,9 +257,9 @@ def invariance_decomposition(scenario: Scenario,
     computed it: it sets the scale and is the power of the zero change.  The
     12 unit changes (slot by slot, axis by axis) and the 2 random ones are
     one stack of generators, evaluated in chunks of ``max(1, CHUNK_ROWS //
-    n)`` changes for n volume nodes.  A chunk that moves no w, or no curl w,
-    takes the zero change's pieces of it, made when first taken; each change's
-    power is still the full literal power, summed as ``base.total`` is.
+    n)`` changes for n volume nodes.  Until a chunk moves w, the chunks take
+    the zero change's pieces of it; no moved row outlives its pieces, and each
+    change's power is summed as ``base.total`` is.
     """
     slots = len(GENERATOR_SLOTS)
     rng = np.random.default_rng(scenario.seed + 1)
@@ -282,17 +268,19 @@ def invariance_decomposition(scenario: Scenario,
     gens = np.concatenate([np.eye(3 * slots).reshape(-1, slots, 3), combined])
 
     material, couple, power_rows = _power_rows(scenario)
-    rows, arms = pair_rows(scenario), _arms(scenario)
-    base_material = functools.cache(lambda: material(*rows[2:4]))
-    base_couple = functools.cache(lambda: couple(rows[4]))
+    rows = pair_rows(scenario)
+    zero_w = functools.cache(lambda: material(*rows[2:4]))
     chunk = max(1, CHUNK_ROWS // len(scenario.volume_data.weights))
-    totals = []
-    for k in range(0, len(gens), chunk):
-        v, v_surf, w, w_surf, curl_w = _shifted(rows, arms, gens[k:k + chunk])
-        totals.append(_power_total(scenario, power_rows(
-            v, v_surf, base_material() if w is rows[2] else material(w, w_surf),
-            base_couple() if curl_w is rows[4] else couple(curl_w))))
-    defects = np.concatenate(totals) - base.total
+
+    def total(generators):
+        v, v_surf, w, w_surf, curl_w = pair_rows(scenario, generators)
+        if w is not rows[2]:   # the changes that move w come last
+            zero_w.cache_clear()
+        of_w, of_curl_w = zero_w() if w is rows[2] else material(w, w_surf), couple(curl_w)
+        del w, w_surf, curl_w
+        return _power_total(scenario, power_rows(v, v_surf, of_w, of_curl_w))
+    defects = np.concatenate([total(gens[k:k + chunk])
+                              for k in range(0, len(gens), chunk)]) - base.total
 
     units = defects[:3 * slots]
     coefficients = dict(zip(GENERATOR_SLOTS, units.reshape(slots, 3)))
@@ -330,16 +318,17 @@ def surface_independence_check(scenario: Scenario, allow_broken_hypotheses: bool
             raise PreconditionViolated("surface independence requires a "
                                        "homogeneous material")
         vol = scenario.volume_data
-        if any(np.any(np.linalg.norm(source, axis=-1) > 1e-8)
+        if any(np.any(np.linalg.norm(source, axis=0) > 1e-8)
                for source in (vol.body_force, vol.driving_force, vol.couple)):
             raise PreconditionViolated("surface independence requires "
                                        "b = f = mu = 0")
     surf = scenario.surface_data
-    outer = dot(surf.normals, surf.points - scenario.part.center) > 0.0
+    arms = surf.points - scenario.part.center[:, None]
+    outer = np.einsum("in,in->n", surf.normals, arms) > 0.0
     # outward sphere normals: negating the inner flux would turn an exact 0 into -0
-    rows = matvec(surf.eshelby, np.where(outer[:, None], surf.normals, -surf.normals))
-    return (weighted_fsum(rows[~outer], surf.weights[~outer]),
-            weighted_fsum(rows[outer], surf.weights[outer]))
+    rows = np.einsum("ijn,jn->in", surf.eshelby, np.where(outer, surf.normals, -surf.normals))
+    return (weighted_fsum(rows[:, ~outer], surf.weights[~outer]),
+            weighted_fsum(rows[:, outer], surf.weights[outer]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +358,7 @@ def noether_point_checks(scenario: Scenario) -> NoetherReport:
         raise PreconditionViolated("conservation-law checks need a declared "
                                    "body-force potential")
     vol, surf, potential = scenario.volume_data, scenario.surface_data, scenario.potential
-    div_w = np.trace(vol.grad_w, axis1=-2, axis2=-1)
+    div_w = np.trace(vol.grad_w)
     bad = div_w[np.abs(div_w) > 1e-10]
     if bad.size:
         raise PreconditionViolated(
@@ -377,8 +366,9 @@ def noether_point_checks(scenario: Scenario) -> NoetherReport:
 
     first, second = conf.noether_condition_residuals(
         potential, vol, vol.v, vol.grad_v, vol.w, vol.grad_w)
-    flux = dot(conf.noether_flux(potential, surf, surf.v, surf.w), surf.normals)
+    flux = np.einsum("in,in->n", conf.noether_flux(potential, surf, surf.v, surf.w),
+                     surf.normals)
     gap = abs(part_integral(scenario, -(first + second), flux))
-    mismatch = second - dot(vol.material_gradient, vol.w)
+    mismatch = second - np.einsum("in,in->n", vol.material_gradient, vol.w)
     return NoetherReport(*(float(np.max(np.abs(values), initial=0.0))
                            for values in (first, second, gap, mismatch)))

@@ -92,12 +92,12 @@ class BodyPart:
 
 
 def weighted_fsum(values, weights: np.ndarray):
-    """Correctly rounded sum of values[i] * weights[i] over the rows.
+    """Correctly rounded sum of values[..., i] * weights[i] over the last axis i.
 
-    Scalar rows give a float; vector rows give the per-component sums.
+    A scalar row (n,) gives a float; vector rows (3, n) the per-component sums.
     Raises :class:`NonFiniteValue` unless every sum is finite.
     """
-    terms = np.asarray(values, float).T * weights    # one row per sum
+    terms = np.asarray(values, float) * weights    # one row per sum
     try:
         sums = [math.fsum(memoryview(row)) for row in np.atleast_2d(terms)]
     except (OverflowError, ValueError) as err:    # an overflow, or inf - inf

@@ -9,7 +9,8 @@ in x at frozen F) exactly A * grad lam + B * grad mu.  Inhomogeneity
 therefore enters only through position-dependent moduli.  A model derives
 what its parts need of F once per array of F (``kinematics``: E and tr E
 for StVK, F^-t and ln det F for neo-Hookean), so ``response``, which gives
-e, P, de/dx|expl and, along a motion, Div P, takes it once.
+e, P, de/dx|expl and, along a motion, Div P, takes it once.  F is (3, 3, n),
+so each product of tensors is one ``einsum`` over the node axis.
 
 The presets are tabled by config name: models in ``MODEL_CLASSES``
 (Saint Venant-Kirchhoff ``stvk``, compressible ``neo_hookean`` and the
@@ -26,7 +27,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .tensors import IDENTITY, as_vector, check_finite, cofactor, det, dot, transpose
+from .tensors import (as_vector, check_finite, cofactor, component_major, contract, det,
+                      dot, identity_like)
 
 
 # ---------------------------------------------------------------------------
@@ -72,15 +74,10 @@ MODULI = {"constant": constant_modulus, "affine": affine_modulus,
 # Material models
 # ---------------------------------------------------------------------------
 
-def _tensor_factor(scalar) -> np.ndarray:
-    """A per-point scalar shaped to scale a stack of tensors."""
-    return np.asarray(scalar)[..., None, None]
-
-
 class MaterialModel:
     """Free energy e(x, F) with analytic first Piola-Kirchhoff stress.
 
-    Points x are float (..., 3) arrays and gradients F (..., 3, 3), taken
+    Points x are float (..., 3) arrays and gradients F (3, 3, ...), taken
     unchecked: ``point_state`` checks the state made from them.  det F > 0
     is checked only where F is made (``Motion.deformation_gradient``).
     Subclasses provide the modulus-independent parts from the F-derived
@@ -123,23 +120,23 @@ class MaterialModel:
 
     def response(self, x, f, df_dx=None):
         """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e in
-        x at fixed F.  Given dF/dx = ``df_dx`` (..., 3, 3, 3), x-index last, Div P
+        x at fixed F.  Given dF/dx = ``df_dx`` (3, 3, 3, ...), x-index third, Div P
         follows from the same parts: dP/dx|F = dA/dF (x) grad lam + dB/dF (x) grad
         mu traced, plus dP/dF[dF/dx_j] e_j summed column by column."""
         kin = self.kinematics(f)
         (a, b), (pa, pb) = self.energy_parts(f, kin), self.stress_parts(f, kin)
         lam, mu = self.lam.value(x), self.mu.value(x)
-        grad_lam, grad_mu = self.lam.gradient(x), self.mu.gradient(x)
-        lam_t, mu_t = _tensor_factor(lam), _tensor_factor(mu)
-        values = (np.asarray(lam * a + mu * b), lam_t * pa + mu_t * pb,
-                  np.asarray(a)[..., None] * grad_lam + np.asarray(b)[..., None] * grad_mu)
+        grad_lam, grad_mu = (component_major(m.gradient(x)) for m in (self.lam, self.mu))
+        values = (np.asarray(lam * a + mu * b), lam * pa + mu * pb,
+                  a * grad_lam + b * grad_mu)
         if df_dx is None:
             return values
-        # np.sum adds left to right; einsum("...ij->...i") rounds in another order
-        div_p = np.sum(pa * grad_lam[..., None, :] + pb * grad_mu[..., None, :], axis=-1)
+        # column j of dP/dx|F scaled by d lam/dx_j and d mu/dx_j, added column by column
+        explicit = pa * grad_lam[None] + pb * grad_mu[None]
+        div_p = explicit[:, 0] + explicit[:, 1] + explicit[:, 2]
         for j in range(3):
-            da, db = self.stress_derivative_parts(f, kin, df_dx[..., j])
-            div_p = div_p + (lam_t * da + mu_t * db)[..., :, j]
+            da, db = self.stress_derivative_parts(f, kin, df_dx[:, :, j])
+            div_p = div_p + (lam * da[:, j] + mu * db[:, j])
         return values + (div_p,)
 
 
@@ -150,23 +147,23 @@ class SaintVenantKirchhoff(MaterialModel):
 
     def kinematics(self, f):
         """(E, tr E)"""
-        e = 0.5 * (transpose(f) @ f - IDENTITY)
-        return e, np.trace(e, axis1=-2, axis2=-1)
+        e = 0.5 * (np.einsum("ki...,kj...->ij...", f, f) - identity_like(f))
+        return e, np.trace(e)
 
     def energy_parts(self, f, kin):
         e, tr_e = kin
-        return 0.5 * tr_e ** 2, np.sum(e * e, axis=(-2, -1))
+        return 0.5 * tr_e ** 2, contract(e, e)
 
     def stress_parts(self, f, kin):
         e, tr_e = kin
-        return _tensor_factor(tr_e) * f, 2.0 * f @ e
+        return tr_e * f, 2.0 * np.einsum("ik...,kj...->ij...", f, e)
 
     def stress_derivative_parts(self, f, kin, h):
         e, tr_e = kin
-        de = 0.5 * (transpose(h) @ f + transpose(f) @ h)
-        da = (_tensor_factor(np.trace(de, axis1=-2, axis2=-1)) * f
-              + _tensor_factor(tr_e) * h)
-        return da, 2.0 * (h @ e + f @ de)
+        ft_h = np.einsum("ki...,kj...->ij...", f, h)
+        de = 0.5 * (np.swapaxes(ft_h, 0, 1) + ft_h)     # H^t F + F^t H, halved
+        return np.trace(de) * f + tr_e * h, 2.0 * (np.einsum("ik...,kj...->ij...", h, e)
+                                                   + np.einsum("ik...,kj...->ij...", f, de))
 
 
 class NeoHookean(MaterialModel):
@@ -177,23 +174,22 @@ class NeoHookean(MaterialModel):
     def kinematics(self, f):
         """(F^-t = cof F / det F, ln det F); det F > 0 is checked where F is made."""
         j = det(f)
-        return cofactor(f) / j[..., None, None], np.log(j)
+        return cofactor(f) / j, np.log(j)
 
     def energy_parts(self, f, kin):
         log_j = kin[1]
-        tr_c = np.trace(transpose(f) @ f, axis1=-2, axis2=-1)
-        return 0.5 * log_j ** 2, 0.5 * (tr_c - 3.0) - log_j
+        return 0.5 * log_j ** 2, 0.5 * (contract(f, f) - 3.0) - log_j
 
     def stress_parts(self, f, kin):
         f_inv_t, log_j = kin
-        return _tensor_factor(log_j) * f_inv_t, f - f_inv_t
+        return log_j * f_inv_t, f - f_inv_t
 
     def stress_derivative_parts(self, f, kin, h):
         # d(F^-t)[H] = -F^-t H^t F^-t ; d(ln J)[H] = F^-t : H
         f_inv_t, log_j = kin
-        d_finv_t = -(f_inv_t @ transpose(h) @ f_inv_t)
-        da = (_tensor_factor(np.sum(f_inv_t * h, axis=(-2, -1))) * f_inv_t
-              + _tensor_factor(log_j) * d_finv_t)
+        d_finv_t = -np.einsum("ik...,kj...->ij...",
+                              np.einsum("ik...,jk...->ij...", f_inv_t, h), f_inv_t)
+        da = contract(f_inv_t, h) * f_inv_t + log_j * d_finv_t
         return da, h - d_finv_t
 
 
@@ -209,11 +205,11 @@ class Quadratic(MaterialModel):
     isotropic = False
 
     def energy_parts(self, f, kin):
-        d = f - IDENTITY
-        return np.zeros(f.shape[:-2]), 0.5 * np.sum(d * d, axis=(-2, -1))
+        d = f - identity_like(f)
+        return np.zeros(f.shape[2:]), 0.5 * contract(d, d)
 
     def stress_parts(self, f, kin):
-        return np.zeros(f.shape), f - IDENTITY
+        return np.zeros(f.shape), f - identity_like(f)
 
     def stress_derivative_parts(self, f, kin, h):
         return np.zeros(h.shape), h
@@ -239,7 +235,9 @@ class BodyForcePotential:
         return check_finite(y, potential=self.value(y))
 
     def grad(self, y) -> np.ndarray:
-        return check_finite(y, potential_gradient=self.gradient(y))
+        gradient = self.gradient(y)
+        check_finite(y, potential_gradient=np.moveaxis(gradient, -1, 0))
+        return gradient
 
 
 def zero_potential() -> BodyForcePotential:

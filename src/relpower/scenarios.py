@@ -19,13 +19,14 @@ section's config keys, which the schema's ``oneOf`` branches list too; a
 part's keyword-only ones are its quadrature orders.  Presets take no step:
 ``fd`` mode sets the motion step where it removes the analytic derivatives.
 
-Node data is built once per scenario, for its part, over stacked arrays,
-points (n, 3) and tensors (n, 3, 3): one point state over each node set,
-volume and surface, the volume one made with its sources in one call, and
-the pair sampled once per set, v and w at both, grad v and grad w at the
-volume nodes; every check reads it, the Noether check too.  The build makes
-F at every node, so it is also the det F > 0 check, and each sample is
-checked finite where the field makes it.
+Node data is built once per scenario, for its part, over stacked arrays:
+one point state over each node set, volume and surface, the volume one
+made with its sources in one call, and the pair sampled once per set, v
+and w at both, grad v and grad w at the volume nodes; every check reads
+it, the Noether check too.  It is kept component-major, vectors (3, n)
+and tensors (3, 3, n): the part's (n, 3) points and normals, and what
+motions and fields give at them, are transposed and checked finite once
+per node set.  The build makes F at every node: the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from . import configurational as conf
 from . import fields, geometry, materials
 from .exceptions import ConfigInvalid
-from .tensors import as_vector, check_finite
+from .tensors import as_vector, check_finite, component_major
 
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
 
@@ -240,13 +241,13 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # ---------------------------------------------------------------------------
 
 class _NodeData:
-    """The rows of every given quadrature node: each attribute named in ``FIELDS``
-    is an array with one row per node, from one array call."""
+    """The rows of every given quadrature node, component-major: each attribute
+    named in ``FIELDS``, and ``points``, from one array call."""
 
     FIELDS = conf.PointState._fields
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, values: tuple):
-        self.points = points
+        self.points = component_major(points)
         self.weights = weights
         vars(self).update(zip(self.FIELDS, values))
 
@@ -258,13 +259,14 @@ class VolumeNodeData(_NodeData):
                                  "v", "w", "grad_v", "grad_w", "curl_w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        x = part.volume_points
+        x, v, w = part.volume_points, scenario.v, scenario.w
         state, (b, f, mu) = scenario.sources(x)
-        check_finite(x, body_force=b, driving_force=f, couple=mu)
-        v, w = scenario.v, scenario.w
-        grad_w = w.grad(x)
-        pair = (v(x), w(x), v.grad(x), grad_w, fields.curl_from_gradient(grad_w))
-        super().__init__(x, part.volume_weights, state + (b, f, mu) + pair)
+        rows = dict(body_force=b, driving_force=f, couple=mu, v=component_major(v(x)),
+                    w=component_major(w(x)), grad_v=component_major(v.grad(x), 2),
+                    grad_w=component_major(w.grad(x), 2))
+        check_finite(x, **rows)
+        super().__init__(x, part.volume_weights, state + tuple(rows.values())
+                         + (fields.curl_from_gradient(rows["grad_w"]),))
 
 
 class SurfaceNodeData(_NodeData):
@@ -273,11 +275,12 @@ class SurfaceNodeData(_NodeData):
     FIELDS = _NodeData.FIELDS + ("v", "w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        surface, v, w = part.surface, scenario.v, scenario.w
-        x = surface.points
-        super().__init__(x, surface.weights, scenario.state(x) + (v(x), w(x)))
-        self.normals = surface.normals
-        self.traction = np.einsum("nij,nj->ni", self.stress, self.normals)
+        surface, x = part.surface, part.surface.points
+        v, w = (component_major(field(x)) for field in (scenario.v, scenario.w))
+        check_finite(x, v=v, w=w)
+        super().__init__(x, surface.weights, scenario.state(x) + (v, w))
+        self.normals = component_major(surface.normals)
+        self.traction = np.einsum("ijn,jn->in", self.stress, self.normals)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +362,18 @@ class Scenario:
                 f"isotropic material (model {self.model.name!r})")
 
     def _build_sources(self, spec: dict):
-        """x -> (state, (b, f, mu)), the point state and sources at points x."""
+        """x -> (state, (b, f, mu)) at points x, component-major."""
         if spec["mode"] == "closure":
             return conf.closure_sources(self.model, self.motion, self.divergence_step)
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
         b, f, mu = (build_field(spec.get(key, zero)) for key in ("b", "f", "mu"))
-        return lambda x: (self.state(x), (b(x), f(x), mu(x)))
+        return lambda x: (self.state(x), tuple(component_major(s(x)) for s in (b, f, mu)))
 
     # -- pointwise evaluation ------------------------------------------------
 
     def state(self, x) -> conf.PointState:
-        """y, F, P, e, PP and de/dx|expl at points x (..., 3)."""
+        """y, F, P, e, PP and de/dx|expl at points x (..., 3), component-major."""
         return conf.point_state(self.model, self.motion, x)
 
 

@@ -1,12 +1,13 @@
 """Dense 3-vector and 3x3 tensor algebra used throughout the toolkit.
 
 Everything is fixed to dimension three and backed by plain ``numpy``
-arrays.  Every operation works over leading axes: a single point is a
-``(3,)`` vector, a stack of ``n`` points is an ``(n, 3)`` array, and a
-stack of tensors is ``(n, 3, 3)``.  Finiteness is checked once per array:
-:func:`as_vector` and :func:`as_tensor` check preset parameters and pivots
-where they enter, :func:`check_finite` each point state, source, virtual
-field and potential value where it is made; the rest take float arrays.
+arrays.  Points, and what fields give at them, are row-major, (n, 3)
+(``dot``, ``matvec``, ``cross``); node rows are component-major, (3, n)
+and (3, 3, n), which the rest read.  A single point is the same array in
+both.  Finiteness is checked once per array: :func:`as_vector` and
+:func:`as_tensor` check preset parameters and pivots where they enter,
+:func:`check_finite` each point state, node row and potential value where
+it is made or taken; the rest take float arrays.
 """
 
 from __future__ import annotations
@@ -38,21 +39,26 @@ def as_tensor(value) -> np.ndarray:
     return t
 
 
+def component_major(a, rank: int = 1) -> np.ndarray:
+    """A C-contiguous copy of the row-major ``a`` with its ``rank`` component axes first."""
+    lead = np.ndim(a) - rank
+    return np.ascontiguousarray(np.transpose(a, (*range(lead, np.ndim(a)), *range(lead))))
+
+
 def check_finite(x: np.ndarray, **values):
-    """The last of ``values``, each made at points x (..., 3), one row per point.
-    Raises :class:`NonFiniteValue` naming the first value with a non-finite
-    component and the first point where it has one."""
+    """The last of ``values``, each made at points x (..., 3), component-major; raises
+    :class:`NonFiniteValue` naming the first non-finite one and its first such point."""
     for quantity, value in values.items():
         finite = np.isfinite(value)
         if not finite.all():
-            i = np.flatnonzero(~finite.reshape(x.shape[:-1] + (-1,)).all(axis=-1))[0]
+            i = np.flatnonzero(~finite.reshape(-1, x.size // 3).all(axis=0))[0]
             raise NonFiniteValue(f"{quantity} is not finite at {x.reshape(-1, 3)[i]}")
     return value
 
 
-def transpose(t) -> np.ndarray:
-    """T^t of every tensor in a stack."""
-    return np.swapaxes(t, -1, -2)
+def identity_like(t) -> np.ndarray:
+    """I shaped to broadcast against the tensors t."""
+    return IDENTITY.reshape((3, 3) + (1,) * (np.ndim(t) - 2))
 
 
 def dot(a, b) -> np.ndarray:
@@ -61,8 +67,9 @@ def dot(a, b) -> np.ndarray:
 
 
 def contract(s, t) -> np.ndarray:
-    """S : T = sum_ij S_ij T_ij of every pair of tensors."""
-    return np.sum(s * t, axis=(-2, -1))
+    """S : T = sum_ij S_ij T_ij of every pair, summed over i, then j, at any size."""
+    rows = np.einsum("ij...,ij...->j...", s, t)
+    return rows[0] + rows[1] + rows[2]
 
 
 def matvec(t, v) -> np.ndarray:
@@ -81,9 +88,7 @@ def cross(a, b, axis: int = -1) -> np.ndarray:
 
 def det(t) -> np.ndarray:
     """det T of every tensor in a stack, expanded along the first row."""
-    a, b, c = t[..., 0, 0], t[..., 0, 1], t[..., 0, 2]
-    d, e, f = t[..., 1, 0], t[..., 1, 1], t[..., 1, 2]
-    g, h, i = t[..., 2, 0], t[..., 2, 1], t[..., 2, 2]
+    (a, b, c), (d, e, f), (g, h, i) = t
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
@@ -95,14 +100,14 @@ _COFACTOR_FACTORS = np.array([3 * ((i + r) % 3) + (j + c) % 3 for r, c in (
 
 def cofactor(t) -> np.ndarray:
     """cof T = det T T^-t of every tensor in a stack, defined for singular T too."""
-    lead = t.shape[:-2]
-    g = t.reshape(lead + (9,))[..., _COFACTOR_FACTORS].reshape(lead + (4, 3, 3))
-    return g[..., 0, :, :] * g[..., 1, :, :] - g[..., 2, :, :] * g[..., 3, :, :]
+    nodes = np.shape(t)[2:]
+    g = np.reshape(t, (9,) + nodes)[_COFACTOR_FACTORS].reshape((4, 3, 3) + nodes)
+    return g[0] * g[1] - g[2] * g[3]
 
 
 def skew_part(t) -> np.ndarray:
     """Antisymmetric part (T - T^t)/2."""
-    return 0.5 * (t - transpose(t))
+    return 0.5 * (t - np.swapaxes(t, 0, 1))
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -112,7 +117,7 @@ def cross_matrix(a) -> np.ndarray:
 
 
 def axial_vector(w) -> np.ndarray:
-    """Inverse of :func:`cross_matrix` on antisymmetric tensors, read from
-    W_32, W_13 and W_21.  Callers pass a multiple of T - T^t, which rounding
-    keeps exactly antisymmetric."""
-    return np.stack([w[..., 2, 1], w[..., 0, 2], w[..., 1, 0]], axis=-1)
+    """Inverse of :func:`cross_matrix` on antisymmetric tensors, read from W_32,
+    W_13 and W_21.  Callers pass a multiple of T - T^t, which rounding keeps
+    exactly antisymmetric."""
+    return np.stack([w[2, 1], w[0, 2], w[1, 0]])

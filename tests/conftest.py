@@ -148,7 +148,8 @@ def torque_residuals(model, motion, mu, x):
 
 
 def reference_node_data(scenario, points, volume: bool) -> dict:
-    """Node data by the per-node loop, one point at a time.
+    """Node data by the per-node loop, one point at a time, stacked
+    component-major (the node axis last) as node data keeps it.
 
     The oracle for the batched :class:`relpower.scenarios.VolumeNodeData`
     and :class:`relpower.scenarios.SurfaceNodeData`: every field from its
@@ -156,7 +157,8 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
     the constitutive ones from :meth:`relpower.materials.MaterialModel.response`,
     and the pair's samples from the scenario's fields, one point per call.
     Closure b and f take Div P and Div PP from :func:`reference_divergences`,
-    as their pointwise definitions read.
+    as their pointwise definitions read.  A single point is the same array in
+    both layouts, so each row is what the single-point definitions give.
     """
     model, motion, step = scenario.model, scenario.motion, scenario.divergence_step
     v, w = scenario.v, scenario.w
@@ -187,7 +189,7 @@ def reference_node_data(scenario, points, volume: bool) -> dict:
         rows["body_force"].append(b)
         rows["driving_force"].append(driving)
         rows["couple"].append(couple)
-    return {name: np.array(values) for name, values in rows.items()}
+    return {name: np.moveaxis(np.array(values), 0, -1) for name, values in rows.items()}
 
 
 def decompose(scenario):
@@ -208,43 +210,41 @@ def prediction_errors(decomp, residuals) -> dict:
 
 
 def _component_major(rows):
-    """A C-contiguous copy of node rows (n, ...), the node axis last."""
+    """A C-contiguous copy of row-major rows (n, ...), the node axis last."""
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
 
 
 def _loop_rows(scenario, v_vol, w_vol, curl_w, v_surf, w_surf):
     """The literal power integrand of one pair's component-major rows (3, n), by
-    its five einsum rows over component-major copies of the node rows:
-    (actions, inhomogeneity, couple) at the volume nodes and (actions, flux)
-    at the surface nodes."""
+    its five einsum rows over the node rows: (actions, inhomogeneity, couple)
+    at the volume nodes and (actions, flux) at the surface nodes."""
     vol, surf = scenario.volume_data, scenario.surface_data
-    cm = _component_major
-    rel = v_vol - np.einsum("ijn,jn->in", cm(vol.f_grad), w_vol)
-    act = np.einsum("in,in->n", cm(vol.body_force), rel)
-    inh = np.einsum("in,in->n", cm(vol.material_gradient - vol.driving_force), w_vol)
-    cpl = -0.5 * np.einsum("in,in->n", cm(vol.couple), curl_w)
-    tractions = np.einsum("nij,nj->ni", surf.stress, surf.normals)
-    rel_s = v_surf - np.einsum("ijn,jn->in", cm(surf.f_grad), w_surf)
-    act_s = np.einsum("in,in->n", cm(tractions), rel_s)
-    flux = np.einsum("in,in->n", cm(surf.normals), w_surf) * surf.energy
+    rel = v_vol - np.einsum("ijn,jn->in", vol.f_grad, w_vol)
+    act = np.einsum("in,in->n", vol.body_force, rel)
+    inh = np.einsum("in,in->n", vol.material_gradient - vol.driving_force, w_vol)
+    cpl = -0.5 * np.einsum("in,in->n", vol.couple, curl_w)
+    tractions = np.einsum("ijn,jn->in", surf.stress, surf.normals)
+    rel_s = v_surf - np.einsum("ijn,jn->in", surf.f_grad, w_surf)
+    act_s = np.einsum("in,in->n", tractions, rel_s)
+    flux = np.einsum("in,in->n", surf.normals, w_surf) * surf.energy
     return (act, inh, cpl), (act_s, flux)
 
 
 def _loop_total(scenario, gens) -> float:
     """P_rel(v*, w*) of one change, from the pair's node rows, one cross product
-    per offset and all five pieces recomputed: the pieces summed node by node,
-    then one fsum over the volume and surface terms."""
+    per offset, taken row-major, and all five pieces recomputed: the pieces
+    summed node by node, then one fsum over the volume and surface terms."""
     vol, surf = scenario.volume_data, scenario.surface_data
     c_hat, q_hat, c, q = (gens[slot] for slot in fn.GENERATOR_SLOTS)
     y0, x0 = scenario.y0, scenario.x0
     cm = _component_major
     (act, inh, cpl), (act_s, flux) = _loop_rows(
         scenario,
-        cm(vol.v + (c_hat + np.cross(q_hat, vol.y - y0))),
-        cm(vol.w + (c + np.cross(q, vol.points - x0))),
-        cm(vol.curl_w + 2.0 * q),
-        cm(surf.v + (c_hat + np.cross(q_hat, surf.y - y0))),
-        cm(surf.w + (c + np.cross(q, surf.points - x0))))
+        cm(vol.v.T + (c_hat + np.cross(q_hat, vol.y.T - y0))),
+        cm(vol.w.T + (c + np.cross(q, vol.points.T - x0))),
+        cm(vol.curl_w.T + 2.0 * q),
+        cm(surf.v.T + (c_hat + np.cross(q_hat, surf.y.T - y0))),
+        cm(surf.w.T + (c + np.cross(q, surf.points.T - x0))))
     terms = [(a + i + m) * w for a, i, m, w in zip(act, inh, cpl, vol.weights)]
     terms += [(a + fl) * w for a, fl, w in zip(act_s, flux, surf.weights)]
     return math.fsum(terms)
@@ -259,8 +259,8 @@ def loop_decomposition(scenario):
     def total(rows, weights):
         return math.fsum(r * w for r, w in zip(rows, weights))
 
-    (act, inh, cpl), (act_s, flux) = _loop_rows(scenario, *map(
-        _component_major, (vol.v, vol.w, vol.curl_w, surf.v, surf.w)))
+    (act, inh, cpl), (act_s, flux) = _loop_rows(scenario, vol.v, vol.w, vol.curl_w,
+                                                surf.v, surf.w)
     actions = total(act, vol.weights) + total(act_s, surf.weights)
     disarrangement = (total(flux, surf.weights) + total(inh, vol.weights)
                       + total(cpl, vol.weights))

@@ -14,6 +14,7 @@ import pytest
 
 from relpower import cli
 from relpower import configurational as conf
+from relpower import functionals as fn
 from relpower.geometry import weighted_fsum
 from relpower.scenarios import (Scenario, bundled_scenario_names, config_seed,
                                 load_bundled_config)
@@ -171,7 +172,7 @@ class TestRun:
         ({"geometry.halfwidths": [1.0, 1.0, 1.0],
           "virtual_fields.v": {"preset": "linear", "matrix": [
               [1e308, 1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}},
-         "virtual_field"),
+         "v"),
         ({"motion": OVERFLOWING_MOTION}, "stress"),
         ({"motion": OVERFLOWING_MOTION, "sources": {"mode": "preset"},
           "checks": {"balances": {"tolerance": 1e-12},
@@ -220,6 +221,57 @@ class TestRun:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("steps,code", [
+        # a million part scales: every quotient of the bounded motion vanishes,
+        # F reads as I, and both gates passed on it
+        ({"divergence_step": 1e6, "motion_step": 1e5}, 2),
+        ({"divergence_step": 0.1, "motion_step": 0.10000000000000002}, 2),
+        ({"divergence_step": 0.10000000000000002, "motion_step": 0.01}, 2),
+        # the widest steps taken, which the gates fail
+        ({"divergence_step": 0.1, "motion_step": 0.1}, 1),
+    ])
+    def test_finite_difference_steps_are_at_most_a_tenth_of_the_part(self, tmp_path,
+                                                                      steps, code):
+        config = load_bundled_config("closure_sinusoidal_graded_stvk_fd")
+        config["derivatives"] = {"mode": "fd", **steps}
+        out = tmp_path / "out"
+        result = run_cli(["run", write_config(tmp_path, config), "--out", str(out)])
+        assert result.returncode == code, result.stderr
+        if code == 2:
+            assert result.stderr.startswith("error: config invalid at derivatives/")
+            assert "is greater than the maximum of 0.1" in result.stderr
+            assert not out.exists()
+
+    def test_preset_couple_is_gated_through_the_invariance_check(self, tmp_path,
+                                                                 monkeypatch):
+        # an anisotropic body carries a preset couple mu: the literal power's
+        # couple rows -1/2 mu . curl w move the material-rotation coefficient,
+        # which the gate sets against R4 = int (X x g - mu) dx + int X x PP n dA
+        config = load_bundled_config("preset_nonequilibrium")
+        config["material"]["model"] = "quadratic"
+        config["sources"]["mu"] = {"preset": "constant", "value": [0.3, -0.5, 0.2]}
+        path = write_config(tmp_path, config)
+        result = run_cli(["run", path, "--out", str(tmp_path / "out")])
+        assert result.returncode == 0, result.stderr
+        reports = tmp_path / "out" / "preset_nonequilibrium"
+        assert float(read_csv(reports / "power.csv")[0]["couple"]) == pytest.approx(
+            0.0856, abs=5e-5)
+        [gate] = read_csv(reports / "checks.csv")
+        assert (gate["metric"], float(gate["tolerance"])) == ("max_prediction_error", 1e-10)
+        assert float(gate["value"]) < 1e-15
+
+        power_rows = fn._power_rows
+
+        def negated_couple(scenario):
+            material, couple, pieces = power_rows(scenario)
+            return material, lambda curl_w: -couple(curl_w), pieces
+
+        monkeypatch.setattr(fn, "_power_rows", negated_couple)
+        result = run_cli(["run", path, "--out", str(tmp_path / "negated")])
+        assert result.returncode == 1, result.stderr
+        [gate] = read_csv(tmp_path / "negated" / "preset_nonequilibrium" / "checks.csv")
+        assert gate["status"] == "fail" and float(gate["value"]) > 1e-2
 
     def test_finite_norm_of_huge_components_is_reported(self, tmp_path):
         # R1 = (-1e308, 0, 0): its squares overflow, its norm 1e308 does not
@@ -550,7 +602,7 @@ class TestRun:
         report = read_csv(out / "noether.csv")[0]
         assert float(report["max_first_condition"]) <= 1e-16
         vol = Scenario(config).volume_data
-        expected = weighted_fsum(np.einsum("i,nij,nj->n", gravity, vol.f_grad, vol.w),
+        expected = weighted_fsum(np.einsum("i,ijn,jn->n", gravity, vol.f_grad, vol.w),
                                  vol.weights)
         assert float(report["boundary_flux_gap"]) == pytest.approx(abs(expected),
                                                                    rel=1e-12)
@@ -602,7 +654,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "Scenario", Spy)
         cli.sweep_scenario(load_bundled_config("noether_harmonic"), "quad", [2, 4, 6, 8])
-        assert [len(s.volume_data.points) for s in built] == [52, 104, 156, 208]
+        assert [len(s.volume_data.weights) for s in built] == [52, 104, 156, 208]
 
     def test_pointwise_divergence_error_reads_the_volume_nodes(self, monkeypatch):
         scenario = Scenario(load_bundled_config("closure_sinusoidal_graded_stvk"))
@@ -615,7 +667,7 @@ class TestSweep:
 
         monkeypatch.setattr(conf, "stress_divergences", spy)
         error = cli._pointwise_divergence_error(scenario)
-        assert len(seen) == 2 and all(x is scenario.volume_data.points for x in seen)
+        assert len(seen) == 2 and all(x is scenario.part.volume_points for x in seen)
         assert 0.0 < error < 1e-6
 
     def test_seedless_sweep_rows_share_the_config_seed(self):
@@ -693,6 +745,19 @@ class TestSweep:
         best = min(errors)
         assert errors[0] > best  # truncation branch
         assert errors[-1] > best  # rounding branch
+
+    def test_fd_sweep_values_above_a_tenth_are_invalid_config(self, tmp_path):
+        # a sweep value is the divergence step, at most 0.1 of the part scale like
+        # a config's: the sweep stops before it writes a row
+        config = load_bundled_config("closure_sinusoidal_graded_stvk")
+        config["quadrature"] = {"volume_order": 4, "surface_order": 4}
+        out = tmp_path / "out"
+        result = run_cli(["sweep", write_config(tmp_path, config), "--axis", "fd",
+                          "--values", "1e-2", "0.2", "--out", str(out)])
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(
+            "error: config invalid at derivatives/divergence_step: 0.2 is greater")
+        assert not out.exists()
 
 
 # config bytes the JSON decoder cannot read: not UTF-8, nested deeper than it

@@ -1,0 +1,134 @@
+"""Whole-scenario Euclidean actions on the bundled closure scenarios.
+
+Relation 1, an ambient rigid motion y* = Q y + c with v* = Q v and
+y0* = Q y0 + c, leaves P_rel, P_inn, R3 and R4 unchanged for a
+frame-indifferent material and turns R1 and R2 into Q R1 and Q R2.
+Relation 2, a material translation of the whole setup (part, motion,
+fields, moduli and x0 moved by d), leaves every report value unchanged.
+Both rebuild the closure sources and the node data from the moved
+objects, so a slip of F for F^t in the constitutive kernels, which the
+per-node oracle shares, shows here.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from relpower import functionals as fn
+from relpower.fields import rotation_motion
+from relpower.geometry import BodyPart, SurfaceQuadrature
+from relpower.scenarios import (Scenario, SurfaceNodeData, VolumeNodeData,
+                                load_bundled_config)
+
+Q = rotation_motion([0.3, -0.5, 0.8], 0.7).deformation_gradient(np.zeros(3))
+C = np.array([0.3, -0.2, 0.5])
+D = np.array([0.4, -0.3, 0.25])
+
+# the bundled closure scenarios of the frame-indifferent models (StVK and
+# neo-Hookean), and those of the quadratic model, which is not
+ANALYTIC = ["closure_shear_neohookean", "closure_sinusoidal_graded_stvk",
+            "closure_skewed_graded_stvk", "stvk_uniaxial"]
+FD = ["closure_shear_neohookean_fd", "closure_sinusoidal_graded_stvk_fd"]
+QUADRATIC = ["noether_graded", "noether_harmonic", "surface_independence_graded_control",
+             "surface_independence_quadratic"]
+
+
+def _rebuilt(scenario, **attributes):
+    """The scenario with ``attributes`` replaced, and its closure sources and
+    node data made again from them."""
+    vars(scenario).update(attributes)
+    scenario.sources = scenario._build_sources(scenario.config["sources"])
+    scenario.volume_data = VolumeNodeData(scenario, scenario.part)
+    scenario.surface_data = SurfaceNodeData(scenario, scenario.part)
+    return scenario
+
+
+def _turned(fn, rank, offset=0.0):
+    """x -> Q fn(x) + offset, Q acting on the first of ``rank`` component indices."""
+    if fn is None:
+        return None
+    return lambda x: np.moveaxis(np.tensordot(Q, fn(x), axes=(1, -rank)), 0, -rank) + offset
+
+
+def _rotated(scenario):
+    """Relation 1: y* = Q y + c, v* = Q v and y0* = Q y0 + c."""
+    motion, v = scenario.motion, scenario.v
+    rotated_motion = dataclasses.replace(
+        motion, y=_turned(motion.y, 1, C), gradient=_turned(motion.gradient, 2),
+        second_gradient=_turned(motion.second_gradient, 3))
+    rotated_v = dataclasses.replace(v, value=_turned(v.value, 1),
+                                    gradient=_turned(v.gradient, 2))
+    return _rebuilt(scenario, motion=rotated_motion, v=rotated_v, y0=Q @ scenario.y0 + C)
+
+
+def _shift(fn):
+    return None if fn is None else (lambda x: fn(x - D))
+
+
+def _translated(scenario):
+    """Relation 2: the part, motion, fields, moduli and x0 moved by d."""
+    part, model = scenario.part, scenario.model
+    moved_part = BodyPart(
+        center=part.center + D, scale=part.scale,
+        volume_points=part.volume_points + D, volume_weights=part.volume_weights,
+        surface=SurfaceQuadrature(part.surface.points + D, part.surface.normals,
+                                  part.surface.weights))
+    lam, mu = (dataclasses.replace(m, value=_shift(m.value), gradient=_shift(m.gradient))
+               for m in (model.lam, model.mu))
+    motion, v, w = (dataclasses.replace(obj, **{
+        name: _shift(getattr(obj, name))
+        for name in ("y", "value", "gradient", "second_gradient") if hasattr(obj, name)})
+        for obj in (scenario.motion, scenario.v, scenario.w))
+    return _rebuilt(scenario, part=moved_part, model=type(model)(lam, mu), motion=motion,
+                    v=v, w=w, x0=scenario.x0 + D)
+
+
+def _report(scenario):
+    """P_rel, its pieces, P_inn and R1..R4 of the scenario."""
+    power = fn.relative_power(scenario)
+    return (power, fn.inner_relative_power(scenario),
+            fn.integral_balance_residuals(scenario))
+
+
+def _tolerance(name):
+    # quadrature identities hold to round-off with analytic derivatives; the
+    # finite-difference scenarios gate their balances at their own tolerance
+    return (load_bundled_config(name)["checks"]["balances"]["tolerance"]
+            if name in FD else 1e-12)
+
+
+@pytest.mark.parametrize("name", ANALYTIC + FD)
+def test_ambient_rigid_motion_rotates_only_the_standard_residuals(name):
+    config = load_bundled_config(name)
+    scenario, tol = Scenario(config), _tolerance(name)
+    power, inner, residuals = _report(scenario)
+    rotated = _rotated(Scenario(config))
+    moved_power, moved_inner, moved = _report(rotated)
+    assert abs(moved_power.total - power.total) <= tol * max(1.0, abs(power.total))
+    assert abs(moved_inner - inner) <= tol * max(1.0, abs(inner))
+    expected = (Q @ residuals.force, Q @ residuals.torque,
+                residuals.configurational_force, residuals.configurational_torque)
+    for got, want in zip(moved, expected):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+    # node by node: P* = Q P and b* = Q b, while e, PP and f stay
+    vol, turned = scenario.volume_data, rotated.volume_data
+    for field, rotates in (("stress", True), ("body_force", True), ("energy", False),
+                           ("eshelby", False), ("driving_force", False)):
+        want = getattr(vol, field)
+        want = np.einsum("ij,j...->i...", Q, want) if rotates else want
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(getattr(turned, field), want, rtol=0.0,
+                                   atol=tol * scale, err_msg=field)
+
+
+@pytest.mark.parametrize("name", ANALYTIC + FD + QUADRATIC)
+def test_material_translation_leaves_every_report_value(name):
+    config = load_bundled_config(name)
+    (power, inner, residuals), tol = _report(Scenario(config)), _tolerance(name)
+    moved_power, moved_inner, moved = _report(_translated(Scenario(config)))
+    for piece, value in dataclasses.asdict(power).items():
+        assert abs(getattr(moved_power, piece) - value) <= tol * max(1.0, abs(value)), piece
+    assert abs(moved_inner - inner) <= tol * max(1.0, abs(inner))
+    for got, want in zip(moved, residuals):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)

@@ -37,8 +37,9 @@ def shifted_at(pair, motion, change, x, y0=(0.0, 0.0, 0.0)) -> tuple:
     component-major (3, 1), seen through the generators ``change`` about pivots
     y0 and x0 = 0."""
     x = np.asarray(x, float)
-    nodes = SimpleNamespace(y=motion.y(x)[None], points=x[None], v=pair.v(x)[None],
-                            w=pair.w(x)[None], curl_w=curl(pair.w, x)[None])
+    nodes = SimpleNamespace(y=motion.y(x)[:, None], points=x[:, None],
+                            v=pair.v(x)[:, None], w=pair.w(x)[:, None],
+                            curl_w=curl(pair.w, x)[:, None])
     scenario = SimpleNamespace(volume_data=nodes, surface_data=nodes,
                                y0=np.asarray(y0, float), x0=np.zeros(3))
     return pair_rows(scenario, change)

@@ -13,7 +13,6 @@ from relpower import configurational as conf
 from relpower.exceptions import PreconditionViolated
 from relpower.geometry import weighted_fsum
 from relpower.scenarios import Scenario, bundled_scenario_names, load_bundled_config
-from relpower.tensors import matvec
 
 
 def make_config(**overrides) -> dict:
@@ -49,8 +48,8 @@ class TestRelativePower:
         scenario = Scenario(make_config())
         vol, surf = scenario.volume_data, scenario.surface_data
         _, _, w, w_surf, curl_w = fn.pair_rows(scenario)   # component-major (3, n)
-        rows = (matvec(vol.f_grad, w.T).T, matvec(surf.f_grad, w_surf.T).T,
-                w, w_surf, curl_w)
+        rows = (np.einsum("ijn,jn->in", vol.f_grad, w),
+                np.einsum("ijn,jn->in", surf.f_grad, w_surf), w, w_surf, curl_w)
         power = fn.relative_power(scenario, rows)
         assert power.actions == pytest.approx(0.0, abs=1e-15)
 
@@ -400,8 +399,8 @@ class TestSurfaceIndependence:
         shell, rule = config["geometry"], config["quadrature"]["angular_points"]
         for flux, radius in zip(fluxes, (shell["inner_radius"], shell["outer_radius"])):
             sphere = sphere_surface(scenario.part.center, radius, rule)
-            oracle = weighted_fsum(
-                matvec(scenario.state(sphere.points).eshelby, sphere.normals),
+            oracle = weighted_fsum(np.einsum(
+                "ijn,nj->in", scenario.state(sphere.points).eshelby, sphere.normals),
                 sphere.weights)
             assert [cli._fmt(c) for c in flux] == [cli._fmt(c) for c in oracle]
 
@@ -526,7 +525,7 @@ class TestNoetherChecks:
         # div w vanishes at every volume node but the 10th
         scenario = Scenario(load_bundled_config("noether_harmonic"))
         grad_w = scenario.volume_data.grad_w.copy()
-        grad_w[9] = 0.1 * np.eye(3)
+        grad_w[..., 9] = 0.1 * np.eye(3)
         scenario.volume_data.grad_w = grad_w
         with pytest.raises(PreconditionViolated, match="div w = 0.3"):
             fn.noether_point_checks(scenario)

@@ -14,14 +14,15 @@ from relpower.geometry import (ball_part, box_part, gauss_legendre, shell_part,
 
 def volume_integral(part, integrand):
     """Integral of a scalar- or vector-valued integrand over the part."""
-    return weighted_fsum([integrand(x) for x in part.volume_points], part.volume_weights)
+    return weighted_fsum(np.transpose([integrand(x) for x in part.volume_points]),
+                         part.volume_weights)
 
 
 def surface_integral(part, integrand):
     """Boundary integral; the integrand receives (point, outward normal)."""
     quad = part.surface
-    return weighted_fsum([integrand(x, n) for x, n in zip(quad.points, quad.normals)],
-                         quad.weights)
+    return weighted_fsum(np.transpose([integrand(x, n) for x, n in
+                                       zip(quad.points, quad.normals)]), quad.weights)
 
 
 def area(part) -> float:
@@ -99,31 +100,33 @@ def test_divergence_theorem_on_position(make_part, volume):
 def test_weighted_fsum_matches_rowwise_fsum(rng):
     # the products are the same IEEE values and fsum rounds correctly, so
     # the vectorized form equals the row-by-row reference bit for bit
-    values = rng.normal(size=(50, 3))
+    values = rng.normal(size=(3, 50))
     weights = rng.uniform(size=50)
-    expected = [math.fsum(v[k] * w for v, w in zip(values, weights)) for k in range(3)]
+    expected = [math.fsum(v * w for v, w in zip(row, weights)) for row in values]
     assert list(weighted_fsum(values, weights)) == expected
-    scalar = math.fsum(v * w for v, w in zip(values[:, 0], weights))
-    assert weighted_fsum(list(values[:, 0]), weights) == scalar
+    scalar = math.fsum(v * w for v, w in zip(values[0], weights))
+    assert weighted_fsum(list(values[0]), weights) == scalar
 
 
 # zero, or a magnitude from 1e-300 to 1e300 of either sign
 FINITE = st.just(0.0) | st.floats(1e-300, 1e300).flatmap(lambda m: st.sampled_from((m, -m)))
 LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
-           "strided": lambda a: np.repeat(a, 2, axis=0)[::2]}
+           "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2]}
 
 
 @st.composite
 def weighted_rows(draw):
-    """(values, weights): scalar or vector rows and their weights, both in one
-    memory layout; half the draws repeat every row negated, so terms cancel."""
+    """(values, weights): a scalar row or vector rows, the node axis last, and their
+    weights, both in one memory layout; half the draws repeat every node negated,
+    so terms cancel."""
     n, width = draw(st.integers(1, 8)), draw(st.sampled_from((None, 1, 3)))
-    shape = (n,) if width is None else (n, width)
+    shape = (n,) if width is None else (width, n)
     values = np.array(draw(st.lists(FINITE, min_size=math.prod(shape),
                                     max_size=math.prod(shape)))).reshape(shape)
     weights = np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
     if draw(st.booleans()):
-        values, weights = np.concatenate([values, -values]), np.concatenate([weights, weights])
+        values = np.concatenate([values, -values], axis=-1)
+        weights = np.concatenate([weights, weights])
     layout = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
     return layout(values), layout(weights)
 
@@ -134,7 +137,7 @@ def test_weighted_fsum_is_math_fsum_of_the_weighted_terms(rows):
     # bit for bit where the sums are finite, NonFiniteValue where math.fsum
     # overflows, meets inf - inf or gives a non-finite sum
     values, weights = rows
-    columns = [values] if values.ndim == 1 else list(values.T)
+    columns = [values] if values.ndim == 1 else list(values)
     try:
         sums = [math.fsum(float(v) * float(w) for v, w in zip(column, weights))
                 for column in columns]
@@ -152,7 +155,7 @@ def test_weighted_fsum_is_math_fsum_of_the_weighted_terms(rows):
 @pytest.mark.parametrize("values,weights", [
     ([1e308, 1e308], [1.0, 1.0]),        # the sum overflows
     ([1e308, -1e308], [10.0, 10.0]),     # the terms are inf and -inf
-    ([[1e308, 0.0], [1e308, 1.0]], [1.0, 1.0]),
+    ([[1e308, 1e308], [0.0, 1.0]], [1.0, 1.0]),
 ])
 def test_weighted_fsum_rejects_overflow_and_inf_minus_inf(values, weights):
     with pytest.raises(NonFiniteValue, match="integral is not finite"), \

@@ -9,8 +9,8 @@ from relpower.configurational import point_state
 from relpower.exceptions import NonFiniteValue
 from relpower.fields import Motion
 from relpower.materials import MODEL_CLASSES, constant_modulus
-from relpower.tensors import (axial_vector, cofactor, cross, cross_matrix, det,
-                              skew_part, transpose)
+from relpower.tensors import (axial_vector, cofactor, component_major, cross,
+                              cross_matrix, det, skew_part)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -38,12 +38,27 @@ def test_src_calls_no_np_cross():
     assert not calls, f"np.cross in src/ (use tensors.cross): {', '.join(calls)}"
 
 
+def test_constitutive_modules_contract_over_the_node_axis_only():
+    # the response and the point state take component-major stacks: a batched
+    # matmul or a transposed operand there would read them strided
+    found = [f"{name}:{node.lineno}"
+             for name in ("materials.py", "configurational.py")
+             for node in ast.walk(ast.parse((SRC / "relpower" / name).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, (ast.BinOp, ast.AugAssign))
+             and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name in ("transpose", "matvec") for alias in node.names)]
+    assert not found, f"@, transpose or matvec in the constitutive modules: {found}"
+
+
 EPS = np.finfo(float).eps
 
 
 def _kernel_stacks(rng):
-    """(n, 3, 3) stacks: random, near-singular (det about 1e-9 of the scale)
-    and exactly singular (small integers, row 2 = row 0 - 2 row 1)."""
+    """(n, 3, 3) stacks, row-major as ``np.linalg`` takes them: random,
+    near-singular (det about 1e-9 of the scale) and exactly singular (small
+    integers, row 2 = row 0 - 2 row 1)."""
     random = rng.normal(size=(500, 3, 3))
     near = random.copy()
     near[:, 2] = near[:, 0] - 0.5 * near[:, 1] + 1e-9 * rng.normal(size=(500, 3))
@@ -68,39 +83,47 @@ def test_det_and_cofactor_match_numpy(kind, rng):
     # (det), and of |T|_F^2 (each 2x2 minor), whatever the conditioning
     t = _kernel_stacks(rng)[kind]
     rows = np.prod(np.linalg.norm(t, axis=-1), axis=-1)
-    assert np.all(np.abs(det(t) - np.linalg.det(t)) <= 8 * EPS * rows)
-    frobenius = np.sum(t * t, axis=(-2, -1))[:, None, None]
-    assert np.all(np.abs(cofactor(t) - _minors(t)) <= 8 * EPS * frobenius)
+    assert np.all(np.abs(det(component_major(t, 2)) - np.linalg.det(t)) <= 8 * EPS * rows)
+    frobenius = np.sum(t * t, axis=(-2, -1))
+    assert np.all(np.abs(cofactor(component_major(t, 2)) - component_major(_minors(t), 2))
+                  <= 8 * EPS * frobenius)
 
 
 def test_kernels_are_exact_on_exactly_singular_stacks(rng):
     # small integers: every product and difference is exact, so det T is 0
     # and T cof T^t = det T I vanishes exactly, where LAPACK's LU may round
     t = _kernel_stacks(rng)["singular"]
-    assert np.all(det(t) == 0.0)
-    np.testing.assert_array_equal(cofactor(t), np.round(_minors(t)))
-    np.testing.assert_array_equal(t @ transpose(cofactor(t)), np.zeros_like(t))
+    cof = cofactor(component_major(t, 2))
+    assert np.all(det(component_major(t, 2)) == 0.0)
+    np.testing.assert_array_equal(cof, component_major(np.round(_minors(t)), 2))
+    np.testing.assert_array_equal(np.einsum("ikn,jkn->ijn", component_major(t, 2), cof),
+                                  np.zeros((3, 3, len(t))))
 
 
 def test_cofactor_over_det_is_the_inverse_transpose(rng):
     # F^-t = cof F / det F, within 8 eps cond(F) of LAPACK's inverse
     t = _kernel_stacks(rng)["random"]
-    got = transpose(cofactor(t) / det(t)[:, None, None])
+    t_cm = component_major(t, 2)
+    got = np.moveaxis(np.swapaxes(cofactor(t_cm) / det(t_cm), 0, 1), -1, 0)
     want = np.linalg.inv(t)
     bound = 8 * EPS * np.linalg.cond(t) * np.linalg.norm(want, axis=(-2, -1))
     assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= bound)
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (1, 3, 3), (2, 5, 3, 3)])
-def test_kernels_keep_leading_axes(shape, rng):
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 1), (3, 3, 2, 5)])
+def test_kernels_keep_the_node_axes(shape, rng):
     t = rng.normal(size=shape)
-    assert det(t).shape == shape[:-2]
+    assert det(t).shape == shape[2:]
     assert cofactor(t).shape == shape
     # a constant F broadcast over the nodes, as the homogeneous motions give it
-    stacked = np.broadcast_to(t, (4,) + shape)
-    np.testing.assert_array_equal(det(stacked), np.broadcast_to(det(t), (4,) + shape[:-2]))
-    np.testing.assert_array_equal(cofactor(stacked), np.broadcast_to(cofactor(t),
-                                                                     (4,) + shape))
+    stacked = np.broadcast_to(t[..., None], shape + (4,))
+    np.testing.assert_array_equal(det(stacked), np.broadcast_to(det(t)[..., None],
+                                                                shape[2:] + (4,)))
+    np.testing.assert_array_equal(cofactor(stacked), np.broadcast_to(cofactor(t)[..., None],
+                                                                     shape + (4,)))
+    # the determinant of a row-major stack reads its component-major view
+    rows = np.moveaxis(t, (0, 1), (-2, -1))
+    np.testing.assert_array_equal(det(np.moveaxis(rows, (-2, -1), (0, 1))), det(t))
 
 
 def test_src_calls_no_np_linalg_det_or_inv():
@@ -142,8 +165,8 @@ def _call_sites(names):
 def test_finiteness_is_checked_only_where_values_enter_or_are_made():
     # entries: the preset constructors' parameters, the scenario's pivots and
     # the public cross_matrix; made values: point states, the fd stresses at
-    # shifted points, the volume sources, and the values and gradients of
-    # virtual fields and potentials
+    # shifted points, the node rows of the sources and of the pair where node
+    # data takes them, and the values and gradients of potentials
     tables = (fields.MOTIONS, fields.FIELDS, materials.MODULI, materials.POTENTIALS,
               geometry.PARTS)
     entries = {f"{f.__module__.rpartition('.')[2]}.{f.__name__}"
@@ -151,8 +174,7 @@ def test_finiteness_is_checked_only_where_values_enter_or_are_made():
     entries |= {"geometry._spherical_part", "scenarios.Scenario._build",
                 "tensors.cross_matrix"}
     made = {"configurational.point_state", "configurational.stress_divergences.stresses",
-            "scenarios.VolumeNodeData.__init__",
-            "fields.VirtualField.__call__", "fields.VirtualField.grad",
+            "scenarios.VolumeNodeData.__init__", "scenarios.SurfaceNodeData.__init__",
             "materials.BodyForcePotential.__call__", "materials.BodyForcePotential.grad"}
     sites = _call_sites(("as_vector", "as_tensor", "check_finite"))
     assert sites["as_vector"] | sites["as_tensor"] <= entries
