@@ -317,7 +317,7 @@ def _pointwise_divergence_error(scenario: Scenario) -> float:
     """
     exact_motion = build_motion(scenario.config["motion"], scenario.motion_step)
     fd_motion = dataclasses.replace(exact_motion, gradient=None, second_gradient=None)
-    points = scenario.part.volume_points
+    points = scenario.volume_data.points
     approx, exact = (conf.stress_divergences(scenario.model, motion, points,
                                              scenario.divergence_step)[1]
                      for motion in (fd_motion, exact_motion))

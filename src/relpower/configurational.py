@@ -23,8 +23,8 @@ whose constitutive part is one :meth:`MaterialModel.response`, which also
 gives closure sources Div P; ``fd`` ones make F, e, P and PP alone at each
 shifted point.  The conservation-law data reads any state with those names,
 node data among them, and takes the pair's samples beside it: this module
-evaluates no virtual field.  Points x are (..., 3), one or a stack of them;
-the state is component-major, (3, ...) and (3, 3, ...), the node axes last.
+evaluates no virtual field.  Points x are (3, ...), one or a stack of
+them, and the state is (3, ...) and (3, 3, ...), the node axes last.
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ import numpy as np
 
 from .fields import Motion, central_difference
 from .materials import BodyForcePotential, MaterialModel
-from .tensors import (axial_vector, check_finite, component_major, contract,
-                      identity_like, skew_part)
+from .tensors import axial_vector, check_finite, contract, identity_like, skew_part
 
 DEFAULT_DIVERGENCE_STEP = 1e-4
 
 
 def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
                          step: float) -> np.ndarray:
-    """Central-difference divergence on the second index of a component-major field."""
-    return np.trace(central_difference(field, x, step), axis1=-1 - x.ndim, axis2=-1)
+    """Central-difference divergence on the second index of a field of tensors."""
+    return np.trace(central_difference(field, x, step), axis1=-1 - x.ndim, axis2=-x.ndim)
 
 
 class PointState(NamedTuple):
@@ -61,10 +60,10 @@ class PointState(NamedTuple):
 def point_state(model: MaterialModel, motion: Motion, x, df_dx=None):
     """y, F, P, e, PP and de/dx|expl at points x, each made once and checked
     finite; given dF/dx = ``df_dx``, (state, Div P) from the same response."""
-    f = component_major(motion.deformation_gradient(x), 2)
+    f = motion.deformation_gradient(x)
     e, p, material_gradient, *div_p = model.response(x, f, df_dx)
     eshelby = e * identity_like(f) - np.einsum("ki...,kj...->ij...", f, p)
-    state = PointState(component_major(motion.y(x)), f, p, e, eshelby, material_gradient)
+    state = PointState(motion.y(x), f, p, e, eshelby, material_gradient)
     check_finite(x, **state._asdict())
     return (state, *div_p) if div_p else state
 
@@ -79,14 +78,14 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, step: float):
     """
     if motion.second_gradient is None:
         def stresses(xx):   # P and PP stacked as (2, 3, 3, ...)
-            f = component_major(motion.deformation_gradient(xx), 2)
+            f = motion.deformation_gradient(xx)
             e, p = model.response(xx, f)[:2]
             eshelby = e * identity_like(f) - np.einsum("ki...,kj...->ij...", f, p)
             return np.stack([p, check_finite(xx, f_grad=f, stress=p, energy=e,
                                              eshelby=eshelby)])
         state, both = point_state(model, motion, x), fd_tensor_divergence(stresses, x, step)
         return state, both[0], both[1]
-    df_dx = component_major(motion.second_gradient(x), 3)
+    df_dx = motion.second_gradient(x)
     state, div_p = point_state(model, motion, x, df_dx)
     # q_lij = sum_k P_kl dF_kij/dx: grad e - Div(F^t P) reads its diagonals
     q = np.einsum("kl...,kij...->lij...", state.stress, df_dx)
@@ -121,7 +120,7 @@ def closure_sources(model: MaterialModel, motion: Motion, step: float):
 def noether_flux(potential: BodyForcePotential, state: PointState, v, w) -> np.ndarray:
     """Flux density (e + u) w + P^t (v - F w) of the given state and pair samples."""
     f_w = np.einsum("ij...,j...->i...", state.f_grad, w)
-    return ((state.energy + potential(np.moveaxis(state.y, 0, -1))) * w
+    return ((state.energy + potential(state.y)) * w
             + np.einsum("ki...,k...->i...", state.stress, v - f_w))
 
 
@@ -133,7 +132,7 @@ def noether_condition_residuals(potential: BodyForcePotential, state: PointState
     First: du/dy . v + P . grad v.  Second: de/dx|expl . w - P . (F grad w).
     Both gradients are reference-space gradients of the fields x -> v, w.
     """
-    first = (np.einsum("...i,i...->...", potential.grad(np.moveaxis(state.y, 0, -1)), v)
+    first = (np.einsum("i...,i...->...", potential.grad(state.y), v)
              + contract(state.stress, grad_v))
     second = (np.einsum("i...,i...->...", state.material_gradient, w) - contract(
         state.stress, np.einsum("ik...,kj...->ij...", state.f_grad, grad_w)))

@@ -3,12 +3,12 @@
 A :class:`Motion` maps reference points to ambient points.  A scenario's
 virtual velocity fields are ``v``, over the ambient space, and ``w``, over
 the material (reference) space; both are functions of the reference point.
-Every map takes float points of shape (..., 3), a single point or a stack
-of them, and returns row-major values with the same leading axes; node
-data transposes them, once per node set, and checks them finite (y and F
-in the point state made from them).  Observer changes superpose
-rigid rates on either field independently (``functionals.pair_rows(scenario,
-generators)`` applies them to the pair's node rows, component-major (3, n)):
+Every map takes float points x (3, ...), a single point or a stack of
+them, and returns its values component-major, the component axes first
+and x's point axes last; node data checks them finite (y and F in the
+point state made from them).  Observer changes superpose rigid rates on
+either field independently (``functionals.pair_rows(scenario,
+generators)`` applies them to the pair's node rows):
 
     v* = c_hat + q_hat x (y - y0) + v
     w* = c + q x (x - x0) + w
@@ -34,29 +34,26 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import NonPositiveJacobian
-from .tensors import (IDENTITY, as_tensor, as_vector, axial_vector, cross, cross_matrix,
-                      det, dot, matvec)
+from .tensors import (IDENTITY, as_tensor, as_vector, at_points, axial_vector, cross,
+                      cross_matrix, det, dot)
 
 DEFAULT_GRADIENT_STEP = 1e-5
 
 
 def central_difference(fn: Callable[[np.ndarray], object], x, h: float) -> np.ndarray:
-    """Central differences of ``fn`` at points ``x`` (..., 3), derivative index last.
+    """Central differences of ``fn`` at points ``x`` (3, ...), the derivative index
+    right after the component indices.
 
-    For ``fn`` returning shape (...,) + S the result has shape (...,) + S + (3,)
-    with [..., j] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
+    For ``fn`` returning shape S + (...) the result has shape S + (3, ...) with
+    [..., j, :] = (fn(x + h e_j) - fn(x - h e_j)) / (2 h).
     """
-    out = None
+    diffs = []
     for j in range(3):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., j] += h
-        xm[..., j] -= h
-        diff = (np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * h)
-        if out is None:
-            out = np.empty(diff.shape + (3,))
-        out[..., j] = diff
-    return out
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        diffs.append((np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * h))
+    return np.stack(diffs, axis=diffs[0].ndim + 1 - x.ndim)
 
 
 def curl_from_gradient(grad_w) -> np.ndarray:
@@ -65,8 +62,8 @@ def curl_from_gradient(grad_w) -> np.ndarray:
 
 
 def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``value`` at every point of ``x``, as a read-only view."""
-    return np.broadcast_to(value, x.shape[:-1] + value.shape)
+    """``value`` at every point of ``x``, C-contiguous, as ``einsum`` reads fastest."""
+    return np.broadcast_to(at_points(value, x), value.shape + x.shape[1:]).copy()
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,7 @@ class Motion:
     """Placement map ``y``: x -> y(x), with optional analytic derivatives.
 
     ``gradient`` returns F(x); ``second_gradient`` returns dF/dx as a
-    (..., 3, 3, 3) array with entries [..., k, l, j] = d^2 y_k / (d x_l d x_j).
+    (3, 3, 3, ...) array with entries [k, l, j] = d^2 y_k / (d x_l d x_j).
     ``step`` is the finite-difference step used when ``gradient`` is absent.
     """
 
@@ -90,12 +87,11 @@ class Motion:
             f = self.gradient(x)
         else:
             f = central_difference(self.y, x, self.step)
-        jac = np.ravel(det(np.einsum("...ij->ij...", f)))   # a component-major view
+        jac = np.ravel(det(f))
         bad = np.flatnonzero(jac <= 0.0)
         if bad.size:
-            i = bad[0]
             raise NonPositiveJacobian(
-                f"det F = {jac[i]:g} <= 0 at x = {x.reshape(-1, 3)[i]}")
+                f"det F = {jac[bad[0]]:g} <= 0 at x = {x.reshape(3, -1)[:, bad[0]]}")
         return f
 
 
@@ -119,16 +115,14 @@ class VirtualField:
 # Motion presets
 # ---------------------------------------------------------------------------
 
-_NO_SECOND_GRADIENT = np.zeros((3, 3, 3))
-
-
 def homogeneous_motion(matrix) -> Motion:
     """y = F0 x"""
     f0 = as_tensor(matrix)
+    columns = [f0[:, j] for j in range(3)]     # F0 x = sum_j (F0 e_j) x_j, in order
     return Motion(
-        y=lambda x: matvec(f0, x),
+        y=lambda x: dot([at_points(column, x) for column in columns], x),
         gradient=lambda x: _constant(f0, x),
-        second_gradient=lambda x: _constant(_NO_SECOND_GRADIENT, x),
+        second_gradient=lambda x: _constant(np.zeros((3, 3, 3)), x),
     )
 
 
@@ -163,9 +157,8 @@ def harmonic_motion(alpha: float) -> Motion:
     """
 
     def placement(x):
-        x1, x2 = x[..., 0], x[..., 1]
-        return x + alpha * np.stack([x1 ** 2 - x2 ** 2, -2.0 * x1 * x2,
-                                     np.zeros(x1.shape)], axis=-1)
+        x1, x2 = x[0], x[1]
+        return x + alpha * np.stack([x1 ** 2 - x2 ** 2, -2.0 * x1 * x2, np.zeros(x1.shape)])
 
     # the displacement gradient is linear in x: H_kl = second_klj x_j
     second = np.zeros((3, 3, 3))
@@ -175,7 +168,8 @@ def harmonic_motion(alpha: float) -> Motion:
     second[1, 1, 0] = -2.0
     second *= alpha
     return Motion(placement,
-                  gradient=lambda x: IDENTITY + np.einsum("klj,...j->...kl", second, x),
+                  gradient=lambda x: (at_points(IDENTITY, x)
+                                      + np.einsum("klj,j...->kl...", second, x)),
                   second_gradient=lambda x: _constant(second, x))
 
 
@@ -185,17 +179,17 @@ def sinusoidal_motion(amplitude: float, wavevector, direction) -> Motion:
     d = as_vector(direction)
 
     def placement(x):
-        return x + (amplitude * np.sin(dot(k, x)))[..., None] * d
+        return x + amplitude * np.sin(dot(k, x)) * at_points(d, x)
 
     dk = np.outer(d, k)
 
     def gradient(x):
-        return IDENTITY + (amplitude * np.cos(dot(k, x)))[..., None, None] * dk
+        return at_points(IDENTITY, x) + amplitude * np.cos(dot(k, x)) * at_points(dk, x)
 
     dkk = np.einsum("i,j,k->ijk", d, k, k)
 
     def second_gradient(x):
-        return (-amplitude * np.sin(dot(k, x)))[..., None, None, None] * dkk
+        return -amplitude * np.sin(dot(k, x)) * at_points(dkk, x)
 
     return Motion(placement, gradient, second_gradient)
 
@@ -209,14 +203,11 @@ MOTIONS = {"identity": identity_motion, "homogeneous": homogeneous_motion,
 # Virtual-field presets
 # ---------------------------------------------------------------------------
 
-_ZERO_GRADIENT = np.zeros((3, 3))
-
-
 def constant_field(value) -> VirtualField:
     """uniform field"""
     value = as_vector(value)
     return VirtualField(lambda x: _constant(value, x),
-                        gradient=lambda x: _constant(_ZERO_GRADIENT, x))
+                        gradient=lambda x: _constant(np.zeros((3, 3)), x))
 
 
 def rigid_field(translation, rotation, pivot) -> VirtualField:
@@ -225,7 +216,7 @@ def rigid_field(translation, rotation, pivot) -> VirtualField:
     q = as_vector(rotation)
     x0 = as_vector(pivot)
     q_cross = cross_matrix(q)
-    return VirtualField(lambda x: c + cross(q, x - x0),
+    return VirtualField(lambda x: at_points(c, x) + cross(q, x - at_points(x0, x)),
                         gradient=lambda x: _constant(q_cross, x))
 
 
@@ -234,7 +225,9 @@ def affine_field(value, matrix, pivot=None) -> VirtualField:
     c = as_vector(value)
     a = as_tensor(matrix)
     x0 = np.zeros(3) if pivot is None else as_vector(pivot)
-    return VirtualField(lambda x: c + matvec(a, x - x0),
+    columns = [a[:, j] for j in range(3)]
+    return VirtualField(lambda x: at_points(c, x) + dot([at_points(col, x) for col in columns],
+                                                        x - at_points(x0, x)),
                         gradient=lambda x: _constant(a, x))
 
 
@@ -249,8 +242,8 @@ def sinusoidal_field(amplitude: float, wavevector, direction) -> VirtualField:
     d = as_vector(direction)
     dk = np.outer(d, k)
     return VirtualField(
-        lambda x: (amplitude * np.sin(dot(k, x)))[..., None] * d,
-        gradient=lambda x: (amplitude * np.cos(dot(k, x)))[..., None, None] * dk,
+        lambda x: amplitude * np.sin(dot(k, x)) * at_points(d, x),
+        gradient=lambda x: amplitude * np.cos(dot(k, x)) * at_points(dk, x),
     )
 
 

@@ -82,7 +82,8 @@ class SurfaceQuadrature:
 
 @dataclass(frozen=True)
 class BodyPart:
-    """A part of the reference body with volume and boundary quadrature."""
+    """A part of the reference body with volume and boundary quadrature; its
+    points and normals are (n, 3) tables, one node to a row."""
 
     center: np.ndarray
     scale: float

@@ -27,8 +27,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .tensors import (as_vector, check_finite, cofactor, component_major, contract, det,
-                      dot, identity_like)
+from .tensors import (as_vector, at_points, check_finite, cofactor, contract, det, dot,
+                      identity_like)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ from .tensors import (as_vector, check_finite, cofactor, component_major, contra
 
 @dataclass(frozen=True)
 class Modulus:
-    """A scalar modulus field and its exact gradient over float points (..., 3),
+    """A scalar modulus field and its exact gradient over float points (3, ...),
     which neither checks: points are checked where they are made."""
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -48,7 +48,7 @@ class Modulus:
 def constant_modulus(value: float) -> Modulus:
     """uniform modulus"""
     value = float(value)
-    return Modulus(lambda x: np.full(x.shape[:-1], value),
+    return Modulus(lambda x: np.full(x.shape[1:], value),
                    lambda x: np.zeros(x.shape), is_constant=True)
 
 
@@ -56,14 +56,14 @@ def affine_modulus(value: float, slope) -> Modulus:
     """value + slope . x"""
     value, slope = float(value), as_vector(slope)
     return Modulus(lambda x: value + dot(x, slope),
-                   lambda x: np.broadcast_to(slope, x.shape))
+                   lambda x: np.broadcast_to(at_points(slope, x), x.shape))
 
 
 def sinusoidal_modulus(value: float, amplitude: float, wavevector) -> Modulus:
     """value + amplitude sin(k . x)"""
     value, amplitude, k = float(value), float(amplitude), as_vector(wavevector)
     return Modulus(lambda x: value + amplitude * np.sin(dot(x, k)),
-                   lambda x: (amplitude * np.cos(dot(x, k)))[..., None] * k)
+                   lambda x: amplitude * np.cos(dot(x, k)) * at_points(k, x))
 
 
 MODULI = {"constant": constant_modulus, "affine": affine_modulus,
@@ -77,7 +77,7 @@ MODULI = {"constant": constant_modulus, "affine": affine_modulus,
 class MaterialModel:
     """Free energy e(x, F) with analytic first Piola-Kirchhoff stress.
 
-    Points x are float (..., 3) arrays and gradients F (3, 3, ...), taken
+    Points x are float (3, ...) arrays and gradients F (3, 3, ...), taken
     unchecked: ``point_state`` checks the state made from them.  det F > 0
     is checked only where F is made (``Motion.deformation_gradient``).
     Subclasses provide the modulus-independent parts from the F-derived
@@ -126,7 +126,7 @@ class MaterialModel:
         kin = self.kinematics(f)
         (a, b), (pa, pb) = self.energy_parts(f, kin), self.stress_parts(f, kin)
         lam, mu = self.lam.value(x), self.mu.value(x)
-        grad_lam, grad_mu = (component_major(m.gradient(x)) for m in (self.lam, self.mu))
+        grad_lam, grad_mu = self.lam.gradient(x), self.mu.gradient(x)
         values = (np.asarray(lam * a + mu * b), lam * pa + mu * pb,
                   a * grad_lam + b * grad_mu)
         if df_dx is None:
@@ -226,7 +226,7 @@ MODEL_CLASSES = {
 
 @dataclass(frozen=True)
 class BodyForcePotential:
-    """Potential u(y) over the ambient space with b = -du/dy, over points (..., 3)."""
+    """Potential u(y) over the ambient space with b = -du/dy, over points (3, ...)."""
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -235,14 +235,12 @@ class BodyForcePotential:
         return check_finite(y, potential=self.value(y))
 
     def grad(self, y) -> np.ndarray:
-        gradient = self.gradient(y)
-        check_finite(y, potential_gradient=np.moveaxis(gradient, -1, 0))
-        return gradient
+        return check_finite(y, potential_gradient=self.gradient(y))
 
 
 def zero_potential() -> BodyForcePotential:
     """u(y) = 0"""
-    return BodyForcePotential(lambda y: np.zeros(y.shape[:-1]),
+    return BodyForcePotential(lambda y: np.zeros(y.shape[1:]),
                               lambda y: np.zeros(y.shape))
 
 
@@ -250,7 +248,7 @@ def linear_potential(gravity) -> BodyForcePotential:
     """u(y) = -g . y"""
     g = as_vector(gravity)
     return BodyForcePotential(lambda y: -dot(g, y),
-                              lambda y: np.broadcast_to(-g, y.shape))
+                              lambda y: np.broadcast_to(at_points(-g, y), y.shape))
 
 
 POTENTIALS = {"zero": zero_potential, "linear": linear_potential}

@@ -23,10 +23,11 @@ Node data is built once per scenario, for its part, over stacked arrays:
 one point state over each node set, volume and surface, the volume one
 made with its sources in one call, and the pair sampled once per set, v
 and w at both, grad v and grad w at the volume nodes; every check reads
-it, the Noether check too.  It is kept component-major, vectors (3, n)
-and tensors (3, 3, n): the part's (n, 3) points and normals, and what
-motions and fields give at them, are transposed and checked finite once
-per node set.  The build makes F at every node: the det F > 0 check.
+it, the Noether check too.  It is component-major, vectors (3, n) and
+tensors (3, 3, n), as the presets take points and give values; the
+part's (n, 3) tables of points and normals are transposed once per node
+set, here only, and what the presets give there is checked finite once.
+The build makes F at every node: the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from . import configurational as conf
 from . import fields, geometry, materials
 from .exceptions import ConfigInvalid
-from .tensors import as_vector, check_finite, component_major
+from .tensors import as_vector, check_finite
 
 DEFAULT_MOTION_STEP = 1e-5     # relative to the part scale
 
@@ -241,15 +242,18 @@ def build_potential(spec: Optional[dict]) -> Optional[materials.BodyForcePotenti
 # ---------------------------------------------------------------------------
 
 class _NodeData:
-    """The rows of every given quadrature node, component-major: each attribute
-    named in ``FIELDS``, and ``points``, from one array call."""
+    """The rows of every given quadrature node: ``points`` and each attribute
+    named in ``FIELDS``, from one array call, C-contiguous as presets give them."""
 
     FIELDS = conf.PointState._fields
 
-    def __init__(self, points: np.ndarray, weights: np.ndarray, values: tuple):
-        self.points = component_major(points)
-        self.weights = weights
-        vars(self).update(zip(self.FIELDS, values))
+    def __init__(self, points: np.ndarray, weights: np.ndarray):
+        self.points, self.weights = self.transposed(points), weights
+
+    @staticmethod
+    def transposed(table: np.ndarray) -> np.ndarray:
+        """The part's (n, 3) ``table`` as (3, n) rows: the one transpose of points."""
+        return np.ascontiguousarray(table.T)
 
 
 class VolumeNodeData(_NodeData):
@@ -259,14 +263,14 @@ class VolumeNodeData(_NodeData):
                                  "v", "w", "grad_v", "grad_w", "curl_w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        x, v, w = part.volume_points, scenario.v, scenario.w
+        super().__init__(part.volume_points, part.volume_weights)
+        x, v, w = self.points, scenario.v, scenario.w
         state, (b, f, mu) = scenario.sources(x)
-        rows = dict(body_force=b, driving_force=f, couple=mu, v=component_major(v(x)),
-                    w=component_major(w(x)), grad_v=component_major(v.grad(x), 2),
-                    grad_w=component_major(w.grad(x), 2))
+        rows = dict(body_force=b, driving_force=f, couple=mu, v=v(x), w=w(x),
+                    grad_v=v.grad(x), grad_w=w.grad(x))
         check_finite(x, **rows)
-        super().__init__(x, part.volume_weights, state + tuple(rows.values())
-                         + (fields.curl_from_gradient(rows["grad_w"]),))
+        vars(self).update(zip(self.FIELDS, state + (*rows.values(),
+                                                    fields.curl_from_gradient(rows["grad_w"]))))
 
 
 class SurfaceNodeData(_NodeData):
@@ -275,11 +279,11 @@ class SurfaceNodeData(_NodeData):
     FIELDS = _NodeData.FIELDS + ("v", "w")
 
     def __init__(self, scenario: "Scenario", part: geometry.BodyPart):
-        surface, x = part.surface, part.surface.points
-        v, w = (component_major(field(x)) for field in (scenario.v, scenario.w))
+        super().__init__(part.surface.points, part.surface.weights)
+        x, v, w = self.points, scenario.v(self.points), scenario.w(self.points)
         check_finite(x, v=v, w=w)
-        super().__init__(x, surface.weights, scenario.state(x) + (v, w))
-        self.normals = component_major(surface.normals)
+        vars(self).update(zip(self.FIELDS, scenario.state(x) + (v, w)))
+        self.normals = self.transposed(part.surface.normals)
         self.traction = np.einsum("ijn,jn->in", self.stress, self.normals)
 
 
@@ -368,12 +372,12 @@ class Scenario:
 
         zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
         b, f, mu = (build_field(spec.get(key, zero)) for key in ("b", "f", "mu"))
-        return lambda x: (self.state(x), tuple(component_major(s(x)) for s in (b, f, mu)))
+        return lambda x: (self.state(x), tuple(s(x) for s in (b, f, mu)))
 
     # -- pointwise evaluation ------------------------------------------------
 
     def state(self, x) -> conf.PointState:
-        """y, F, P, e, PP and de/dx|expl at points x (..., 3), component-major."""
+        """y, F, P, e, PP and de/dx|expl at points x (3, ...)."""
         return conf.point_state(self.model, self.motion, x)
 
 

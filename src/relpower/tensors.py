@@ -1,13 +1,13 @@
 """Dense 3-vector and 3x3 tensor algebra used throughout the toolkit.
 
 Everything is fixed to dimension three and backed by plain ``numpy``
-arrays.  Points, and what fields give at them, are row-major, (n, 3)
-(``dot``, ``matvec``, ``cross``); node rows are component-major, (3, n)
-and (3, 3, n), which the rest read.  A single point is the same array in
-both.  Finiteness is checked once per array: :func:`as_vector` and
-:func:`as_tensor` check preset parameters and pivots where they enter,
-:func:`check_finite` each point state, node row and potential value where
-it is made or taken; the rest take float arrays.
+arrays, component-major: points and vectors are (3, ...) and tensors
+(3, 3, ...), the point axes last, so a product over components is a sum
+of rows at any number of points; a parameter of one point meets points
+through :func:`at_points`.  Finiteness is checked once per array:
+:func:`as_vector` and :func:`as_tensor` check preset parameters and
+pivots where they enter, :func:`check_finite` each point state, node row
+and potential value where it is made or taken; the rest take float arrays.
 """
 
 from __future__ import annotations
@@ -39,31 +39,31 @@ def as_tensor(value) -> np.ndarray:
     return t
 
 
-def component_major(a, rank: int = 1) -> np.ndarray:
-    """A C-contiguous copy of the row-major ``a`` with its ``rank`` component axes first."""
-    lead = np.ndim(a) - rank
-    return np.ascontiguousarray(np.transpose(a, (*range(lead, np.ndim(a)), *range(lead))))
-
-
 def check_finite(x: np.ndarray, **values):
-    """The last of ``values``, each made at points x (..., 3), component-major; raises
+    """The last of ``values``, each made at points x (3, ...); raises
     :class:`NonFiniteValue` naming the first non-finite one and its first such point."""
     for quantity, value in values.items():
         finite = np.isfinite(value)
         if not finite.all():
             i = np.flatnonzero(~finite.reshape(-1, x.size // 3).all(axis=0))[0]
-            raise NonFiniteValue(f"{quantity} is not finite at {x.reshape(-1, 3)[i]}")
+            raise NonFiniteValue(f"{quantity} is not finite at {x.reshape(3, -1)[:, i]}")
     return value
 
 
+def at_points(p, x) -> np.ndarray:
+    """The parameter ``p`` of one point, a vector or a tensor, shaped to broadcast
+    against points x (3, ...): ``p + x`` would pair p's last axis with x's last."""
+    return p.reshape(p.shape + (1,) * (np.ndim(x) - 1))
+
+
 def identity_like(t) -> np.ndarray:
-    """I shaped to broadcast against the tensors t."""
-    return IDENTITY.reshape((3, 3) + (1,) * (np.ndim(t) - 2))
+    """I shaped to broadcast against the tensors t (3, 3, ...)."""
+    return at_points(IDENTITY, t[0])
 
 
 def dot(a, b) -> np.ndarray:
-    """a . b over the last axis, rounded as the single-point ``a @ b``."""
-    return (np.asarray(a)[..., None, :] @ np.asarray(b)[..., None])[..., 0, 0]
+    """a . b over the first axis, summed in order at any number of points."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def contract(s, t) -> np.ndarray:
@@ -72,18 +72,11 @@ def contract(s, t) -> np.ndarray:
     return rows[0] + rows[1] + rows[2]
 
 
-def matvec(t, v) -> np.ndarray:
-    """T v of every tensor and vector, rounded as the single-point ``t @ v``."""
-    return (t @ np.asarray(v)[..., None])[..., 0]
-
-
-def cross(a, b, axis: int = -1) -> np.ndarray:
-    """a x b over axis ``axis`` < 0, with ``np.cross``'s products and differences."""
-    a, b = np.asarray(a), np.asarray(b)
-    c = [(..., i) + (slice(None),) * (-1 - axis) for i in range(3)]   # component i
-    return np.stack([a[c[1]] * b[c[2]] - a[c[2]] * b[c[1]],
-                     a[c[2]] * b[c[0]] - a[c[0]] * b[c[2]],
-                     a[c[0]] * b[c[1]] - a[c[1]] * b[c[0]]], axis=axis)
+def cross(a, b, axis: int = 0) -> np.ndarray:
+    """a x b over axis ``axis``, with ``np.cross``'s products and differences."""
+    (a0, a1, a2), (b0, b1, b2) = ([t[(slice(None),) * (axis % t.ndim) + (i,)] for i in range(3)]
+                                  for t in map(np.asarray, (a, b)))
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=axis)
 
 
 def det(t) -> np.ndarray:
@@ -113,7 +106,7 @@ def skew_part(t) -> np.ndarray:
 def cross_matrix(a) -> np.ndarray:
     """Matrix W with W u = a x u for every u."""
     # row i of W is e_i x a, since (W u)_i = e_i . (a x u) = u . (e_i x a)
-    return cross(IDENTITY, as_vector(a)[..., None, :])
+    return cross(IDENTITY, as_vector(a)[..., None, :], axis=-1)
 
 
 def axial_vector(w) -> np.ndarray:

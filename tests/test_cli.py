@@ -667,7 +667,7 @@ class TestSweep:
 
         monkeypatch.setattr(conf, "stress_divergences", spy)
         error = cli._pointwise_divergence_error(scenario)
-        assert len(seen) == 2 and all(x is scenario.part.volume_points for x in seen)
+        assert len(seen) == 2 and all(x is scenario.volume_data.points for x in seen)
         assert 0.0 < error < 1e-6
 
     def test_seedless_sweep_rows_share_the_config_seed(self):

@@ -5,7 +5,11 @@ y0* = Q y0 + c, leaves P_rel, P_inn, R3 and R4 unchanged for a
 frame-indifferent material and turns R1 and R2 into Q R1 and Q R2.
 Relation 2, a material translation of the whole setup (part, motion,
 fields, moduli and x0 moved by d), leaves every report value unchanged.
-Both rebuild the closure sources and the node data from the moved
+Relation 3, a material rotation of the whole setup (the part's points and
+normals, y*(X) = y(Q^t X), v*(X) = v(Q^t X), w*(X) = Q w(Q^t X), the
+moduli m(Q^t X) and x0* = Q x0), leaves P_rel, P_inn, R1 and R2 unchanged
+for an isotropic material and turns R3 and R4 into Q R3 and Q R4.  All
+three rebuild the closure sources and the node data from the moved
 objects, so a slip of F for F^t in the constitutive kernels, which the
 per-node oracle shares, shows here.
 """
@@ -20,6 +24,7 @@ from relpower.fields import rotation_motion
 from relpower.geometry import BodyPart, SurfaceQuadrature
 from relpower.scenarios import (Scenario, SurfaceNodeData, VolumeNodeData,
                                 load_bundled_config)
+from relpower.tensors import at_points
 
 Q = rotation_motion([0.3, -0.5, 0.8], 0.7).deformation_gradient(np.zeros(3))
 C = np.array([0.3, -0.2, 0.5])
@@ -44,26 +49,25 @@ def _rebuilt(scenario, **attributes):
     return scenario
 
 
-def _turned(fn, rank, offset=0.0):
-    """x -> Q fn(x) + offset, Q acting on the first of ``rank`` component indices."""
+def _turned(fn, offset=np.zeros(3)):
+    """x -> Q fn(x) + offset, Q acting on the first component index."""
     if fn is None:
         return None
-    return lambda x: np.moveaxis(np.tensordot(Q, fn(x), axes=(1, -rank)), 0, -rank) + offset
+    return lambda x: np.einsum("ij,j...->i...", Q, fn(x)) + at_points(offset, x)
 
 
 def _rotated(scenario):
     """Relation 1: y* = Q y + c, v* = Q v and y0* = Q y0 + c."""
     motion, v = scenario.motion, scenario.v
     rotated_motion = dataclasses.replace(
-        motion, y=_turned(motion.y, 1, C), gradient=_turned(motion.gradient, 2),
-        second_gradient=_turned(motion.second_gradient, 3))
-    rotated_v = dataclasses.replace(v, value=_turned(v.value, 1),
-                                    gradient=_turned(v.gradient, 2))
+        motion, y=_turned(motion.y, C), gradient=_turned(motion.gradient),
+        second_gradient=_turned(motion.second_gradient))
+    rotated_v = dataclasses.replace(v, value=_turned(v.value), gradient=_turned(v.gradient))
     return _rebuilt(scenario, motion=rotated_motion, v=rotated_v, y0=Q @ scenario.y0 + C)
 
 
 def _shift(fn):
-    return None if fn is None else (lambda x: fn(x - D))
+    return None if fn is None else (lambda x: fn(x - at_points(D, x)))
 
 
 def _translated(scenario):
@@ -82,6 +86,43 @@ def _translated(scenario):
         for obj in (scenario.motion, scenario.v, scenario.w))
     return _rebuilt(scenario, part=moved_part, model=type(model)(lam, mu), motion=motion,
                     v=v, w=w, x0=scenario.x0 + D)
+
+
+def _pulled(fn, rotation=None):
+    """X -> fn(Q^t X), its values taken through the einsum ``rotation`` with one
+    Q per further operand: the chain rule's Q^t on each material index."""
+    if fn is None:
+        return None
+
+    def pulled(x):
+        value = fn(np.einsum("ji,j...->i...", Q, x))
+        return value if rotation is None else np.einsum(
+            rotation, value, *(Q,) * rotation.count(","))
+    return pulled
+
+
+def _material_rotated(scenario):
+    """Relation 3: the part, y, v, w and the moduli seen from the material
+    frame turned by Q, and x0* = Q x0."""
+    part, model, motion, v, w = (scenario.part, scenario.model, scenario.motion,
+                                 scenario.v, scenario.w)
+    turned_part = BodyPart(
+        center=Q @ part.center, scale=part.scale,
+        volume_points=part.volume_points @ Q.T, volume_weights=part.volume_weights,
+        surface=SurfaceQuadrature(part.surface.points @ Q.T, part.surface.normals @ Q.T,
+                                  part.surface.weights))
+    lam, mu = (dataclasses.replace(m, value=_pulled(m.value),
+                                   gradient=_pulled(m.gradient, "a...,ia->i..."))
+               for m in (model.lam, model.mu))
+    motion = dataclasses.replace(
+        motion, y=_pulled(motion.y), gradient=_pulled(motion.gradient, "ka...,la->kl..."),
+        second_gradient=_pulled(motion.second_gradient, "kab...,la,jb->klj..."))
+    v = dataclasses.replace(v, value=_pulled(v.value),
+                            gradient=_pulled(v.gradient, "ka...,la->kl..."))
+    w = dataclasses.replace(w, value=_pulled(w.value, "a...,ia->i..."),
+                            gradient=_pulled(w.gradient, "ab...,ia,lb->il..."))
+    return _rebuilt(scenario, part=turned_part, model=type(model)(lam, mu), motion=motion,
+                    v=v, w=w, x0=Q @ scenario.x0)
 
 
 def _report(scenario):
@@ -132,3 +173,26 @@ def test_material_translation_leaves_every_report_value(name):
     assert abs(moved_inner - inner) <= tol * max(1.0, abs(inner))
     for got, want in zip(moved, residuals):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("name", ANALYTIC + FD)
+def test_material_rotation_rotates_only_the_configurational_residuals(name):
+    config = load_bundled_config(name)
+    scenario, turned = Scenario(config), _material_rotated(Scenario(config))
+    (power, inner, residuals), tol = _report(scenario), _tolerance(name)
+    moved_power, moved_inner, moved = _report(turned)
+    assert abs(moved_power.total - power.total) <= tol * max(1.0, abs(power.total))
+    assert abs(moved_inner - inner) <= tol * max(1.0, abs(inner))
+    expected = (residuals.force, residuals.torque, Q @ residuals.configurational_force,
+                Q @ residuals.configurational_torque)
+    for got, want in zip(moved, expected):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
+    # node by node: P* = P Q^t, PP* = Q PP Q^t and f* = Q f, while e and b stay
+    vol = scenario.volume_data
+    for field, want in (("stress", np.einsum("ijn,lj->iln", vol.stress, Q)),
+                        ("eshelby", np.einsum("ij,jkn,lk->iln", Q, vol.eshelby, Q)),
+                        ("driving_force", np.einsum("ij,jn->in", Q, vol.driving_force)),
+                        ("energy", vol.energy), ("body_force", vol.body_force)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(getattr(turned.volume_data, field), want, rtol=0.0,
+                                   atol=tol * scale, err_msg=field)

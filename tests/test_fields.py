@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_copy
+from relpower import fields, materials
 from relpower.exceptions import NonPositiveJacobian
 from relpower.fields import (VirtualField, central_difference,
                              constant_field, curl_from_gradient, harmonic_motion,
@@ -68,6 +69,69 @@ def all_motion_presets():
         harmonic_motion(0.1),
         sinusoidal_motion(0.08, [2.0, 0.5, -0.7], [0.25, 0.85, 0.45]),
     ]
+
+
+# parameters of every preset, none of them symmetric in its components
+PRESET_PARAMS = {
+    ("MOTIONS", "identity"): {},
+    ("MOTIONS", "homogeneous"): {"matrix": [[1.2, 0.1, 0.0], [0.0, 1.0, -0.1],
+                                            [0.05, 0.0, 0.9]]},
+    ("MOTIONS", "rotation"): {"axis": [0.3, -0.5, 0.8], "angle": 0.7},
+    ("MOTIONS", "shear"): {"gamma": 0.3},
+    ("MOTIONS", "harmonic"): {"alpha": 0.1},
+    ("MOTIONS", "sinusoidal"): {"amplitude": 0.08, "wavevector": [2.0, 0.5, -0.7],
+                                "direction": [0.25, 0.85, 0.45]},
+    ("FIELDS", "constant"): {"value": [0.3, -0.2, 0.5]},
+    ("FIELDS", "rigid"): {"translation": [0.1, 0.2, -0.3], "rotation": [0.4, -0.7, 0.2],
+                          "pivot": [0.15, -0.05, 0.1]},
+    ("FIELDS", "linear"): {"matrix": [[0.2, 0.1, 0.0], [0.0, -0.3, 0.1], [0.1, 0.0, 0.4]]},
+    ("FIELDS", "affine"): {"value": [0.3, -0.1, 0.2],
+                           "matrix": [[0.1, -0.2, 0.0], [0.3, 0.0, 0.1], [0.0, 0.1, -0.2]],
+                           "pivot": [0.05, 0.02, -0.05]},
+    ("FIELDS", "sinusoidal"): {"amplitude": 0.6, "wavevector": [1.2, -0.7, 0.4],
+                               "direction": [0.3, 0.8, -0.5]},
+    ("MODULI", "constant"): {"value": 1.3},
+    ("MODULI", "affine"): {"value": 1.0, "slope": [0.2, -0.1, 0.3]},
+    ("MODULI", "sinusoidal"): {"value": 1.0, "amplitude": 0.3, "wavevector": [1.1, 0.7, -0.5]},
+    ("POTENTIALS", "zero"): {},
+    ("POTENTIALS", "linear"): {"gravity": [0.1, -0.4, 0.25]},
+}
+TABLES = {"MOTIONS": fields.MOTIONS, "FIELDS": fields.FIELDS,
+          "MODULI": materials.MODULI, "POTENTIALS": materials.POTENTIALS}
+
+
+def _maps(preset):
+    """Every value and derivative a preset gives, analytic and by differences."""
+    if isinstance(preset, fields.Motion):
+        fd = fd_copy(preset)
+        return {"y": preset.y, "F": preset.deformation_gradient,
+                "dF/dx": preset.second_gradient, "F by differences": fd.deformation_gradient,
+                "dF/dx by differences": lambda x: central_difference(preset.gradient, x, 1e-5)}
+    if isinstance(preset, VirtualField):
+        return {"value": preset, "gradient": preset.grad,
+                "gradient by differences": fd_copy(preset).grad}
+    if isinstance(preset, materials.Modulus):
+        return {"value": preset.value, "gradient": preset.gradient}
+    return {"value": preset, "gradient": preset.grad}
+
+
+def test_every_preset_is_listed():
+    assert set(PRESET_PARAMS) == {(table, name) for table, presets in TABLES.items()
+                                  for name in presets}
+
+
+@pytest.mark.parametrize("table,name", sorted(PRESET_PARAMS))
+def test_three_points_equal_three_single_point_calls(table, name):
+    # a (3,) parameter met with a (3, 3) stack broadcasts along the point axis
+    # without an error: three points are where a missed at_points shows
+    preset = TABLES[table][name](**PRESET_PARAMS[(table, name)])
+    x = np.array([[0.3, -0.2, 0.45], [-0.35, 0.1, 0.25], [0.15, 0.4, -0.3]])
+    for label, fn in _maps(preset).items():
+        got = np.asarray(fn(x))
+        want = np.stack([np.asarray(fn(x[:, i])) for i in range(3)], axis=-1)
+        assert got.shape == want.shape, label
+        assert np.array_equal(got, want) and np.array_equal(
+            np.signbit(got), np.signbit(want)), label
 
 
 class TestDeformationGradient:

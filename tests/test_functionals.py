@@ -400,7 +400,7 @@ class TestSurfaceIndependence:
         for flux, radius in zip(fluxes, (shell["inner_radius"], shell["outer_radius"])):
             sphere = sphere_surface(scenario.part.center, radius, rule)
             oracle = weighted_fsum(np.einsum(
-                "ijn,nj->in", scenario.state(sphere.points).eshelby, sphere.normals),
+                "ijn,jn->in", scenario.state(sphere.points.T).eshelby, sphere.normals.T),
                 sphere.weights)
             assert [cli._fmt(c) for c in flux] == [cli._fmt(c) for c in oracle]
 

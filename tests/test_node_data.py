@@ -8,10 +8,10 @@ import pytest
 
 from conftest import reference_node_data
 from relpower import cli, fields, materials, scenarios
-from relpower.exceptions import NonPositiveJacobian
+from relpower.exceptions import NonFiniteValue, NonPositiveJacobian
 from relpower.scenarios import (Scenario, SurfaceNodeData, VolumeNodeData,
                                 bundled_scenario_names, load_bundled_config)
-from relpower.tensors import component_major, det
+from relpower.tensors import det
 
 # a graded closure part with 343 volume and 294 surface nodes
 OVERFLOW = {
@@ -101,7 +101,7 @@ def test_node_rows_are_bit_identical_however_the_points_are_split(name):
     # node work is elementwise: a node's row does not depend on the others
     scenario = Scenario(CONFIGS[name])
     reference = _node_arrays(scenario)
-    for size in (1, 7, 100_000):
+    for size in (1, 3, 7, 100_000):
         for got, want in zip(_split_node_arrays(scenario, size), reference):
             for field in want:
                 np.testing.assert_array_equal(got[field], want[field], err_msg=field)
@@ -158,14 +158,54 @@ def test_single_bad_node_mid_set_is_found():
                         "wavevector": [1.0, 0.37, 0.113], "direction": [-1.0, 0.0, 0.0]}
     part = scenarios.build_geometry(config["geometry"], config["quadrature"])
     motion = scenarios.build_motion(config["motion"], step=1e-5)
-    points = part.volume_points
+    points = part.volume_points.T
     f = motion.gradient(points)
     # the closed form finds the node LAPACK finds
-    assert list(np.flatnonzero(det(component_major(f, 2)) <= 0.0)) == [171]
-    assert list(np.flatnonzero(np.linalg.det(f) <= 0.0)) == [171]
+    assert list(np.flatnonzero(det(f) <= 0.0)) == [171]
+    assert list(np.flatnonzero(np.linalg.det(np.einsum("ijn->nij", f)) <= 0.0)) == [171]
     with pytest.raises(NonPositiveJacobian, match=r"at x = \[0\. 0\. 0\.\]"):
         motion.deformation_gradient(points)
-    motion.deformation_gradient(np.delete(points, 171, axis=0))
+    motion.deformation_gradient(np.delete(points, 171, axis=1))
+
+
+def _distinct_nonzero(point):
+    return np.all(point != 0.0) and len(set(point.tolist())) == 3
+
+
+def test_single_bad_node_off_the_axes_is_named():
+    # the box centre c has k . c = 2 pi, so det F = 1 - cos(k . x) vanishes at
+    # the centre node only, whose three coordinates differ: a point read from
+    # the wrong axis of the (3, n) stack could not print them
+    k = np.array([1.0, 0.37, 0.113])
+    centre = 2.0 * np.pi / (k @ [1.0, 2.0, 3.0]) * np.array([1.0, 2.0, 3.0])
+    part = scenarios.build_geometry({"kind": "box", "center": centre.tolist(),
+                                     "halfwidths": [0.5, 0.5, 0.5]}, OVERFLOW["quadrature"])
+    motion = scenarios.build_motion({"preset": "sinusoidal", "amplitude": 1.0,
+                                     "wavevector": k.tolist(), "direction": [-1.0, 0.0, 0.0]},
+                                    step=1e-5)
+    assert list(np.flatnonzero(det(motion.gradient(part.volume_points.T)) <= 0.0)) == [171]
+    assert _distinct_nonzero(part.volume_points[171])
+    with pytest.raises(NonPositiveJacobian) as raised:
+        motion.deformation_gradient(part.volume_points.T)
+    assert str(raised.value).endswith(f"at x = {part.volume_points[171]}")
+
+
+def test_first_overflowing_node_is_named():
+    # v = 1e308 x_1 e_1 overflows where x_1 > 1.79...; the first such node,
+    # found one point at a time, is the one the error names
+    config = copy.deepcopy(OVERFLOW)
+    config["geometry"] = {"kind": "box", "center": [1.5, -0.4, 0.3],
+                          "halfwidths": [0.5, 0.3, 0.2]}
+    config["virtual_fields"]["v"] = {
+        "preset": "linear", "matrix": [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+    part = scenarios.build_geometry(config["geometry"], config["quadrature"])
+    v = scenarios.build_field(config["virtual_fields"]["v"])
+    with np.errstate(over="ignore"):
+        bad = next(x for x in part.volume_points if not np.isfinite(v(x)).all())
+        assert _distinct_nonzero(bad)
+        with pytest.raises(NonFiniteValue) as raised:
+            Scenario(config)
+    assert str(raised.value) == f"v is not finite at {bad}"
 
 
 def test_closed_form_det_finds_the_band_lapack_finds():
@@ -177,12 +217,13 @@ def test_closed_form_det_finds_the_band_lapack_finds():
                                      "wavevector": [4.0, 1.48, 0.452],
                                      "direction": [-1.0, 0.0, 0.0]}, step=1e-5)
     for points in (part.volume_points, part.surface.points):
-        f = motion.gradient(points)
-        bad = np.flatnonzero(det(component_major(f, 2)) <= 0.0)
+        f = motion.gradient(points.T)
+        bad = np.flatnonzero(det(f) <= 0.0)
         assert 0 < len(bad) < len(points)
-        np.testing.assert_array_equal(bad, np.flatnonzero(np.linalg.det(f) <= 0.0))
+        np.testing.assert_array_equal(
+            bad, np.flatnonzero(np.linalg.det(np.einsum("ijn->nij", f)) <= 0.0))
         with pytest.raises(NonPositiveJacobian) as raised:
-            motion.deformation_gradient(points)
+            motion.deformation_gradient(points.T)
         assert str(raised.value).endswith(f"at x = {points[bad[0]]}")
 
 
@@ -196,7 +237,7 @@ def test_run_samples_the_pair_once_per_node_set(name, monkeypatch):
 
     def counted(method, kind):
         def call(self, x):
-            calls.append((self, kind, len(x)))
+            calls.append((self, kind, x.shape[-1]))
             return method(self, x)
         return call
 

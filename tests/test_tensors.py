@@ -9,21 +9,21 @@ from relpower.configurational import point_state
 from relpower.exceptions import NonFiniteValue
 from relpower.fields import Motion
 from relpower.materials import MODEL_CLASSES, constant_modulus
-from relpower.tensors import (axial_vector, cofactor, component_major, cross,
-                              cross_matrix, det, skew_part)
+from relpower.tensors import axial_vector, cofactor, cross, cross_matrix, det, skew_part
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-# the shapes src/ broadcasts: a pivot offset, a stack of changes against the
-# nodes, the identity against points (cross_matrix), and node against node
-@pytest.mark.parametrize("a_shape,b_shape", [((3,), (7, 3)), ((4, 1, 3), (7, 3)),
-                                             ((3, 3), (5, 1, 3)), ((7, 3), (7, 3))])
-def test_cross_equals_np_cross_bit_for_bit(a_shape, b_shape, rng):
+# the shapes src/ broadcasts: a rotation rate against the points, a stack of
+# changes against the nodes, the identity against a vector (cross_matrix), and
+# node against node
+@pytest.mark.parametrize("a_shape,b_shape,axis", [((3,), (3, 7), 0), ((4, 3, 1), (3, 7), -2),
+                                                  ((3, 3), (1, 3), -1), ((3, 7), (3, 7), -2)])
+def test_cross_equals_np_cross_bit_for_bit(a_shape, b_shape, axis, rng):
     a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
     a.flat[::4] = 0.0   # exact zeros, where the sign of a zero product shows
     b.flat[::5] = -0.0
-    got, want = cross(a, b), np.cross(a, b)
+    got, want = cross(a, b, axis=axis), np.cross(a, b, axisa=axis, axisb=axis, axisc=axis)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -38,18 +38,45 @@ def test_src_calls_no_np_cross():
     assert not calls, f"np.cross in src/ (use tensors.cross): {', '.join(calls)}"
 
 
+def _layout_names(node):
+    """The names a node reads or imports that reorder axes."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def _layout_sites(tree, module, scope=()):
+    """(site, name) of every axis-reordering name in the tree, site ``module.scope``."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope + (child.name,) if isinstance(
+            child, (ast.ClassDef, ast.FunctionDef)) else scope
+        for name in _layout_names(child):
+            if name in ("component_major", "matvec", "moveaxis", "T", "transpose"):
+                yield ".".join((module,) + scope), name
+        yield from _layout_sites(child, module, inner)
+
+
 def test_constitutive_modules_contract_over_the_node_axis_only():
     # the response and the point state take component-major stacks: a batched
-    # matmul or a transposed operand there would read them strided
+    # matmul there would read them strided
     found = [f"{name}:{node.lineno}"
              for name in ("materials.py", "configurational.py")
              for node in ast.walk(ast.parse((SRC / "relpower" / name).read_text(
                  encoding="utf-8")))
              if isinstance(node, (ast.BinOp, ast.AugAssign))
-             and isinstance(node.op, ast.MatMult)
-             or isinstance(node, ast.ImportFrom)
-             and any(alias.name in ("transpose", "matvec") for alias in node.names)]
-    assert not found, f"@, transpose or matvec in the constitutive modules: {found}"
+             and isinstance(node.op, ast.MatMult)]
+    assert not found, f"@ in the constitutive modules: {found}"
+    # one layout from the point on: no module converts between two, and the
+    # part's (n, 3) tables are transposed only where node data is built
+    sites = [(site, name) for path in sorted(SRC.rglob("*.py"))
+             for site, name in _layout_sites(ast.parse(path.read_text(encoding="utf-8")),
+                                             path.stem)]
+    assert not [s for s in sites if s[1] in ("component_major", "matvec", "moveaxis")], sites
+    assert {site for site, _ in sites} <= {"scenarios._NodeData.transposed"}, sites
 
 
 EPS = np.finfo(float).eps
@@ -77,15 +104,20 @@ def _minors(t):
     return out
 
 
+def _node_last(t):
+    """The (n, 3, 3) stack t as the kernels take it, (3, 3, n)."""
+    return np.ascontiguousarray(np.moveaxis(t, 0, -1))
+
+
 @pytest.mark.parametrize("kind", ["random", "near_singular", "singular"])
 def test_det_and_cofactor_match_numpy(kind, rng):
     # both errors are within 8 eps of the Hadamard bound |det T| <= prod_i |row_i|
     # (det), and of |T|_F^2 (each 2x2 minor), whatever the conditioning
     t = _kernel_stacks(rng)[kind]
     rows = np.prod(np.linalg.norm(t, axis=-1), axis=-1)
-    assert np.all(np.abs(det(component_major(t, 2)) - np.linalg.det(t)) <= 8 * EPS * rows)
+    assert np.all(np.abs(det(_node_last(t)) - np.linalg.det(t)) <= 8 * EPS * rows)
     frobenius = np.sum(t * t, axis=(-2, -1))
-    assert np.all(np.abs(cofactor(component_major(t, 2)) - component_major(_minors(t), 2))
+    assert np.all(np.abs(cofactor(_node_last(t)) - _node_last(_minors(t)))
                   <= 8 * EPS * frobenius)
 
 
@@ -93,17 +125,17 @@ def test_kernels_are_exact_on_exactly_singular_stacks(rng):
     # small integers: every product and difference is exact, so det T is 0
     # and T cof T^t = det T I vanishes exactly, where LAPACK's LU may round
     t = _kernel_stacks(rng)["singular"]
-    cof = cofactor(component_major(t, 2))
-    assert np.all(det(component_major(t, 2)) == 0.0)
-    np.testing.assert_array_equal(cof, component_major(np.round(_minors(t)), 2))
-    np.testing.assert_array_equal(np.einsum("ikn,jkn->ijn", component_major(t, 2), cof),
+    cof = cofactor(_node_last(t))
+    assert np.all(det(_node_last(t)) == 0.0)
+    np.testing.assert_array_equal(cof, _node_last(np.round(_minors(t))))
+    np.testing.assert_array_equal(np.einsum("ikn,jkn->ijn", _node_last(t), cof),
                                   np.zeros((3, 3, len(t))))
 
 
 def test_cofactor_over_det_is_the_inverse_transpose(rng):
     # F^-t = cof F / det F, within 8 eps cond(F) of LAPACK's inverse
     t = _kernel_stacks(rng)["random"]
-    t_cm = component_major(t, 2)
+    t_cm = _node_last(t)
     got = np.moveaxis(np.swapaxes(cofactor(t_cm) / det(t_cm), 0, 1), -1, 0)
     want = np.linalg.inv(t)
     bound = 8 * EPS * np.linalg.cond(t) * np.linalg.norm(want, axis=(-2, -1))
@@ -228,10 +260,10 @@ class TestAxialVector:
 
 def test_non_finite_inputs_rejected():
     # y is NaN where x_1 > 0; the error names y and the first such point
-    motion = Motion(lambda x: np.where(x[..., :1] > 0.0, np.nan, x),
-                    gradient=lambda x: np.broadcast_to(np.eye(3), x.shape + (3,)))
+    motion = Motion(lambda x: np.where(x[:1] > 0.0, np.nan, x),
+                    gradient=lambda x: np.broadcast_to(np.eye(3)[..., None], (3,) + x.shape))
     model = MODEL_CLASSES["stvk"](constant_modulus(1.0), constant_modulus(1.0))
-    points = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 0.0]])
+    points = np.array([[-1.0, 0.0, 0.0], [1.0, 2.0, 3.0], [2.0, 0.0, 0.0]]).T
     with pytest.raises(NonFiniteValue, match=r"^y is not finite at \[1\. 2\. 3\.\]$"):
         point_state(model, motion, points)
     with pytest.raises(ValueError):
