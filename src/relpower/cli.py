@@ -309,7 +309,7 @@ class ScenarioRun:
 # ---------------------------------------------------------------------------
 
 def _pointwise_divergence_error(scenario: Scenario) -> float:
-    """Max gap between finite-difference and analytic Div P at the volume nodes.
+    """Max gap between Div P from differenced F and analytic Div P at the volume nodes.
 
     Isolates discretization error of the derivative steps from quadrature
     error.  Both motions are built from the config, so the comparison holds

@@ -20,8 +20,9 @@ is constitutive and cannot be closed.
 Node data, closure sources and the Eshelby stress off the nodes read one
 :class:`PointState` (y, F, P, e, PP, de/dx|expl) from :func:`point_state`,
 whose constitutive part is one :meth:`MaterialModel.response`, which also
-gives closure sources Div P; ``fd`` ones make F, e, P and PP alone at each
-shifted point.  The conservation-law data reads any state with those names,
+gives closure sources Div P from dF/dx, the motion's own or, in ``fd``
+mode, central differences of F: one formula in both modes.  The
+conservation-law data reads any state with those names,
 node data among them, and takes the pair's samples beside it: this module
 evaluates no virtual field.  Points x are (3, ...), one or a stack of
 them, and the state is (3, ...) and (3, 3, ...), the node axes last.
@@ -29,7 +30,7 @@ them, and the state is (3, ...) and (3, 3, ...), the node axes last.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,12 +39,6 @@ from .materials import BodyForcePotential, MaterialModel
 from .tensors import axial_vector, check_finite, contract, identity_like, skew_part
 
 DEFAULT_DIVERGENCE_STEP = 1e-4
-
-
-def fd_tensor_divergence(field: Callable[[np.ndarray], np.ndarray], x,
-                         step: float) -> np.ndarray:
-    """Central-difference divergence on the second index of a field of tensors."""
-    return np.trace(central_difference(field, x, step), axis1=-1 - x.ndim, axis2=-x.ndim)
 
 
 class PointState(NamedTuple):
@@ -72,20 +67,12 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, step: float):
     """(state, Div P, Div PP): the :func:`point_state` at points x and the
     divergences of its P and PP along the motion.
 
-    Analytic when the motion has dF/dx: Div P from the response that made the
-    state's P, and Div PP = grad e - Div(F^t P).  Otherwise central differences
-    of P and PP, made from F, e and P alone at each shifted point.
+    Both come from dF/dx, the motion's own or, when it has none, central
+    differences of F with the given step: Div P from the response that made
+    the state's P, and Div PP = grad e - Div(F^t P).
     """
-    if motion.second_gradient is None:
-        def stresses(xx):   # P and PP stacked as (2, 3, 3, ...)
-            f = motion.deformation_gradient(xx)
-            e, p = model.response(xx, f)[:2]
-            eshelby = e * identity_like(f) - np.einsum("ki...,kj...->ij...", f, p)
-            return np.stack([p, check_finite(xx, f_grad=f, stress=p, energy=e,
-                                             eshelby=eshelby)])
-        state, both = point_state(model, motion, x), fd_tensor_divergence(stresses, x, step)
-        return state, both[0], both[1]
-    df_dx = motion.second_gradient(x)
+    df_dx = (central_difference(motion.deformation_gradient, x, step)
+             if motion.second_gradient is None else motion.second_gradient(x))
     state, div_p = point_state(model, motion, x, df_dx)
     # q_lij = sum_k P_kl dF_kij/dx: grad e - Div(F^t P) reads its diagonals
     q = np.einsum("kl...,kij...->lij...", state.stress, df_dx)
@@ -98,19 +85,17 @@ def stress_divergences(model: MaterialModel, motion: Motion, x, step: float):
 # Manufactured (closure) source fields
 # ---------------------------------------------------------------------------
 
-def closure_sources(model: MaterialModel, motion: Motion, step: float):
-    """x -> (state, (b, f, mu)): the point state, and sources that close three balances:
+def closure_sources(model: MaterialModel, motion: Motion, x, step: float):
+    """(state, (b, f, mu)) at points x: the state, and sources closing three balances:
 
         b  := -Div P                       (forces)
         f  := Div PP - F^t b + de/dx|expl  (configurational forces)
         mu := axial(2 Skw PP)              (configurational torques)
     """
-    def sources(x):
-        state, div_p, div_pp = stress_divergences(model, motion, x, step)
-        driving = (div_pp + np.einsum("ki...,k...->i...", state.f_grad, div_p)
-                   + state.material_gradient)
-        return state, (-div_p, driving, axial_vector(2.0 * skew_part(state.eshelby)))
-    return sources
+    state, div_p, div_pp = stress_divergences(model, motion, x, step)
+    driving = (div_pp + np.einsum("ki...,k...->i...", state.f_grad, div_p)
+               + state.material_gradient)
+    return state, (-div_p, driving, axial_vector(2.0 * skew_part(state.eshelby)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ An observer change is its four generators (c_hat, q_hat, c, q), one
 
 Every preset carries analytic derivatives and takes no step.  An object
 whose ``gradient`` is ``None`` takes that derivative by central finite
-differences of its ``step`` instead; a scenario in ``fd`` derivative
-mode removes these callables and sets its motion step when it builds
-the objects, so the mode is chosen once, where the objects are built.
+differences of its ``step`` instead (a motion without ``second_gradient``,
+dF/dx by differences of F at the divergence step); a scenario in ``fd``
+derivative mode removes these callables and sets its motion step when it
+builds the objects, so the mode is chosen once, where the objects are built.
 
 Presets are tabled by config name in ``MOTIONS`` and ``FIELDS``; a
 constructor's positional parameters are its preset's config keys.

@@ -17,17 +17,19 @@ Each section is built from a preset table, config name -> constructor:
 ``materials.POTENTIALS``.  A constructor's positional parameters are its
 section's config keys, which the schema's ``oneOf`` branches list too; a
 part's keyword-only ones are its quadrature orders.  Presets take no step:
-``fd`` mode sets the motion step where it removes the analytic derivatives.
+``fd`` mode sets the motion step where it removes the analytic derivatives,
+and closure sources then take dF/dx from differences of F.
 
 Node data is built once per scenario, for its part, over stacked arrays:
 one point state over each node set, volume and surface, the volume one
-made with its sources in one call, and the pair sampled once per set, v
-and w at both, grad v and grad w at the volume nodes; every check reads
-it, the Noether check too.  It is component-major, vectors (3, n) and
-tensors (3, 3, n), as the presets take points and give values; the
-part's (n, 3) tables of points and normals are transposed once per node
-set, here only, and what the presets give there is checked finite once.
-The build makes F at every node: the det F > 0 check.
+made with its sources (:meth:`Scenario.sources`) in one call, and the
+pair sampled once per set, v and w at both, grad v and grad w at the
+volume nodes; every check reads it, the Noether check too.  It is
+component-major, vectors (3, n) and tensors (3, 3, n), as the presets
+take points and give values; the part's (n, 3) tables of points and
+normals are transposed once per node set, here only, and what the
+presets give there is checked finite once.  The build makes F at every
+node: the det F > 0 check.
 """
 
 from __future__ import annotations
@@ -339,8 +341,10 @@ class Scenario:
         self.y0 = as_vector(pivots["y0"] if "y0" in pivots
                             else self.motion.y(self.part.center))
 
-        self.source_mode = config["sources"]["mode"]
-        self.sources = self._build_sources(config["sources"])
+        spec = config["sources"]
+        self.source_mode, zero = spec["mode"], fields.constant_field(np.zeros(3))
+        self.preset_sources = tuple(build_field(spec[key]) if key in spec else zero
+                                    for key in ("b", "f", "mu"))
 
         self.seed = config_seed(config)
         self.checks = config.get("checks", {})
@@ -365,20 +369,18 @@ class Scenario:
                 "preset couple field mu must vanish at every volume node for an "
                 f"isotropic material (model {self.model.name!r})")
 
-    def _build_sources(self, spec: dict):
-        """x -> (state, (b, f, mu)) at points x, component-major."""
-        if spec["mode"] == "closure":
-            return conf.closure_sources(self.model, self.motion, self.divergence_step)
-
-        zero = {"preset": "constant", "value": [0.0, 0.0, 0.0]}
-        b, f, mu = (build_field(spec.get(key, zero)) for key in ("b", "f", "mu"))
-        return lambda x: (self.state(x), tuple(s(x) for s in (b, f, mu)))
-
     # -- pointwise evaluation ------------------------------------------------
 
     def state(self, x) -> conf.PointState:
         """y, F, P, e, PP and de/dx|expl at points x (3, ...)."""
         return conf.point_state(self.model, self.motion, x)
+
+    def sources(self, x):
+        """(state, (b, f, mu)) at points x (3, ...): the closure sources, or the
+        values of ``preset_sources``, the config's fields, zero where it has none."""
+        if self.source_mode == "closure":
+            return conf.closure_sources(self.model, self.motion, x, self.divergence_step)
+        return self.state(x), tuple(field(x) for field in self.preset_sources)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Shared helpers: random kinematic states, a sphere quadrature, finite-difference
-copies, the pointwise balance residuals, the per-node loop, the per-change
+copies and divergences, the pointwise balance residuals, the per-node loop, the per-change
 observer loop and the coefficient norms of a decomposition, used as
 oracles, and the benchmark's draw generator.  The repository's root
 ``conftest.py`` gives child interpreters the tree under test."""
@@ -17,7 +17,7 @@ import pytest
 
 from relpower import configurational as conf
 from relpower import functionals as fn
-from relpower.fields import Motion
+from relpower.fields import Motion, central_difference
 from relpower.geometry import SurfaceQuadrature, spherical_rule
 from relpower.materials import (MODEL_CLASSES, MaterialModel, affine_modulus,
                                 constant_modulus, sinusoidal_modulus)
@@ -82,28 +82,41 @@ def fd_copy(obj):
     return dataclasses.replace(obj, gradient=None)
 
 
-def reference_divergences(model, motion, x,
-                          step: float = conf.DEFAULT_DIVERGENCE_STEP):
-    """(Div P, Div PP) at one point x from their definitions.
-
-    With dF/dx: Div P = sum_j (dP/dx_j|F + dP/dF[dF/dx_j]) e_j, column by
-    column from the model's hooks, and PP = e I - F^t P by the product rule,
-    with grad e = de/dx|expl + P : dF/dx.  Without it: central differences of
-    P and of e I - F^t P.
-    """
+def fd_divergence(field, x, step: float):
+    """sum_j (T(x + h e_j) - T(x - h e_j))[..., j] / (2 h) at one point x: the
+    divergence on the last index of a field of vectors or tensors, by central
+    differences of the field itself."""
     x = as_vector(x)
+    return sum((np.asarray(field(x + step * e)) - np.asarray(field(x - step * e)))[..., j]
+               for j, e in enumerate(np.eye(3))) / (2.0 * step)
 
+
+def fd_stress_divergences(model, motion, x, step: float = conf.DEFAULT_DIVERGENCE_STEP):
+    """(Div P, Div PP) at one point x by central differences of P and of
+    PP = e I - F^t P: the oracle that assumes no stress derivative."""
     def stresses(xx):
         f = motion.deformation_gradient(xx)
         e, p, _ = model.response(xx, f)
         return np.stack([p, e * np.eye(3) - f.T @ p])
 
-    if motion.second_gradient is None:
-        div_p, div_pp = conf.fd_tensor_divergence(stresses, x, step)
-        return div_p, div_pp
+    return tuple(fd_divergence(stresses, x, step))
+
+
+def reference_divergences(model, motion, x,
+                          step: float = conf.DEFAULT_DIVERGENCE_STEP):
+    """(Div P, Div PP) at one point x from their definitions.
+
+    Div P = sum_j (dP/dx_j|F + dP/dF[dF/dx_j]) e_j, column by column from
+    the model's hooks, and PP = e I - F^t P by the product rule, with
+    grad e = de/dx|expl + P : dF/dx.  dF/dx is the motion's own or, when it
+    has none, central differences of F with the given step.
+    """
+    x = as_vector(x)
     f = motion.deformation_gradient(x)
     _, p, material_gradient = model.response(x, f)
-    d2y = motion.second_gradient(x)     # [k, l, j] = d^2 y_k / dx_l dx_j
+    # [k, l, j] = d^2 y_k / dx_l dx_j
+    d2y = (central_difference(motion.deformation_gradient, x, step)
+           if motion.second_gradient is None else motion.second_gradient(x))
     kin = model.kinematics(f)
     pa, pb = model.stress_parts(f, kin)
     lam, mu = model.lam.value(x), model.mu.value(x)

@@ -670,6 +670,14 @@ class TestSweep:
         assert len(seen) == 2 and all(x is scenario.volume_data.points for x in seen)
         assert 0.0 < error < 1e-6
 
+    def test_fd_sweep_divergence_error_is_second_order(self):
+        # central differences of F: a decade off the divergence step takes about
+        # two decades off the pointwise Div P error
+        config = load_bundled_config("closure_sinusoidal_graded_stvk_fd")
+        _, rows = cli.sweep_scenario(config, "fd", [1e-2, 1e-3])
+        coarse, fine = (row[5] for row in rows)
+        assert 0.0 < fine <= coarse / 10 ** 1.9
+
     def test_seedless_sweep_rows_share_the_config_seed(self):
         # each swept copy takes the unswept config's seed
         config = load_bundled_config("closure_sinusoidal_graded_stvk")

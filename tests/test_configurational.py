@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (configurational_force_residual, fd_copy,
-                      standard_force_residual, torque_residuals)
+from conftest import (configurational_force_residual, fd_copy, fd_divergence,
+                      fd_stress_divergences, standard_force_residual, torque_residuals)
 from relpower import configurational as conf
 from relpower.fields import (Motion, harmonic_motion, homogeneous_motion,
                              rotation_motion, shear_motion, sinusoidal_field,
@@ -46,7 +46,7 @@ def eshelby(model, motion, x):
 
 def closure_at(model, motion, x, step=conf.DEFAULT_DIVERGENCE_STEP):
     """(b, f, mu) of the closure sources at x."""
-    return conf.closure_sources(model, motion, step)(x)[1]
+    return conf.closure_sources(model, motion, x, step)[1]
 
 
 class TestEshelbyStress:
@@ -101,29 +101,34 @@ class TestDivergences:
             np.testing.assert_allclose(fd, np.zeros(3), atol=1e-6)
 
     def test_analytic_div_matches_fd(self, rng):
+        # fd mode differences F and takes the model's stress derivative; the
+        # oracle differences P and PP, so a slip in that derivative shows
         model = graded_stvk()
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
-            exact = div_first_pk(model, SINUSOIDAL, x, conf.DEFAULT_DIVERGENCE_STEP)
-            fd = div_first_pk(model, fd_copy(SINUSOIDAL), x, step=1e-4)
-            np.testing.assert_allclose(fd, exact, atol=1e-6, rtol=1e-6)
-            exact_pp = conf.stress_divergences(
-                model, SINUSOIDAL, x, conf.DEFAULT_DIVERGENCE_STEP)[2]
-            fd_pp = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[2]
-            np.testing.assert_allclose(fd_pp, exact_pp, atol=1e-6, rtol=1e-6)
+            exact = conf.stress_divergences(model, SINUSOIDAL, x,
+                                            conf.DEFAULT_DIVERGENCE_STEP)[1:]
+            fd = conf.stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)[1:]
+            oracle = fd_stress_divergences(model, fd_copy(SINUSOIDAL), x, step=1e-4)
+            for got, want, ref in zip(fd, exact, oracle):
+                np.testing.assert_allclose(got, want, atol=1e-6, rtol=1e-6)
+                np.testing.assert_allclose(got, ref, atol=1e-6, rtol=1e-6)
 
     def test_pullback_identity(self, rng):
         # Div PP + F^t Div P - de/dx|expl = 0, checked with both divergences
-        # taken by finite differences so nothing is assumed
+        # taken as central differences of P and PP, so nothing is assumed, and
+        # fd mode's divergences checked against them
         model = graded_stvk()
         for _ in range(5):
             x = rng.uniform(-0.4, 0.4, size=3)
             f = SINUSOIDAL.deformation_gradient(x)
             fd_motion = fd_copy(SINUSOIDAL)
-            div_p = div_first_pk(model, fd_motion, x, step=1e-4)
-            div_pp = conf.stress_divergences(model, fd_motion, x, step=1e-4)[2]
+            div_p, div_pp = fd_stress_divergences(model, fd_motion, x, step=1e-4)
             residual = div_pp + f.T @ div_p - model.response(x, f)[2]
             np.testing.assert_allclose(residual, np.zeros(3), atol=1e-6)
+            _, fd_p, fd_pp = conf.stress_divergences(model, fd_motion, x, step=1e-4)
+            np.testing.assert_allclose(fd_p, div_p, atol=1e-6)
+            np.testing.assert_allclose(fd_pp, div_pp, atol=1e-6)
 
 
 class TestResidualsAndClosure:
@@ -226,7 +231,7 @@ class TestNoether:
             return conf.noether_flux(zero_potential(), state, v, w)
         for _ in range(10):
             x = rng.uniform(-0.4, 0.4, size=3)
-            div = conf.fd_tensor_divergence(flux, x, step=1e-4)
+            div = fd_divergence(flux, x, step=1e-4)
             assert abs(div) <= 1e-6
 
     def test_conditions_trivial_cases(self, rng):

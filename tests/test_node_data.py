@@ -107,11 +107,9 @@ def test_node_rows_are_bit_identical_however_the_points_are_split(name):
                 np.testing.assert_array_equal(got[field], want[field], err_msg=field)
 
 
-@pytest.mark.parametrize("name,per_volume_node", [("block_overflow", 1),
-                                                   ("block_overflow_fd", 7)])
-def test_node_data_evaluates_the_stress_once_per_point(name, per_volume_node,
-                                                       monkeypatch):
-    # one point state per node; an fd volume node adds P at its 6 shifted points
+@pytest.mark.parametrize("name", ["block_overflow", "block_overflow_fd"])
+def test_node_data_evaluates_the_stress_once_per_point(name, monkeypatch):
+    # one point state per node: an fd volume node differences F, not P
     points = []
     response = materials.MaterialModel.response
 
@@ -121,18 +119,15 @@ def test_node_data_evaluates_the_stress_once_per_point(name, per_volume_node,
 
     monkeypatch.setattr(materials.MaterialModel, "response", counted)
     part = Scenario(CONFIGS[name]).part
-    assert sum(points) == (per_volume_node * len(part.volume_points)
-                           + len(part.surface.points))
+    assert sum(points) == len(part.volume_points) + len(part.surface.points)
 
 
 @pytest.mark.parametrize("model", ["stvk", "neo_hookean"])
-@pytest.mark.parametrize("name,per_volume_set", [("block_overflow", 1),
-                                                 ("block_overflow_fd", 7)])
-def test_node_data_derives_kinematics_once_per_node_set_evaluation(
-        name, per_volume_set, model, monkeypatch):
-    # the analytic volume set takes them once, for the response that gives P and
-    # Div P, the fd one for its response and the 6 shifted ones; the surface set
-    # for its response
+@pytest.mark.parametrize("name", ["block_overflow", "block_overflow_fd"])
+def test_node_data_derives_kinematics_once_per_node_set_evaluation(name, model,
+                                                                   monkeypatch):
+    # each volume set takes them once, analytic or fd, for the response that
+    # gives P and Div P; the surface set for its response
     config = copy.deepcopy(CONFIGS[name])
     config["material"]["model"] = model
     calls = []
@@ -145,8 +140,7 @@ def test_node_data_derives_kinematics_once_per_node_set_evaluation(
 
     monkeypatch.setattr(cls, "kinematics", counted)
     part = Scenario(config).part
-    assert sorted(calls) == sorted(per_volume_set * [len(part.volume_points)]
-                                   + [len(part.surface.points)])
+    assert sorted(calls) == sorted([len(part.volume_points), len(part.surface.points)])
 
 
 def test_single_bad_node_mid_set_is_found():

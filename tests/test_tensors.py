@@ -176,7 +176,8 @@ def test_src_calls_no_np_linalg_det_or_inv():
 
 
 def _call_sites(names):
-    """{name: {"module.qualname"}} of the functions in src/ that call each name."""
+    """{name: {"module.qualname"}} of the functions in src/ that call each name,
+    as ``name(...)`` or ``module.name(...)``."""
     sites = {name: set() for name in names}
 
     def visit(node, module, scope):
@@ -184,9 +185,10 @@ def _call_sites(names):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = scope + [child.name]
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                  and child.func.id in sites):
-                sites[child.func.id].add(".".join([module] + scope))
+            elif isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in sites:
+                    sites[name].add(".".join([module] + scope))
             visit(child, module, inner)
 
     for path in sorted(SRC.rglob("*.py")):
@@ -196,21 +198,30 @@ def _call_sites(names):
 
 def test_finiteness_is_checked_only_where_values_enter_or_are_made():
     # entries: the preset constructors' parameters, the scenario's pivots and
-    # the public cross_matrix; made values: point states, the fd stresses at
-    # shifted points, the node rows of the sources and of the pair where node
-    # data takes them, and the values and gradients of potentials
+    # the public cross_matrix; made values: point states, the node rows of the
+    # sources and of the pair where node data takes them, and the values and
+    # gradients of potentials
     tables = (fields.MOTIONS, fields.FIELDS, materials.MODULI, materials.POTENTIALS,
               geometry.PARTS)
     entries = {f"{f.__module__.rpartition('.')[2]}.{f.__name__}"
                for table in tables for f in table.values()}
     entries |= {"geometry._spherical_part", "scenarios.Scenario._build",
                 "tensors.cross_matrix"}
-    made = {"configurational.point_state", "configurational.stress_divergences.stresses",
+    made = {"configurational.point_state",
             "scenarios.VolumeNodeData.__init__", "scenarios.SurfaceNodeData.__init__",
             "materials.BodyForcePotential.__call__", "materials.BodyForcePotential.grad"}
     sites = _call_sites(("as_vector", "as_tensor", "check_finite"))
     assert sites["as_vector"] | sites["as_tensor"] <= entries
     assert sites["check_finite"] == made
+
+
+def test_only_placements_fields_and_f_are_differenced():
+    # the one stencil takes F from y, grad v and grad w from v and w, and dF/dx
+    # from F; no stress or flux is differenced, so Div P and Div PP follow from
+    # dF/dx through the model's own stress derivative in both derivative modes
+    assert _call_sites(("central_difference",))["central_difference"] == {
+        "fields.Motion.deformation_gradient", "fields.VirtualField.grad",
+        "configurational.stress_divergences"}
 
 
 class TestSkewPart:
