@@ -1,6 +1,8 @@
 """Batch front door: run scenario files, sweep discretization axes, list presets.
 
-Exit codes: 0 all enabled tolerances pass, 1 tolerance failure, 2 invalid
+Every check of ``run`` and every row of ``sweep`` reads one scenario's shared
+results, P_rel, P_inn and R1..R4, from one :func:`shared_results` call.  Exit
+codes: 0 all enabled tolerances pass, 1 tolerance failure, 2 invalid
 configuration or usage (a config path and ``--all`` together), or a det F <= 0
 or non-finite value made from a valid one, 3 I/O error of the reports; output to
 a closed stdout is dropped.  ``run`` writes and prints each scenario before it
@@ -106,6 +108,12 @@ class Gate(NamedTuple):
         return self.value <= self.tolerance
 
 
+def shared_results(scenario: Scenario):
+    """(P_rel, P_inn, R1..R4) of the scenario's part, the results every check reads."""
+    return (fn.relative_power(scenario), fn.inner_relative_power(scenario),
+            fn.integral_balance_residuals(scenario))
+
+
 class ScenarioRun:
     """Executes one scenario's enabled checks and collects its tables."""
 
@@ -124,13 +132,14 @@ class ScenarioRun:
     def _vector_row(self, vec: np.ndarray, *labels: str) -> List:
         return [self.scenario.name, *labels, *vec, _norm(vec)]
 
-    def _gate(self, check: str, metric: str, value: float, tolerance: float) -> None:
-        self.gates.append(Gate(check, metric, float(value), float(tolerance)))
+    def _gate(self, check, metric, error: float, tolerance: float, scale: float = 1.0) -> None:
+        self.gates.append(Gate(check, metric, float(error / scale), float(tolerance)))
 
     # -- checks ----------------------------------------------------------------
 
     def run(self) -> None:
         checks = self.scenario.checks
+        self._power, self._inner, self._residuals = shared_results(self.scenario)
         self._report_power()
         self._report_balances(checks.get("balances"))
         for name in self.CHECKS:
@@ -138,20 +147,16 @@ class ScenarioRun:
                 getattr(self, f"_check_{name}")(checks[name])
 
     def _report_power(self) -> None:
-        power = fn.relative_power(self.scenario)
-        inner = fn.inner_relative_power(self.scenario)
+        power, inner = self._power, self._inner
         pieces = [f.name for f in dataclasses.fields(power) if f.name != "total"]
         pieces += ["actions", "disarrangement", "total"]
         self.tables["power"] = (
             ["scenario", *pieces, "inner", "abs_difference"],
             [[self.scenario.name, *(getattr(power, piece) for piece in pieces), inner,
               abs(power.total - inner)]])
-        self._power = power
-        self._inner = inner
 
     def _report_balances(self, spec: Optional[dict]) -> None:
-        scenario = self.scenario
-        residuals = fn.integral_balance_residuals(scenario)
+        scenario, residuals = self.scenario, self._residuals
         header = ["scenario", "row", "pivot", "comp_1", "comp_2", "comp_3", "norm"]
         rows = [self._vector_row(vec, label, "default")
                 for label, vec in residuals._asdict().items()]
@@ -168,17 +173,15 @@ class ScenarioRun:
             self.manifest_extra["pivot_shift"] = [float(s) for s in shift]
 
         self.tables["balances"] = (header, rows)
-        self._residuals = residuals
 
         if spec and spec.get("expect", "zero") == "zero":
             worst = max(row[-1] for row in rows if row[2] == "default")
             self._gate("balances", "max_residual_norm", worst, spec["tolerance"])
 
     def _check_power_identity(self, spec: dict) -> None:
-        # bound: tolerance * (1 + |P_rel|)
-        error = abs(self._power.total - self._inner) / (1.0 + abs(self._power.total))
-        self._gate("power_identity", "normalized_abs_difference", error,
-                   spec["tolerance"])
+        total = self._power.total
+        self._gate("power_identity", "normalized_abs_difference",
+                   abs(total - self._inner), spec["tolerance"], 1.0 + abs(total))
 
     def _check_invariance(self, spec: dict) -> None:
         decomp = fn.invariance_decomposition(self.scenario, self._power)
@@ -200,7 +203,7 @@ class ScenarioRun:
                           if spec.get("expect", "zero") == "zero"
                           else ("prediction_error", "max_prediction_error"))
         worst = max(row[header.index(column)] for row in rows)
-        self._gate("invariance", metric, worst / self._power.scale, spec["tolerance"])
+        self._gate("invariance", metric, worst, spec["tolerance"], self._power.scale)
 
     def _check_standard_power(self, spec: dict) -> None:
         # the pair (v, 0)
@@ -208,13 +211,12 @@ class ScenarioRun:
         total = fn.relative_power(
             self.scenario, rows[:2] + tuple(map(np.zeros_like, rows[2:]))).total
         reference = fn.standard_external_power(self.scenario)
-        error = abs(total - reference) / max(1.0, abs(reference))
-        self._gate("standard_power", "relative_difference", error, spec["tolerance"])
+        self._gate("standard_power", "relative_difference", abs(total - reference),
+                   spec["tolerance"], max(1.0, abs(reference)))
 
     def _check_eshelby_diagonal(self, spec: dict) -> None:
         diag = np.diag(self.scenario.state(self.scenario.part.center).eshelby)
-        expected = np.asarray(spec["expected"], float)
-        error = float(np.max(np.abs(diag - expected)))
+        error = np.max(np.abs(diag - spec["expected"]))
         self._gate("eshelby_diagonal", "max_abs_error", error, spec["tolerance"])
         self.tables["balances"][1].append(self._vector_row(diag, "eshelby_diagonal", "-"))
 
@@ -230,17 +232,16 @@ class ScenarioRun:
 
         if expect == "zero":
             inner_norm, outer_norm, difference_norm = (row[-1] for row in rows)
-            self._gate("surface_independence", "difference_vs_flux_scale",
-                       difference_norm / max(1.0, inner_norm, outer_norm),
-                       spec["tolerance"])
+            self._gate("surface_independence", "difference_vs_flux_scale", difference_norm,
+                       spec["tolerance"], max(1.0, inner_norm, outer_norm))
         else:
             # grading breaks the hypotheses: outer - inner is then int_b de/dx|expl dx
             vol = self.scenario.volume_data
             expected = weighted_fsum(vol.material_gradient, vol.weights)
             rows.append(self._vector_row(expected, "expected_shell_integral"))
-            error = _norm(outer - inner - expected)
             self._gate("surface_independence", "difference_vs_shell_integral",
-                       error / max(1.0, rows[-1][-1]), spec["tolerance"])
+                       _norm(outer - inner - expected), spec["tolerance"],
+                       max(1.0, rows[-1][-1]))
         self.tables["surface_independence"] = (header, rows)
 
     def _check_noether(self, spec: dict) -> None:
@@ -358,11 +359,9 @@ def sweep_scenario(config: dict, axis: str, values: Optional[Sequence[float]] = 
                 "motion_step": float(value) / 10.0,
             }
         scenario = Scenario(cfg)
-        power = fn.relative_power(scenario)
-        inner = fn.inner_relative_power(scenario)
-        worst = max(map(_norm, fn.integral_balance_residuals(scenario)))
+        power, inner, residuals = shared_results(scenario)
         rows.append([cfg["name"], axis, float(value), abs(power.total - inner),
-                     worst, _pointwise_divergence_error(scenario)])
+                     max(map(_norm, residuals)), _pointwise_divergence_error(scenario)])
 
     header = ["scenario", "axis", "value", "power_identity_error",
               "max_balance_residual", "pointwise_divergence_error"]

@@ -630,6 +630,114 @@ class TestRun:
                     == (last / "stvk_uniaxial" / name).read_bytes()), name
 
 
+# An affine body force that no stress carries: its value leaves R1, and its
+# gradient a power gap that the odd sinusoidal v of the box scenarios reads.
+UNBALANCED = {"mode": "preset", "b": {"preset": "affine", "value": [0.1, 0.0, 0.0],
+                                      "matrix": [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0],
+                                                 [0.0, 0.0, 0.1]]}}
+GRAVITY = {"kind": "linear", "gravity": [0.0, 0.0, -1.0]}
+
+# (scenario, "check:metric") -> (path, value): a one-key config edit that fails
+# the gate of ``run --all`` while the run raises nothing
+NEGATIVE_CONTROLS = {
+    **{(name, gate): (("sources",), UNBALANCED)
+       for name in ("closure_shear_neohookean", "closure_shear_neohookean_fd",
+                    "closure_sinusoidal_graded_stvk", "closure_sinusoidal_graded_stvk_fd",
+                    "closure_skewed_graded_stvk", "stvk_uniaxial")
+       for gate in ("balances:max_residual_norm", "power_identity:normalized_abs_difference")},
+    **{(name, "invariance:max_coefficient_norm"): (("sources",), UNBALANCED)
+       for name in ("closure_shear_neohookean", "closure_sinusoidal_graded_stvk",
+                    "closure_skewed_graded_stvk")},
+    ("stvk_uniaxial", "eshelby_diagonal:max_abs_error"): (("material", "lam", "value"), 1.1),
+    ("noether_graded", "noether:max_first_condition"): (("potential",), GRAVITY),
+    # a symmetric traceless, so isochoric, linear w: the second condition
+    # is then no longer de/dx|expl . w
+    ("noether_graded", "noether:max_second_condition_mismatch"): (
+        ("virtual_fields", "w"),
+        {"preset": "linear", "matrix": [[0.2, 0.0, 0.0], [0.0, -0.2, 0.0], [0.0, 0.0, 0.0]]}),
+    ("noether_harmonic", "noether:max_first_condition"): (("potential",), GRAVITY),
+    ("noether_harmonic", "noether:max_second_condition"): (
+        ("material", "mu"), {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}),
+    ("noether_harmonic", "noether:boundary_flux_gap"): (("potential",), GRAVITY),
+    # the 6-point rule misses the graded shell's integral of de/dx|expl
+    ("surface_independence_graded_control",
+     "surface_independence:difference_vs_shell_integral"):
+        (("quadrature", "angular_points"), 6),
+    # a body force under the check's absolute 1e-8 source threshold
+    ("surface_independence_quadratic", "balances:max_residual_norm"): (("sources",), {
+        "mode": "preset", "b": {"preset": "constant", "value": [5e-9, 0.0, 0.0]}}),
+    # only a tolerance under its round-off fails it: an edit that breaks the
+    # equilibrium or the homogeneity is refused (exit 2), and the spherical rules
+    # integrate the harmonic motion's quadratic flux exactly
+    ("surface_independence_quadratic", "surface_independence:difference_vs_flux_scale"):
+        (("checks", "surface_independence", "tolerance"), 1e-17),
+}
+
+# gates of ``run --all`` that no config edit can fail
+UNFAILABLE = {
+    ("stvk_uniaxial", "standard_power:relative_difference"):
+        "with w = 0 the power sums the rows b.v and Pn.v the reference sums, plus exact "
+        "zeros: it compares one number with itself",
+    ("standard_power_degeneracy", "standard_power:relative_difference"):
+        "the same number compared with itself",
+    ("preset_nonequilibrium", "invariance:max_prediction_error"):
+        "the defect coefficients equal R1..R4 for any data, up to round-off",
+}
+
+
+def _gates(run):
+    return {f"{gate.check}:{gate.metric}": gate for gate in run.gates}
+
+
+def _edited(name, path, value):
+    config = load_bundled_config(name)
+    *parents, key = path
+    node = config
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    return config
+
+
+def _run(config):
+    run = cli.ScenarioRun(config)
+    run.run()
+    return run
+
+
+class TestNegativeControls:
+    def test_every_gate_of_run_all_has_a_control_or_a_reason(self):
+        written = {(name, gate) for name in bundled_scenario_names()
+                   for gate in _gates(_run(load_bundled_config(name)))}
+        assert not NEGATIVE_CONTROLS.keys() & UNFAILABLE.keys()
+        assert NEGATIVE_CONTROLS.keys() | UNFAILABLE.keys() == written
+
+    @pytest.mark.parametrize("name,gate", NEGATIVE_CONTROLS,
+                             ids=[f"{n}-{g}" for n, g in NEGATIVE_CONTROLS])
+    def test_one_key_edit_fails_the_gate(self, name, gate):
+        run = _run(_edited(name, *NEGATIVE_CONTROLS[name, gate]))
+        assert not _gates(run)[gate].passed
+        assert not run.passed    # an exit-1 verdict: the run raised nothing
+
+    @pytest.mark.parametrize("name,gate", UNFAILABLE, ids=[f"{n}-{g}" for n, g in UNFAILABLE])
+    def test_unfailable_gate_passes_under_an_unbalanced_body_force(self, name, gate):
+        value = _gates(_run(_edited(name, ("sources",), UNBALANCED)))[gate].value
+        assert value <= (0.0 if gate.startswith("standard_power") else 1e-15)
+
+
+def test_gate_value_is_the_reported_error_over_its_scale():
+    run = _run(load_bundled_config("closure_skewed_graded_stvk"))
+    gates = _gates(run)
+    header, [row] = run.tables["power"]
+    power = dict(zip(header, row))
+    assert (gates["power_identity:normalized_abs_difference"].value
+            == power["abs_difference"] / (1.0 + abs(power["total"])))
+    header, rows = run.tables["invariance"]
+    worst = max(row[header.index("coeff_norm")] for row in rows)
+    assert (gates["invariance:max_coefficient_norm"].value
+            == worst / run.manifest_extra["power_scale"])
+
+
 class TestSweep:
     def test_quadrature_orders_monotone(self, tmp_path):
         config = load_bundled_config("closure_sinusoidal_graded_stvk")
@@ -641,6 +749,24 @@ class TestSweep:
         rows = read_csv(out / config["name"] / "convergence.csv")
         errors = [float(r["power_identity_error"]) for r in rows]
         assert errors == sorted(errors, reverse=True)
+
+    def test_row_at_the_scenario_own_order_equals_its_run(self, tmp_path):
+        # both read one shared_results call: the power gap and the largest
+        # default balance norm agree bit for bit (17 digits round-trip a float)
+        config = load_bundled_config("closure_skewed_graded_stvk")
+        order = config["quadrature"]["volume_order"]
+        assert config["quadrature"] == {"volume_order": order, "surface_order": order}
+        path, out = write_config(tmp_path, config), tmp_path / "out"
+        assert run_cli(["run", path, "--out", str(out)]).returncode == 0
+        assert run_cli(["sweep", path, "--axis", "quad", "--values", str(order),
+                        "--out", str(out)]).returncode == 0
+        directory = out / config["name"]
+        [row] = read_csv(directory / "convergence.csv")
+        [power] = read_csv(directory / "power.csv")
+        norms = [r["norm"] for r in read_csv(directory / "balances.csv")
+                 if r["pivot"] == "default"]
+        assert row["power_identity_error"] == power["abs_difference"]
+        assert row["max_balance_residual"] == max(norms, key=float)
 
     def test_quadrature_sweep_refines_a_ball(self, monkeypatch):
         # a ball reads radial_order; its exact integrands keep the rows equal,

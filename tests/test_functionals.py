@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -222,6 +223,54 @@ class TestIntegralBalances:
             shifted.configurational_torque,
             base.configurational_torque - np.cross(shift, base.configurational_force),
             rtol=0, atol=1e-15)
+
+
+def _shared(config):
+    """P_rel, P_inn and R1..R4 of the config's part, as one flat vector."""
+    power, inner, residuals = cli.shared_results(Scenario(config))
+    return np.concatenate([[power.total, inner], np.ravel(residuals)])
+
+
+def _octants(config, pivots=None):
+    """The configs of the box's 8 half-size sub-boxes, each with ``pivots``
+    when given, else pivoting off its own centre."""
+    box = config["geometry"]
+    half = 0.5 * np.asarray(box["halfwidths"])
+    for signs in itertools.product((-1.0, 1.0), repeat=3):
+        sub = copy.deepcopy(config)
+        sub["geometry"] = dict(box, center=list(box["center"] + np.asarray(signs) * half),
+                               halfwidths=list(half))
+        if pivots is not None:
+            sub["pivots"] = pivots
+        yield sub
+
+
+class TestPartitionAdditivity:
+    """P_rel, P_inn and R1..R4 of a box are the sums of those of its 8 half-size
+    sub-boxes, taken about the box's pivots: the first step from one part to
+    every part."""
+
+    @pytest.mark.parametrize("name,order", [("preset_nonequilibrium", None),
+                                            ("closure_skewed_graded_stvk", 12)])
+    def test_sub_boxes_about_the_parent_pivots_sum_to_the_parent(self, name, order):
+        # inner faces cancel node by node; order 12 integrates the graded closure
+        # to round-off (its own order 8 leaves 8.4e-13)
+        config = load_bundled_config(name)
+        if order is not None:
+            config["quadrature"] = {"volume_order": order, "surface_order": order}
+        parent = Scenario(config)
+        pivots = {"x0": list(parent.x0), "y0": list(parent.y0)}
+        gap = sum(map(_shared, _octants(config, pivots))) - _shared(config)
+        assert np.max(np.abs(gap)) <= 1e-15
+
+    def test_sub_boxes_about_their_own_centres_miss_the_torques(self):
+        # R2 and R4 move with the pivot by the moment of R1 and R3, which are
+        # nonzero on every sub-box of this unbalanced scenario
+        config = load_bundled_config("preset_nonequilibrium")
+        gap = sum(map(_shared, _octants(config))) - _shared(config)
+        powers, residuals = np.abs(gap[:2]), np.linalg.norm(gap[2:].reshape(4, 3), axis=1)
+        assert max(powers.max(), residuals[0], residuals[2]) <= 1e-15
+        assert residuals[1] >= 1e-3 and residuals[3] >= 1e-3
 
 
 class TestInvarianceDecomposition:

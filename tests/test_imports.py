@@ -117,3 +117,16 @@ def test_random_numbers_are_drawn_in_one_place():
              for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8")))
              if _reaches_random(node)]
     assert draws == [("functionals.py", "invariance_decomposition", "np.random")]
+
+
+def test_shared_results_are_assembled_in_one_place():
+    # P_rel, P_inn and R1..R4 of a scenario as given: every check and sweep row
+    # reads them from one call of cli.shared_results, never from a second one
+    shared = ("relative_power", "inner_relative_power", "integral_balance_residuals")
+    calls = [(scope, node.func.attr)
+             for scope, node in _scoped_nodes(ast.parse((PACKAGE / "cli.py").read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in shared and ast.unparse(node.func.value) == "fn"
+             and len(node.args) == 1 and not node.keywords]
+    assert calls == [("shared_results", name) for name in shared]
