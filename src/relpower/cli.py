@@ -221,9 +221,13 @@ class ScenarioRun:
         self.tables["balances"][1].append(self._vector_row(diag, "eshelby_diagonal", "-"))
 
     def _check_surface_independence(self, spec: dict) -> None:
-        expect = spec.get("expect", "zero")
-        inner, outer = fn.surface_independence_check(
-            self.scenario, allow_broken_hypotheses=(expect != "zero"))
+        # the fluxes of PP n through the shell's spheres, each along its own outward
+        # normal, summed from R3's boundary rows; 0.0 - sum keeps an exact 0 unsigned
+        surf, expect = self.scenario.surface_data, spec.get("expect", "zero")
+        on_outer = np.einsum("in,in->n", surf.normals,
+                             surf.points - self.scenario.part.center[:, None]) > 0.0
+        inner = 0.0 - weighted_fsum(surf.config_traction[:, ~on_outer], surf.weights[~on_outer])
+        outer = weighted_fsum(surf.config_traction[:, on_outer], surf.weights[on_outer])
 
         header = ["scenario", "row", "comp_1", "comp_2", "comp_3", "norm"]
         rows = [self._vector_row(inner, "flux_inner"),

@@ -63,7 +63,9 @@ external power, ``PowerBreakdown.total``, the power of each observer
 change, the Noether flux balance) is one ``part_integral``: one
 ``weighted_fsum`` over its volume rows, then its surface rows, so each
 defect subtracts two totals summed alike.  Only the report pieces of
-``power.csv`` are summed apart.
+``power.csv`` are summed apart.  P n and PP n are node data too
+(``traction`` and ``config_traction``), so R3's boundary rows are the
+ones the surface-independence check of ``cli`` sums over each sphere.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -222,17 +224,16 @@ def integral_balance_residuals(scenario: Scenario, x0=None, y0=None) -> BalanceR
     x0 = (scenario.x0 if x0 is None else x0)[:, None]
     y0 = (scenario.y0 if y0 is None else y0)[:, None]
     vol, surf = scenario.volume_data, scenario.surface_data
-    config_tractions = np.einsum("ijn,jn->in", surf.eshelby, surf.normals)
     config_forces = (vol.material_gradient - vol.driving_force
                      - np.einsum("kin,kn->in", vol.f_grad, vol.body_force))
     return BalanceResiduals(
         force=part_integral(scenario, vol.body_force, surf.traction),
         torque=part_integral(scenario, cross(vol.y - y0, vol.body_force, axis=-2),
                              cross(surf.y - y0, surf.traction, axis=-2)),
-        configurational_force=part_integral(scenario, config_forces, config_tractions),
+        configurational_force=part_integral(scenario, config_forces, surf.config_traction),
         configurational_torque=part_integral(
             scenario, cross(vol.points - x0, config_forces, axis=-2) - vol.couple,
-            cross(surf.points - x0, config_tractions, axis=-2)),
+            cross(surf.points - x0, surf.config_traction, axis=-2)),
     )
 
 
@@ -298,37 +299,6 @@ def invariance_decomposition(scenario: Scenario,
         )
     return InvarianceDecomposition(coefficients=coefficients,
                                    affine_residual=affine_residual)
-
-
-# ---------------------------------------------------------------------------
-# Surface independence
-# ---------------------------------------------------------------------------
-
-def surface_independence_check(scenario: Scenario, allow_broken_hypotheses: bool = False
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-    """(inner, outer) fluxes of PP n through the shell's spheres, read at its boundary
-    nodes: outer - inner is the boundary term of the configurational force residual R3.
-
-    The hypotheses (homogeneous material, no sources, equilibrium) are
-    checked, the sources at every volume node, unless explicitly waived for
-    a control run.
-    """
-    if not allow_broken_hypotheses:
-        if not scenario.model.homogeneous:
-            raise PreconditionViolated("surface independence requires a "
-                                       "homogeneous material")
-        vol = scenario.volume_data
-        if any(np.any(np.linalg.norm(source, axis=0) > 1e-8)
-               for source in (vol.body_force, vol.driving_force, vol.couple)):
-            raise PreconditionViolated("surface independence requires "
-                                       "b = f = mu = 0")
-    surf = scenario.surface_data
-    arms = surf.points - scenario.part.center[:, None]
-    outer = np.einsum("in,in->n", surf.normals, arms) > 0.0
-    # outward sphere normals: negating the inner flux would turn an exact 0 into -0
-    rows = np.einsum("ijn,jn->in", surf.eshelby, np.where(outer, surf.normals, -surf.normals))
-    return (weighted_fsum(rows[:, ~outer], surf.weights[~outer]),
-            weighted_fsum(rows[:, outer], surf.weights[outer]))
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,13 @@ class Modulus:
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    is_constant: bool = False
 
 
 def constant_modulus(value: float) -> Modulus:
     """uniform modulus"""
     value = float(value)
     return Modulus(lambda x: np.full(x.shape[1:], value),
-                   lambda x: np.zeros(x.shape), is_constant=True)
+                   lambda x: np.zeros(x.shape))
 
 
 def affine_modulus(value: float, slope) -> Modulus:
@@ -113,10 +112,6 @@ class MaterialModel:
         raise NotImplementedError
 
     # -- assembled quantities ----------------------------------------------
-
-    @property
-    def homogeneous(self) -> bool:
-        return self.lam.is_constant and self.mu.is_constant
 
     def response(self, x, f, df_dx=None):
         """(e, P = de/dF, de/dx|expl) at points x, the last the derivative of e in

@@ -276,7 +276,8 @@ class VolumeNodeData(_NodeData):
 
 
 class SurfaceNodeData(_NodeData):
-    """The state, the pair and the traction P n at every boundary node."""
+    """The state, the pair, the traction P n and the configurational traction
+    PP n at every boundary node."""
 
     FIELDS = _NodeData.FIELDS + ("v", "w")
 
@@ -287,6 +288,7 @@ class SurfaceNodeData(_NodeData):
         vars(self).update(zip(self.FIELDS, scenario.state(x) + (v, w)))
         self.normals = self.transposed(part.surface.normals)
         self.traction = np.einsum("ijn,jn->in", self.stress, self.normals)
+        self.config_traction = np.einsum("ijn,jn->in", self.eshelby, self.normals)
 
 
 # ---------------------------------------------------------------------------

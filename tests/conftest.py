@@ -1,8 +1,9 @@
 """Shared helpers: random kinematic states, a sphere quadrature, finite-difference
 copies and divergences, the pointwise balance residuals, the per-node loop, the per-change
 observer loop and the coefficient norms of a decomposition, used as
-oracles, and the benchmark's draw generator.  The repository's root
-``conftest.py`` gives child interpreters the tree under test."""
+oracles, the rows of a surface-independence report, and the benchmark's draw
+generator.  The repository's root ``conftest.py`` gives child interpreters the
+tree under test."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from relpower import cli
 from relpower import configurational as conf
 from relpower import functionals as fn
 from relpower.fields import Motion, central_difference
@@ -37,6 +39,17 @@ def sphere_surface(center, radius: float, angular_points: int) -> SurfaceQuadrat
     dirs, wts = spherical_rule(angular_points)
     return SurfaceQuadrature(points=np.asarray(center, float) + radius * dirs,
                              normals=dirs, weights=4.0 * math.pi * radius ** 2 * wts)
+
+
+def surface_run(config: dict):
+    """A finished run of ``config`` with its ``surface_independence`` check as its
+    only check, and that check's report rows, label -> vector: ``flux_inner``,
+    ``flux_outer``, ``difference`` and, for a graded control,
+    ``expected_shell_integral``."""
+    run = cli.ScenarioRun({**config, "checks": {
+        "surface_independence": config["checks"]["surface_independence"]}})
+    run.run()
+    return run, {row[1]: np.array(row[2:5]) for row in run.tables["surface_independence"][1]}
 
 
 def random_state(rng, det_lo: float = 0.5, det_hi: float = 2.0):

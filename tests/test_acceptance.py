@@ -16,7 +16,7 @@ import numpy as np
 import relpower.functionals as fn
 from conftest import (NOT_FRAME_INDIFFERENT, coefficient_norms, decompose,
                       fd_material_gradient, fd_stress, graded_models, homogeneous_models,
-                      prediction_errors, random_state)
+                      prediction_errors, random_state, surface_run)
 from relpower import cli
 from relpower.cli import sweep_scenario
 from relpower.geometry import weighted_fsum
@@ -127,14 +127,14 @@ def test_criterion_05_proof_grouping_match():
 
 def test_criterion_06_surface_independence():
     # both shells are bounded by the spheres of radii 0.5 and 0.9, at 26 points
-    scenario = Scenario(load_bundled_config("surface_independence_quadratic"))
-    inner, outer = fn.surface_independence_check(scenario)
+    _, rows = surface_run(load_bundled_config("surface_independence_quadratic"))
+    inner, outer = rows["flux_inner"], rows["flux_outer"]
     difference = np.linalg.norm(outer - inner)
     ok = difference <= 1e-6 * max(1.0, np.linalg.norm(inner), np.linalg.norm(outer))
 
-    control = Scenario(load_bundled_config("surface_independence_graded_control"))
-    inner, outer = fn.surface_independence_check(control, allow_broken_hypotheses=True)
-    vol = control.volume_data
+    control, rows = surface_run(load_bundled_config("surface_independence_graded_control"))
+    inner, outer = rows["flux_inner"], rows["flux_outer"]
+    vol = control.scenario.volume_data
     expected = weighted_fsum(vol.material_gradient, vol.weights)
     err = np.linalg.norm(outer - inner - expected)
     ok = ok and np.linalg.norm(expected) > 1e-3
@@ -173,7 +173,7 @@ def test_criterion_08_torque_identities():
                             / max(1e-300, np.linalg.norm(pft)))
     worst_pp = 0.0
     for model in homogeneous_models():
-        if not (model.isotropic and model.homogeneous):
+        if not model.isotropic:
             continue
         for _ in range(100):
             x, f = random_state(rng)

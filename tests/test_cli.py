@@ -663,14 +663,13 @@ NEGATIVE_CONTROLS = {
     ("surface_independence_graded_control",
      "surface_independence:difference_vs_shell_integral"):
         (("quadrature", "angular_points"), 6),
-    # a body force under the check's absolute 1e-8 source threshold
+    # a body force of 5e-9 over the shell's volume: |R1| = 1.27e-8, over the 1e-9
+    # tolerance
     ("surface_independence_quadratic", "balances:max_residual_norm"): (("sources",), {
         "mode": "preset", "b": {"preset": "constant", "value": [5e-9, 0.0, 0.0]}}),
-    # only a tolerance under its round-off fails it: an edit that breaks the
-    # equilibrium or the homogeneity is refused (exit 2), and the spherical rules
-    # integrate the harmonic motion's quadratic flux exactly
+    # a graded modulus: outer - inner is then int_b de/dx|expl dx, not zero
     ("surface_independence_quadratic", "surface_independence:difference_vs_flux_scale"):
-        (("checks", "surface_independence", "tolerance"), 1e-17),
+        (("material", "mu"), {"kind": "affine", "value": 1.0, "slope": [0, 0, 0.4]}),
 }
 
 # gates of ``run --all`` that no config edit can fail

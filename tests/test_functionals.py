@@ -8,7 +8,7 @@ import pytest
 
 import relpower.functionals as fn
 from conftest import (_loop_total, coefficient_norms, decompose, generate,
-                      loop_decomposition, prediction_errors, sphere_surface)
+                      loop_decomposition, prediction_errors, sphere_surface, surface_run)
 from relpower import cli, fields
 from relpower import configurational as conf
 from relpower.exceptions import PreconditionViolated
@@ -441,31 +441,47 @@ class TestSurfaceIndependence:
     def test_fluxes_equal_the_sphere_oracle_bit_for_bit(self, config):
         # the oracle evaluates the state again on spheres built on their own;
         # the reports print each component with cli._fmt, so a signed zero counts
-        scenario = Scenario(config)
-        check = config["checks"]["surface_independence"]
-        fluxes = fn.surface_independence_check(
-            scenario, allow_broken_hypotheses=check.get("expect", "zero") != "zero")
+        run, rows = surface_run(config)
+        scenario = run.scenario
         shell, rule = config["geometry"], config["quadrature"]["angular_points"]
-        for flux, radius in zip(fluxes, (shell["inner_radius"], shell["outer_radius"])):
+        for label, radius in (("flux_inner", shell["inner_radius"]),
+                              ("flux_outer", shell["outer_radius"])):
             sphere = sphere_surface(scenario.part.center, radius, rule)
             oracle = weighted_fsum(np.einsum(
                 "ijn,jn->in", scenario.state(sphere.points.T).eshelby, sphere.normals.T),
                 sphere.weights)
-            assert [cli._fmt(c) for c in flux] == [cli._fmt(c) for c in oracle]
+            assert [cli._fmt(c) for c in rows[label]] == [cli._fmt(c) for c in oracle]
+
+    @pytest.mark.parametrize("config", SURFACE_INDEPENDENCE_CASES,
+                             ids=[config["name"] for config in SURFACE_INDEPENDENCE_CASES])
+    def test_flux_difference_is_r3_without_its_volume_integral(self, config):
+        # outer - inner is the boundary part of R3, as balances.csv reports it:
+        # R3 - int_b g dx, g = de/dx|expl - f - F^t b
+        run, rows = surface_run(config)
+        r3 = next(np.array(row[3:6]) for row in run.tables["balances"][1]
+                  if row[1:3] == ["configurational_force", "default"])
+        vol = run.scenario.volume_data
+        g = (vol.material_gradient - vol.driving_force
+             - np.einsum("kin,kn->in", vol.f_grad, vol.body_force))
+        boundary = r3 - weighted_fsum(g, vol.weights)
+        difference = rows["flux_outer"] - rows["flux_inner"]
+        assert np.linalg.norm(difference - boundary) <= 1e-15 * max(
+            np.linalg.norm(difference), np.finfo(float).tiny)
 
     def test_homogeneous_stretch_fluxes_vanish(self):
-        scenario = Scenario(make_config(
+        _, rows = surface_run(make_config(
             geometry={"kind": "shell", "center": [0.0, 0.0, 0.0],
                       "inner_radius": 0.5, "outer_radius": 0.9},
             motion={"preset": "homogeneous",
                     "matrix": [[1.2, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-            quadrature={"radial_order": 6, "angular_points": 26}))
-        inner, outer = fn.surface_independence_check(scenario)
+            quadrature={"radial_order": 6, "angular_points": 26},
+            checks={"surface_independence": {"tolerance": 1e-12}}))
+        inner, outer = rows["flux_inner"], rows["flux_outer"]
         assert np.linalg.norm(inner) <= 1e-12
         assert np.linalg.norm(outer) <= 1e-12
         assert np.linalg.norm(outer - inner) <= 1e-12
 
-    def _shell_config(self, mu):
+    def _shell_config(self, mu, expect="zero"):
         return make_config(
             geometry={"kind": "shell", "center": [0.0, 0.0, 0.0],
                       "inner_radius": 0.5, "outer_radius": 0.9},
@@ -473,20 +489,21 @@ class TestSurfaceIndependence:
             motion={"preset": "harmonic", "alpha": 0.1},
             virtual_fields={"v": {"preset": "constant", "value": [0.1, 0.0, 0.0]},
                             "w": {"preset": "constant", "value": [0.0, 0.1, 0.0]}},
-            quadrature={"radial_order": 6, "angular_points": 26})
+            quadrature={"radial_order": 6, "angular_points": 26},
+            checks={"surface_independence": {"expect": expect, "tolerance": 1e-6}})
 
     def test_quadratic_harmonic_surface_independent(self):
-        scenario = Scenario(self._shell_config({"kind": "constant", "value": 1.0}))
-        inner, outer = fn.surface_independence_check(scenario)
+        _, rows = surface_run(self._shell_config({"kind": "constant", "value": 1.0}))
+        inner, outer = rows["flux_inner"], rows["flux_outer"]
         scale = max(1.0, np.linalg.norm(inner), np.linalg.norm(outer))
         assert np.linalg.norm(outer - inner) <= 1e-6 * scale
 
     def test_graded_control_equals_shell_integral(self):
-        scenario = Scenario(self._shell_config(
-            {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}))
-        inner, outer = fn.surface_independence_check(scenario,
-                                                     allow_broken_hypotheses=True)
-        vol = scenario.volume_data
+        config = self._shell_config({"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]},
+                                    expect="material_gradient_integral")
+        run, rows = surface_run(config)
+        inner, outer = rows["flux_inner"], rows["flux_outer"]
+        vol = run.scenario.volume_data
         expected = weighted_fsum(vol.material_gradient, vol.weights)
         # closed form: 4 alpha^2 beta (2/3) * 4 pi (0.9^5 - 0.5^5)/5 along e3
         exact = 4.0 * 0.1 ** 2 * 0.4 * (2.0 / 3.0) * 4.0 * math.pi \
@@ -494,19 +511,21 @@ class TestSurfaceIndependence:
         np.testing.assert_allclose(expected, [0.0, 0.0, exact], atol=1e-12)
         assert np.linalg.norm(outer - inner - expected) <= 1e-5 * np.linalg.norm(expected)
 
-    def test_broken_hypotheses_raise_without_waiver(self):
-        scenario = Scenario(self._shell_config(
-            {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}))
-        with pytest.raises(PreconditionViolated):
-            fn.surface_independence_check(scenario)
-
-    def test_preset_body_force_raises_on_a_homogeneous_shell(self):
-        config = self._shell_config({"kind": "constant", "value": 1.0})
-        config["sources"] = {"mode": "preset",
-                             "b": {"preset": "constant", "value": [0.0, 0.0, 0.01]}}
-        scenario = Scenario(config)
-        with pytest.raises(PreconditionViolated, match="b = f = mu = 0"):
-            fn.surface_independence_check(scenario)
+    @pytest.mark.parametrize("section, edit, failing", [
+        ("material", {"mu": {"kind": "affine", "value": 1.0, "slope": [0.0, 0.0, 0.4]}},
+         "surface_independence:difference_vs_flux_scale"),
+        ("sources", {"mode": "preset", "b": {"preset": "constant", "value": [0.0, 0.0, 0.01]}},
+         "balances:max_residual_norm"),
+    ], ids=["graded_mu", "preset_body_force"])
+    def test_broken_hypotheses_reach_a_verdict(self, section, edit, failing):
+        # a graded modulus or a body force breaks the check's hypotheses: the run
+        # still ends in a verdict, and only the gate of the broken law fails
+        config = load_bundled_config("surface_independence_quadratic")
+        config[section].update(edit)
+        run = cli.ScenarioRun(config)
+        run.run()
+        assert [f"{gate.check}:{gate.metric}" for gate in run.gates
+                if not gate.passed] == [failing]
 
 
 class TestNoetherChecks:

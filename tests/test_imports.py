@@ -130,3 +130,21 @@ def test_shared_results_are_assembled_in_one_place():
              and node.func.attr in shared and ast.unparse(node.func.value) == "fn"
              and len(node.args) == 1 and not node.keywords]
     assert calls == [("shared_results", name) for name in shared]
+
+
+def test_configurational_traction_is_formed_in_one_place():
+    # PP n is SurfaceNodeData.config_traction: R3, R4 and the surface check all
+    # read it, so no call elsewhere takes eshelby and normals as two arguments
+    def names(node):
+        return {sub.attr if isinstance(sub, ast.Attribute) else sub.id
+                for sub in ast.walk(node) if isinstance(sub, (ast.Attribute, ast.Name))}
+
+    def contracts(call):
+        args = [names(arg) for arg in call.args]
+        return any("eshelby" in a and "normals" in b
+                   for i, a in enumerate(args) for j, b in enumerate(args) if i != j)
+
+    calls = [(module.name, scope) for module in MODULES
+             for scope, node in _scoped_nodes(ast.parse(module.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and contracts(node)]
+    assert calls == [("scenarios.py", "SurfaceNodeData.__init__")]
